@@ -12,20 +12,35 @@ Keep real actor pools for stages whose setup is genuinely expensive
 
 from __future__ import annotations
 
+# (module, qualname) -> (constructor-kwargs key, instance): one slot per
+# class, so a worker keeps one warm callable per stage across builds
+# while a new configuration (or a fresh ObjectRef argument) replaces the
+# old instance instead of pinning it for the life of the process
 _PROCESS_CACHE: dict = {}
+
+
+def _process_instance(cls, kwargs_key: str, ctor_kwargs: dict):
+    """This worker process's ``cls(**ctor_kwargs)``, built on first use.
+
+    Must stay a module-level function: cloudpickle pickles it by
+    reference, so every task reaches the one ``_PROCESS_CACHE`` of its
+    process.  A closure reading ``_PROCESS_CACHE`` directly would be
+    pickled by value together with its own copy of the (empty) dict,
+    and each dataset execution would construct the callable again."""
+    slot = (cls.__module__, cls.__qualname__)
+    hit = _PROCESS_CACHE.get(slot)
+    if hit is None or hit[0] != kwargs_key:
+        hit = _PROCESS_CACHE[slot] = (kwargs_key, cls(**ctor_kwargs))
+    return hit[1]
 
 
 def cached_class_map(ds, cls, batch_size: int = 1024, **ctor_kwargs):
     """map_batches(cls(**ctor_kwargs)) as a task pool, constructing the
-    callable once per worker process."""
-    cache_key = (cls.__module__, cls.__qualname__,
-                 repr(sorted(ctor_kwargs.items())))
+    callable once per worker process (across builds too)."""
+    kwargs_key = repr(sorted(ctor_kwargs.items()))
 
     def body(batch):
-        fn = _PROCESS_CACHE.get(cache_key)
-        if fn is None:
-            fn = _PROCESS_CACHE[cache_key] = cls(**ctor_kwargs)
-        return fn(batch)
+        return _process_instance(cls, kwargs_key, ctor_kwargs)(batch)
 
     return ds.map_batches(body, batch_format="pyarrow", batch_size=batch_size)
 

@@ -43,25 +43,10 @@ class GraphTables:
     hierarchy: Any = None  # G5: (community, level, sub_community, size)
 
 
-def build_graph(
-    docs,
-    config: PipelineConfig | None = None,
-    extractor_cls=PatternExtractor,
-    materialize_mentions: bool = True,
-    mentions_checkpoint: str | None = None,
-    fingerprint: str = "default",
-    **extractor_kwargs,
-) -> GraphTables:
-    """docs Dataset (interleaved schema) -> canonical entity/relationship tables.
-
-    ``materialize_mentions`` pins the mention dataset in the object store so
-    the two downstream canonicalization shuffles don't re-run extraction
-    (the expensive stage).  At extreme scale pass ``mentions_checkpoint``
-    (a directory) instead: mentions persist to Parquet with a lineage
-    manifest — disk-backed rather than object-store-pinned, and a rerun
-    with the same fingerprint resumes past extraction entirely.
-    """
-    cfg = config or PipelineConfig()
+def _chunk_and_extract(docs, cfg: PipelineConfig,
+                      extractor_cls=PatternExtractor, **extractor_kwargs):
+    """docs Dataset -> (text_units, mentions), both LAZY: nothing runs
+    until a consumer executes them."""
     text_units = chunk_documents(
         docs, cfg.chunk_size, cfg.chunk_overlap, batch_size=cfg.chunk_batch_size
     )
@@ -73,6 +58,15 @@ def build_graph(
         use_actor_pool=cfg.extract_use_actor_pool,
         **extractor_kwargs,
     )
+    return text_units, mentions
+
+
+def _canonical_core(text_units, mentions, cfg: PipelineConfig,
+                   mentions_checkpoint: str | None = None,
+                   fingerprint: str = "default") -> GraphTables:
+    """Lazy (text_units, mentions) -> canonical entity/relationship
+    tables.  Executes extraction exactly once: the mentions are pinned
+    (or checkpointed) before the G1/G2 merges read them."""
     if cfg.fused_canonicalize and mentions_checkpoint is None:
         # barrier-free path: both combiners stream inside one pass; the
         # returned mentions dataset stays LAZY (consuming it re-runs
@@ -97,23 +91,19 @@ def build_graph(
         mentions = checkpoint_or_compute(
             lambda: captured, mentions_checkpoint, fingerprint, "mentions"
         )
-    elif materialize_mentions:
+    else:
         mentions = mentions.materialize()
     # pinned/checkpointed mentions make count() metadata-cheap, and the
     # mention count upper-bounds the combiner's partial rows (x2 for
     # entities: a rel row touches both endpoints) — passing it as
     # size_hint lets the canonicalize merges skip their driver-path
     # size probe (a full materialize barrier) when the corpus is big
-    n_mentions = (
-        mentions.count()
-        if (mentions_checkpoint is not None or materialize_mentions)
-        else None
-    )
+    n_mentions = mentions.count()
     entities = canonicalize_entities(
         mentions,
         max_descriptions=cfg.max_descriptions_per_key,
         max_sources=cfg.max_sources_per_key,
-        size_hint=None if n_mentions is None else 2 * n_mentions,
+        size_hint=2 * n_mentions,
     )
     relationships = canonicalize_relationships(
         mentions,
@@ -127,6 +117,31 @@ def build_graph(
         entities=entities,
         relationships=relationships,
     )
+
+
+def build_graph(
+    docs,
+    config: PipelineConfig | None = None,
+    extractor_cls=PatternExtractor,
+    mentions_checkpoint: str | None = None,
+    fingerprint: str = "default",
+    **extractor_kwargs,
+) -> GraphTables:
+    """docs Dataset (interleaved schema) -> canonical entity/relationship tables.
+
+    The mention dataset is pinned in the object store so the two
+    downstream canonicalization shuffles don't re-run extraction (the
+    expensive stage).  At extreme scale pass ``mentions_checkpoint`` (a
+    directory) instead: mentions persist to Parquet with a lineage
+    manifest — disk-backed rather than object-store-pinned, and a rerun
+    with the same fingerprint resumes past extraction entirely.
+    """
+    cfg = config or PipelineConfig()
+    text_units, mentions = _chunk_and_extract(
+        docs, cfg, extractor_cls, **extractor_kwargs
+    )
+    return _canonical_core(text_units, mentions, cfg, mentions_checkpoint,
+                          fingerprint)
 
 
 def build_knowledge_graph(
@@ -148,6 +163,24 @@ def build_knowledge_graph(
     ``fingerprint`` resumes from the last complete stage instead of
     recomputing (north rule: resumable from checkpoint).  A changed
     fingerprint (new input) invalidates downstream checkpoints.
+
+    Resume contract — with the same fingerprint, complete checkpoints
+    skip this work:
+
+    * ``entities_summarized`` + ``relationships_summarized``: chunking,
+      extraction (no LLM calls) and the G1/G2 canonicalize merges.  If
+      either is missing, the core runs once for both: a partial resume
+      extracts at most once.
+    * ``entities_degreed`` + ``relationships_degreed``: the degree
+      shuffle.
+    * ``communities``: the connected-components chain and community
+      detection.
+    * ``entities_clustered``, ``reports``, ``claims``,
+      ``media_features``: their own stage.
+
+    ``text_units`` (and ``mentions``, when extraction did not run) come
+    back as lazy Datasets; consuming them executes chunking (and
+    extraction).
     """
     from knowledge_graph_ray.stages.summarize import summarize_descriptions
     from knowledge_graph_ray.stages.degree import (
@@ -183,23 +216,10 @@ def build_knowledge_graph(
             make, os.path.join(checkpoint_dir, stage), fingerprint, stage
         )
 
-    # on a full resume the extraction stage is never executed — skip
-    # pinning mentions so build_graph stays lazy and unused
-    from knowledge_graph_ray.state.checkpoint import checkpoint_complete
-
-    resume_ready = checkpoint_dir is not None and all(
-        checkpoint_complete(os.path.join(checkpoint_dir, s), fingerprint)
-        for s in ("entities_summarized", "relationships_summarized")
-    )
-    core = build_graph(
-        docs,
-        cfg,
-        extractor_cls=extractor_cls,
-        materialize_mentions=not resume_ready,
-        **extractor_kwargs,
-    )
-
     if checkpoint_dir is None:
+        core = build_graph(docs, cfg, extractor_cls=extractor_cls,
+                           **extractor_kwargs)
+        text_units, mentions = core.text_units, core.mentions
         # independent DAGs over the pinned mentions — overlap their
         # shuffles in driver threads instead of idling between barriers
         from knowledge_graph_ray.functions.poolcache import (
@@ -217,18 +237,37 @@ def build_knowledge_graph(
             ]
         )
     else:
+        # the extract -> canonicalize core is built lazily and at most
+        # once, INSIDE the staged lambdas: when both *_summarized
+        # checkpoints are complete neither lambda runs, so a full resume
+        # executes no extraction and no G1/G2 merge (resume contract —
+        # same class as the degree and CC chains below).  text_units and
+        # the lazy mentions cost nothing until executed
+        text_units, lazy_mentions = _chunk_and_extract(
+            docs, cfg, extractor_cls, **extractor_kwargs
+        )
+        _core_box: dict = {}
+
+        def _core() -> GraphTables:
+            if "c" not in _core_box:
+                _core_box["c"] = _canonical_core(text_units, lazy_mentions,
+                                                 cfg)
+            return _core_box["c"]
+
         entities = staged(
             lambda: summarize_descriptions(
-                core.entities,
+                _core().entities,
                 max_input_tokens=cfg.max_summary_input_tokens,
                 max_summary_length=cfg.max_summary_length,
             ),
             "entities_summarized",
         )
         relationships = staged(
-            lambda: summarize_descriptions(core.relationships),
+            lambda: summarize_descriptions(_core().relationships),
             "relationships_summarized",
         )
+        # the pinned mentions when the core ran, else the lazy handle
+        mentions = _core_box["c"].mentions if _core_box else lazy_mentions
 
     if checkpoint_dir is None:
         from knowledge_graph_ray.functions.poolcache import run_concurrently
@@ -341,7 +380,7 @@ def build_knowledge_graph(
         claims = staged(
             lambda: merge_claims(
                 resolve_claims(
-                    extract_claims(core.text_units, batch_size=cfg.extract_batch_size)
+                    extract_claims(text_units, batch_size=cfg.extract_batch_size)
                 )
             ),
             "claims",
@@ -368,8 +407,8 @@ def build_knowledge_graph(
         )
 
     return GraphTables(
-        text_units=core.text_units,
-        mentions=core.mentions,
+        text_units=text_units,
+        mentions=mentions,
         entities=entities,
         relationships=relationships,
         communities=communities,

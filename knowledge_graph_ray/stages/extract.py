@@ -232,7 +232,12 @@ class CooccurrenceExtractor(PatternExtractor):
     (verbs/entities/extraction/graph_nltk/run.py:40-56)."""
 
     def __init__(self, vocabulary: list[tuple[str, str]], window: int = 5):
-        super().__init__(vocabulary=vocabulary, rel_verbs=[])
+        # tokens are looked up in ``types`` only: the parent's regex
+        # alternation over the vocabulary is never used, and compiling it
+        # costs seconds at 100k names
+        self.types = {name.upper(): type_ for name, type_ in vocabulary}
+        self.rel_verbs = []
+        self.verb_res = []
         self.window = window
 
     def _extract_raw(self, text: str) -> str:
@@ -250,9 +255,6 @@ class CooccurrenceExtractor(PatternExtractor):
                 context = " ".join(tokens[max(0, p1 - 2) : p2 + 3])
                 records.append(format_relationship_record(t1, t2, context, 1.0))
         return join_records(records)
-
-
-_PROCESS_EXTRACTOR_CACHE: dict = {}
 
 
 def extract_mentions(
@@ -285,15 +287,7 @@ def extract_mentions(
             concurrency=concurrency,
         )
 
-    cache_key = (extractor_cls.__module__, extractor_cls.__qualname__,
-                 repr(sorted(extractor_kwargs.items())))
+    from knowledge_graph_ray.functions.poolcache import cached_class_map
 
-    def extract_fn(batch):
-        ext = _PROCESS_EXTRACTOR_CACHE.get(cache_key)
-        if ext is None:
-            ext = _PROCESS_EXTRACTOR_CACHE[cache_key] = extractor_cls(**extractor_kwargs)
-        return ext(batch)
-
-    return text_units.map_batches(
-        extract_fn, batch_format="pyarrow", batch_size=batch_size
-    )
+    return cached_class_map(text_units, extractor_cls, batch_size=batch_size,
+                            **extractor_kwargs)

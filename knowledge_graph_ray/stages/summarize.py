@@ -63,9 +63,6 @@ class DescriptionSummarizer:
         )
 
 
-_PROCESS_SUMMARIZER_CACHE: dict = {}
-
-
 def summarize_descriptions(ds, concurrency=(1, 4), batch_size: int = 1024,
                            summarizer_cls=DescriptionSummarizer,
                            use_actor_pool: bool = False, **kwargs):
@@ -86,13 +83,6 @@ def summarize_descriptions(ds, concurrency=(1, 4), batch_size: int = 1024,
             concurrency=concurrency,
         )
 
-    cache_key = (summarizer_cls.__module__, summarizer_cls.__qualname__,
-                 repr(sorted(kwargs.items())))
+    from knowledge_graph_ray.functions.poolcache import cached_class_map
 
-    def body(batch):
-        s = _PROCESS_SUMMARIZER_CACHE.get(cache_key)
-        if s is None:
-            s = _PROCESS_SUMMARIZER_CACHE[cache_key] = summarizer_cls(**kwargs)
-        return s(batch)
-
-    return ds.map_batches(body, batch_format="pyarrow", batch_size=batch_size)
+    return cached_class_map(ds, summarizer_cls, batch_size=batch_size, **kwargs)

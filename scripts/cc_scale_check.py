@@ -1,6 +1,6 @@
 """Star-contraction CC at scale vs networkx (evidence script; ~30s).
 
-Usage: PYTHONPATH=/root/repo python scripts/cc_scale_check.py
+Usage (from the repository root): PYTHONPATH=. python scripts/cc_scale_check.py
 """
 import ray, time
 ray.init(address="local", num_cpus=16, include_dashboard=False, logging_level="ERROR")

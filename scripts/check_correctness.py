@@ -7,7 +7,14 @@ Usage: python scripts/check_correctness.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+# Ray workers do not inherit this process's sys.path; PYTHONPATH reaches them
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (REPO, os.environ.get("PYTHONPATH")) if p)
 
 import duckdb
 import pandas as pd
@@ -74,7 +81,6 @@ def main():
 
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()

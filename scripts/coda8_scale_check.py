@@ -10,8 +10,15 @@ Prints one JSON line per check.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+# Ray workers do not inherit this process's sys.path; PYTHONPATH reaches them
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (REPO, os.environ.get("PYTHONPATH")) if p)
 
 
 def main():
@@ -29,7 +36,6 @@ def main():
     import ray.data as rd
 
     rd.DataContext.get_current().enable_progress_bars = False
-    sys.path.insert(0, "/root/repo")
 
     from knowledge_graph_ray.stages.fuzzy import (
         jaro_winkler_blocked_pairs,

@@ -8,7 +8,7 @@ efficiency.  The open vocabulary is the regime the prefix filter is
 built for (rare tokens exist), unlike the driver corpus's closed
 31-word soup — both are exercised; this script pins the open one.
 
-Usage: PYTHONPATH=/root/repo python scripts/ppjoin_scale_check.py [n_docs] [cpus]
+Usage (from the repository root): PYTHONPATH=. python scripts/ppjoin_scale_check.py [n_docs] [cpus]
 """
 import sys
 import time

@@ -11,8 +11,15 @@ Prints one JSON line per check with wall seconds and result sizes.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+# Ray workers do not inherit this process's sys.path; PYTHONPATH reaches them
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (REPO, os.environ.get("PYTHONPATH")) if p)
 
 
 def main():
@@ -28,7 +35,6 @@ def main():
     import ray.data as rd
 
     rd.DataContext.get_current().enable_progress_bars = False
-    sys.path.insert(0, "/root/repo")
 
     from knowledge_graph_ray.stages.graphops import multi_source_bfs
     from knowledge_graph_ray.stages.pagerank import (

@@ -8,7 +8,7 @@ every ranking operator pays exactly ONE hash shuffle on its partition
 key then vectorizes per bucket; df/PMI shuffle partial counts only
 (terms x batches rows, never token occurrences).
 
-Usage: PYTHONPATH=/root/repo python scripts/ranking_scale_check.py
+Usage (from the repository root): PYTHONPATH=. python scripts/ranking_scale_check.py
 """
 import time
 

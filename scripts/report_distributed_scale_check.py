@@ -9,7 +9,7 @@ synthetic two-level hierarchy (100k leaf communities, 20k parents,
 300k entities) with broadcast_max=0 and a tiny token budget so parents
 actually take the mixed-context branch.
 
-Usage: PYTHONPATH=/root/repo python scripts/report_distributed_scale_check.py
+Usage (from the repository root): PYTHONPATH=. python scripts/report_distributed_scale_check.py
 """
 import time
 

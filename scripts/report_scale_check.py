@@ -6,7 +6,7 @@ through bucketed_group_map (one task per key-hash bucket); this script
 measures communities/sec on a synthetic 6k-community context and, for
 contrast, times the raw map_groups shape on the same input.
 
-Usage: PYTHONPATH=/root/repo python scripts/report_scale_check.py
+Usage (from the repository root): PYTHONPATH=. python scripts/report_scale_check.py
 """
 import time
 

@@ -17,10 +17,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+# Ray workers do not inherit this process's sys.path; PYTHONPATH reaches them
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (REPO, os.environ.get("PYTHONPATH")) if p)
 
 
 def main():

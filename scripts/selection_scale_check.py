@@ -7,7 +7,7 @@ stateless stages (split/upsample/decontaminate) stream with zero
 shuffle; sample bounds its shuffle to n/group/batch; pack pays exactly
 one sort.
 
-Usage: PYTHONPATH=/root/repo python scripts/selection_scale_check.py
+Usage (from the repository root): PYTHONPATH=. python scripts/selection_scale_check.py
 """
 import time
 

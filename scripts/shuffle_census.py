@@ -6,9 +6,16 @@ Usage: python scripts/shuffle_census.py [sf_dir] > SHUFFLES.md
 """
 from __future__ import annotations
 
+import os
 import re
 import sys
 import time
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+# Ray workers do not inherit this process's sys.path; PYTHONPATH reaches them
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (REPO, os.environ.get("PYTHONPATH")) if p)
 
 
 def main():
@@ -21,7 +28,6 @@ def main():
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     rows = []

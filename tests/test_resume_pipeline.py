@@ -103,3 +103,93 @@ def test_resume_skips_cc_chain_entirely(tmp_path, monkeypatch):
     t2 = build_knowledge_graph(docs, CFG, num_partitions=4,
                                checkpoint_dir=ckpt, fingerprint="fp-cc")
     assert t2.entities.count() == n
+
+
+def test_full_resume_runs_no_extraction_or_canonicalize(tmp_path, monkeypatch):
+    """Complete *_summarized checkpoints must skip the whole chunk ->
+    extract -> canonicalize core.  The lazy mentions handle is still
+    built (it is free until executed), so the patched extract_mentions
+    returns a dataset that raises when executed."""
+    import knowledge_graph_ray.pipelines.build as build_mod
+
+    ckpt = str(tmp_path / "ckpt")
+    docs = rd.from_arrow(generate_corpus_table(80, seed=6969)).repartition(2)
+    t1 = build_knowledge_graph(docs, CFG, num_partitions=4,
+                               checkpoint_dir=ckpt, fingerprint="fp-core")
+    n_ents, n_rels = t1.entities.count(), t1.relationships.count()
+
+    def _boom(*a, **k):
+        raise AssertionError("core executed despite complete checkpoints")
+
+    def _extract_must_not_run(text_units, **kwargs):
+        return text_units.map_batches(_boom, batch_format="pyarrow")
+
+    monkeypatch.setattr(build_mod, "extract_mentions", _extract_must_not_run)
+    monkeypatch.setattr(build_mod, "canonicalize_entities", _boom)
+    monkeypatch.setattr(build_mod, "canonicalize_relationships", _boom)
+    t2 = build_knowledge_graph(docs, CFG, num_partitions=4,
+                               checkpoint_dir=ckpt, fingerprint="fp-core")
+    assert t2.entities.count() == n_ents
+    assert t2.relationships.count() == n_rels
+
+
+def test_resume_llm_calls(tmp_path):
+    """Endpoint calls on resume: a full resume makes none; a partial one
+    (relationships_summarized missing) extracts once — as many calls as
+    the first build, not one extraction per canonicalize side."""
+    import re
+    import shutil
+
+    from llm_mock import canned_chat_server
+
+    from knowledge_graph_ray.config import COMPLETION_DELIMITER, RECORD_DELIMITER
+    from knowledge_graph_ray.corpus import VOCABULARY
+    from knowledge_graph_ray.functions.records import (
+        format_entity_record,
+        format_relationship_record,
+    )
+    from knowledge_graph_ray.stages.llm import OpenAICompatGraphExtractor
+
+    types = {n.upper(): t for n, t in VOCABULARY}
+    name_re = re.compile(
+        r"\b(?:" + "|".join(re.escape(n) for n, _ in sorted(
+            VOCABULARY, key=lambda v: len(v[0]), reverse=True)) + r")\b",
+        re.IGNORECASE,
+    )
+    calls = []
+
+    def reply(messages):
+        calls.append(1)
+        text = messages[-1]["content"].split("Text:\n", 1)[-1]
+        found = list(dict.fromkeys(m.group(0) for m in name_re.finditer(text)))
+        records = [format_entity_record(n, types.get(n.upper(), ""), "seen")
+                   for n in found]
+        if len(found) >= 2:
+            records.append(format_relationship_record(
+                found[0], found[1], "mentioned together", 1.0))
+        return RECORD_DELIMITER.join(records) + COMPLETION_DELIMITER
+
+    ckpt = str(tmp_path / "ckpt")
+    docs = rd.from_arrow(generate_corpus_table(40, seed=6969)).repartition(2)
+    with canned_chat_server(reply) as base_url:
+        def build():
+            before = len(calls)
+            tables = build_knowledge_graph(
+                docs, CFG, extractor_cls=OpenAICompatGraphExtractor,
+                num_partitions=4, checkpoint_dir=ckpt, fingerprint="fp-llm",
+                max_gleanings=0, base_url=base_url, api_key="test-key",
+                model="canned-model")
+            return tables, len(calls) - before
+
+        t1, first_calls = build()
+        n_rels = t1.relationships.count()
+        assert first_calls > 0
+
+        t2, full_resume_calls = build()
+        assert full_resume_calls == 0
+        assert t2.relationships.count() == n_rels
+
+        shutil.rmtree(os.path.join(ckpt, "relationships_summarized"))
+        t3, partial_resume_calls = build()
+        assert partial_resume_calls == first_calls
+        assert t3.relationships.count() == n_rels

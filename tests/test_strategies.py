@@ -217,3 +217,69 @@ def test_generate_reports_with_custom_composer():
                                composer=FakeLLMComposer()).to_pandas()
     assert list(reports["title"]) == ["LLM-cX"]
     assert reports["rank"].iloc[0] == 3.0
+
+
+def _units(texts):
+    return pa.table({
+        "chunk_id": [f"c{i}" for i in range(len(texts))],
+        "doc_id": [f"d{i}" for i in range(len(texts))],
+        "chunk_index": list(range(len(texts))),
+        "text": texts,
+    })
+
+
+def test_cooccurrence_extractor_records_unchanged_without_regex():
+    """CooccurrenceExtractor builds only its type lookup (no vocabulary
+    regex) and emits the same records as when it was built through
+    PatternExtractor.__init__."""
+    from knowledge_graph_ray.stages.extract import CooccurrenceExtractor
+
+    vocab = [("ALPHA", "person"), ("BETA", "organization"), ("GAMMA", "geo")]
+    units = _units([
+        "ALPHA met BETA near GAMMA today",
+        "no names here",
+        "BETA and ALPHA x x x x x x GAMMA BETA BETA",
+    ])
+    ext = CooccurrenceExtractor(vocab, window=3)
+    assert not hasattr(ext, "entity_re")
+
+    ref = CooccurrenceExtractor.__new__(CooccurrenceExtractor)
+    PatternExtractor.__init__(ref, vocabulary=vocab, rel_verbs=[])
+    ref.window = 3
+    got, want = ext(units), ref(units)
+    assert got.equals(want)
+    rels = got.filter(pa.compute.equal(got.column("kind"), "rel"))
+    assert sorted(zip(rels.column("src").to_pylist(),
+                      rels.column("dst").to_pylist())) == [
+        ("ALPHA", "BETA"), ("BETA", "ALPHA"), ("BETA", "GAMMA"),
+        ("GAMMA", "BETA")]
+
+
+def test_task_pool_extractor_built_once_per_worker_process():
+    """The task-pool extractor cache outlives one dataset execution: a
+    worker process that runs two executions constructs the extractor once."""
+    import os
+    import uuid
+
+    class Probe:
+        def __init__(self, tag):
+            self.token = uuid.uuid4().hex  # one per construction
+
+        def __call__(self, batch):
+            n = batch.num_rows
+            return pa.table({"pid": [os.getpid()] * n, "token": [self.token] * n})
+
+    units = rd.from_arrow(_units(["a", "b", "c", "d"]))
+    tokens_by_pid: dict = {}
+    seen_twice = False
+    for _ in range(8):
+        out = extract_mentions(units, extractor_cls=Probe, batch_size=2,
+                               use_actor_pool=False, tag="t").to_pandas()
+        pids = set(out["pid"])
+        seen_twice = seen_twice or bool(pids & tokens_by_pid.keys())
+        for pid, token in zip(out["pid"], out["token"]):
+            tokens_by_pid.setdefault(pid, set()).add(token)
+        if seen_twice:
+            break
+    assert seen_twice, "no worker process ran two executions"
+    assert all(len(t) == 1 for t in tokens_by_pid.values()), tokens_by_pid
