@@ -36,7 +36,10 @@ def bucketed_bucket_map(ds, keys: list[str], bucket_fn, num_buckets: int = 64,
     bucket; all rows of a key land in the same bucket.
 
     ``bucket_fn`` must return an Arrow table with a fixed schema (may be
-    empty); ``empty_schema`` covers the zero-row input case.
+    empty); ``empty_schema`` covers the zero-row input case.  A
+    contiguous ``bucket_fn`` table stays one chunk per column on the
+    driver path; the distributed path's ``map_groups`` concatenates the
+    bucket tables of a block, one chunk per bucket.
 
     ``body_format="pyarrow"`` hands ``bucket_fn`` a ``pyarrow.Table``
     instead of a pandas DataFrame — use it when the body must see the
@@ -137,6 +140,9 @@ def bucketed_group_map(ds, keys: list[str], fn, num_buckets: int = 64,
     empty).  ``dropna=True`` skips groups whose key is null (pandas
     groupby semantics, used where the reference drops NaN keys);
     ``empty_schema`` is returned for buckets left with zero groups.
+    Each bucket's output is contiguous (one Arrow chunk per column), not
+    one chunk per group: Ray serializes every chunk array of a block on
+    its own, so per-group chunks are slow to ship and to read downstream.
     See ``bucketed_bucket_map`` for ``driver_threshold`` / ``size_hint``.
     """
     group_keys = keys[0] if len(keys) == 1 else keys
@@ -152,7 +158,7 @@ def bucketed_group_map(ds, keys: list[str], fn, num_buckets: int = 64,
                 "bucketed_group_map: bucket produced no groups "
                 "(pass empty_schema when dropna can empty a bucket)"
             )
-        return pa.concat_tables(out, promote_options="default")
+        return pa.concat_tables(out, promote_options="default").combine_chunks()
 
     return bucketed_bucket_map(
         ds, keys, bucket_fn, num_buckets=num_buckets,

@@ -9,7 +9,10 @@ two-phase distributed aggregation (SURVEY.md G1/G2):
    shuffle volume for hub entities (skew axis of the north rule: a key
    appearing in 10% of all chunks contributes one row per batch, not one
    row per mention);
-2. **final merge** via ``groupby(key).map_groups`` over the partials.
+2. **final merge** via ``functions.grouping.bucketed_bucket_map``: the
+   partials shuffle once on a hash bucket of the key, and
+   ``merge_entity_partials`` / ``merge_edge_partials`` merge every key of
+   a bucket in one pass into one contiguous Arrow table.
 
 Reference semantics reproduced exactly (validated by the differential
 oracle in tests/test_differential.py):
@@ -33,6 +36,7 @@ oracle in tests/test_differential.py):
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -181,59 +185,80 @@ def entity_partials_batch(batch: pa.Table, max_descriptions: int | None = None,
                                 preserve_index=False)
 
 
-def _merge_entity_group(group: pd.DataFrame, max_descriptions: int | None = None,
-                        max_sources: int | None = None) -> pa.Table:
-    """Final merge of partial rows for one entity name."""
-    descs: set[str] = set()
-    ent_chunks: set[str] = set()
-    # packed \x1e-joined sets; a partial whose min_ent_order is the _HI
-    # sentinel saw no entity mention, so its packed "" means the EMPTY
-    # set (otherwise "" is a legitimate single empty description —
-    # clean_str strips \x00-\x1f so \x1e can never occur in members)
-    for d, c, mo in zip(group["descs"], group["ent_chunks"], group["min_ent_order"]):
-        if mo != _HI:
-            descs.update(d.split("\x1e"))
-            if c:
-                ent_chunks.update(c.split("\x1e"))
-    if max_descriptions is not None:
-        descs = set(sorted(descs)[:max_descriptions])
-    if max_sources is not None:
-        ent_chunks = set(sorted(ent_chunks)[:max_sources])
-    type_order, type_val = "", ""
-    for to, tv in zip(group["type_order"], group["type_val"]):
-        if tv and to >= type_order:
-            type_order, type_val = to, tv
-    min_ent = min(group["min_ent_order"])
-    touch_idx = group["min_touch_order"].idxmin()
-    min_touch = group["min_touch_order"][touch_idx]
-    touch_chunk = group["min_touch_chunk"][touch_idx]
-    n_mentions = int(group["n_mentions"].sum())
+class _EntityAcc:
+    """Per-name merge state of ``merge_entity_partials``."""
 
-    stub_first = min_touch < min_ent  # stub node created before any entity record
-    if min_ent == _HI:  # pure stub: only ever an edge endpoint
-        description = ""
-        sources = {touch_chunk}
-    else:
-        if stub_first:
-            # reference: entity desc merges into the stub's "" description and
-            # the stub's source id stays in the set (graph_extractor.py:212-227)
-            descs.add("")
-            sources = ent_chunks | {touch_chunk}
+    __slots__ = ("descs", "chunks", "type_order", "type_val", "min_ent",
+                 "min_touch", "touch_chunk", "n_mentions")
+
+    def __init__(self, min_ent: str, min_touch: str, touch_chunk: str):
+        self.descs: set[str] = set()
+        self.chunks: set[str] = set()
+        self.type_order = ""
+        self.type_val = ""
+        self.min_ent = min_ent
+        self.min_touch = min_touch
+        self.touch_chunk = touch_chunk
+        self.n_mentions = 0
+
+
+def _smallest(values: set[str], cap: int | None) -> set[str]:
+    return values if cap is None else set(sorted(values)[:cap])
+
+
+def merge_entity_partials(bucket: pd.DataFrame, max_descriptions: int | None = None,
+                          max_sources: int | None = None) -> pa.Table:
+    """Final merge of entity partial rows, any number of names at once:
+    one pass over the rows with per-name accumulators, then one
+    contiguous output table, names in first-appearance order."""
+    acc: dict[str, _EntityAcc] = {}
+    rows = zip(*(bucket[c].tolist() for c in ENTITY_PARTIAL_SCHEMA.names))
+    for name, d, c, to, tv, mo, mt, tc, n in rows:
+        a = acc.get(name)
+        if a is None:
+            a = acc[name] = _EntityAcc(mo, mt, tc)
         else:
-            sources = ent_chunks
-        description = "\n".join(sorted(descs)) if len(descs) > 1 else next(iter(descs))
-    return pa.Table.from_pylist(
-        [
-            {
-                "name": group["name"].iloc[0],
-                "type": type_val,
-                "description": description,
-                "source_id": ", ".join(sorted(sources)),
-                "n_mentions": n_mentions,
-            }
-        ],
-        schema=ENTITY_SCHEMA,
-    )
+            if mo < a.min_ent:
+                a.min_ent = mo
+            if mt < a.min_touch:  # the FIRST strictly-smaller touch wins
+                a.min_touch, a.touch_chunk = mt, tc
+        # packed \x1e-joined sets; a partial whose min_ent_order is the _HI
+        # sentinel saw no entity mention, so its packed "" means the EMPTY
+        # set (otherwise "" is a legitimate single empty description —
+        # clean_str strips \x00-\x1f so \x1e can never occur in members)
+        if mo != _HI:
+            a.descs.update(d.split("\x1e"))
+            if c:
+                a.chunks.update(c.split("\x1e"))
+        if tv and to >= a.type_order:  # last non-empty type, ties to later rows
+            a.type_order, a.type_val = to, tv
+        a.n_mentions += n
+
+    out: dict[str, list] = {f: [] for f in ENTITY_SCHEMA.names}
+    for name, a in acc.items():
+        if a.min_ent == _HI:  # pure stub: only ever an edge endpoint
+            description, sources = "", {a.touch_chunk}
+        else:
+            descs = _smallest(a.descs, max_descriptions)
+            sources = _smallest(a.chunks, max_sources)
+            if a.min_touch < a.min_ent:
+                # stub node created before any entity record — reference:
+                # entity desc merges into the stub's "" description and
+                # the stub's source id stays in the set
+                # (graph_extractor.py:212-227)
+                descs = descs | {""}
+                sources = sources | {a.touch_chunk}
+            description = "\n".join(sorted(descs))
+        out["name"].append(name)
+        out["type"].append(a.type_val)
+        out["description"].append(description)
+        out["source_id"].append(", ".join(sorted(sources)))
+        out["n_mentions"].append(int(a.n_mentions))
+    return pa.Table.from_pydict(out, schema=ENTITY_SCHEMA)
+
+
+# the per-key merge is the whole-bucket merge applied to one key's rows
+_merge_entity_group = merge_entity_partials
 
 
 def canonicalize_entities(mentions, batch_size: int = 32768, num_buckets: int = 64,
@@ -243,8 +268,9 @@ def canonicalize_entities(mentions, batch_size: int = 32768, num_buckets: int = 
                           size_hint: int | None = None):
     """Dataset[mention] -> Dataset[entity] (the G1 shuffle).
 
-    Final merge runs via bucketed_group_map: one Ray task per key-hash
-    bucket, not one Python call per entity (high-cardinality keys).
+    Final merge runs via bucketed_bucket_map: one Ray task per key-hash
+    bucket, and one ``merge_entity_partials`` pass over each bucket, not
+    one Python call per entity (high-cardinality keys).
 
     ``size_hint``: cheap upper bound on the partial-row count (the
     mention count is always one — combiners only compress); when it
@@ -252,7 +278,7 @@ def canonicalize_entities(mentions, batch_size: int = 32768, num_buckets: int = 
     barrier is skipped and the merge streams."""
     import functools
 
-    from knowledge_graph_ray.functions.grouping import bucketed_group_map
+    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
 
     partials = mentions.map_batches(
         functools.partial(
@@ -263,11 +289,11 @@ def canonicalize_entities(mentions, batch_size: int = 32768, num_buckets: int = 
         batch_format="pyarrow",
         batch_size=batch_size,
     )
-    return bucketed_group_map(
+    return bucketed_bucket_map(
         partials,
         ["name"],
         functools.partial(
-            _merge_entity_group,
+            merge_entity_partials,
             max_descriptions=max_descriptions,
             max_sources=max_sources,
         ),
@@ -282,8 +308,6 @@ def edge_partials_batch(batch: pa.Table, max_descriptions: int | None = None,
                         max_sources: int | None = None) -> pa.Table:
     """Per-batch combiner for relationship mentions, undirected key
     (vectorized; see entity_partials_batch)."""
-    import numpy as np
-
     df = batch.select(
         ["kind", "src", "dst", "description", "chunk_id", "weight"]
     ).to_pandas()
@@ -321,33 +345,68 @@ def edge_partials_batch(batch: pa.Table, max_descriptions: int | None = None,
                                 preserve_index=False)
 
 
-def _merge_edge_group(group: pd.DataFrame, max_descriptions: int | None = None,
-                      max_sources: int | None = None) -> pa.Table:
-    descs: set[str] = set()
-    chunks: set[str] = set()
-    for d in group["descs"]:
-        descs.update(d.split(""))
-    for c in group["chunks"]:
+def _segment_sums(values: np.ndarray, codes: np.ndarray, n_keys: int) -> np.ndarray:
+    """Per-code float64 sums, each bit-identical to
+    ``pd.Series(values[codes == k]).sum()`` over the code's rows in order.
+
+    pandas zeroes NaNs and calls numpy's sum, which folds fewer than 8
+    terms left to right from 0.0 and sums longer runs pairwise: the
+    short segments (nearly all) are folded here column by column, the
+    long ones call numpy's sum on their own slice."""
+    values = np.where(np.isnan(values), 0.0, values)
+    order = np.argsort(codes, kind="stable")
+    v = values[order]
+    counts = np.bincount(codes, minlength=n_keys)
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros(n_keys)
+    for k in range(min(int(counts.max(initial=0)), 7)):
+        live = np.flatnonzero((counts > k) & (counts < 8))
+        sums[live] += v[starts[live] + k]
+    for i in np.flatnonzero(counts >= 8):
+        sums[i] = v[starts[i]:starts[i] + counts[i]].sum()
+    return sums
+
+
+def merge_edge_partials(bucket: pd.DataFrame, max_descriptions: int | None = None,
+                        max_sources: int | None = None) -> pa.Table:
+    """Final merge of edge partial rows, any number of (src, dst) keys at
+    once (see merge_entity_partials); ``weight`` is each key's
+    ``Series.sum()`` bit for bit."""
+    index: dict[tuple[str, str], int] = {}
+    codes, descs, chunks, n_mentions = [], [], [], []
+    rows = zip(bucket["src"].tolist(), bucket["dst"].tolist(),
+               bucket["descs"].tolist(), bucket["chunks"].tolist(),
+               bucket["n_mentions"].tolist())
+    for src, dst, d, c, n in rows:
+        i = index.setdefault((src, dst), len(index))
+        if i == len(descs):
+            descs.append(set())
+            chunks.append(set())
+            n_mentions.append(0)
+        codes.append(i)
+        descs[i].update(d.split("\x1e"))
         if c:
-            chunks.update(c.split(""))
-    if max_descriptions is not None:
-        descs = set(sorted(descs)[:max_descriptions])
-    if max_sources is not None:
-        chunks = set(sorted(chunks)[:max_sources])
-    description = "\n".join(sorted(descs)) if len(descs) > 1 else next(iter(descs))
-    return pa.Table.from_pylist(
-        [
-            {
-                "src": group["src"].iloc[0],
-                "dst": group["dst"].iloc[0],
-                "weight": float(group["weight"].sum()),
-                "description": description,
-                "source_id": ", ".join(sorted(chunks)),
-                "n_mentions": int(group["n_mentions"].sum()),
-            }
-        ],
+            chunks[i].update(c.split("\x1e"))
+        n_mentions[i] += n
+    weights = _segment_sums(bucket["weight"].to_numpy(dtype=np.float64),
+                            np.asarray(codes, dtype=np.intp), len(index))
+    return pa.Table.from_pydict(
+        {
+            "src": [k[0] for k in index],
+            "dst": [k[1] for k in index],
+            "weight": weights,
+            "description": ["\n".join(sorted(_smallest(d, max_descriptions)))
+                            for d in descs],
+            "source_id": [", ".join(sorted(_smallest(c, max_sources)))
+                          for c in chunks],
+            "n_mentions": [int(n) for n in n_mentions],
+        },
         schema=RELATIONSHIP_SCHEMA,
     )
+
+
+# the per-key merge is the whole-bucket merge applied to one key's rows
+_merge_edge_group = merge_edge_partials
 
 
 def canonicalize_relationships(mentions, batch_size: int = 32768, num_buckets: int = 64,
@@ -359,7 +418,7 @@ def canonicalize_relationships(mentions, batch_size: int = 32768, num_buckets: i
     ``size_hint``: see canonicalize_entities."""
     import functools
 
-    from knowledge_graph_ray.functions.grouping import bucketed_group_map
+    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
 
     partials = mentions.map_batches(
         functools.partial(
@@ -370,11 +429,11 @@ def canonicalize_relationships(mentions, batch_size: int = 32768, num_buckets: i
         batch_format="pyarrow",
         batch_size=batch_size,
     )
-    return bucketed_group_map(
+    return bucketed_bucket_map(
         partials,
         ["src", "dst"],
         functools.partial(
-            _merge_edge_group,
+            merge_edge_partials,
             max_descriptions=max_descriptions,
             max_sources=max_sources,
         ),
@@ -395,8 +454,6 @@ def _repack_sets(values: "pd.Series", sep: str) -> "pd.Series":
     same pandas shape as the mention combiners, no Python row loop.
     An empty/None input row packs to "" (the empty set, matching the
     row-loop form this replaces)."""
-    import numpy as np
-
     idx = np.arange(len(values))
     e = pd.DataFrame({
         "i": idx, "part": values.fillna("").str.split(sep)
@@ -467,7 +524,7 @@ def incremental_canonicalize_entities(prev_entities, new_mentions,
     utils/graph.py:68-115, associative here so no special-case strings)."""
     import functools
 
-    from knowledge_graph_ray.functions.grouping import bucketed_group_map
+    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
 
     prev_partials = prev_entities.map_batches(
         entities_to_partials, batch_format="pyarrow"
@@ -481,11 +538,11 @@ def incremental_canonicalize_entities(prev_entities, new_mentions,
         batch_format="pyarrow",
         batch_size=batch_size,
     )
-    return bucketed_group_map(
+    return bucketed_bucket_map(
         prev_partials.union(new_partials),
         ["name"],
         functools.partial(
-            _merge_entity_group,
+            merge_entity_partials,
             max_descriptions=max_descriptions,
             max_sources=max_sources,
         ),
@@ -499,7 +556,7 @@ def incremental_canonicalize_relationships(prev_relationships, new_mentions,
                                            max_sources: int | None = None):
     import functools
 
-    from knowledge_graph_ray.functions.grouping import bucketed_group_map
+    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
 
     prev_partials = prev_relationships.map_batches(
         relationships_to_partials, batch_format="pyarrow"
@@ -513,11 +570,11 @@ def incremental_canonicalize_relationships(prev_relationships, new_mentions,
         batch_format="pyarrow",
         batch_size=batch_size,
     )
-    return bucketed_group_map(
+    return bucketed_bucket_map(
         prev_partials.union(new_partials),
         ["src", "dst"],
         functools.partial(
-            _merge_edge_group,
+            merge_edge_partials,
             max_descriptions=max_descriptions,
             max_sources=max_sources,
         ),
@@ -585,7 +642,7 @@ def canonicalize_fused(mentions, batch_size: int | None = None,
     """
     import functools
 
-    from knowledge_graph_ray.functions.grouping import bucketed_group_map
+    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
 
     # batch_size=None = whole upstream blocks: an explicit batch size
     # here COALESCES extract-shard outputs into fewer fused tasks
@@ -621,17 +678,17 @@ def canonicalize_fused(mentions, batch_size: int | None = None,
     rel_partials = combined.map_batches(
         take_side(1, EDGE_PARTIAL_SCHEMA), batch_format="pyarrow"
     )
-    entities = bucketed_group_map(
+    entities = bucketed_bucket_map(
         ent_partials, ["name"],
-        functools.partial(_merge_entity_group,
+        functools.partial(merge_entity_partials,
                           max_descriptions=max_descriptions,
                           max_sources=max_sources),
         num_buckets=num_buckets, driver_threshold=driver_threshold,
         size_hint=n, empty_schema=ENTITY_SCHEMA,
     )
-    relationships = bucketed_group_map(
+    relationships = bucketed_bucket_map(
         rel_partials, ["src", "dst"],
-        functools.partial(_merge_edge_group,
+        functools.partial(merge_edge_partials,
                           max_descriptions=max_descriptions,
                           max_sources=max_sources),
         num_buckets=num_buckets, driver_threshold=driver_threshold,

@@ -685,9 +685,10 @@ def community_hierarchy(communities, num_partitions: int = 32):
     )
 
     # one shuffle keyed by the sub-community: parent-pair rows from the
-    # adjacency join union'd with member-marker rows; the group body
-    # counts members (size) and keeps parents sharing ALL of them —
-    # fully lazy (no mid-pipeline materialize) and empty-safe
+    # adjacency join union'd with member-marker rows; the bucket body
+    # counts each sub-community's members (size) and keeps the parents
+    # sharing ALL of them — fully lazy (no mid-pipeline materialize)
+    # and empty-safe
     def pair_rows(b: pa.Table) -> pa.Table:
         n = len(b)
         return pa.Table.from_pydict(
@@ -716,29 +717,39 @@ def community_hierarchy(communities, num_partitions: int = 32):
         communities.map_batches(member_rows, batch_format="pyarrow")
     )
 
-    def emit_parents(group: pd.DataFrame) -> pa.Table:
-        size = int((group["is_member"] == 1).sum())
-        pairs = group[group["is_member"] == 0]
-        if size == 0 or pairs.empty:
-            return hierarchy_schema.empty_table()
-        counts = pairs.groupby(["p_community", "p_level"]).size()
-        rows = [
+    sub_key = ["sub_community", "sub_level"]
+
+    def emit_parents(bucket: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        member = pc.equal(bucket.column("is_member"), 1)
+        sizes = bucket.filter(member).group_by(sub_key).aggregate([([], "count_all")])
+        sizes = sizes.rename_columns(
+            ["sub_community_size" if c == "count_all" else c
+             for c in sizes.column_names])
+        shared = (bucket.filter(pc.invert(member))
+                  .group_by(sub_key + ["p_community", "p_level"])
+                  .aggregate([([], "count_all")])
+                  .join(sizes, keys=sub_key, join_type="inner"))
+        full = shared.filter(pc.equal(shared.column("count_all"),
+                                      shared.column("sub_community_size")))
+        # the join's row order is unspecified: sort for a stable table
+        return pa.Table.from_pydict(
             {
-                "community": pc_,
-                "level": int(pl),
-                "sub_community": group["sub_community"].iloc[0],
-                "sub_community_size": size,
-            }
-            for (pc_, pl), n_shared in counts.items()
-            if n_shared == size
-        ]
-        return pa.Table.from_pylist(rows, schema=hierarchy_schema)
+                "community": full.column("p_community"),
+                "level": full.column("p_level"),
+                "sub_community": full.column("sub_community"),
+                "sub_community_size": full.column("sub_community_size"),
+            },
+            schema=hierarchy_schema,
+        ).sort_by([("sub_community", "ascending"), ("level", "ascending"),
+                   ("community", "ascending")])
 
-    from knowledge_graph_ray.functions.grouping import bucketed_group_map
+    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
 
-    return bucketed_group_map(
-        unioned, ["sub_community", "sub_level"], emit_parents,
-        num_buckets=num_partitions, empty_schema=hierarchy_schema,
+    return bucketed_bucket_map(
+        unioned, sub_key, emit_parents, num_buckets=num_partitions,
+        empty_schema=hierarchy_schema, body_format="pyarrow",
     )
 
 

@@ -257,6 +257,28 @@ class CooccurrenceExtractor(PatternExtractor):
         return join_records(records)
 
 
+def actor_pool_args(concurrency) -> dict:
+    """``map_batches`` sizing of an extractor actor pool of ``concurrency``
+    actors (a fixed size or ``(min, max)``), fitted to the Ray cluster.
+
+    Each actor holds one CPU by default, and the upstream read and chunk
+    tasks need one CPU each.  With fewer CPUs than the pool's minimum
+    size + 1, the actors would hold every CPU those tasks need and the
+    build would never progress.  The pool is then fixed at its minimum
+    size, and its actors split what is left after one CPU for the
+    upstream tasks (nothing on a one-CPU cluster: they time-share with
+    them).  Larger clusters get the pool unchanged."""
+    import ray
+
+    if not ray.is_initialized():
+        return {"concurrency": concurrency}
+    low = concurrency[0] if isinstance(concurrency, (tuple, list)) else concurrency
+    cpus = ray.cluster_resources().get("CPU", 0.0)
+    if cpus >= low + 1:
+        return {"concurrency": concurrency}
+    return {"concurrency": low, "num_cpus": max(cpus - 1.0, 0.0) / low}
+
+
 def extract_mentions(
     text_units,
     extractor_cls=PatternExtractor,
@@ -270,7 +292,8 @@ def extract_mentions(
     ``use_actor_pool=True`` (default): callable-class actor pool — the
     right shape when extractor setup is expensive (LLM client, model
     weights), state built once per actor (reference rebuilds per call,
-    llm/__init__.py:5-9).
+    llm/__init__.py:5-9).  ``actor_pool_args`` fits the pool to small
+    clusters.
 
     ``use_actor_pool=False``: stateless task pool with a per-worker-
     process extractor cache — for cheap-to-build extractors (compiled
@@ -284,7 +307,7 @@ def extract_mentions(
             fn_constructor_kwargs=extractor_kwargs,
             batch_format="pyarrow",
             batch_size=batch_size,
-            concurrency=concurrency,
+            **actor_pool_args(concurrency),
         )
 
     from knowledge_graph_ray.functions.poolcache import cached_class_map

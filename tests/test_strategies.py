@@ -283,3 +283,70 @@ def test_task_pool_extractor_built_once_per_worker_process():
             break
     assert seen_twice, "no worker process ran two executions"
     assert all(len(t) == 1 for t in tokens_by_pid.values()), tokens_by_pid
+
+
+_ONE_CPU_BUILD = """
+import sys
+import pyarrow.parquet as pq
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False)
+ray.data.DataContext.get_current().enable_progress_bars = False
+from knowledge_graph_ray.config import PipelineConfig
+from knowledge_graph_ray.corpus import generate_corpus_table
+from knowledge_graph_ray.pipelines.build import build_knowledge_graph
+from knowledge_graph_ray.sources.io import read_documents
+path = sys.argv[1]
+pq.write_table(generate_corpus_table(60, seed=7), path)
+cfg = PipelineConfig(chunk_size=64, chunk_overlap=16)
+assert cfg.extract_use_actor_pool and cfg.extract_concurrency == (2, 8)
+tables = build_knowledge_graph(read_documents(path), cfg)
+print("entities", tables.entities.count())
+ray.shutdown()
+"""
+
+
+def test_actor_pool_build_progresses_on_one_cpu(tmp_path):
+    """The default actor-pool extractor at ``num_cpus=1``: the pool
+    leaves the read and chunk tasks a CPU, so the build completes
+    instead of hanging.  Own Ray cluster in a subprocess, hard timeout."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo, RAY_USAGE_STATS_ENABLED="0")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_BUILD, str(tmp_path / "docs.parquet")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("actor-pool build at num_cpus=1 made no progress in 240 s")
+    assert proc.returncode == 0, err[-2000:]
+    n = int(out.split("entities")[-1])
+    assert n > 0
+
+
+def test_actor_pool_args_unchanged_from_three_cpus(monkeypatch):
+    """Below min size + 1 CPUs the pool is fixed at its minimum with
+    fractional actors; from there up it is exactly what was asked."""
+    import ray
+
+    from knowledge_graph_ray.stages.extract import actor_pool_args
+
+    for cpus, want in (
+        (1.0, {"concurrency": 2, "num_cpus": 0.0}),
+        (2.0, {"concurrency": 2, "num_cpus": 0.5}),
+        (3.0, {"concurrency": (2, 8)}),
+        (32.0, {"concurrency": (2, 8)}),
+    ):
+        monkeypatch.setattr(ray, "cluster_resources", lambda c=cpus: {"CPU": c})
+        assert actor_pool_args((2, 8)) == want, cpus
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 4.0})
+    assert actor_pool_args(4) == {"concurrency": 4, "num_cpus": 0.75}
