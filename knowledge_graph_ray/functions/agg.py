@@ -29,7 +29,10 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
+from knowledge_graph_ray.functions.grouping import (
+    DRIVER_THRESHOLD,
+    bucketed_bucket_map,
+)
 
 _KINDS = ("sum", "count", "min", "max", "mean")
 
@@ -51,7 +54,7 @@ def _arrow_type(t) -> pa.DataType:
 def grouped_agg(ds, keys: list[str],
                 specs: list[tuple[str, "str | None", str]],
                 num_buckets: int = 16,
-                driver_threshold: "int | None" = 500_000,
+                driver_threshold: "int | None" = DRIVER_THRESHOLD,
                 size_hint: "int | None" = None):
     """-> Dataset[keys + one column per spec].
 
@@ -250,7 +253,7 @@ def distinct_rows(ds, keys: list[str], num_buckets: int = 16,
 
 def rollup_agg(ds, keys: list[str], specs: list[tuple[str, "str | None", str]],
                num_buckets: int = 16,
-               driver_threshold: "int | None" = 500_000):
+               driver_threshold: "int | None" = DRIVER_THRESHOLD):
     """GROUP BY ROLLUP(keys): every prefix level of ``keys`` down to the
     grand total, in ONE input scan.
 
@@ -389,7 +392,7 @@ def _grand_total(finest, specs, driver_threshold):
 
 def cube_agg(ds, keys: list[str], specs: list[tuple[str, "str | None", str]],
              num_buckets: int = 16,
-             driver_threshold: "int | None" = 500_000):
+             driver_threshold: "int | None" = DRIVER_THRESHOLD):
     """GROUP BY CUBE(keys): every SUBSET of ``keys``, one input scan.
 
     Same re-aggregation principle as ``rollup_agg``: the finest level
@@ -436,7 +439,7 @@ def grouping_sets_agg(ds, keys: list[str],
                       sets: list[tuple[str, ...] | list[str]],
                       specs: list[tuple[str, "str | None", str]],
                       num_buckets: int = 16,
-                      driver_threshold: "int | None" = 500_000):
+                      driver_threshold: "int | None" = DRIVER_THRESHOLD):
     """GROUP BY GROUPING SETS(sets) — the general form ROLLUP and CUBE
     specialize; one input scan.
 
@@ -488,7 +491,7 @@ def grouping_sets_agg(ds, keys: list[str],
 def pivot_agg(ds, keys: list[str], pivot_col: str, pivot_values: list,
               value_col: "str | None", kinds: list[str] = ("count",),
               num_buckets: int = 16,
-              driver_threshold: "int | None" = 500_000):
+              driver_threshold: "int | None" = DRIVER_THRESHOLD):
     """PIVOT: one output row per key group, one column per
     (pivot value x kind) — ``<kind>_<value>`` — the SQL
     ``agg(CASE WHEN pivot_col = v THEN value END)`` fan-out.
@@ -631,7 +634,7 @@ def grouped_string_agg(ds, keys: list[str], value_col: str,
 
 def histogram_agg(ds, group_cols: list[str], value_col: str,
                   bin_width: float, num_buckets: int = 16,
-                  driver_threshold: "int | None" = 500_000):
+                  driver_threshold: "int | None" = DRIVER_THRESHOLD):
     """Equi-width histogram per group: one count row per
     (group, floor(value / bin_width)) non-empty bin.
 
@@ -662,7 +665,7 @@ def histogram_agg(ds, group_cols: list[str], value_col: str,
 
 def grouped_corr(ds, keys: list[str], x_col: str, y_col: str,
                  out_col: str = "r", num_buckets: int = 16,
-                 driver_threshold: "int | None" = 500_000):
+                 driver_threshold: "int | None" = DRIVER_THRESHOLD):
     """Pearson correlation per group from EXACT integer sums.
 
     ``x_col``/``y_col`` must be integer (scale floats upstream): the
@@ -746,7 +749,7 @@ def grouped_regression(ds, keys: list[str], x_col: str, y_col: str,
                        slope_col: str = "slope",
                        intercept_col: str = "intercept",
                        num_buckets: int = 16,
-                       driver_threshold: "int | None" = 500_000):
+                       driver_threshold: "int | None" = DRIVER_THRESHOLD):
     """Per-group ordinary-least-squares line of y on x (SQL
     REGR_SLOPE / REGR_INTERCEPT) from EXACT integer sums.
 
@@ -873,7 +876,7 @@ def unpivot(ds, id_cols: list[str], value_cols: list[str],
 
 def grouped_stddev(ds, keys: list[str], x_col: str,
                    out_col: str = "stddev", num_buckets: int = 16,
-                   driver_threshold: "int | None" = 500_000):
+                   driver_threshold: "int | None" = DRIVER_THRESHOLD):
     """Sample standard deviation per group from EXACT integer sums
     (same contract as grouped_corr: scale floats to ints upstream).
 

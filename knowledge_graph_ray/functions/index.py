@@ -1,16 +1,24 @@
-"""Distributed row indexing: global contiguous ids without driver collect.
+"""Row indexing: global contiguous ids in dataset order.
 
 The reference assigns ``human_readable_id`` by enumeration order over the
 in-memory graph (/root/reference/verbs/community_detection/
 cluster_graph.py:60-68).  Distributed equivalent (SURVEY §7.5 'Ordering
 requirements'): sort on the stable key, then a two-pass prefix-sum —
 per-block row counts (tiny remote tasks) -> offsets on the driver ->
-per-block index append.  Block payloads never touch the driver.
+per-block index append, so block payloads stay in the object store.  An
+input of at most ``DRIVER_THRESHOLD`` rows skips the sort shuffle: it is
+sorted and indexed on the driver in one Arrow pass and comes back as
+one contiguous block, in the same order.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+
+from knowledge_graph_ray.functions.grouping import (
+    DRIVER_THRESHOLD,
+    driver_arrow_table,
+)
 
 
 def with_weight_offsets(ds, weight_col: str, column: str = "start_offset",
@@ -62,19 +70,35 @@ def with_weight_offsets(ds, weight_col: str, column: str = "start_offset",
     )
 
 
-def with_row_index(ds, column: str = "human_readable_id", sort_key=None):
+def with_row_index(ds, column: str = "human_readable_id", sort_key=None,
+                   driver_threshold: int | None = DRIVER_THRESHOLD):
     """Append a 0-based contiguous global index in dataset order.
 
     ``sort_key`` (optional) sorts first — e.g. ``"name"`` gives the
     stable enumeration the reference's exports rely on (utils/graph.py
-    stabilize_graph sorts nodes by name).
+    stabilize_graph sorts nodes by name).  A sorted input of at most
+    ``driver_threshold`` rows is sorted on the driver (``Table.sort_by``,
+    ascending, the order ``Dataset.sort`` gives; rows with equal keys,
+    which the distributed sort leaves in no promised order, keep their
+    input order) instead of by a sort shuffle.
     """
+    import numpy as np
     import ray
     import ray.data
 
-    if sort_key is not None:
-        ds = ds.sort(sort_key)
     mat = ds.materialize()
+    if sort_key is not None:
+        n = mat.count()  # metadata-only on a materialized dataset
+        if driver_threshold is not None and 0 < n <= driver_threshold:
+            keys = [sort_key] if isinstance(sort_key, str) else list(sort_key)
+            whole = driver_arrow_table(mat).sort_by(
+                [(k, "ascending") for k in keys]
+            )
+            idx = pa.array(np.arange(n, dtype=np.int64))
+            return ray.data.from_arrow(
+                whole.append_column(column, idx).combine_chunks()
+            )
+        mat = mat.sort(sort_key).materialize()
     refs = mat.to_arrow_refs()
 
     @ray.remote

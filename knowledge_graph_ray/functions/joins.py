@@ -3,9 +3,11 @@
 Ray 2.49's native ``Dataset.join`` intermittently fails when several
 hash-join operators land in one fused DAG (aggregator finalize raises
 "No match or multiple matches for key field reference FieldRef..."), so
-the engine uses the portable pattern instead: bucket both sides by a
-stable vectorized hash of the key, shuffle once with ``groupby(bucket)``,
-and run one vectorized pandas merge per bucket inside ``map_groups``.
+the engine uses the portable pattern instead: tag and union both sides
+and run one merge body per key-hash bucket through
+``bucketed_bucket_map`` — one ``groupby(bucket)`` shuffle, or, when the
+two sides sum to at most ``DRIVER_THRESHOLD`` rows, the same body once
+over the whole input on the driver (no shuffle).
 
 Scale properties: a single all-to-all exchange partitioned on the key
 hash; ``num_partitions`` bounds per-bucket memory; same-key rows must share
@@ -29,9 +31,11 @@ import pandas as pd
 import pyarrow as pa
 
 from knowledge_graph_ray.functions.dsschema import dataset_schema, plan_schema
-from knowledge_graph_ray.functions.hashing import bucket_column
+from knowledge_graph_ray.functions.grouping import (
+    DRIVER_THRESHOLD,
+    bucketed_bucket_map,
+)
 
-_BUCKET = "__jb"
 _SIDE = "__js"
 
 
@@ -88,6 +92,7 @@ def hash_join(
     on: list[str] | tuple[str, ...],
     how: str = "inner",
     num_partitions: int = 32,
+    driver_threshold: int | None = DRIVER_THRESHOLD,
 ):
     """left ⨝ right on key columns ``on`` -> Dataset.
 
@@ -95,6 +100,13 @@ def hash_join(
     ('inner'/'left_outer'/'full_outer'); left columns only
     ('left_semi'/'left_anti').  'full_outer' keeps unmatched rows from
     BOTH sides (key columns coalesced, the other side's payload null).
+    Row order is unspecified.  Either side may be empty as long as its
+    schema is known.
+
+    ``driver_threshold``: when both sides together are at most this many
+    rows, the merge runs once on the driver (see ``bucketed_bucket_map``;
+    the union is materialized once and reused by either regime — the
+    sort shuffle is a full barrier anyway).  ``None`` always shuffles.
     """
     assert how in (
         "inner", "left_outer", "full_outer", "left_semi", "left_anti",
@@ -123,11 +135,9 @@ def hash_join(
             for name, typ in add_cols:
                 cols[name] = pa.nulls(len(batch), typ)
             cols[_SIDE] = pa.array([side] * len(batch), type=pa.int8())
-            cols[_BUCKET] = bucket_column(batch, on, num_partitions)
             # fixed column order so the union schemas align
             ordered = {f.name: cols[f.name] for f in out_fields if f.name in cols}
             ordered[_SIDE] = cols[_SIDE]
-            ordered[_BUCKET] = cols[_BUCKET]
             return pa.Table.from_pydict(ordered)
 
         return body
@@ -196,8 +206,10 @@ def hash_join(
             schema=out_schema,
         )
 
-    return left_tagged.union(right_tagged).groupby(_BUCKET).map_groups(
-        merge_bucket, batch_format="pyarrow"
+    return bucketed_bucket_map(
+        left_tagged.union(right_tagged), on, merge_bucket,
+        num_buckets=num_partitions, empty_schema=out_schema,
+        driver_threshold=driver_threshold, body_format="pyarrow",
     )
 
 

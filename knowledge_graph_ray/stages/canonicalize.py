@@ -40,6 +40,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from knowledge_graph_ray.functions.grouping import DRIVER_THRESHOLD
+
 # partial-row set columns are packed as delimiter-joined strings, not
 # Arrow lists: the groupby shuffle sorts partial rows, and sorting
 # list-typed columns is disproportionately slow in Ray's sort path.
@@ -264,7 +266,7 @@ _merge_entity_group = merge_entity_partials
 def canonicalize_entities(mentions, batch_size: int = 32768, num_buckets: int = 64,
                           max_descriptions: int | None = None,
                           max_sources: int | None = None,
-                          driver_threshold: int = 200_000,
+                          driver_threshold: int = DRIVER_THRESHOLD,
                           size_hint: int | None = None):
     """Dataset[mention] -> Dataset[entity] (the G1 shuffle).
 
@@ -412,7 +414,7 @@ _merge_edge_group = merge_edge_partials
 def canonicalize_relationships(mentions, batch_size: int = 32768, num_buckets: int = 64,
                                max_descriptions: int | None = None,
                                max_sources: int | None = None,
-                               driver_threshold: int = 200_000,
+                               driver_threshold: int = DRIVER_THRESHOLD,
                                size_hint: int | None = None):
     """Dataset[mention] -> Dataset[relationship] (the G2 shuffle).
     ``size_hint``: see canonicalize_entities."""
@@ -626,7 +628,7 @@ def canonicalize_fused(mentions, batch_size: int | None = None,
                        num_buckets: int = 64,
                        max_descriptions: int | None = None,
                        max_sources: int | None = None,
-                       driver_threshold: int = 200_000):
+                       driver_threshold: int = DRIVER_THRESHOLD):
     """-> (entities, relationships) via ONE streaming pass over the
     mention stream (G1+G2 fused).
 

@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # imported lazily at use sites: ~0.5s import per
     import networkx as nx  # worker process, paid only by clustering tasks
 
 from knowledge_graph_ray.config import MAX_CLUSTER_SIZE, SEED
+from knowledge_graph_ray.functions.grouping import DRIVER_THRESHOLD
 from knowledge_graph_ray.functions.joins import hash_join
 
 COMMUNITY_COLUMNS = ["level", "community", "name"]
@@ -67,6 +68,13 @@ def rd_empty_communities():
 # detect_communities), so lowering the threshold buys parallelism rather
 # than deepening a sequential recursion.
 MAX_LOUVAIN_COMPONENT_NODES = 50_000
+
+# detect_communities' driver regime runs the clustering itself, one
+# component after another, where the distributed regime clusters
+# components in parallel tasks: it pays for its exchanges on smaller
+# graphs than the shared DRIVER_THRESHOLD (sized for exchange bodies
+# that do little work per row) assumes
+CLUSTER_DRIVER_THRESHOLD = 100_000
 
 
 def _canonical_graph(names, edge_triples) -> "nx.Graph":
@@ -303,7 +311,7 @@ def detect_communities(
     max_louvain_nodes: int = MAX_LOUVAIN_COMPONENT_NODES,
     clustering_num_cpus: float | None = None,
     clustering_memory: float | None = None,
-    driver_threshold: int = 100_000,
+    driver_threshold: int = CLUSTER_DRIVER_THRESHOLD,
     algorithm: str = "louvain",
 ):
     """-> Dataset[(level:int, community:str, name:str)].
@@ -319,51 +327,71 @@ def detect_communities(
     computation for small graphs.  Larger graphs take the distributed
     component-parallel path.
 
-    Cost note: on the distributed path with ``use_lcc=False`` a
-    components.groupby().count() probe (one aggregate round, ~0.5-1 s
-    fixed at 32 CPUs) detects >``max_louvain_nodes`` components before
-    clustering; with ``use_lcc=True`` the LCC top-1 pass already knows
-    the size and the probe is free.  The probe is what lets a giant
-    component run as parallel bisection leaves instead of one
-    multi-hour task (BASELINE.md, 1M-node run).
+    Cost note: a component table of at most ``driver_threshold`` rows is
+    pulled to the driver once, and the LCC pick (``use_lcc=True``) runs
+    there with no exchange.  A larger table pays one
+    components.groupby().count() round (~0.1-0.3 s of fixed latency at
+    1 CPU): with ``use_lcc=True`` it is the LCC top-1 pass, which also
+    yields the size the giant-component check needs; with
+    ``use_lcc=False`` on the distributed path it is the probe that
+    detects >``max_louvain_nodes`` components before clustering.  That
+    probe is what lets a giant component run as parallel bisection
+    leaves instead of one multi-hour task (BASELINE.md, 1M-node run).
     """
     import pyarrow as pa
 
+    # read by the LCC pick, the size gate and the driver pull (or the
+    # distributed joins): execute the component labels once
+    components = components.materialize()
+    comp_pdf = None
+    if components.count() <= driver_threshold:
+        comp_pdf = components.to_pandas()
+
     if use_lcc:
-        # dataset-side top-1: with singleton components for every isolated
-        # entity the size table is entity-scale — never to_pandas() it,
-        # and never full-sort it: a per-batch local top-1 combiner bounds
-        # the final pull to one row per block (ties broken by smallest
-        # component id, matching the previous sort order)
-        def local_top1(b: pa.Table) -> pa.Table:
-            df = b.to_pandas()
-            df = df.sort_values(["count()", "component"],
-                                ascending=[False, True], kind="stable")
-            return pa.Table.from_pandas(df.head(1), preserve_index=False)
+        if comp_pdf is not None:
+            if comp_pdf.empty:
+                return rd_empty_communities()
+            # driver top-1, same tie-break as the dataset-side pass:
+            # count descending, then smallest component id (the size
+            # index is sorted, and idxmax takes the first maximum)
+            sizes = comp_pdf.groupby("component").size()
+            largest, largest_size = sizes.idxmax(), int(sizes.max())
+            comp_pdf = comp_pdf[comp_pdf["component"] == largest]
+        else:
+            # dataset-side top-1: with singleton components for every
+            # isolated entity the size table is entity-scale — never
+            # to_pandas() it, and never full-sort it: a per-batch local
+            # top-1 combiner bounds the final pull to one row per block
+            # (ties broken by smallest component id)
+            def local_top1(b: pa.Table) -> pa.Table:
+                df = b.to_pandas()
+                df = df.sort_values(["count()", "component"],
+                                    ascending=[False, True], kind="stable")
+                return pa.Table.from_pandas(df.head(1), preserve_index=False)
 
-        top = (
-            components.groupby("component")
-            .count()
-            .map_batches(local_top1, batch_format="pyarrow")
-            .to_pandas()
-        )
-        if top.empty:
-            return rd_empty_communities()
-        top = top.sort_values(["count()", "component"],
-                              ascending=[False, True], kind="stable")
-        largest = top["component"].iloc[0]
-        components = components.filter(
-            expr=f"component == {largest!r}"
-        )
+            top = (
+                components.groupby("component")
+                .count()
+                .map_batches(local_top1, batch_format="pyarrow")
+                .to_pandas()
+            )
+            if top.empty:
+                return rd_empty_communities()
+            top = top.sort_values(["count()", "component"],
+                                  ascending=[False, True], kind="stable")
+            largest = top["component"].iloc[0]
+            largest_size = int(top["count()"].iloc[0])
+        lcc = components.filter(expr=f"component == {largest!r}")
+        if comp_pdf is None and largest_size <= driver_threshold:
+            comp_pdf = lcc.to_pandas()
+        components = lcc
 
-    if (components.count() <= driver_threshold
-            and relationships.count() <= driver_threshold):
+    if comp_pdf is not None and relationships.count() <= driver_threshold:
         # driver fast path: pull the (PROVABLY bounded — both counts
         # checked) node/edge lists once, cluster locally, return the
         # table — zero shuffle rounds
         import ray.data as rd
 
-        comp_pdf = components.to_pandas()
         comp_of = dict(zip(comp_pdf["name"], comp_pdf["component"]))
         rels_pdf = relationships.select_columns(
             ["src", "dst", "weight"]
@@ -410,11 +438,7 @@ def detect_communities(
     # their bisection levels are edge-free rank arithmetic, and each
     # bisection leaf louvains in its OWN task — no giant-component task
     if use_lcc:
-        giants = (
-            [largest]
-            if int(top["count()"].iloc[0]) > max_louvain_nodes
-            else []
-        )
+        giants = [largest] if largest_size > max_louvain_nodes else []
     else:
         import pyarrow.compute as pc
 
@@ -642,7 +666,8 @@ def _detect_communities_with_giants(
     return leaf_rows.union(pre_rows)
 
 
-def community_hierarchy(communities, num_partitions: int = 32):
+def community_hierarchy(communities, num_partitions: int = 32,
+                        driver_threshold: int | None = DRIVER_THRESHOLD):
     """G5 hierarchy table: (community, level, sub_community,
     sub_community_size) — each level-L community paired with the level-L+1
     communities whose members it contains (reference
@@ -653,10 +678,24 @@ def community_hierarchy(communities, num_partitions: int = 32):
     then pair-scale aggregates; the subset condition (all of the
     sub-community's members appear under the parent) is enforced by
     comparing the shared-member count with the sub-community size.
+    Both exchanges (the join and the bucket map) run on the driver when
+    their inputs are at most ``driver_threshold`` rows.
     """
     import pyarrow as pa
+    import ray.data as rd
 
     from knowledge_graph_ray.functions.joins import project
+
+    hierarchy_schema = pa.schema(
+        [("community", pa.string()), ("level", pa.int64()),
+         ("sub_community", pa.string()), ("sub_community_size", pa.int64())]
+    )
+    # read three times below (parent, child, member rows): execute once.
+    # An empty table ends here — its projections would carry no schema
+    # for the join to resolve
+    communities = communities.materialize()
+    if communities.count() == 0:
+        return rd.from_arrow(hierarchy_schema.empty_table())
 
     parent = project(
         communities, {"community": "community", "level": "level", "name": "name"}
@@ -666,7 +705,8 @@ def community_hierarchy(communities, num_partitions: int = 32):
         {"community": "sub_community", "level": "sub_level", "name": "name"},
     )
     joined = hash_join(parent, child, on=["name"], how="inner",
-                       num_partitions=num_partitions)
+                       num_partitions=num_partitions,
+                       driver_threshold=driver_threshold)
 
     # NOT filter(expr="sub_level == level + 1"): Ray 2.49 evaluates
     # column-vs-column arithmetic exprs to no rows silently
@@ -679,16 +719,11 @@ def community_hierarchy(communities, num_partitions: int = 32):
         )
 
     adjacent = joined.map_batches(adjacent_only, batch_format="pyarrow")
-    hierarchy_schema = pa.schema(
-        [("community", pa.string()), ("level", pa.int64()),
-         ("sub_community", pa.string()), ("sub_community_size", pa.int64())]
-    )
 
-    # one shuffle keyed by the sub-community: parent-pair rows from the
-    # adjacency join union'd with member-marker rows; the bucket body
+    # one bucket map keyed by the sub-community: parent-pair rows from
+    # the adjacency join union'd with member-marker rows; the bucket body
     # counts each sub-community's members (size) and keeps the parents
-    # sharing ALL of them — fully lazy (no mid-pipeline materialize)
-    # and empty-safe
+    # sharing ALL of them
     def pair_rows(b: pa.Table) -> pa.Table:
         n = len(b)
         return pa.Table.from_pydict(
@@ -750,6 +785,7 @@ def community_hierarchy(communities, num_partitions: int = 32):
     return bucketed_bucket_map(
         unioned, sub_key, emit_parents, num_buckets=num_partitions,
         empty_schema=hierarchy_schema, body_format="pyarrow",
+        driver_threshold=driver_threshold,
     )
 
 

@@ -31,6 +31,8 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
+from knowledge_graph_ray.functions.grouping import DRIVER_THRESHOLD
+
 
 def _edge_pairs(relationships):
     """relationship table -> normalized (u, v) pairs, u < v, deduped later."""
@@ -50,12 +52,14 @@ def _edge_pairs(relationships):
     )
 
 
-def _dedup_edges(edges):
+def _dedup_edges(edges, driver_threshold: int | None = DRIVER_THRESHOLD):
     """distinct (u, v) — combiner-first bucket dedup (no join, and no
-    count column on the wire; runs once per star round)."""
+    count column on the wire; runs once per star round); an edge set of
+    at most ``driver_threshold`` rows dedups on the driver."""
     from knowledge_graph_ray.functions.agg import distinct_rows
 
-    return distinct_rows(edges, ["u", "v"], empty_schema=_EDGE_SCHEMA)
+    return distinct_rows(edges, ["u", "v"], empty_schema=_EDGE_SCHEMA,
+                         driver_threshold=driver_threshold)
 
 
 def _adjacency(edges):
@@ -75,7 +79,8 @@ def _adjacency(edges):
 _EDGE_SCHEMA = pa.schema([("u", pa.string()), ("v", pa.string())])
 
 
-def _star_round(edges, large: bool, num_buckets: int = 64):
+def _star_round(edges, large: bool, num_buckets: int = 64,
+                driver_threshold: int | None = DRIVER_THRESHOLD):
     from knowledge_graph_ray.functions.grouping import bucketed_group_map
 
     adj = _adjacency(edges)
@@ -101,7 +106,8 @@ def _star_round(edges, large: bool, num_buckets: int = 64):
         )
 
     return _dedup_edges(
-        bucketed_group_map(adj, ["node"], body, num_buckets=num_buckets)
+        bucketed_group_map(adj, ["node"], body, num_buckets=num_buckets),
+        driver_threshold,
     )
 
 
@@ -174,7 +180,7 @@ def connected_components_from_edges(
     nodes=None,
     max_iters: int = 50,
     num_partitions: int = 32,
-    driver_threshold: int = 100_000,
+    driver_threshold: int = DRIVER_THRESHOLD,
 ):
     """Generic star-contraction CC over a Dataset[(u, v)] edge list.
 
@@ -185,22 +191,26 @@ def connected_components_from_edges(
     (stages/dedup.py).
 
     Graphs with <= ``driver_threshold`` distinct edges take a driver-side
-    union-find fast path (one pass, no shuffle rounds); larger graphs run
-    the distributed star contraction.  Entity graphs are usually tiny
+    union-find fast path (one pass, no shuffle rounds; the edge dedup
+    before it and the label min after it run on the driver too when
+    their inputs are that small); larger graphs run the distributed star
+    contraction.  Entity graphs are usually tiny
     relative to the corpus, but at 10^12-doc scale they are not — the
     threshold keeps both regimes first-class.
     """
-    edges = _dedup_edges(edge_pairs).materialize()
+    edges = _dedup_edges(edge_pairs, driver_threshold).materialize()
     if edges.count() <= driver_threshold:
         import ray.data
 
         star = _driver_union_find(edges)
         edges = ray.data.from_arrow(star)
-        return _labels_from_star(edges, nodes)
+        return _labels_from_star(edges, nodes, driver_threshold)
     prev_sig, converged = None, False
     for _ in range(max_iters):
-        edges = _star_round(edges, large=True).materialize()
-        edges = _star_round(edges, large=False).materialize()
+        edges = _star_round(edges, large=True,
+                            driver_threshold=driver_threshold).materialize()
+        edges = _star_round(edges, large=False,
+                            driver_threshold=driver_threshold).materialize()
         sig = _signature(edges)
         if sig == prev_sig:
             converged = True
@@ -213,11 +223,14 @@ def connected_components_from_edges(
             f"star contraction did not converge in {max_iters} rounds "
             f"(last signature {prev_sig}); raise max_iters"
         )
-    return _labels_from_star(edges, nodes)
+    return _labels_from_star(edges, nodes, driver_threshold)
 
 
-def _labels_from_star(edges, nodes=None):
-    """Star-forest edges (u=root, v=member) -> (name, component) labels."""
+def _labels_from_star(edges, nodes=None,
+                      driver_threshold: int | None = DRIVER_THRESHOLD):
+    """Star-forest edges (u=root, v=member) -> (name, component) labels;
+    the groupby-min runs on the driver when its partials are at most
+    ``driver_threshold`` rows."""
 
     def to_labels(batch: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
@@ -247,7 +260,7 @@ def _labels_from_star(edges, nodes=None):
 
     return grouped_agg(sources, ["name"],
                        [("component", "component", "min")],
-                       driver_threshold=None)
+                       driver_threshold=driver_threshold)
 
 
 def connected_components(

@@ -7,8 +7,10 @@ rank = source_degree + target_degree with fillna(0) after two left joins
 
 Ray-Data-native: degrees are a partial-count per batch (both endpoints)
 followed by a small groupby-sum — no global graph.  Attaching degrees to
-the entity/edge tables uses hash-partitioned ``Dataset.join`` (left
-outer, fillna 0), which scales to entity tables that don't fit one node.
+the entity/edge tables is a left-outer ``hash_join`` (fillna 0): one Arrow
+join on the driver when both sides together are at most
+``DRIVER_THRESHOLD`` rows, else a hash-partitioned bucket shuffle, which
+scales to entity tables that don't fit one node.
 """
 
 from __future__ import annotations

@@ -459,6 +459,11 @@ def generate_reports(communities, entities, relationships, num_partitions: int =
                      driver_threshold: int | None = 50_000):
     """-> Dataset[community_report], generated bottom-up per level.
 
+    ``driver_threshold`` sits below the shared ``DRIVER_THRESHOLD``:
+    the driver regime composes every report itself, one after another
+    (an LLM composer's calls included), where the distributed regime
+    composes each bucket in its own task.
+
     Levels are processed DESCENDING (reference utils.py:26-29 /
     summarization.py:71-85): deeper-level reports are generated first and
     a parent community whose raw context exceeds the token budget

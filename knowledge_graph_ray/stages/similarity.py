@@ -677,7 +677,8 @@ def mutual_nn_pairs(ds, vec_column: str = "embedding",
     its rows' argmax neighbor in one matmul — the id-sorted layout
     makes np.argmax's first-max rule IS the lowest-id tie-break.  The
     (position, neighbor) table (2 int64s per vector) then mutual-checks
-    itself with one semi hash-join; pairs never touch the driver.  The
+    itself with one semi hash-join; pairs reach the driver only when
+    few enough for the join's driver regime.  The
     100-TB path replaces the broadcast with IVF bucketing (ivf_assign)
     and runs the same per-bucket argmax + global semi-join.
     """

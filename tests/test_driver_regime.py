@@ -1,0 +1,236 @@
+"""Driver vs distributed regime of the graph tail's exchanges.
+
+Every small input takes the driver regime by default, so each test here
+also forces the distributed regime with ``driver_threshold=0`` and
+compares the two: as row sets, or in exact order where the API promises
+one.
+The last test counts the sort/groupby exchanges of a small in-memory
+build after canonicalize: there are none.
+"""
+
+import json
+
+import pyarrow as pa
+import pytest
+import ray.data as rd
+
+from knowledge_graph_ray.functions.agg import distinct_rows, grouped_agg
+from knowledge_graph_ray.functions.grouping import DRIVER_THRESHOLD
+from knowledge_graph_ray.functions.index import with_row_index
+from knowledge_graph_ray.functions.joins import hash_join
+from knowledge_graph_ray.stages.community import (
+    community_hierarchy,
+    detect_communities,
+)
+
+HOWS = ["inner", "left_outer", "full_outer", "left_semi", "left_anti"]
+
+LEFT_SCHEMA = pa.schema([("k", pa.string()), ("j", pa.int64()),
+                         ("a", pa.int64())])
+RIGHT_SCHEMA = pa.schema([("k", pa.string()), ("j", pa.int64()),
+                          ("b", pa.string())])
+
+LEFT = pa.table(
+    {"k": ["x", "y", None, "z", "x", None, "w"],
+     "j": [1, 2, 3, 1, 1, 3, 9],
+     "a": [10, 20, 30, 40, 50, 60, 70]},
+    schema=LEFT_SCHEMA,
+)
+RIGHT = pa.table(
+    {"k": ["x", None, "z", "v", "x"],
+     "j": [1, 3, 2, 5, 1],
+     "b": ["p", "q", "r", "s", "t"]},
+    schema=RIGHT_SCHEMA,
+)
+
+COMMUNITY_SCHEMA = pa.schema([("level", pa.int64()), ("community", pa.string()),
+                              ("name", pa.string())])
+HIERARCHY_SCHEMA = pa.schema([("community", pa.string()), ("level", pa.int64()),
+                              ("sub_community", pa.string()),
+                              ("sub_community_size", pa.int64())])
+
+
+def _blocks(table: pa.Table, n: int = 3):
+    """A multi-block dataset over ``table``'s rows."""
+    step = max(1, -(-table.num_rows // n))
+    return rd.from_arrow([table.slice(i, step)
+                          for i in range(0, max(1, table.num_rows), step)])
+
+
+def _rows(ds) -> list[str]:
+    return [json.dumps(r, sort_keys=True) for r in ds.take_all()]
+
+
+def _row_set(ds) -> list[str]:
+    return sorted(_rows(ds))
+
+
+def _both_regimes(make):
+    """(driver regime, forced distributed regime) row sets of
+    ``make(driver_threshold)``."""
+    return _row_set(make(DRIVER_THRESHOLD)), _row_set(make(0))
+
+
+@pytest.mark.parametrize("how", HOWS)
+@pytest.mark.parametrize("case", ["both", "empty_left", "empty_right"])
+def test_hash_join_regimes_agree(how, case):
+    left = LEFT_SCHEMA.empty_table() if case == "empty_left" else LEFT
+    right = RIGHT_SCHEMA.empty_table() if case == "empty_right" else RIGHT
+
+    def make(threshold):
+        return hash_join(_blocks(left), _blocks(right), on=["k", "j"],
+                         how=how, num_partitions=4,
+                         driver_threshold=threshold)
+
+    driver, distributed = _both_regimes(make)
+    assert driver == distributed
+    if case == "both" and how == "inner":
+        # null keys match null keys in both regimes
+        assert sum('"k": null' in r for r in driver) == 2
+
+
+@pytest.mark.parametrize("sort_key", ["name", ["src", "dst"]])
+def test_with_row_index_regimes_agree(sort_key):
+    table = pa.table({
+        "name": ["m", "b", "z", "a", "q", "c", "k", "e"],
+        "src": ["b", "a", "b", "a", "c", "a", "b", "c"],
+        "dst": ["c", "z", "a", "b", "a", "c", "d", "b"],
+        "v": list(range(8)),
+    })
+
+    def make(threshold):
+        return with_row_index(_blocks(table, 4), sort_key=sort_key,
+                              driver_threshold=threshold)
+
+    driver, distributed = _rows(make(DRIVER_THRESHOLD)), _rows(make(0))
+    assert driver == distributed
+    keys = [sort_key] if isinstance(sort_key, str) else sort_key
+    got = make(DRIVER_THRESHOLD).take_all()
+    assert [r["human_readable_id"] for r in got] == list(range(8))
+    assert [tuple(r[k] for k in keys) for r in got] == sorted(
+        tuple(r[k] for k in keys) for r in table.to_pylist())
+
+
+def test_distinct_rows_regimes_agree():
+    table = pa.table({"u": ["a", "a", None, "b", None, "a"],
+                      "v": ["b", "b", "c", "c", "c", "c"]})
+    driver, distributed = _both_regimes(
+        lambda t: distinct_rows(_blocks(table), ["u", "v"], num_buckets=4,
+                                driver_threshold=t))
+    assert driver == distributed
+    assert len(driver) == 4
+
+
+def test_grouped_agg_min_regimes_agree():
+    table = pa.table({"name": ["a", "b", "a", None, "c", None],
+                      "component": ["z", "b", "c", "y", "c", "x"]})
+    driver, distributed = _both_regimes(
+        lambda t: grouped_agg(_blocks(table), ["name"],
+                              [("component", "component", "min")],
+                              num_buckets=4, driver_threshold=t))
+    assert driver == distributed
+    assert '{"component": "c", "name": "a"}' in driver
+
+
+def test_community_hierarchy_regimes_agree():
+    rows = ([(0, "A", n) for n in "abcdef"] + [(0, "B", n) for n in "gh"]
+            + [(1, "A1", n) for n in "abc"] + [(1, "A2", n) for n in "def"]
+            + [(1, "B1", n) for n in "gh"] + [(2, "A1x", n) for n in "ab"]
+            + [(2, "A1y", "c")])
+    table = pa.Table.from_pylist(
+        [{"level": lv, "community": c, "name": n} for lv, c, n in rows],
+        schema=COMMUNITY_SCHEMA,
+    )
+    driver, distributed = _both_regimes(
+        lambda t: community_hierarchy(
+            _blocks(table), num_partitions=4, driver_threshold=t))
+    assert driver == distributed
+    assert len(driver) == 5
+    assert ('{"community": "A", "level": 0, "sub_community": "A1", '
+            '"sub_community_size": 3}') in driver
+
+
+def test_lcc_tie_break_regimes_agree():
+    """Two largest components of equal size: both regimes cluster the
+    one with the smaller id."""
+    comps = pa.table({
+        "name": ["p", "q", "r", "a", "b", "c", "x"],
+        "component": ["p", "p", "p", "a", "a", "a", "x"],
+    })
+    rels = pa.table({
+        "src": ["p", "q", "a", "b"], "dst": ["q", "r", "b", "c"],
+        "weight": [1.0, 1.0, 1.0, 1.0],
+    })
+
+    def make(threshold):
+        return detect_communities(_blocks(comps), rd.from_arrow(rels),
+                                  use_lcc=True, num_partitions=4,
+                                  driver_threshold=threshold)
+
+    driver, distributed = _both_regimes(make)
+    assert driver == distributed
+    names = {json.loads(r)["name"] for r in driver}
+    assert names == {"a", "b", "c"}
+
+
+def test_empty_hierarchy_has_schema():
+    out = community_hierarchy(rd.from_arrow(COMMUNITY_SCHEMA.empty_table()))
+    assert out.count() == 0
+    assert out.schema().base_schema == HIERARCHY_SCHEMA
+
+
+@pytest.mark.parametrize("empty", ["left", "right"])
+def test_hash_join_empty_side_keeps_schema(empty):
+    left = LEFT_SCHEMA.empty_table() if empty == "left" else LEFT
+    right = RIGHT_SCHEMA.empty_table() if empty == "right" else RIGHT
+    out = hash_join(rd.from_arrow(left), rd.from_arrow(right), on=["k", "j"],
+                    how="inner").materialize()
+    assert out.count() == 0
+    assert out.schema().base_schema == pa.schema(
+        list(LEFT_SCHEMA) + [RIGHT_SCHEMA.field("b")])
+
+
+def test_small_build_runs_no_exchange_after_canonicalize(tmp_path, monkeypatch):
+    """A small in-memory build + export calls no Dataset.sort/groupby
+    once the canonical core is built (the exchanges count is taken by
+    wrapping those methods; calls from Ray's own code are not counted)."""
+    import traceback
+
+    from ray.data import Dataset
+
+    from knowledge_graph_ray.config import PipelineConfig
+    from knowledge_graph_ray.corpus import read_corpus
+    from knowledge_graph_ray.pipelines import build
+
+    after_core = {"on": False}
+    exchanges = []
+
+    def counting(name):
+        orig = getattr(Dataset, name)
+
+        def wrapper(self, *args, **kwargs):
+            caller = traceback.extract_stack(limit=2)[0]
+            if after_core["on"] and "knowledge_graph_ray" in caller.filename:
+                exchanges.append(f"{name} {caller.filename}:{caller.lineno}")
+            return orig(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("sort", "groupby"):
+        monkeypatch.setattr(Dataset, name, counting(name))
+    core = build._canonical_core
+
+    def core_then_count(*args, **kwargs):
+        out = core(*args, **kwargs)
+        after_core["on"] = True
+        return out
+
+    monkeypatch.setattr(build, "_canonical_core", core_then_count)
+    docs = read_corpus(200, seed=5, shard_size=100)
+    tables = build.build_knowledge_graph(
+        docs, PipelineConfig(chunk_size=64, chunk_overlap=16))
+    manifests = build.export_tables(tables, str(tmp_path))
+    assert after_core["on"]
+    assert manifests["entities"]["rows"] > 0
+    assert manifests["community_hierarchy"]["rows"] > 0
+    assert exchanges == []
