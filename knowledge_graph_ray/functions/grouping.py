@@ -19,7 +19,10 @@ Regime rule: an exchange whose input is provably at most
 ``DRIVER_THRESHOLD`` rows runs its body once over the whole input on the
 driver and returns one contiguous block; larger inputs take the
 distributed bucket shuffle.  The graph tail (joins, aggregates, the row
-index sort) applies this one rule to every exchange.
+index sort) applies this one rule to every exchange, and the checkpoint
+layer (``state/checkpoint.py``) applies it to reads and writes: a
+materialized table or a checkpoint of at most ``DRIVER_THRESHOLD`` rows
+is written and read with pyarrow on the driver.
 """
 
 from __future__ import annotations

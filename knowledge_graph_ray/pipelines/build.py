@@ -158,11 +158,12 @@ def build_knowledge_graph(
     components, communities, reports (+ optional claims).
 
     ``checkpoint_dir``: when set, the expensive stage boundaries
-    (canonical entities/relationships-with-degrees, communities) persist
-    to Parquet checkpoints with lineage manifests; a rerun with the same
-    ``fingerprint`` resumes from the last complete stage instead of
-    recomputing (north rule: resumable from checkpoint).  A changed
-    fingerprint (new input) invalidates downstream checkpoints.
+    (canonical entities/relationships-with-degrees, communities, the
+    community hierarchy) persist to Parquet checkpoints with lineage
+    manifests; a rerun with the same ``fingerprint`` resumes from the
+    last complete stage instead of recomputing (north rule: resumable
+    from checkpoint).  A changed fingerprint (new input) invalidates
+    downstream checkpoints.
 
     Resume contract — with the same fingerprint, complete checkpoints
     skip this work:
@@ -175,6 +176,9 @@ def build_knowledge_graph(
       shuffle.
     * ``communities``: the connected-components chain and community
       detection.
+    * ``community_hierarchy``: the hierarchy's join and bucket map.  A
+      checkpoint directory without this stage computes it once from the
+      ``communities`` checkpoint and writes it.
     * ``entities_clustered``, ``reports``, ``claims``,
       ``media_features``: their own stage.
 
@@ -371,7 +375,13 @@ def build_knowledge_graph(
             lambda: generate_reports(communities, entities, relationships, num_partitions),
             "reports",
         )
-    hierarchy = community_hierarchy(communities, num_partitions)
+    if checkpoint_dir is None:
+        hierarchy = community_hierarchy(communities, num_partitions)
+    else:
+        hierarchy = staged(
+            lambda: community_hierarchy(communities, num_partitions),
+            "community_hierarchy",
+        )
 
     claims = None
     if cfg.extract_claims:

@@ -12,6 +12,17 @@ reads the checkpoint; a changed fingerprint invalidates it.
 Writes are atomic: data lands in ``<path>.tmp-<pid>`` and is renamed into
 place after the manifest is written, so a killed run never leaves a
 half-complete checkpoint that a resume would trust.
+
+Regime rule (``DRIVER_THRESHOLD``, ``functions/grouping.py``): every Ray
+Dataset execution has a fixed cost whatever its rows, so a checkpoint
+of at most the threshold's rows skips Ray.  A materialized input that
+small is fetched to the driver and written as one Parquet file with
+pyarrow; a checkpoint whose manifest records that few rows is read back
+with pyarrow and handed out as one in-memory dataset that every
+consumer shares.  A lazy input is never executed just to learn its
+size: it streams through ``write_parquet``, and a large checkpoint is
+read lazily.  Either regime writes the same rows under the same Parquet
+schema; the manifest records which one ran (``regime``).
 """
 
 from __future__ import annotations
@@ -21,21 +32,38 @@ import os
 import shutil
 import time
 
+from knowledge_graph_ray.functions.grouping import DRIVER_THRESHOLD
+
 MANIFEST_NAME = "_manifest.json"
 
 
-def checkpoint_complete(path: str, fingerprint: str | None = None) -> bool:
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        return False
+def _read_manifest(path: str) -> dict:
+    """The stage's manifest, or {} when it is missing or unreadable."""
     try:
-        with open(manifest_path) as f:
-            manifest = json.load(f)
+        with open(os.path.join(path, MANIFEST_NAME)) as f:
+            return json.load(f)
     except (json.JSONDecodeError, OSError):
-        return False
+        return {}
+
+
+def checkpoint_complete(path: str, fingerprint: str | None = None) -> bool:
+    manifest = _read_manifest(path)
     if fingerprint is not None and manifest.get("fingerprint") != fingerprint:
         return False
     return manifest.get("status") == "complete"
+
+
+def _empty_table(ds):
+    """A zero-row table with ``ds``'s schema, without executing ``ds``
+    when its plan knows the schema (an executed handle does)."""
+    import pyarrow as pa
+
+    from knowledge_graph_ray.functions.dsschema import _to_arrow, plan_schema
+
+    sch = plan_schema(ds)
+    if sch is None:
+        sch = _to_arrow(ds.schema())
+    return (sch or pa.schema([])).empty_table()
 
 
 def write_checkpoint(
@@ -44,15 +72,38 @@ def write_checkpoint(
     fingerprint: str | None = None,
     stage: str | None = None,
     metrics: dict | None = None,
+    driver_threshold: int = DRIVER_THRESHOLD,
 ):
-    """write_parquet + per-file lineage manifest, atomically."""
+    """Write ``ds`` as Parquet + per-file lineage manifest, atomically.
+
+    A materialized input of at most ``driver_threshold`` rows is written
+    as one file from the driver; anything else goes through Ray's
+    ``write_parquet``."""
     import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    from ray.data.dataset import MaterializedDataset
+
+    from knowledge_graph_ray.functions.grouping import driver_arrow_table
 
     tmp = f"{path}.tmp-{os.getpid()}"
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
     t0 = time.time()
-    ds.write_parquet(tmp)
+    # count() is metadata-only on a materialized handle; a lazy input is
+    # never executed just to learn its size
+    n = ds.count() if isinstance(ds, MaterializedDataset) else None
+    if n is not None and n <= driver_threshold:
+        regime = "driver"
+        # runs no task on a materialized handle, and caches its blocks
+        # and schema (a zero-row in-memory handle has none before)
+        ds = ds.materialize()
+        os.makedirs(tmp)
+        if n:
+            pq.write_table(driver_arrow_table(ds),
+                           os.path.join(tmp, "part-0.parquet"))
+    else:
+        regime = "distributed"
+        ds.write_parquet(tmp)
     wall = time.time() - t0
 
     # an empty dataset writes no files (possibly not even the directory):
@@ -60,14 +111,7 @@ def write_checkpoint(
     # resume read works
     os.makedirs(tmp, exist_ok=True)
     if not any(p.endswith(".parquet") for p in os.listdir(tmp)):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        sch = ds.schema()
-        base = getattr(sch, "base_schema", None) if sch is not None else None
-        if not isinstance(base, pa.Schema):
-            base = pa.schema([])
-        pq.write_table(base.empty_table(), os.path.join(tmp, "empty-0.parquet"))
+        pq.write_table(_empty_table(ds), os.path.join(tmp, "empty-0.parquet"))
 
     dataset = pads.dataset(tmp, format="parquet")
     partitions = []
@@ -84,6 +128,7 @@ def write_checkpoint(
         "fingerprint": fingerprint,
         "rows": total_rows,
         "write_seconds": round(wall, 3),
+        "regime": regime,
         "partitions": partitions,
         "metrics": metrics or {},
         "written_at": time.time(),
@@ -96,8 +141,10 @@ def write_checkpoint(
     return manifest
 
 
-def read_checkpoint(path: str):
-    """Checkpointed stage output -> Dataset (lazy parquet read)."""
+def read_checkpoint(path: str, driver_threshold: int = DRIVER_THRESHOLD):
+    """Checkpointed stage output -> Dataset.  A checkpoint of at most
+    ``driver_threshold`` rows is read on the driver into one in-memory
+    dataset; a larger one is a lazy parquet read."""
     import ray.data
 
     parts = [
@@ -105,6 +152,17 @@ def read_checkpoint(path: str):
         for p in sorted(os.listdir(path))
         if p.endswith(".parquet")
     ]
+    rows = _read_manifest(path).get("rows")
+    if rows is not None and rows <= driver_threshold:
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        table = pa.concat_tables([pq.read_table(p) for p in parts],
+                                 promote_options="permissive")
+        # materialize() runs no task on an in-memory table; every
+        # consumer then shares its cached blocks and schema (a zero-row
+        # handle reports no schema before)
+        return ray.data.from_arrow(table).materialize()
     return ray.data.read_parquet(parts)
 
 

@@ -234,3 +234,97 @@ def test_small_build_runs_no_exchange_after_canonicalize(tmp_path, monkeypatch):
     assert manifests["entities"]["rows"] > 0
     assert manifests["community_hierarchy"]["rows"] > 0
     assert exchanges == []
+
+
+CKPT = pa.table({"name": [f"n{i:02d}" for i in range(30)],
+                 "degree": list(range(30)),
+                 "tag": [None if i % 4 else "t" for i in range(30)]})
+
+
+def _checkpoint(path):
+    """(rows in sorted file order, Parquet schemas of its files,
+    manifest) of a checkpoint directory."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from knowledge_graph_ray.state.checkpoint import MANIFEST_NAME
+
+    files = sorted(p for p in os.listdir(path) if p.endswith(".parquet"))
+    schemas = {pq.read_schema(os.path.join(path, f)) for f in files}
+    rows = [r for f in files
+            for r in pq.read_table(os.path.join(path, f)).to_pylist()]
+    with open(os.path.join(path, MANIFEST_NAME)) as f:
+        manifest = json.load(f)
+    return [json.dumps(r, sort_keys=True) for r in rows], schemas, manifest
+
+
+@pytest.mark.parametrize("case", ["multi_block", "lazy", "zero_row"])
+def test_checkpoint_write_regimes_agree(tmp_path, case):
+    from knowledge_graph_ray.state.checkpoint import read_checkpoint, write_checkpoint
+
+    if case == "multi_block":
+        ds = _blocks(CKPT).materialize()
+    elif case == "lazy":
+        ds = _blocks(CKPT).map_batches(lambda b: b, batch_format="pyarrow")
+    else:
+        ds = rd.from_arrow(CKPT.schema.empty_table()).materialize()
+    write_checkpoint(ds, str(tmp_path / "driver"))
+    # -1 forces Ray's writer for the zero-row input as well
+    write_checkpoint(ds, str(tmp_path / "distributed"), driver_threshold=-1)
+    rows, schemas, manifest = _checkpoint(str(tmp_path / "driver"))
+    rows0, schemas0, manifest0 = _checkpoint(str(tmp_path / "distributed"))
+    assert sorted(rows) == sorted(rows0)
+    assert schemas == schemas0 and len(schemas) == 1
+    assert manifest["rows"] == manifest0["rows"] == len(rows)
+    assert manifest["regime"] == ("distributed" if case == "lazy" else "driver")
+    assert manifest0["regime"] == "distributed"
+    back = read_checkpoint(str(tmp_path / "driver"))
+    assert back.schema().base_schema == CKPT.schema
+    assert _row_set(back) == sorted(rows)
+
+
+def test_checkpoint_read_regimes_agree(tmp_path):
+    """A directory of several Ray-written files reads back the same rows,
+    in memory or lazily."""
+    from ray.data.dataset import MaterializedDataset
+
+    from knowledge_graph_ray.state.checkpoint import read_checkpoint, write_checkpoint
+
+    path = str(tmp_path / "ckpt")
+    manifest = write_checkpoint(_blocks(CKPT).materialize(), path,
+                                driver_threshold=0)
+    assert len(manifest["partitions"]) > 1
+    driver, lazy = read_checkpoint(path), read_checkpoint(path, driver_threshold=0)
+    assert isinstance(driver, MaterializedDataset)
+    assert not isinstance(lazy, MaterializedDataset)
+    assert _row_set(driver) == _row_set(lazy)
+    # the driver read keeps the sorted file order
+    assert _rows(driver) == _checkpoint(path)[0]
+
+
+def test_empty_checkpoint_round_trip_runs_no_execution(tmp_path, monkeypatch):
+    """A zero-row materialized dataset is written and read back with its
+    schema, and no step executes a Ray plan.  Every execution, eager or
+    streaming, starts an executor, so the test counts executor starts."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from knowledge_graph_ray.state.checkpoint import read_checkpoint, write_checkpoint
+
+    ds = rd.from_arrow(CKPT).filter(expr="degree < 0").materialize()
+    assert ds.count() == 0
+    executions = []
+    create_executor = ExecutionPlan.create_executor
+
+    def counting(self, *args, **kwargs):
+        executions.append(self)
+        return create_executor(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", counting)
+    path = str(tmp_path / "empty")
+    manifest = write_checkpoint(ds, path)
+    back = read_checkpoint(path)
+    assert back.count() == 0
+    assert back.schema().base_schema == CKPT.schema
+    assert manifest["rows"] == 0 and manifest["regime"] == "driver"
+    assert executions == []

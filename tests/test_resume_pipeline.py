@@ -4,6 +4,7 @@ a changed fingerprint invalidates them."""
 import json
 import os
 
+import pytest
 import ray.data as rd
 
 from knowledge_graph_ray.config import PipelineConfig
@@ -193,3 +194,99 @@ def test_resume_llm_calls(tmp_path):
         t3, partial_resume_calls = build()
         assert partial_resume_calls == first_calls
         assert t3.relationships.count() == n_rels
+
+
+def _export_rows(out_dir, table):
+    import pyarrow.parquet as pq
+
+    rows = pq.read_table(os.path.join(out_dir, table)).to_pylist()
+    return sorted(json.dumps(r, sort_keys=True) for r in rows)
+
+
+def _resume_and_export(ckpt, out_dir):
+    from knowledge_graph_ray.pipelines.build import export_tables
+
+    docs = rd.from_arrow(generate_corpus_table(80, seed=6969)).repartition(2)
+    tables = build_knowledge_graph(docs, CFG, num_partitions=4,
+                                   checkpoint_dir=ckpt, fingerprint="fp-h")
+    return export_tables(tables, out_dir, fingerprint="fp-h")
+
+
+@pytest.fixture(scope="module")
+def small_checkpointed_build(tmp_path_factory):
+    """(checkpoint dir, export dir) of one small checkpointed build."""
+    root = tmp_path_factory.mktemp("small_build")
+    ckpt, out = str(root / "ckpt"), str(root / "out")
+    _resume_and_export(ckpt, out)
+    return ckpt, out
+
+
+def test_full_resume_reads_hierarchy_checkpoint(small_checkpointed_build,
+                                                tmp_path, monkeypatch):
+    """A complete 'community_hierarchy' checkpoint skips the hierarchy's
+    join and bucket map; the exported hierarchy is unchanged."""
+    import knowledge_graph_ray.stages.community as community_mod
+
+    ckpt, first = small_checkpointed_build
+
+    def _boom(*a, **k):
+        raise AssertionError("hierarchy computed despite complete checkpoint")
+
+    monkeypatch.setattr(community_mod, "community_hierarchy", _boom)
+    out = str(tmp_path / "out")
+    manifests = _resume_and_export(ckpt, out)
+    assert manifests["community_hierarchy"]["rows"] > 0
+    assert (_export_rows(out, "community_hierarchy")
+            == _export_rows(first, "community_hierarchy"))
+
+
+def test_resume_without_hierarchy_stage_writes_it(small_checkpointed_build,
+                                                  tmp_path):
+    """A checkpoint directory written before the hierarchy was a stage:
+    the resume computes it once, writes it, and exports the same rows."""
+    import shutil
+
+    ckpt, first = small_checkpointed_build
+    old = str(tmp_path / "ckpt")
+    shutil.copytree(ckpt, old)
+    shutil.rmtree(os.path.join(old, "community_hierarchy"))
+    out = str(tmp_path / "out")
+    _resume_and_export(old, out)
+    assert _manifest(os.path.join(old, "community_hierarchy"))["status"] == \
+        "complete"
+    for table in ("community_hierarchy", "communities", "entities"):
+        assert _export_rows(out, table) == _export_rows(first, table)
+
+
+def test_full_resume_reads_small_checkpoints_on_driver(small_checkpointed_build,
+                                                       tmp_path, monkeypatch):
+    """A full resume + export of a small build reads no checkpoint
+    through ray.data.read_parquet, and only the lazy tables (text units,
+    the indexed entities and relationships) are written through Ray."""
+    import traceback
+
+    ckpt, first = small_checkpointed_build
+    ray_reads = []
+    read_parquet = rd.read_parquet
+
+    def recording(*args, **kwargs):
+        caller = traceback.extract_stack(limit=2)[0]
+        if caller.filename.endswith(os.path.join("state", "checkpoint.py")):
+            ray_reads.append(args)
+        return read_parquet(*args, **kwargs)
+
+    monkeypatch.setattr(rd, "read_parquet", recording)
+    out = str(tmp_path / "out")
+    manifests = _resume_and_export(ckpt, out)
+    assert ray_reads == []
+    regimes = {name: m["regime"] for name, m in manifests.items()}
+    assert regimes == {
+        "text_units": "distributed",
+        "entities": "distributed",
+        "relationships": "distributed",
+        "communities": "driver",
+        "community_reports": "driver",
+        "community_hierarchy": "driver",
+    }
+    assert _export_rows(out, "relationships") == \
+        _export_rows(first, "relationships")
