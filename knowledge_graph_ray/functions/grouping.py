@@ -18,11 +18,17 @@ aggregation bounds per-key rows).
 Regime rule: an exchange whose input is provably at most
 ``DRIVER_THRESHOLD`` rows runs its body once over the whole input on the
 driver and returns one contiguous block; larger inputs take the
-distributed bucket shuffle.  The graph tail (joins, aggregates, the row
-index sort) applies this one rule to every exchange, and the checkpoint
-layer (``state/checkpoint.py``) applies it to reads and writes: a
-materialized table or a checkpoint of at most ``DRIVER_THRESHOLD`` rows
-is written and read with pyarrow on the driver.
+distributed bucket shuffle.  The graph tail applies the rule twice.  A
+stage whose inputs are all materialized and sum to at most its bound
+(``driver_tables``) pulls them and runs its whole ``pa.Table ->
+pa.Table`` kernel on the driver, so it starts no Ray execution at all
+and returns one in-memory dataset (``driver_dataset``).  Otherwise the
+stage keeps its Dataset path, whose exchanges (joins, aggregates, the
+row index sort) still pick the driver regime when their own input is
+small.  The checkpoint layer (``state/checkpoint.py``) applies the rule
+to reads and writes: a materialized table or a checkpoint of at most
+``DRIVER_THRESHOLD`` rows is written and read with pyarrow on the
+driver.
 """
 
 from __future__ import annotations
@@ -44,15 +50,63 @@ _BUCKET = "__gb"
 DRIVER_THRESHOLD = 200_000
 
 
+def _whole_table(ds) -> "pa.Table | None":
+    """A materialized dataset's rows as one Arrow table on the driver;
+    a zero-row dataset gives an empty table with its schema, or None
+    when no schema is known (empty blocks may carry none)."""
+    import ray
+
+    from knowledge_graph_ray.functions.dsschema import plan_schema
+
+    # an in-memory handle (from_arrow) starts an executor on its first
+    # pull; materialize() runs no task on it, and the pull after it is
+    # metadata-only
+    ds = ds.materialize()
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    if tables:
+        return pa.concat_tables(tables, promote_options="permissive")
+    sch = plan_schema(ds)
+    return None if sch is None else sch.empty_table()
+
+
 def driver_arrow_table(ds) -> "pa.Table | None":
     """A materialized dataset's rows as one Arrow table on the driver,
     or None when it has no rows (empty blocks may carry no schema)."""
-    import ray
+    whole = _whole_table(ds)
+    return whole if whole is not None and whole.num_rows else None
 
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    if not tables:
+
+def driver_tables(datasets, bound: int | None) -> "list[pa.Table] | None":
+    """The graph tail's regime rule: the Arrow tables of ``datasets``
+    when every one is a ``MaterializedDataset`` and their summed
+    ``count()`` (metadata-only on a materialized handle) is at most
+    ``bound``; else None, and the caller keeps its Dataset path.  A lazy
+    input is never executed to decide.  Callers read ``bound`` at call
+    time (``DRIVER_THRESHOLD`` or their stage's own bound).
+
+    Inputs with no rows at all take the kernel whatever the bound: Ray's
+    ``map_batches`` never calls its body on a zero-row block, so on them
+    the Dataset path returns zero rows with no schema, which the next
+    join cannot resolve; the kernel keeps the schema."""
+    from ray.data.dataset import MaterializedDataset
+
+    if bound is None or not all(
+        isinstance(ds, MaterializedDataset) for ds in datasets
+    ):
         return None
-    return pa.concat_tables(tables, promote_options="permissive")
+    rows = sum(ds.count() for ds in datasets)
+    if rows and rows > bound:
+        return None
+    tables = [_whole_table(ds) for ds in datasets]
+    return None if any(t is None for t in tables) else tables
+
+
+def driver_dataset(table: pa.Table):
+    """A driver kernel's output as a materialized in-memory dataset
+    (``materialize()`` runs no task on it)."""
+    import ray.data as rd
+
+    return rd.from_arrow(table).materialize()
 
 
 def bucketed_bucket_map(ds, keys: list[str], bucket_fn, num_buckets: int = 64,

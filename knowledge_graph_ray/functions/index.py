@@ -70,6 +70,20 @@ def with_weight_offsets(ds, weight_col: str, column: str = "start_offset",
     )
 
 
+def sort_and_index(table: pa.Table, sort_key,
+                   column: str = "human_readable_id") -> pa.Table:
+    """Driver kernel of ``with_row_index(sort_key=...)``: ``table``
+    sorted ascending on ``sort_key`` (``Table.sort_by``, the order
+    ``Dataset.sort`` gives; rows with equal keys keep their input order)
+    with a 0-based ``column``, as one contiguous block."""
+    import numpy as np
+
+    keys = [sort_key] if isinstance(sort_key, str) else list(sort_key)
+    whole = table.sort_by([(k, "ascending") for k in keys])
+    idx = pa.array(np.arange(table.num_rows, dtype=np.int64))
+    return whole.append_column(column, idx).combine_chunks()
+
+
 def with_row_index(ds, column: str = "human_readable_id", sort_key=None,
                    driver_threshold: int | None = DRIVER_THRESHOLD):
     """Append a 0-based contiguous global index in dataset order.
@@ -77,12 +91,11 @@ def with_row_index(ds, column: str = "human_readable_id", sort_key=None,
     ``sort_key`` (optional) sorts first — e.g. ``"name"`` gives the
     stable enumeration the reference's exports rely on (utils/graph.py
     stabilize_graph sorts nodes by name).  A sorted input of at most
-    ``driver_threshold`` rows is sorted on the driver (``Table.sort_by``,
-    ascending, the order ``Dataset.sort`` gives; rows with equal keys,
-    which the distributed sort leaves in no promised order, keep their
-    input order) instead of by a sort shuffle.
+    ``driver_threshold`` rows is sorted on the driver (``sort_and_index``;
+    rows with equal keys, which the distributed sort leaves in no
+    promised order, keep their input order) instead of by a sort
+    shuffle.
     """
-    import numpy as np
     import ray
     import ray.data
 
@@ -90,13 +103,8 @@ def with_row_index(ds, column: str = "human_readable_id", sort_key=None,
     if sort_key is not None:
         n = mat.count()  # metadata-only on a materialized dataset
         if driver_threshold is not None and 0 < n <= driver_threshold:
-            keys = [sort_key] if isinstance(sort_key, str) else list(sort_key)
-            whole = driver_arrow_table(mat).sort_by(
-                [(k, "ascending") for k in keys]
-            )
-            idx = pa.array(np.arange(n, dtype=np.int64))
             return ray.data.from_arrow(
-                whole.append_column(column, idx).combine_chunks()
+                sort_and_index(driver_arrow_table(mat), sort_key, column)
             )
         mat = mat.sort(sort_key).materialize()
     refs = mat.to_arrow_refs()

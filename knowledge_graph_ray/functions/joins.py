@@ -7,7 +7,9 @@ the engine uses the portable pattern instead: tag and union both sides
 and run one merge body per key-hash bucket through
 ``bucketed_bucket_map`` — one ``groupby(bucket)`` shuffle, or, when the
 two sides sum to at most ``DRIVER_THRESHOLD`` rows, the same body once
-over the whole input on the driver (no shuffle).
+over the whole input on the driver (no shuffle).  Two materialized sides
+that small skip Ray altogether: ``join_arrow`` joins their Arrow tables
+with the same kernel (``join_tables``).
 
 Scale properties: a single all-to-all exchange partitioned on the key
 hash; ``num_partitions`` bounds per-bucket memory; same-key rows must share
@@ -30,10 +32,13 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
+from knowledge_graph_ray.functions import grouping
 from knowledge_graph_ray.functions.dsschema import dataset_schema, plan_schema
 from knowledge_graph_ray.functions.grouping import (
     DRIVER_THRESHOLD,
     bucketed_bucket_map,
+    driver_dataset,
+    driver_tables,
 )
 
 _SIDE = "__js"
@@ -86,6 +91,91 @@ def project(ds, columns: "dict[str, str] | list[str]"):
     return ds.map_batches(body, batch_format="pyarrow")
 
 
+def _join_schema(left_schema: pa.Schema, right_schema: pa.Schema,
+                 on: list[str], how: str):
+    """-> (output schema, left non-key columns, right payload columns)
+    of ``hash_join``; asserts the non-key columns are disjoint."""
+    filter_only = how in ("left_semi", "left_anti")
+    left_cols = left_schema.names
+    right_payload = (
+        [] if filter_only else [c for c in right_schema.names if c not in on]
+    )
+    overlap = set(left_cols) & set(right_payload)
+    assert not overlap, f"rename right columns before joining: {overlap}"
+    out_schema = pa.schema(
+        [left_schema.field(c) for c in left_cols]
+        + [right_schema.field(c) for c in right_payload]
+    )
+    return out_schema, [c for c in left_cols if c not in on], right_payload
+
+
+def join_tables(lhs: pa.Table, rhs: pa.Table, on: list[str], how: str,
+                out_schema: pa.Schema) -> pa.Table:
+    """The join kernel: ``lhs`` (key + left non-key columns) joined with
+    ``rhs`` (key columns, plus the right payload unless semi/anti) into
+    ``out_schema``.  Null keys match null keys (pandas semantics)."""
+    filter_only = how in ("left_semi", "left_anti")
+    # Acero fast path (measured 1.4x end-to-end on a 20M-row join at
+    # 2.5M-row buckets) — taken only when the column types are
+    # Acero-joinable AND NEITHER side has null keys, because Acero
+    # treats null keys as non-matching while the pandas body matches
+    # null==null (the regime contract; see size_adaptive_join's
+    # broadcast body for the same split)
+    if _acero_supported(out_schema) and all(
+        lhs.column(c).null_count == 0
+        and rhs.column(c).null_count == 0 for c in on
+    ):
+        acero_how = {"inner": "inner", "left_outer": "left outer",
+                     "full_outer": "full outer", "left_semi": "left semi",
+                     "left_anti": "left anti"}[how]
+        joined = lhs.join(rhs, keys=on, join_type=acero_how)
+        return pa.table(
+            {f.name: joined.column(f.name).cast(f.type) for f in out_schema}
+        )
+    ldf, rdf = lhs.to_pandas(), rhs.to_pandas()
+    if filter_only:
+        mask = pd.MultiIndex.from_frame(ldf[on]).isin(
+            pd.MultiIndex.from_frame(rdf[on].drop_duplicates())
+        )
+        merged = ldf[mask] if how == "left_semi" else ldf[~mask]
+    else:
+        pd_how = {"left_outer": "left", "full_outer": "outer"}.get(
+            how, "inner"
+        )
+        merged = ldf.merge(rdf, on=on, how=pd_how)
+    return pa.Table.from_arrays(
+        [_to_arrow_col(merged[f.name], f) for f in out_schema],
+        schema=out_schema,
+    )
+
+
+def _cast_keys(table: pa.Table, schema: pa.Schema, on: list[str]) -> pa.Table:
+    """``table`` with its key columns cast to ``schema``'s types."""
+    for k in on:
+        want = schema.field(k).type
+        if table.schema.field(k).type != want:
+            table = table.set_column(table.schema.get_field_index(k), k,
+                                     table.column(k).cast(want))
+    return table
+
+
+def join_arrow(left: pa.Table, right: pa.Table, on: list[str],
+               how: str = "inner") -> pa.Table:
+    """``hash_join`` over two Arrow tables on the driver: same output
+    columns, types and null-key semantics."""
+    on = list(on)
+    out_schema, left_only, right_payload = _join_schema(
+        left.schema, right.schema, on, how)
+    # a zero-row side may carry fallback key types (an empty aggregate
+    # never saw its input's): it joins on the other side's key types
+    if left.num_rows == 0:
+        left = _cast_keys(left, right.schema, on)
+    elif right.num_rows == 0:
+        right = _cast_keys(right, left.schema, on)
+    return join_tables(left.select(on + left_only),
+                       right.select(on + right_payload), on, how, out_schema)
+
+
 def hash_join(
     left,
     right,
@@ -104,30 +194,34 @@ def hash_join(
     schema is known.
 
     ``driver_threshold``: when both sides together are at most this many
-    rows, the merge runs once on the driver (see ``bucketed_bucket_map``;
-    the union is materialized once and reused by either regime — the
-    sort shuffle is a full barrier anyway).  ``None`` always shuffles.
+    rows, the merge runs once on the driver.  Two materialized sides
+    that small (and within ``DRIVER_THRESHOLD``, read at call time) are
+    pulled and joined by ``join_arrow`` with no Ray execution; otherwise
+    both sides are tagged and unioned, and ``bucketed_bucket_map`` runs
+    the same kernel once on the driver (the union is materialized once
+    and reused by either regime) or per key-hash bucket.  ``None``
+    always shuffles.
     """
     assert how in (
         "inner", "left_outer", "full_outer", "left_semi", "left_anti",
     ), how
     on = list(on)
     filter_only = how in ("left_semi", "left_anti")
+    small = driver_tables(
+        [left, right],
+        None if driver_threshold is None
+        else min(driver_threshold, grouping.DRIVER_THRESHOLD),
+    )
+    if small is not None:
+        return driver_dataset(join_arrow(*small, on, how))
     # probe-free schema resolution (see functions/dsschema.py); reuse the
     # materialized handle when resolution had to execute the input
     left_schema, left = dataset_schema(left)
     right_schema, right = dataset_schema(right)
+    out_schema, left_only_cols, right_payload = _join_schema(
+        left_schema, right_schema, on, how)
+    out_fields = list(out_schema)
     left_cols = left_schema.names
-    right_payload = (
-        [] if filter_only else [c for c in right_schema.names if c not in on]
-    )
-    overlap = set(left_cols) & set(right_payload)
-    assert not overlap, f"rename right columns before joining: {overlap}"
-
-    out_fields = [left_schema.field(c) for c in left_cols] + [
-        right_schema.field(c) for c in right_payload
-    ]
-    out_schema = pa.schema(out_fields)
 
     def tag(side: int, add_cols: list[tuple[str, pa.DataType]]):
         def body(batch: pa.Table) -> pa.Table:
@@ -161,50 +255,13 @@ def hash_join(
         batch_format="pyarrow",
     )
 
-    left_only_cols = [c for c in left_cols if c not in on]
-    acero_how = {"inner": "inner", "left_outer": "left outer",
-                 "full_outer": "full outer", "left_semi": "left semi",
-                 "left_anti": "left anti"}[how]
-    acero_types_ok = _acero_supported(out_fields)
-
     def merge_bucket(group: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         lmask = pc.equal(group.column(_SIDE), 0)
         lhs = group.filter(lmask).select(on + left_only_cols)
-        rhs = group.filter(pc.invert(lmask)).select(
-            on if filter_only else on + right_payload
-        )
-        # Acero fast path (measured 1.4x end-to-end on a 20M-row join at
-        # 2.5M-row buckets) — taken only when the column types are
-        # Acero-joinable AND NEITHER side has null keys, because Acero
-        # treats null keys as non-matching while the pandas body matches
-        # null==null (the regime contract; see size_adaptive_join's
-        # broadcast body for the same split)
-        if acero_types_ok and all(
-            lhs.column(c).null_count == 0
-            and rhs.column(c).null_count == 0 for c in on
-        ):
-            joined = lhs.join(rhs, keys=on, join_type=acero_how)
-            return pa.table(
-                {f.name: joined.column(f.name).cast(f.type)
-                 for f in out_fields}
-            )
-        ldf, rdf = lhs.to_pandas(), rhs.to_pandas()
-        if filter_only:
-            mask = pd.MultiIndex.from_frame(ldf[on]).isin(
-                pd.MultiIndex.from_frame(rdf[on].drop_duplicates())
-            )
-            merged = ldf[mask] if how == "left_semi" else ldf[~mask]
-        else:
-            pd_how = {"left_outer": "left", "full_outer": "outer"}.get(
-                how, "inner"
-            )
-            merged = ldf.merge(rdf, on=on, how=pd_how)
-        return pa.Table.from_arrays(
-            [_to_arrow_col(merged[f.name], f) for f in out_fields],
-            schema=out_schema,
-        )
+        rhs = group.filter(pc.invert(lmask)).select(on + right_payload)
+        return join_tables(lhs, rhs, on, how, out_schema)
 
     return bucketed_bucket_map(
         left_tagged.union(right_tagged), on, merge_bucket,

@@ -442,13 +442,19 @@ def export_tables(tables: GraphTables, out_dir: str, fingerprint: str = "none",
     md5-based, replacing the reference's enumeration-order seeded uuid4,
     cluster_graph.py:60-68 — content-derived ids are order-independent,
     hence parallel/incremental-safe).
+
+    A materialized table of at most ``DRIVER_THRESHOLD`` rows is sorted,
+    indexed and given its ``id`` in one Arrow kernel on the driver and
+    written with pyarrow (``write_checkpoint``'s driver regime), so an
+    export of small in-memory tables runs Ray only for lazy ones.
     """
     import hashlib
     import os
 
     import pyarrow as pa
 
-    from knowledge_graph_ray.functions.index import with_row_index
+    from knowledge_graph_ray.functions import grouping
+    from knowledge_graph_ray.functions.index import sort_and_index, with_row_index
     from knowledge_graph_ray.state.checkpoint import write_checkpoint
 
     def add_id(key_cols):
@@ -462,14 +468,25 @@ def export_tables(tables: GraphTables, out_dir: str, fingerprint: str = "none",
 
         return body
 
-    entities = with_row_index(tables.entities, sort_key="name").map_batches(
-        add_id(["name"]), batch_format="pyarrow"
-    )
+    def mapped(ds, body):
+        """``body`` over ``ds``'s batches, or once over its whole table on
+        the driver when ``ds`` is materialized and small."""
+        small = grouping.driver_tables([ds], grouping.DRIVER_THRESHOLD)
+        if small is not None:
+            return grouping.driver_dataset(body(small[0]))
+        return ds.map_batches(body, batch_format="pyarrow")
+
+    def indexed(ds, sort_key, key_cols):
+        small = grouping.driver_tables([ds], grouping.DRIVER_THRESHOLD)
+        if small is not None:
+            return grouping.driver_dataset(
+                add_id(key_cols)(sort_and_index(small[0], sort_key)))
+        return mapped(with_row_index(ds, sort_key=sort_key), add_id(key_cols))
+
+    entities = indexed(tables.entities, "name", ["name"])
     if reference_layout:
         entities = entities.materialize()  # consumed by 3 export branches
-    relationships = with_row_index(
-        tables.relationships, sort_key=["src", "dst"]
-    ).map_batches(add_id(["src", "dst"]), batch_format="pyarrow")
+    relationships = indexed(tables.relationships, ["src", "dst"], ["src", "dst"])
 
     manifests = {}
     named = {
@@ -522,8 +539,8 @@ def export_tables(tables: GraphTables, out_dir: str, fingerprint: str = "none",
                 }
             )
 
-        named["node"] = entities.map_batches(node_rows, batch_format="pyarrow")
-        named["entity"] = entities.map_batches(entity_rows, batch_format="pyarrow")
+        named["node"] = mapped(entities, node_rows)
+        named["entity"] = mapped(entities, entity_rows)
     for name, ds in named.items():
         if ds is None:
             continue

@@ -301,6 +301,72 @@ def _expand_prefix_rows(batch) -> "pa.Table":
     )
 
 
+def _lcc_rows(comp_pdf: pd.DataFrame):
+    """Driver LCC pick over a non-empty (name, component) frame ->
+    (its rows in the largest component, that component, its size).
+    Same tie-break as the dataset-side pass: count descending, then
+    smallest component id (the size index is sorted, and idxmax takes
+    the first maximum)."""
+    sizes = comp_pdf.groupby("component").size()
+    largest, largest_size = sizes.idxmax(), int(sizes.max())
+    return comp_pdf[comp_pdf["component"] == largest], largest, largest_size
+
+
+def _cluster_on_driver(comp_pdf: pd.DataFrame, rels_pdf: pd.DataFrame,
+                       max_cluster_size: int, seed: int,
+                       max_louvain_nodes: int, algorithm: str) -> "pa.Table":
+    """Cluster every component of ``comp_pdf`` (name, component) with
+    its edges from ``rels_pdf`` (src, dst, weight), one after another
+    on the driver -> the (level, community, name) table."""
+    import pyarrow as pa
+
+    if rels_pdf.empty:  # a zero-row pull may carry no columns
+        rels_pdf = pd.DataFrame(columns=["src", "dst", "weight"])
+    comp_of = dict(zip(comp_pdf["name"], comp_pdf["component"]))
+    # stamp each edge's component ONCE (was an O(components x edges)
+    # re-scan per component); both endpoints must map to the same
+    # component — under use_lcc, out-of-LCC endpoints map to NaN and
+    # the edge drops, matching the old `dst in g` check
+    rels_pdf = rels_pdf.assign(component=rels_pdf["src"].map(comp_of))
+    rels_pdf = rels_pdf[
+        rels_pdf["component"].notna()
+        & (rels_pdf["dst"].map(comp_of) == rels_pdf["component"])
+    ]
+    edges_by_comp = dict(tuple(rels_pdf.groupby("component", sort=False)))
+    rows: list[dict] = []
+    for component, sub in comp_pdf.groupby("component"):
+        # canonical build — louvain tie-breaks depend on adjacency
+        # insertion order, see _canonical_graph
+        e = edges_by_comp.get(component)
+        triples = (
+            zip(e["src"], e["dst"], e["weight"]) if e is not None else ()
+        )
+        g = _canonical_graph(sub["name"], triples)
+        rows.extend(
+            _cluster_component(g, component, max_cluster_size, seed,
+                               max_louvain_nodes, algorithm=algorithm)
+        )
+    return pa.Table.from_pylist(rows, schema=_community_schema())
+
+
+def cluster_tables(components: "pa.Table", relationships: "pa.Table",
+                   max_cluster_size: int = MAX_CLUSTER_SIZE, seed: int = SEED,
+                   use_lcc: bool = True,
+                   max_louvain_nodes: int = MAX_LOUVAIN_COMPONENT_NODES,
+                   algorithm: str = "louvain") -> "pa.Table":
+    """Driver kernel of ``detect_communities`` on Arrow tables: the LCC
+    pick (``use_lcc``) and the clustering, with no Ray execution."""
+    comp_pdf = components.to_pandas()
+    if use_lcc:
+        if comp_pdf.empty:
+            return _community_schema().empty_table()
+        comp_pdf = _lcc_rows(comp_pdf)[0]
+    return _cluster_on_driver(
+        comp_pdf, relationships.select(["src", "dst", "weight"]).to_pandas(),
+        max_cluster_size, seed, max_louvain_nodes, algorithm,
+    )
+
+
 def detect_communities(
     components,
     relationships,
@@ -320,12 +386,15 @@ def detect_communities(
     ``use_lcc`` mirrors the reference default (cluster only the largest
     connected component, leiden.py:51-52).
 
-    Size-adaptive (same pattern as connected_components): graphs whose
-    clustered node count is provably <= ``driver_threshold`` run the
-    hierarchy locally on the driver — clustering is per-component
-    sequential work anyway, and the shuffle rounds cost more than the
-    computation for small graphs.  Larger graphs take the distributed
-    component-parallel path.
+    Size-adaptive (same pattern as connected_components): materialized
+    inputs of at most ``driver_threshold`` (and
+    ``CLUSTER_DRIVER_THRESHOLD``, read at call time) rows in all run
+    ``cluster_tables`` on the driver with no Ray execution.  Otherwise
+    graphs whose clustered node count is provably <= ``driver_threshold``
+    still run the hierarchy locally on the driver after pulling their
+    inputs — clustering is per-component sequential work anyway, and the
+    shuffle rounds cost more than the computation for small graphs.
+    Larger graphs take the distributed component-parallel path.
 
     Cost note: a component table of at most ``driver_threshold`` rows is
     pulled to the driver once, and the LCC pick (``use_lcc=True``) runs
@@ -340,6 +409,18 @@ def detect_communities(
     """
     import pyarrow as pa
 
+    from knowledge_graph_ray.functions import grouping
+
+    small = grouping.driver_tables(
+        [components, relationships],
+        min(driver_threshold, CLUSTER_DRIVER_THRESHOLD),
+    )
+    if small is not None:
+        return grouping.driver_dataset(cluster_tables(
+            *small, max_cluster_size=max_cluster_size, seed=seed,
+            use_lcc=use_lcc, max_louvain_nodes=max_louvain_nodes,
+            algorithm=algorithm,
+        ))
     # read by the LCC pick, the size gate and the driver pull (or the
     # distributed joins): execute the component labels once
     components = components.materialize()
@@ -351,12 +432,7 @@ def detect_communities(
         if comp_pdf is not None:
             if comp_pdf.empty:
                 return rd_empty_communities()
-            # driver top-1, same tie-break as the dataset-side pass:
-            # count descending, then smallest component id (the size
-            # index is sorted, and idxmax takes the first maximum)
-            sizes = comp_pdf.groupby("component").size()
-            largest, largest_size = sizes.idxmax(), int(sizes.max())
-            comp_pdf = comp_pdf[comp_pdf["component"] == largest]
+            comp_pdf, largest, largest_size = _lcc_rows(comp_pdf)
         else:
             # dataset-side top-1: with singleton components for every
             # isolated entity the size table is entity-scale — never
@@ -392,36 +468,11 @@ def detect_communities(
         # table — zero shuffle rounds
         import ray.data as rd
 
-        comp_of = dict(zip(comp_pdf["name"], comp_pdf["component"]))
-        rels_pdf = relationships.select_columns(
-            ["src", "dst", "weight"]
-        ).to_pandas()
-        # stamp each edge's component ONCE (was an O(components x edges)
-        # re-scan per component); both endpoints must map to the same
-        # component — under use_lcc, out-of-LCC endpoints map to NaN and
-        # the edge drops, matching the old `dst in g` check
-        rels_pdf = rels_pdf.assign(component=rels_pdf["src"].map(comp_of))
-        rels_pdf = rels_pdf[
-            rels_pdf["component"].notna()
-            & (rels_pdf["dst"].map(comp_of) == rels_pdf["component"])
-        ]
-        edges_by_comp = dict(tuple(rels_pdf.groupby("component", sort=False)))
-        rows: list[dict] = []
-        import networkx as nx
-
-        for component, sub in comp_pdf.groupby("component"):
-            # canonical build — louvain tie-breaks depend on adjacency
-            # insertion order, see _canonical_graph
-            e = edges_by_comp.get(component)
-            triples = (
-                zip(e["src"], e["dst"], e["weight"]) if e is not None else ()
-            )
-            g = _canonical_graph(sub["name"], triples)
-            rows.extend(
-                _cluster_component(g, component, max_cluster_size, seed,
-                                   max_louvain_nodes, algorithm=algorithm)
-            )
-        return rd.from_arrow(pa.Table.from_pylist(rows, schema=_community_schema()))
+        return rd.from_arrow(_cluster_on_driver(
+            comp_pdf,
+            relationships.select_columns(["src", "dst", "weight"]).to_pandas(),
+            max_cluster_size, seed, max_louvain_nodes, algorithm,
+        ))
 
     from knowledge_graph_ray.functions.joins import project
 
@@ -666,6 +717,108 @@ def _detect_communities_with_giants(
     return leaf_rows.union(pre_rows)
 
 
+def _hierarchy_schema():
+    import pyarrow as pa
+
+    return pa.schema(
+        [("community", pa.string()), ("level", pa.int64()),
+         ("sub_community", pa.string()), ("sub_community_size", pa.int64())]
+    )
+
+
+_SUB_KEY = ["sub_community", "sub_level"]
+
+
+def _adjacent_only(b: "pa.Table") -> "pa.Table":
+    """Parent/child join rows -> the pairs one level apart."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    return b.filter(
+        pc.equal(b.column("sub_level"),
+                 pc.add(b.column("level"), pa.scalar(1, pa.int64())))
+    )
+
+
+def _pair_rows(b: "pa.Table") -> "pa.Table":
+    """Adjacent parent/child pairs -> hierarchy bucket rows."""
+    import pyarrow as pa
+
+    n = len(b)
+    return pa.Table.from_pydict(
+        {
+            "sub_community": b.column("sub_community"),
+            "sub_level": b.column("sub_level").cast(pa.int64()),
+            "p_community": b.column("community"),
+            "p_level": b.column("level").cast(pa.int64()),
+            "is_member": pa.array([0] * n, type=pa.int8()),
+        }
+    )
+
+
+def _member_rows(b: "pa.Table") -> "pa.Table":
+    """Community rows -> member-marker bucket rows."""
+    import pyarrow as pa
+
+    n = len(b)
+    return pa.Table.from_pydict(
+        {
+            "sub_community": b.column("community"),
+            "sub_level": b.column("level").cast(pa.int64()),
+            "p_community": pa.nulls(n, pa.string()),
+            "p_level": pa.nulls(n, pa.int64()),
+            "is_member": pa.array([1] * n, type=pa.int8()),
+        }
+    )
+
+
+def _emit_parents(bucket: "pa.Table") -> "pa.Table":
+    """Hierarchy bucket rows -> (community, level, sub_community,
+    sub_community_size): each sub-community's size counted from its
+    member rows, and the parents that share ALL of its members."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    member = pc.equal(bucket.column("is_member"), 1)
+    sizes = bucket.filter(member).group_by(_SUB_KEY).aggregate([([], "count_all")])
+    sizes = sizes.rename_columns(
+        ["sub_community_size" if c == "count_all" else c
+         for c in sizes.column_names])
+    shared = (bucket.filter(pc.invert(member))
+              .group_by(_SUB_KEY + ["p_community", "p_level"])
+              .aggregate([([], "count_all")])
+              .join(sizes, keys=_SUB_KEY, join_type="inner"))
+    full = shared.filter(pc.equal(shared.column("count_all"),
+                                  shared.column("sub_community_size")))
+    # the join's row order is unspecified: sort for a stable table
+    return pa.Table.from_pydict(
+        {
+            "community": full.column("p_community"),
+            "level": full.column("p_level"),
+            "sub_community": full.column("sub_community"),
+            "sub_community_size": full.column("sub_community_size"),
+        },
+        schema=_hierarchy_schema(),
+    ).sort_by([("sub_community", "ascending"), ("level", "ascending"),
+               ("community", "ascending")])
+
+
+def hierarchy_table(communities: "pa.Table") -> "pa.Table":
+    """Driver kernel of ``community_hierarchy`` on an Arrow
+    (level, community, name) table."""
+    import pyarrow as pa
+
+    from knowledge_graph_ray.functions.joins import join_arrow
+
+    if communities.num_rows == 0:
+        return _hierarchy_schema().empty_table()
+    parent = communities.select(["community", "level", "name"])
+    child = parent.rename_columns(["sub_community", "sub_level", "name"])
+    joined = join_arrow(parent, child, ["name"], "inner")
+    return _emit_parents(pa.concat_tables(
+        [_pair_rows(_adjacent_only(joined)), _member_rows(communities)]))
+
+
 def community_hierarchy(communities, num_partitions: int = 32,
                         driver_threshold: int | None = DRIVER_THRESHOLD):
     """G5 hierarchy table: (community, level, sub_community,
@@ -678,18 +831,25 @@ def community_hierarchy(communities, num_partitions: int = 32,
     then pair-scale aggregates; the subset condition (all of the
     sub-community's members appear under the parent) is enforced by
     comparing the shared-member count with the sub-community size.
-    Both exchanges (the join and the bucket map) run on the driver when
-    their inputs are at most ``driver_threshold`` rows.
+    A materialized communities table of at most ``driver_threshold``
+    (and ``DRIVER_THRESHOLD``, read at call time) rows runs
+    ``hierarchy_table`` on the driver with no Ray execution; otherwise
+    both exchanges (the join and the bucket map) still run on the
+    driver when their inputs are at most ``driver_threshold`` rows.
     """
-    import pyarrow as pa
     import ray.data as rd
 
+    from knowledge_graph_ray.functions import grouping
     from knowledge_graph_ray.functions.joins import project
 
-    hierarchy_schema = pa.schema(
-        [("community", pa.string()), ("level", pa.int64()),
-         ("sub_community", pa.string()), ("sub_community_size", pa.int64())]
+    small = grouping.driver_tables(
+        [communities],
+        None if driver_threshold is None
+        else min(driver_threshold, grouping.DRIVER_THRESHOLD),
     )
+    if small is not None:
+        return grouping.driver_dataset(hierarchy_table(small[0]))
+    hierarchy_schema = _hierarchy_schema()
     # read three times below (parent, child, member rows): execute once.
     # An empty table ends here — its projections would carry no schema
     # for the join to resolve
@@ -710,91 +870,49 @@ def community_hierarchy(communities, num_partitions: int = 32,
 
     # NOT filter(expr="sub_level == level + 1"): Ray 2.49 evaluates
     # column-vs-column arithmetic exprs to no rows silently
-    def adjacent_only(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return b.filter(
-            pc.equal(b.column("sub_level"),
-                     pc.add(b.column("level"), pa.scalar(1, pa.int64())))
-        )
-
-    adjacent = joined.map_batches(adjacent_only, batch_format="pyarrow")
+    adjacent = joined.map_batches(_adjacent_only, batch_format="pyarrow")
 
     # one bucket map keyed by the sub-community: parent-pair rows from
     # the adjacency join union'd with member-marker rows; the bucket body
     # counts each sub-community's members (size) and keeps the parents
     # sharing ALL of them
-    def pair_rows(b: pa.Table) -> pa.Table:
-        n = len(b)
-        return pa.Table.from_pydict(
-            {
-                "sub_community": b.column("sub_community"),
-                "sub_level": b.column("sub_level").cast(pa.int64()),
-                "p_community": b.column("community"),
-                "p_level": b.column("level").cast(pa.int64()),
-                "is_member": pa.array([0] * n, type=pa.int8()),
-            }
-        )
-
-    def member_rows(b: pa.Table) -> pa.Table:
-        n = len(b)
-        return pa.Table.from_pydict(
-            {
-                "sub_community": b.column("community"),
-                "sub_level": b.column("level").cast(pa.int64()),
-                "p_community": pa.nulls(n, pa.string()),
-                "p_level": pa.nulls(n, pa.int64()),
-                "is_member": pa.array([1] * n, type=pa.int8()),
-            }
-        )
-
-    unioned = adjacent.map_batches(pair_rows, batch_format="pyarrow").union(
-        communities.map_batches(member_rows, batch_format="pyarrow")
+    unioned = adjacent.map_batches(_pair_rows, batch_format="pyarrow").union(
+        communities.map_batches(_member_rows, batch_format="pyarrow")
     )
-
-    sub_key = ["sub_community", "sub_level"]
-
-    def emit_parents(bucket: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        member = pc.equal(bucket.column("is_member"), 1)
-        sizes = bucket.filter(member).group_by(sub_key).aggregate([([], "count_all")])
-        sizes = sizes.rename_columns(
-            ["sub_community_size" if c == "count_all" else c
-             for c in sizes.column_names])
-        shared = (bucket.filter(pc.invert(member))
-                  .group_by(sub_key + ["p_community", "p_level"])
-                  .aggregate([([], "count_all")])
-                  .join(sizes, keys=sub_key, join_type="inner"))
-        full = shared.filter(pc.equal(shared.column("count_all"),
-                                      shared.column("sub_community_size")))
-        # the join's row order is unspecified: sort for a stable table
-        return pa.Table.from_pydict(
-            {
-                "community": full.column("p_community"),
-                "level": full.column("p_level"),
-                "sub_community": full.column("sub_community"),
-                "sub_community_size": full.column("sub_community_size"),
-            },
-            schema=hierarchy_schema,
-        ).sort_by([("sub_community", "ascending"), ("level", "ascending"),
-                   ("community", "ascending")])
 
     from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
 
     return bucketed_bucket_map(
-        unioned, sub_key, emit_parents, num_buckets=num_partitions,
+        unioned, _SUB_KEY, _emit_parents, num_buckets=num_partitions,
         empty_schema=hierarchy_schema, body_format="pyarrow",
         driver_threshold=driver_threshold,
     )
 
 
+def _level_clusters(communities: "pa.Table", level: int) -> "pa.Table":
+    """Communities at ``level`` as (name, cluster) rows."""
+    import pyarrow.compute as pc
+
+    at_level = communities.filter(pc.equal(communities.column("level"), level))
+    return at_level.select(["name", "community"]).rename_columns(
+        ["name", "cluster"])
+
+
 def assign_clusters(entities, communities, level: int = 0, num_partitions: int = 32):
     """Stamp each entity with its community at ``level`` (reference
     cluster_graph.py:49-53 applies level==0 only); entities outside the
-    clustered component get null cluster."""
-    from knowledge_graph_ray.functions.joins import project
+    clustered component get null cluster.  Materialized inputs of at
+    most ``DRIVER_THRESHOLD`` rows in all are joined on the driver with
+    no Ray execution."""
+    from knowledge_graph_ray.functions import grouping
+    from knowledge_graph_ray.functions.joins import join_arrow, project
 
+    small = grouping.driver_tables([entities, communities],
+                                   grouping.DRIVER_THRESHOLD)
+    if small is not None:
+        ents, comms = small
+        return grouping.driver_dataset(join_arrow(
+            ents, _level_clusters(comms, level), ["name"], "left_outer"))
     at_level = project(
         communities.filter(expr=f"level == {level}"),
         {"name": "name", "community": "cluster"},

@@ -34,21 +34,23 @@ import pyarrow as pa
 from knowledge_graph_ray.functions.grouping import DRIVER_THRESHOLD
 
 
+def _pair_batch(batch: pa.Table) -> pa.Table:
+    """relationship rows -> normalized (u, v) pairs, u < v (self-loops
+    dropped)."""
+    import pyarrow.compute as pc
+
+    src = batch.column("src")
+    dst = batch.column("dst")
+    u = pc.min_element_wise(src, dst)
+    v = pc.max_element_wise(src, dst)
+    tbl = pa.Table.from_pydict({"u": u, "v": v})
+    return tbl.filter(pc.not_equal(tbl.column("u"), tbl.column("v")))
+
+
 def _edge_pairs(relationships):
     """relationship table -> normalized (u, v) pairs, u < v, deduped later."""
-
-    def body(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        src = batch.column("src")
-        dst = batch.column("dst")
-        u = pc.min_element_wise(src, dst)
-        v = pc.max_element_wise(src, dst)
-        tbl = pa.Table.from_pydict({"u": u, "v": v})
-        return tbl.filter(pc.not_equal(tbl.column("u"), tbl.column("v")))
-
     return relationships.select_columns(["src", "dst"]).map_batches(
-        body, batch_format="pyarrow"
+        _pair_batch, batch_format="pyarrow"
     )
 
 
@@ -143,13 +145,16 @@ def _signature(edges) -> tuple:
     return (agg["n"], agg["sh"] or 0, agg["su"] or 0, agg["sv"] or 0)
 
 
-def _driver_union_find(edges) -> "pa.Table":
-    """Small-graph fast path: classic union-find on the driver.
+def _driver_union_find(edges: pa.Table) -> pa.Table:
+    """Small-graph fast path: classic union-find on the driver over an
+    Arrow (u, v) edge table -> star-forest edges (u=root, v=member).
 
-    Legitimate only because the caller has PROVEN the distinct edge set
-    is small (guide rule: union-find on the driver only if the candidate
-    set is provably small) — the distributed star contraction costs
-    several shuffle rounds of fixed latency that dominate tiny graphs.
+    Legitimate only because the caller has PROVEN the edge set is small
+    (guide rule: union-find on the driver only if the candidate set is
+    provably small) — the distributed star contraction costs several
+    shuffle rounds of fixed latency that dominate tiny graphs.  Union by
+    min makes every root its component's minimum, whatever the edge
+    order and duplicates.
     """
     parent: dict[str, str] = {}
 
@@ -161,18 +166,47 @@ def _driver_union_find(edges) -> "pa.Table":
             parent[x], x = root, parent[x]
         return root
 
-    for batch in edges.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        for u, v in zip(batch.column("u").to_pylist(), batch.column("v").to_pylist()):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                # union by min so the root IS the component min
-                lo, hi = (ru, rv) if ru < rv else (rv, ru)
-                parent[hi] = lo
+    for u, v in zip(edges.column("u").to_pylist(), edges.column("v").to_pylist()):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            # union by min so the root IS the component min
+            lo, hi = (ru, rv) if ru < rv else (rv, ru)
+            parent[hi] = lo
     names = list({*parent.keys(), *(parent.values())})
     return pa.Table.from_pydict(
         {"u": [find(n) for n in names], "v": names},
-        schema=pa.schema([("u", pa.string()), ("v", pa.string())]),
+        schema=_EDGE_SCHEMA,
     )
+
+
+def _star_label_rows(star: pa.Table) -> pa.Table:
+    """Star-forest edges (u=root, v=member) -> (name, component) label
+    rows: each member labelled with its root, each root with itself."""
+    return pa.concat_tables([
+        pa.table({"name": star.column("v"), "component": star.column("u")}),
+        pa.table({"name": star.column("u"), "component": star.column("u")}),
+    ])
+
+
+def _self_label_rows(nodes: pa.Table) -> pa.Table:
+    """Node rows -> (name, component) with every node its own label, so
+    isolated nodes become singleton components."""
+    return pa.table({"name": nodes.column("name"),
+                     "component": nodes.column("name")})
+
+
+def component_labels(entities: pa.Table, relationships: pa.Table) -> pa.Table:
+    """Driver kernel of ``connected_components``: (name, component) of
+    every entity and edge endpoint, component = the minimum name."""
+    labels = pa.concat_tables(
+        [_star_label_rows(_driver_union_find(_pair_batch(relationships))),
+         _self_label_rows(entities)],
+        promote_options="permissive",
+    )
+    # the label min of _labels_from_star, as one Arrow hash aggregate
+    mins = labels.group_by("name").aggregate([("component", "min")])
+    return pa.table({"name": mins.column("name"),
+                     "component": mins.column("component_min")})
 
 
 def connected_components_from_edges(
@@ -202,7 +236,10 @@ def connected_components_from_edges(
     if edges.count() <= driver_threshold:
         import ray.data
 
-        star = _driver_union_find(edges)
+        from knowledge_graph_ray.functions.grouping import driver_arrow_table
+
+        star = _driver_union_find(
+            driver_arrow_table(edges) or _EDGE_SCHEMA.empty_table())
         edges = ray.data.from_arrow(star)
         return _labels_from_star(edges, nodes, driver_threshold)
     prev_sig, converged = None, False
@@ -231,31 +268,14 @@ def _labels_from_star(edges, nodes=None,
     """Star-forest edges (u=root, v=member) -> (name, component) labels;
     the groupby-min runs on the driver when its partials are at most
     ``driver_threshold`` rows."""
-
-    def to_labels(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {"name": batch.column("v"), "component": batch.column("u")}
-        )
-
-    member_labels = edges.map_batches(to_labels, batch_format="pyarrow")
-    root_labels = edges.map_batches(
-        lambda b: pa.Table.from_pydict(
-            {"name": b.column("u"), "component": b.column("u")}
-        ),
-        batch_format="pyarrow",
-    )
-    sources = member_labels.union(root_labels)
-
+    sources = edges.map_batches(_star_label_rows, batch_format="pyarrow")
     if nodes is not None:
         # isolated nodes: every node not appearing in an edge gets itself
         # as component; groupby-min merges the row sources.
-        self_labels = nodes.select_columns(["name"]).map_batches(
-            lambda b: pa.Table.from_pydict(
-                {"name": b.column("name"), "component": b.column("name")}
-            ),
-            batch_format="pyarrow",
+        sources = sources.union(
+            nodes.select_columns(["name"]).map_batches(
+                _self_label_rows, batch_format="pyarrow")
         )
-        sources = sources.union(self_labels)
     from knowledge_graph_ray.functions.agg import grouped_agg
 
     return grouped_agg(sources, ["name"],
@@ -270,7 +290,17 @@ def connected_components(
     num_partitions: int = 32,
 ):
     """Entity-graph CC: canonical (src, dst) relationship table + entity
-    table (for isolated nodes) -> Dataset[(name, component)]."""
+    table (for isolated nodes) -> Dataset[(name, component)].
+
+    Materialized inputs of at most ``DRIVER_THRESHOLD`` rows in all run
+    ``component_labels`` on the driver with no Ray execution; others
+    take ``connected_components_from_edges``."""
+    from knowledge_graph_ray.functions import grouping
+
+    small = grouping.driver_tables([entities, relationships],
+                                   grouping.DRIVER_THRESHOLD)
+    if small is not None:
+        return grouping.driver_dataset(component_labels(*small))
     return connected_components_from_edges(
         _edge_pairs(relationships),
         nodes=entities,

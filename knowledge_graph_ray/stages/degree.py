@@ -10,14 +10,17 @@ followed by a small groupby-sum — no global graph.  Attaching degrees to
 the entity/edge tables is a left-outer ``hash_join`` (fillna 0): one Arrow
 join on the driver when both sides together are at most
 ``DRIVER_THRESHOLD`` rows, else a hash-partitioned bucket shuffle, which
-scales to entity tables that don't fit one node.
+scales to entity tables that don't fit one node.  Each stage also has a
+driver kernel on Arrow tables: inputs that are materialized and at most
+``DRIVER_THRESHOLD`` rows in all run it with no Ray execution.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
-from knowledge_graph_ray.functions.joins import hash_join, project
+from knowledge_graph_ray.functions import grouping
+from knowledge_graph_ray.functions.joins import hash_join, join_arrow, project
 
 
 def degree_partials_batch(batch: pa.Table) -> pa.Table:
@@ -35,15 +38,50 @@ def degree_partials_batch(batch: pa.Table) -> pa.Table:
     )
 
 
+def _fill_degree(batch: pa.Table) -> pa.Table:
+    """entity ⟕ degrees rows: missing degree -> 0."""
+    deg = batch.column("degree").fill_null(0)
+    return batch.set_column(batch.schema.get_field_index("degree"), "degree", deg)
+
+
+def _finish_edge_degrees(batch: pa.Table) -> pa.Table:
+    """edge ⟕ degrees (both endpoints) rows: missing degrees -> 0, and
+    rank = source_degree + target_degree."""
+    import pyarrow.compute as pc
+
+    sd = batch.column("source_degree").fill_null(0)
+    td = batch.column("target_degree").fill_null(0)
+    batch = batch.set_column(
+        batch.schema.get_field_index("source_degree"), "source_degree", sd
+    )
+    batch = batch.set_column(
+        batch.schema.get_field_index("target_degree"), "target_degree", td
+    )
+    return batch.append_column("rank", pc.add(sd, td))
+
+
+def _endpoint_degrees(degrees: pa.Table, end: str, column: str) -> pa.Table:
+    """degrees (name, degree) renamed to (``end``, ``column``)."""
+    return degrees.select(["name", "degree"]).rename_columns([end, column])
+
+
 def compute_degrees(relationships):
     """Dataset[relationship] -> Dataset[(name, degree)].
 
     Degree = number of distinct canonical edges incident to the entity
     (matches nx.Graph.degree on the merged graph: one undirected edge per
     endpoint pair, self-loop-free by construction of the canonical key).
+    A small materialized input is counted on the driver
+    (``degree_partials_batch`` over the whole table is already the
+    final count); otherwise per-batch partials feed ``grouped_agg``.
     """
     from knowledge_graph_ray.functions.agg import grouped_agg
 
+    small = grouping.driver_tables([relationships], grouping.DRIVER_THRESHOLD)
+    if small is not None:
+        return grouping.driver_dataset(
+            degree_partials_batch(small[0]).rename_columns(["name", "degree"])
+        )
     partials = relationships.select_columns(["src", "dst"]).map_batches(
         degree_partials_batch, batch_format="pyarrow"
     )
@@ -51,23 +89,33 @@ def compute_degrees(relationships):
 
 
 def attach_entity_degrees(entities, degrees, num_partitions: int = 32):
-    """entities ⟕ degrees on name; missing -> degree 0."""
+    """entities ⟕ degrees on name; missing -> degree 0.  Runs as one
+    driver kernel when both inputs are materialized and small."""
+    small = grouping.driver_tables([entities, degrees], grouping.DRIVER_THRESHOLD)
+    if small is not None:
+        ents, degs = small
+        return grouping.driver_dataset(
+            _fill_degree(join_arrow(ents, degs, ["name"], "left_outer"))
+        )
     joined = hash_join(
         entities, degrees, on=["name"], how="left_outer", num_partitions=num_partitions
     )
-
-    def fill(batch: pa.Table) -> pa.Table:
-        deg = batch.column("degree").fill_null(0)
-        return batch.set_column(
-            batch.schema.get_field_index("degree"), "degree", deg
-        )
-
-    return joined.map_batches(fill, batch_format="pyarrow")
+    return joined.map_batches(_fill_degree, batch_format="pyarrow")
 
 
 def attach_edge_degrees(relationships, degrees, num_partitions: int = 32):
     """edges ⟕ degrees on src, then dst; rank = source_degree + target_degree
-    (compute_edge_degree.py:11-54)."""
+    (compute_edge_degree.py:11-54).  Runs as one driver kernel when
+    both inputs are materialized and small."""
+    small = grouping.driver_tables([relationships, degrees], grouping.DRIVER_THRESHOLD)
+    if small is not None:
+        rels, degs = small
+        with_src = join_arrow(rels, _endpoint_degrees(degs, "src", "source_degree"),
+                              ["src"], "left_outer")
+        with_both = join_arrow(
+            with_src, _endpoint_degrees(degs, "dst", "target_degree"),
+            ["dst"], "left_outer")
+        return grouping.driver_dataset(_finish_edge_degrees(with_both))
     # project() not rename_columns: two projected branches of `degrees`
     # land in one DAG — Project ops can be dropped by fusion (joins.project)
     with_src = hash_join(
@@ -84,18 +132,4 @@ def attach_edge_degrees(relationships, degrees, num_partitions: int = 32):
         how="left_outer",
         num_partitions=num_partitions,
     )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        sd = batch.column("source_degree").fill_null(0)
-        td = batch.column("target_degree").fill_null(0)
-        batch = batch.set_column(
-            batch.schema.get_field_index("source_degree"), "source_degree", sd
-        )
-        batch = batch.set_column(
-            batch.schema.get_field_index("target_degree"), "target_degree", td
-        )
-        return batch.append_column("rank", pc.add(sd, td))
-
-    return with_both.map_batches(finish, batch_format="pyarrow")
+    return with_both.map_batches(_finish_edge_degrees, batch_format="pyarrow")

@@ -23,6 +23,7 @@ import hashlib
 import json
 
 import pandas as pd
+import pyarrow as pa
 
 from knowledge_graph_ray.config import COMMUNITY_REPORT_MAX_INPUT_LENGTH
 from knowledge_graph_ray.functions.joins import hash_join, project
@@ -207,6 +208,109 @@ class RawJsonReportComposer(ReportComposer):
 
 BROADCAST_COMMUNITIES_MAX = 1_000_000
 
+# generate_reports' driver regime composes every report itself, one
+# after another (an LLM composer's calls included), where the
+# distributed regime composes each bucket in its own task: it sits below
+# the shared DRIVER_THRESHOLD
+REPORT_DRIVER_THRESHOLD = 50_000
+
+_NODE_CTX_COLUMNS = ["name", "type", "description", "degree"]
+_EDGE_CTX_COLUMNS = ["src", "dst", "rank", "description"]
+
+_NODE_CTX_SCHEMA = pa.schema(
+    [("level", pa.int64()), ("community", pa.string()),
+     ("name", pa.string()), ("type", pa.string()),
+     ("description", pa.large_string()), ("degree", pa.float64())]
+)
+_EDGE_CTX_SCHEMA = pa.schema(
+    [("level", pa.int64()), ("community", pa.string()),
+     ("src", pa.string()), ("dst", pa.string()),
+     ("rank", pa.float64()), ("description", pa.large_string())]
+)
+
+
+def _membership(communities_pdf: pd.DataFrame) -> pd.DataFrame:
+    """The (name, level, community) frame the broadcast context joins."""
+    return communities_pdf[["name", "level", "community"]].reset_index(drop=True)
+
+
+def _node_ctx(b: pa.Table, cdf: pd.DataFrame) -> pa.Table:
+    """Entity rows ⨝ community membership on name — a vectorized pandas
+    merge (C hash join); a name appears once per level, so the merge
+    fans each row out to its per-level community rows."""
+    j = b.to_pandas().merge(cdf, on="name", how="inner")
+    return pa.Table.from_pydict(
+        {
+            "level": pa.array(j["level"].astype("int64")),
+            "community": pa.array(j["community"], type=pa.string()),
+            "name": pa.array(j["name"], type=pa.string()),
+            "type": pa.array(j["type"], type=pa.string()),
+            "description": pa.array(j["description"], type=pa.large_string()),
+            "degree": pa.array(j["degree"].fillna(0).astype("float64")),
+        },
+        schema=_NODE_CTX_SCHEMA,
+    )
+
+
+def _edge_ctx(b: pa.Table, cdf: pd.DataFrame) -> pa.Table:
+    """Edge rows ⨝ membership on both endpoints, same-community pairs
+    only (filter_edges_to_nodes)."""
+    j = b.to_pandas().merge(
+        cdf.rename(columns={"name": "src"}), on="src", how="inner"
+    ).merge(
+        cdf.rename(columns={"name": "dst"}), on="dst", how="inner",
+        suffixes=("", "_dst"),
+    )
+    j = j[(j["level"] == j["level_dst"])
+          & (j["community"] == j["community_dst"])]
+    return pa.Table.from_pydict(
+        {
+            "level": pa.array(j["level"].astype("int64")),
+            "community": pa.array(j["community"], type=pa.string()),
+            "src": pa.array(j["src"], type=pa.string()),
+            "dst": pa.array(j["dst"], type=pa.string()),
+            "rank": pa.array(j["rank"].fillna(0).astype("float64")),
+            "description": pa.array(j["description"], type=pa.large_string()),
+        },
+        schema=_EDGE_CTX_SCHEMA,
+    )
+
+
+def _node_rows(b: pa.Table) -> pa.Table:
+    """Node context -> the level's uniform context rows (kind='node')."""
+    return pa.Table.from_pydict(
+        {
+            "level": b.column("level"),
+            "community": b.column("community"),
+            "kind": pa.array(["node"] * len(b), type=pa.string()),
+            "name": b.column("name"),
+            "type": b.column("type"),
+            "description": b.column("description"),
+            "degree": b.column("degree").cast(pa.float64()),
+            "src": pa.nulls(len(b), pa.string()),
+            "dst": pa.nulls(len(b), pa.string()),
+            "rank": pa.nulls(len(b), pa.float64()),
+        }
+    )
+
+
+def _edge_rows(b: pa.Table) -> pa.Table:
+    """Edge context -> the level's uniform context rows (kind='edge')."""
+    return pa.Table.from_pydict(
+        {
+            "level": b.column("level"),
+            "community": b.column("community"),
+            "kind": pa.array(["edge"] * len(b), type=pa.string()),
+            "name": pa.nulls(len(b), pa.string()),
+            "type": pa.nulls(len(b), pa.string()),
+            "description": b.column("description"),
+            "degree": pa.nulls(len(b), pa.float64()),
+            "src": b.column("src"),
+            "dst": b.column("dst"),
+            "rank": b.column("rank").cast(pa.float64()),
+        }
+    )
+
 
 def _context_rows(communities, entities, relationships, num_partitions: int = 32,
                   communities_pdf: "pd.DataFrame | None" = None,
@@ -219,8 +323,6 @@ def _context_rows(communities, entities, relationships, num_partitions: int = 32
     as pandas for the level loop).  Larger community tables fall back to
     partitioned hash joins.
     """
-    import pyarrow as pa
-
     if communities_pdf is None:
         try:
             communities_pdf = communities.to_pandas(limit=broadcast_max)
@@ -230,72 +332,16 @@ def _context_rows(communities, entities, relationships, num_partitions: int = 32
     if communities_pdf is not None and len(communities_pdf) <= broadcast_max:
         import ray
 
-        # broadcast the (name, level, community) frame once via ray.put;
-        # each batch attaches membership with a vectorized pandas merge
-        # (C hash join) — a name appears once per level, so the merge
-        # fans each row out to its per-level community rows
-        cdf = communities_pdf[["name", "level", "community"]].reset_index(drop=True)
-        cdf_ref = ray.put(cdf)
-
-        _NODE_CTX_SCHEMA = pa.schema(
-            [("level", pa.int64()), ("community", pa.string()),
-             ("name", pa.string()), ("type", pa.string()),
-             ("description", pa.large_string()), ("degree", pa.float64())]
-        )
-        _EDGE_CTX_SCHEMA = pa.schema(
-            [("level", pa.int64()), ("community", pa.string()),
-             ("src", pa.string()), ("dst", pa.string()),
-             ("rank", pa.float64()), ("description", pa.large_string())]
-        )
-
-        def node_ctx_batch(b: pa.Table) -> pa.Table:
-            cdf = ray.get(cdf_ref)
-            j = b.to_pandas().merge(cdf, on="name", how="inner")
-            return pa.Table.from_pydict(
-                {
-                    "level": pa.array(j["level"].astype("int64")),
-                    "community": pa.array(j["community"], type=pa.string()),
-                    "name": pa.array(j["name"], type=pa.string()),
-                    "type": pa.array(j["type"], type=pa.string()),
-                    "description": pa.array(j["description"], type=pa.large_string()),
-                    "degree": pa.array(j["degree"].fillna(0).astype("float64")),
-                },
-                schema=_NODE_CTX_SCHEMA,
-            )
-
-        def edge_ctx_batch(b: pa.Table) -> pa.Table:
-            cdf = ray.get(cdf_ref)
-            j = b.to_pandas().merge(
-                cdf.rename(columns={"name": "src"}), on="src", how="inner"
-            ).merge(
-                cdf.rename(columns={"name": "dst"}), on="dst", how="inner",
-                suffixes=("", "_dst"),
-            )
-            # keep same-community pairs only (filter_edges_to_nodes)
-            j = j[(j["level"] == j["level_dst"])
-                  & (j["community"] == j["community_dst"])]
-            return pa.Table.from_pydict(
-                {
-                    "level": pa.array(j["level"].astype("int64")),
-                    "community": pa.array(j["community"], type=pa.string()),
-                    "src": pa.array(j["src"], type=pa.string()),
-                    "dst": pa.array(j["dst"], type=pa.string()),
-                    "rank": pa.array(j["rank"].fillna(0).astype("float64")),
-                    "description": pa.array(j["description"], type=pa.large_string()),
-                },
-                schema=_EDGE_CTX_SCHEMA,
-            )
-
-        node_ctx = entities.select_columns(
-            ["name", "type", "description", "degree"]
-        ).map_batches(node_ctx_batch, batch_format="pyarrow")
-        e_in = relationships.select_columns(
-            ["src", "dst", "rank", "description"]
-        ).map_batches(edge_ctx_batch, batch_format="pyarrow")
+        # broadcast the (name, level, community) frame once via ray.put
+        cdf_ref = ray.put(_membership(communities_pdf))
+        node_ctx = entities.select_columns(_NODE_CTX_COLUMNS).map_batches(
+            lambda b: _node_ctx(b, ray.get(cdf_ref)), batch_format="pyarrow")
+        e_in = relationships.select_columns(_EDGE_CTX_COLUMNS).map_batches(
+            lambda b: _edge_ctx(b, ray.get(cdf_ref)), batch_format="pyarrow")
     else:
         node_ctx = hash_join(
             communities,
-            entities.select_columns(["name", "type", "description", "degree"]),
+            entities.select_columns(_NODE_CTX_COLUMNS),
             on=["name"],
             how="inner",
             num_partitions=num_partitions,
@@ -323,48 +369,12 @@ def _context_rows(communities, entities, relationships, num_partitions: int = 32
             expr="community == community_dst and level == level_dst"
         )
 
-    def node_rows(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "level": b.column("level"),
-                "community": b.column("community"),
-                "kind": pa.array(["node"] * len(b)),
-                "name": b.column("name"),
-                "type": b.column("type"),
-                "description": b.column("description"),
-                "degree": b.column("degree").cast(pa.float64()),
-                "src": pa.nulls(len(b), pa.string()),
-                "dst": pa.nulls(len(b), pa.string()),
-                "rank": pa.nulls(len(b), pa.float64()),
-            }
-        )
-
-    def edge_rows(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "level": b.column("level"),
-                "community": b.column("community"),
-                "kind": pa.array(["edge"] * len(b)),
-                "name": pa.nulls(len(b), pa.string()),
-                "type": pa.nulls(len(b), pa.string()),
-                "description": b.column("description"),
-                "degree": pa.nulls(len(b), pa.float64()),
-                "src": b.column("src"),
-                "dst": b.column("dst"),
-                "rank": b.column("rank").cast(pa.float64()),
-            }
-        )
-
-    ctx = node_ctx.map_batches(node_rows, batch_format="pyarrow").union(
-        e_in.map_batches(edge_rows, batch_format="pyarrow")
+    return node_ctx.map_batches(_node_rows, batch_format="pyarrow").union(
+        e_in.map_batches(_edge_rows, batch_format="pyarrow")
     )
-
-    return ctx
 
 
 def _report_schema():
-    import pyarrow as pa
-
     return pa.schema(
         [("id", pa.string()), ("community", pa.string()),
          ("title", pa.string()), ("summary", pa.string()),
@@ -372,6 +382,54 @@ def _report_schema():
          ("rank", pa.float64()), ("level", pa.int64()),
          ("rank_explanation", pa.string()), ("findings", pa.string())]
     )
+
+
+def _compose_bucket(g: pd.DataFrame, sub_summaries_by_parent: dict,
+                    max_input_tokens: int, composer: "ReportComposer") -> pa.Table:
+    """Reports for context rows of one or more communities: one sort for
+    every community in ``g``; within a community the order matches a
+    per-community sort exactly."""
+    nodes_all = g[g["kind"] == "node"].sort_values(
+        ["level", "community", "degree", "name"],
+        ascending=[True, True, False, True], kind="stable",
+    )
+    edges_all = g[g["kind"] == "edge"].sort_values(
+        ["level", "community", "rank", "src", "dst"],
+        ascending=[True, True, False, True, True], kind="stable",
+    )
+    sub_groups: dict = {}
+    subs_all = g[g["kind"] == "sub"]
+    if len(subs_all):
+        # same (sub_id, summary) ascending order the broadcast
+        # regime's subs.sort() produces
+        subs_all = subs_all.sort_values(
+            ["level", "community", "name", "description"], kind="stable"
+        )
+        sub_groups = {
+            key: list(zip(sub["name"], sub["description"]))
+            for key, sub in subs_all.groupby(["level", "community"],
+                                             sort=False)
+        }
+    node_groups = dict(iter(nodes_all.groupby(["level", "community"], sort=False)))
+    edge_groups = dict(iter(edges_all.groupby(["level", "community"], sort=False)))
+    keys = list(node_groups) + [k for k in edge_groups if k not in node_groups]
+    rows = []
+    for key in keys:
+        level, community = int(key[0]), key[1]
+        nodes = node_groups.get(key)
+        if nodes is None:
+            nodes = nodes_all.iloc[0:0]
+        edges = edge_groups.get(key)
+        if edges is None:
+            edges = edges_all.iloc[0:0]
+        rows.append(
+            composer.compose(
+                community, level, nodes, edges, max_input_tokens,
+                sub_summaries_by_parent.get(community)
+                or sub_groups.get(key),
+            )
+        )
+    return pa.Table.from_pylist(rows, schema=_report_schema())
 
 
 def _report_level(ctx_level, sub_summaries_by_parent: dict, max_input_tokens: int,
@@ -393,76 +451,89 @@ def _report_level(ctx_level, sub_summaries_by_parent: dict, max_input_tokens: in
     per-community sorts/filters run ONCE per bucket (vectorized sorts
     + one groupby) instead of once per tiny group — measured
     ~4ms/community of pandas overhead removed."""
-    import pyarrow as pa
-
     from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
 
     composer = composer or ReportComposer()
-    schema = _report_schema()
-
-    def bucket_body(g: pd.DataFrame) -> pa.Table:
-        # one sort for every community in the bucket; within a community
-        # the order matches the previous per-group sort exactly
-        nodes_all = g[g["kind"] == "node"].sort_values(
-            ["level", "community", "degree", "name"],
-            ascending=[True, True, False, True], kind="stable",
-        )
-        edges_all = g[g["kind"] == "edge"].sort_values(
-            ["level", "community", "rank", "src", "dst"],
-            ascending=[True, True, False, True, True], kind="stable",
-        )
-        sub_groups: dict = {}
-        subs_all = g[g["kind"] == "sub"]
-        if len(subs_all):
-            # same (sub_id, summary) ascending order the broadcast
-            # regime's subs.sort() produces
-            subs_all = subs_all.sort_values(
-                ["level", "community", "name", "description"], kind="stable"
-            )
-            sub_groups = {
-                key: list(zip(sub["name"], sub["description"]))
-                for key, sub in subs_all.groupby(["level", "community"],
-                                                 sort=False)
-            }
-        node_groups = dict(iter(nodes_all.groupby(["level", "community"], sort=False)))
-        edge_groups = dict(iter(edges_all.groupby(["level", "community"], sort=False)))
-        keys = list(node_groups) + [k for k in edge_groups if k not in node_groups]
-        rows = []
-        for key in keys:
-            level, community = int(key[0]), key[1]
-            nodes = node_groups.get(key)
-            if nodes is None:
-                nodes = nodes_all.iloc[0:0]
-            edges = edge_groups.get(key)
-            if edges is None:
-                edges = edges_all.iloc[0:0]
-            rows.append(
-                composer.compose(
-                    community, level, nodes, edges, max_input_tokens,
-                    sub_summaries_by_parent.get(community)
-                    or sub_groups.get(key),
-                )
-            )
-        return pa.Table.from_pylist(rows, schema=schema)
-
     return bucketed_bucket_map(
-        ctx_level, ["level", "community"], bucket_body,
-        num_buckets=num_buckets, empty_schema=schema,
+        ctx_level, ["level", "community"],
+        lambda g: _compose_bucket(g, sub_summaries_by_parent,
+                                  max_input_tokens, composer),
+        num_buckets=num_buckets, empty_schema=_report_schema(),
         driver_threshold=driver_threshold,
     )
+
+
+def _sub_summaries(comm_pdf: pd.DataFrame, level: int, prev_level: int,
+                   prev_summaries: dict) -> dict:
+    """Broadcast regime: parent community at ``level`` -> sorted
+    (sub community, summary) pairs of its ``prev_level`` children."""
+    deeper = comm_pdf[comm_pdf.level == prev_level][["community", "name"]]
+    here = comm_pdf[comm_pdf.level == level][["community", "name"]]
+    pairs = deeper.merge(here, on="name", suffixes=("_sub", "_parent"))
+    pairs = pairs.drop_duplicates(["community_sub", "community_parent"])
+    sub_by_parent: dict[str, list[tuple[str, str]]] = {}
+    for row in pairs.itertuples():
+        summary = prev_summaries.get(row.community_sub)
+        if summary is not None:
+            sub_by_parent.setdefault(row.community_parent, []).append(
+                (row.community_sub, summary)
+            )
+    for subs in sub_by_parent.values():
+        subs.sort()  # deterministic under any shuffle order
+    return sub_by_parent
+
+
+def report_tables(communities: pa.Table, entities: pa.Table,
+                  relationships: pa.Table,
+                  max_input_tokens: int = COMMUNITY_REPORT_MAX_INPUT_LENGTH,
+                  composer: "ReportComposer | None" = None) -> pa.Table:
+    """Driver kernel of ``generate_reports`` on Arrow tables: the
+    broadcast context, then the levels bottom-up, each composed in one
+    ``_compose_bucket`` call."""
+    import pyarrow.compute as pc
+
+    composer = composer or ReportComposer()
+    comm_pdf = communities.to_pandas()
+    cdf = _membership(comm_pdf)
+    ctx = pa.concat_tables([
+        _node_rows(_node_ctx(entities.select(_NODE_CTX_COLUMNS), cdf)),
+        _edge_rows(_edge_ctx(relationships.select(_EDGE_CTX_COLUMNS), cdf)),
+    ])
+    per_level = [_report_schema().empty_table()]
+    prev_summaries: dict[str, str] = {}
+    prev_level: int | None = None
+    for level in sorted({int(v) for v in comm_pdf["level"]}, reverse=True):
+        ctx_level = ctx.filter(pc.equal(ctx.column("level"), level))
+        sub_by_parent = ({} if prev_level is None else _sub_summaries(
+            comm_pdf, level, prev_level, prev_summaries))
+        if ctx_level.num_rows:
+            level_reports = _compose_bucket(ctx_level.to_pandas(), sub_by_parent,
+                                            max_input_tokens, composer)
+        else:
+            level_reports = _report_schema().empty_table()
+        per_level.append(level_reports)
+        prev_summaries = dict(zip(level_reports.column("community").to_pylist(),
+                                  level_reports.column("summary").to_pylist()))
+        prev_level = level
+    return pa.concat_tables(per_level)
 
 
 def generate_reports(communities, entities, relationships, num_partitions: int = 32,
                      max_input_tokens: int = COMMUNITY_REPORT_MAX_INPUT_LENGTH,
                      broadcast_max: int = BROADCAST_COMMUNITIES_MAX,
                      composer: "ReportComposer | None" = None,
-                     driver_threshold: int | None = 50_000):
+                     driver_threshold: int | None = REPORT_DRIVER_THRESHOLD):
     """-> Dataset[community_report], generated bottom-up per level.
 
-    ``driver_threshold`` sits below the shared ``DRIVER_THRESHOLD``:
-    the driver regime composes every report itself, one after another
-    (an LLM composer's calls included), where the distributed regime
-    composes each bucket in its own task.
+    ``driver_threshold`` (default ``REPORT_DRIVER_THRESHOLD``) sits
+    below the shared ``DRIVER_THRESHOLD``: the driver regime composes
+    every report itself, one after another (an LLM composer's calls
+    included), where the distributed regime composes each bucket in its
+    own task.  Materialized inputs of at most that many rows in all
+    (and at most ``REPORT_DRIVER_THRESHOLD`` and ``broadcast_max``, read
+    at call time) run ``report_tables`` on the driver with no Ray
+    execution; otherwise each level's composition takes the driver
+    regime when its context has at most ``driver_threshold`` rows.
 
     Levels are processed DESCENDING (reference utils.py:26-29 /
     summarization.py:71-85): deeper-level reports are generated first and
@@ -471,6 +542,17 @@ def generate_reports(communities, entities, relationships, num_partitions: int =
     The level loop is inherently sequential with a barrier per level
     (SURVEY §7.5 'Level-sequential report generation').
     """
+    from knowledge_graph_ray.functions import grouping
+
+    # the kernel is the broadcast regime, so broadcast_max bounds it too
+    small = grouping.driver_tables(
+        [communities, entities, relationships],
+        None if driver_threshold is None
+        else min(driver_threshold, REPORT_DRIVER_THRESHOLD, broadcast_max),
+    )
+    if small is not None:
+        return grouping.driver_dataset(
+            report_tables(*small, max_input_tokens, composer))
     # size-adaptive driver state (same pattern as _context_rows): a
     # communities table under the broadcast threshold is pulled ONCE and
     # the level list + parent/child pairs + sub summaries come from
@@ -501,20 +583,12 @@ def generate_reports(communities, entities, relationships, num_partitions: int =
         # each filter would re-run the whole join DAG
         ctx = ctx.materialize()
 
-    def _pairs_for(level: int, prev_level: int) -> pd.DataFrame:
-        deeper = comm_pdf[comm_pdf.level == prev_level][["community", "name"]]
-        here = comm_pdf[comm_pdf.level == level][["community", "name"]]
-        joined = deeper.merge(here, on="name", suffixes=("_sub", "_parent"))
-        return joined.drop_duplicates(["community_sub", "community_parent"])
-
     def _sub_ctx_rows(level: int, prev_level: int, prev_reports):
         """Distributed regime: deeper-level summaries stay a Dataset —
         dedup (sub, parent) membership pairs, hash_join the summaries
         in, and emit them as kind='sub' context rows keyed by the
         PARENT community, so they ride the level's bucket shuffle
         instead of a driver dict (VERDICT r3 #3)."""
-        import pyarrow as pa
-
         from knowledge_graph_ray.functions.agg import distinct_rows
 
         deeper = project(
@@ -568,14 +642,8 @@ def generate_reports(communities, entities, relationships, num_partitions: int =
             if comm_pdf is not None:
                 # broadcast regime: community-count-sized driver dicts
                 # (bounded by broadcast_max)
-                for row in _pairs_for(level, prev_level).itertuples():
-                    summary = prev_summaries.get(row.community_sub)
-                    if summary is not None:
-                        sub_by_parent.setdefault(row.community_parent, []).append(
-                            (row.community_sub, summary)
-                        )
-                for subs in sub_by_parent.values():
-                    subs.sort()  # deterministic under any shuffle order
+                sub_by_parent = _sub_summaries(comm_pdf, level, prev_level,
+                                               prev_summaries)
             else:
                 ctx_level = ctx_level.union(
                     _sub_ctx_rows(level, prev_level, prev_reports)

@@ -97,6 +97,9 @@ def main():
     summary = {
         "seconds": round(time.time() - t0, 1),
         "tables": {k: m["rows"] for k, m in manifests.items()},
+        # which regime wrote each table: "driver" (pyarrow) or
+        # "distributed" (a Ray write)
+        "regimes": {k: m["regime"] for k, m in manifests.items()},
         "quarantined": quarantined,
     }
     print(json.dumps(summary))

@@ -4,8 +4,11 @@ Every small input takes the driver regime by default, so each test here
 also forces the distributed regime with ``driver_threshold=0`` and
 compares the two: as row sets, or in exact order where the API promises
 one.
-The last test counts the sort/groupby exchanges of a small in-memory
-build after canonicalize: there are none.
+One test counts the sort/groupby exchanges of a small in-memory build
+after canonicalize: there are none.  The last tests compare whole builds
+with each stage's driver kernel against its Dataset path (stage bounds
+monkeypatched to -1), and count the Ray executors a small build starts
+after canonicalize: only the export's ``text_units`` write.
 """
 
 import json
@@ -328,3 +331,162 @@ def test_empty_checkpoint_round_trip_runs_no_execution(tmp_path, monkeypatch):
     assert back.schema().base_schema == CKPT.schema
     assert manifest["rows"] == 0 and manifest["regime"] == "driver"
     assert executions == []
+
+
+def _count_executors(monkeypatch, phase: dict | None = None):
+    """Record every Ray executor start (every execution, eager or
+    streaming, starts one) as (phase, checkpoint stage being written)."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from knowledge_graph_ray.state import checkpoint
+
+    started = []
+    writing = {"stage": None}
+    create_executor = ExecutionPlan.create_executor
+    write_checkpoint = checkpoint.write_checkpoint
+
+    def counting(self, *args, **kwargs):
+        started.append(((phase or {}).get("p"), writing["stage"]))
+        return create_executor(self, *args, **kwargs)
+
+    def tracked_write(ds, path, *args, stage=None, **kwargs):
+        writing["stage"] = stage
+        try:
+            return write_checkpoint(ds, path, *args, stage=stage, **kwargs)
+        finally:
+            writing["stage"] = None
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", counting)
+    monkeypatch.setattr(checkpoint, "write_checkpoint", tracked_write)
+    return started
+
+
+def test_hash_join_of_materialized_inputs_starts_no_executor(monkeypatch):
+    """Two small materialized sides are joined on the driver: no Ray
+    executor starts, and the rows equal the forced distributed join."""
+    expected = {
+        how: _row_set(hash_join(_blocks(LEFT), _blocks(RIGHT), on=["k", "j"],
+                                how=how, num_partitions=4, driver_threshold=0))
+        for how in HOWS
+    }
+    sides = {how: (_blocks(LEFT).materialize(), _blocks(RIGHT).materialize())
+             for how in HOWS}
+    started = _count_executors(monkeypatch)
+    joined = {how: hash_join(*sides[how], on=["k", "j"], how=how)
+              for how in HOWS}
+    assert started == []
+    for how in HOWS:
+        assert _row_set(joined[how]) == expected[how], how
+
+
+def _force_dataset_path(monkeypatch):
+    """Bounds of -1: every graph-tail stage takes its Dataset path."""
+    from knowledge_graph_ray.functions import grouping
+    from knowledge_graph_ray.stages import community, report
+
+    monkeypatch.setattr(grouping, "DRIVER_THRESHOLD", -1)
+    monkeypatch.setattr(community, "CLUSTER_DRIVER_THRESHOLD", -1)
+    monkeypatch.setattr(report, "REPORT_DRIVER_THRESHOLD", -1)
+
+
+def _exported(out_dir):
+    """table -> (rows in file order, Parquet schemas) of an export."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    tables = {}
+    for name in sorted(os.listdir(out_dir)):
+        path = os.path.join(out_dir, name)
+        files = sorted(f for f in os.listdir(path) if f.endswith(".parquet"))
+        parts = [pq.read_table(os.path.join(path, f)) for f in files]
+        tables[name] = (
+            [json.dumps(r, sort_keys=True, default=str)
+             for t in parts for r in t.to_pylist()],
+            {t.schema.remove_metadata() for t in parts},
+        )
+    return tables
+
+
+REGIME_CASES = {
+    "lcc": (200, {}, {}),
+    "no_lcc": (200, {"use_lcc": False}, {}),
+    "leiden": (200, {"clustering_algorithm": "leiden", "max_cluster_size": 4}, {}),
+    "claims": (100, {"extract_claims": True}, {}),
+    "empty": (0, {}, {}),
+    # no relationship verbs: entities but no relationships
+    "isolated": (100, {"use_lcc": False}, {"rel_verbs": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGIME_CASES))
+def test_build_regimes_agree(tmp_path, monkeypatch, case):
+    """A small build + export with each stage's driver kernel equals the
+    same build with every stage forced onto its Dataset path: same row
+    sets and Parquet schemas for every table, and the same entity and
+    relationship rows in the same order (``human_readable_id``, ``id``).
+    A stage whose inputs have no rows runs its kernel in both builds."""
+    from knowledge_graph_ray.config import PipelineConfig
+    from knowledge_graph_ray.corpus import read_corpus
+    from knowledge_graph_ray.pipelines.build import (
+        build_knowledge_graph,
+        export_tables,
+    )
+
+    docs, cfg, extractor_kwargs = REGIME_CASES[case]
+    config = PipelineConfig(chunk_size=64, chunk_overlap=16, **cfg)
+
+    def export(name):
+        tables = build_knowledge_graph(
+            read_corpus(docs, seed=5, shard_size=100), config,
+            **extractor_kwargs)
+        export_tables(tables, str(tmp_path / name))
+        return _exported(str(tmp_path / name))
+
+    kernels = export("kernels")
+    _force_dataset_path(monkeypatch)
+    datasets = export("datasets")
+    assert sorted(kernels) == sorted(datasets)
+    for name, (rows, schemas) in kernels.items():
+        rows0, schemas0 = datasets[name]
+        assert schemas == schemas0, name
+        if name in ("entities", "relationships"):
+            assert rows == rows0, name
+        else:
+            assert sorted(rows) == sorted(rows0), name
+    if docs:
+        assert kernels["entities"][0]
+    if case == "isolated":
+        assert kernels["relationships"][0] == []
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+def test_small_build_tail_starts_no_executor(tmp_path, monkeypatch, checkpointed):
+    """After ``_canonical_core`` returns, a small build + export starts
+    one Ray executor: the export's write of the lazy ``text_units``.
+    Every graph-tail stage runs its kernel on the driver, and every
+    other table is written with pyarrow."""
+    from knowledge_graph_ray.config import PipelineConfig
+    from knowledge_graph_ray.corpus import read_corpus
+    from knowledge_graph_ray.pipelines import build
+
+    phase = {"p": "core"}
+    started = _count_executors(monkeypatch, phase)
+    core = build._canonical_core
+
+    def core_then_tail(*args, **kwargs):
+        out = core(*args, **kwargs)
+        phase["p"] = "tail"
+        return out
+
+    monkeypatch.setattr(build, "_canonical_core", core_then_tail)
+    tables = build.build_knowledge_graph(
+        read_corpus(200, seed=5, shard_size=100),
+        PipelineConfig(chunk_size=64, chunk_overlap=16),
+        checkpoint_dir=str(tmp_path / "ckpt") if checkpointed else None)
+    phase["p"] = "export"
+    manifests = build.export_tables(tables, str(tmp_path / "out"))
+    assert manifests["communities"]["rows"] > 0
+    assert [s for s in started if s[0] != "core"] == [("export", "text_units")]
+    assert {name for name, m in manifests.items()
+            if m["regime"] == "distributed"} == {"text_units"}

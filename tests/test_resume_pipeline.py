@@ -261,8 +261,9 @@ def test_resume_without_hierarchy_stage_writes_it(small_checkpointed_build,
 def test_full_resume_reads_small_checkpoints_on_driver(small_checkpointed_build,
                                                        tmp_path, monkeypatch):
     """A full resume + export of a small build reads no checkpoint
-    through ray.data.read_parquet, and only the lazy tables (text units,
-    the indexed entities and relationships) are written through Ray."""
+    through ray.data.read_parquet, and only the lazy table (text units)
+    is written through Ray: the export indexes the small materialized
+    entities and relationships on the driver."""
     import traceback
 
     ckpt, first = small_checkpointed_build
@@ -282,8 +283,8 @@ def test_full_resume_reads_small_checkpoints_on_driver(small_checkpointed_build,
     regimes = {name: m["regime"] for name, m in manifests.items()}
     assert regimes == {
         "text_units": "distributed",
-        "entities": "distributed",
-        "relationships": "distributed",
+        "entities": "driver",
+        "relationships": "driver",
         "communities": "driver",
         "community_reports": "driver",
         "community_hierarchy": "driver",
