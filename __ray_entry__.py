@@ -1,8 +1,9 @@
 """Driver contract for the Ray-Data KG construction engine.
 
 ``entry()`` runs the flagship KG pipeline on sf0.001; ``queries()`` /
-``oracle_sql()`` expose every SQL-checkable operator (SURVEY.md §2)
-implemented in knowledge_graph_ray.pipelines.queries.
+``oracle_sql()`` expose the KG queries of
+knowledge_graph_ray.pipelines.queries: the SQL-checkable gates with
+their DuckDB oracles first, then the rows-only stages.
 
 Ray is initialised by the driver BEFORE this module is imported — no
 ray.init()/shutdown() here or in the library.

@@ -9,7 +9,7 @@ hierarchical community detection + report generation, and materialized,
 adjacency-sharded triple tables with per-partition lineage manifests.
 
 Never calls ``ray.init()`` — sessions are owned by the caller
-(bench.py / tests / the driver).
+(kgbench / scripts / tests / the driver).
 """
 
 import os as _os

@@ -80,8 +80,3 @@ class PipelineConfig:
     # actor pool for expensive extractor state (LLM); task pool + per-
     # process cache for cheap pattern extractors (see stages/extract.py)
     extract_use_actor_pool: bool = True
-    # single-pass G1+G2 canonicalize (stages/canonicalize.canonicalize_
-    # fused): both combiners run while extraction streams and only
-    # partial rows cross the barrier — the raw mention table is never
-    # materialized (use when mentions aren't a needed artifact)
-    fused_canonicalize: bool = False

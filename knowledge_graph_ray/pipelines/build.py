@@ -67,23 +67,6 @@ def _canonical_core(text_units, mentions, cfg: PipelineConfig,
     """Lazy (text_units, mentions) -> canonical entity/relationship
     tables.  Executes extraction exactly once: the mentions are pinned
     (or checkpointed) before the G1/G2 merges read them."""
-    if cfg.fused_canonicalize and mentions_checkpoint is None:
-        # barrier-free path: both combiners stream inside one pass; the
-        # returned mentions dataset stays LAZY (consuming it re-runs
-        # extraction) — use only when mentions aren't a needed artifact
-        from knowledge_graph_ray.stages.canonicalize import canonicalize_fused
-
-        entities, relationships = canonicalize_fused(
-            mentions,
-            max_descriptions=cfg.max_descriptions_per_key,
-            max_sources=cfg.max_sources_per_key,
-        )
-        return GraphTables(
-            text_units=text_units,
-            mentions=mentions,
-            entities=entities,
-            relationships=relationships,
-        )
     if mentions_checkpoint is not None:
         from knowledge_graph_ray.state.checkpoint import checkpoint_or_compute
 

@@ -127,6 +127,28 @@ COMMUNITY_REPORT_SUMMARIZATION_PROMPT = (
 )
 
 _CAP_RE = re.compile(r"\b[A-Z][a-zA-Z&]+(?:\s+[A-Z][a-zA-Z&]+)*\b")
+_CJK_RE = re.compile(r"[一-鿿]")
+
+# small closed stopword tables per language (stopword-hit language id)
+_STOPWORDS = {
+    "en": {"the", "and", "of", "to", "a", "in", "is", "that", "it", "for"},
+    "fr": {"le", "la", "et", "les", "des", "un", "une", "du", "est", "que"},
+    "es": {"el", "los", "las", "y", "una", "es", "por", "con", "para", "del"},
+    "de": {"der", "die", "das", "und", "ist", "ein", "eine", "nicht", "mit", "zu"},
+}
+
+
+def _language_of(tokens: list[str], text: str) -> str:
+    """Language with the most stopword hits in the first 200 tokens."""
+    if _CJK_RE.search(text):
+        return "zh"
+    lower = [t.lower() for t in tokens[:200]]
+    best, best_hits = "en", -1
+    for lang, stops in _STOPWORDS.items():
+        hits = sum(1 for t in lower if t in stops)
+        if hits > best_hits:
+            best, best_hits = lang, hits
+    return best if best_hits > 0 else "unknown"
 
 
 class DeterministicPromptModel:
@@ -146,14 +168,9 @@ class DeterministicPromptModel:
             top = [w for w, _ in collections.Counter(words).most_common(3)]
             return " ".join(top) if top else "general knowledge"
         if text.startswith("Name the primary natural language"):
-            try:
-                from knowledge_graph_ray.stages.textstats import TextAnalyzer
-
-                lang = TextAnalyzer()._langid(tokenize(body.lower()), body)
-                return {"en": "English", "de": "German", "fr": "French",
-                        "es": "Spanish"}.get(lang, "English")
-            except Exception:
-                return "English"
+            lang = _language_of(tokenize(body.lower()), body)
+            return {"en": "English", "de": "German", "fr": "French",
+                    "es": "Spanish"}.get(lang, "English")
         if text.startswith("Craft a one-paragraph expert persona"):
             task = text.split("that will ", 1)[-1].split(" Start the", 1)[0]
             return ("You are a senior analyst. You are skilled at careful "

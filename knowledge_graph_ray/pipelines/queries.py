@@ -1,10 +1,12 @@
-"""Driver-contract queries + DuckDB oracle SQL (SURVEY.md §2 coverage).
+"""Driver-contract queries + DuckDB oracle SQL for the KG engine.
 
-Every SQL-expressible operator gets a (ray_impl, oracle_sql) pair over
-the driver's parquet tables; column names and float rounding match
-EXACTLY between both sides (the driver hash-compares values after
-sorting columns by name).  Genuinely non-SQL ops (sketch-based dedup,
-approximate ANN, the full KG pipeline) are rows-only entries.
+Every SQL-checkable KG gate gets a (ray_impl, oracle_sql) pair over the
+driver's parquet tables; column names and float rounding match EXACTLY
+between both sides (the driver hash-compares values after sorting
+columns by name).  Genuinely non-SQL stages (the full KG pipeline,
+communities, graph embedding, prompt tuning, media features, search
+context) are rows-only entries.  ``QUERIES`` lists the oracled gates
+first, so every ``ORACLE_SQL`` key sits at the head of the registry.
 
 Token semantics note: the KG/text queries tokenize with ``split(' ')``
 on BOTH sides (DuckDB ``string_split``) — the engine's regex tokenizer
@@ -20,7 +22,6 @@ import pyarrow as pa
 import ray.data as rd
 
 from knowledge_graph_ray.corpus import docs_table_to_interleaved
-from knowledge_graph_ray.functions.numeric import round_half_away, scaled_int_column
 
 GAZETTEER = ["spark", "customer", "table", "window", "vector"]
 GAZETTEER_SQL = "(" + ", ".join(f"'{w}'" for w in GAZETTEER) + ")"
@@ -32,10 +33,6 @@ FLAGSHIP_GAZETTEER = [
 
 CHUNK_SIZE_Q = 32
 CHUNK_OVERLAP_Q = 8
-
-# dimension/key-set broadcast ceiling: above this row count the
-# size-adaptive joins switch from ray.put-broadcast to a shuffle path
-BROADCAST_KEYS_MAX = 5_000_000
 
 
 def _tune_streaming_gen_buffer(blocks: int = 64) -> None:
@@ -62,16 +59,6 @@ def _tune_streaming_gen_buffer(blocks: int = 64) -> None:
 
 
 _tune_streaming_gen_buffer()
-
-
-def _pq_rows(path: str) -> int:
-    """Exact row count from the parquet footer — a zero-scan
-    ``right_size_hint`` for size-adaptive joins whose right side is a
-    plain projection of a full-table read (skips the bounded probe
-    materialize entirely)."""
-    import pyarrow.parquet as pq
-
-    return pq.ParquetFile(path).metadata.num_rows
 
 
 def _docs(sf_dir: str):
@@ -250,233 +237,7 @@ FROM documents
 """
 
 
-# ------------------------------------------------------------ dedup queries
-
-
-def dedup_exact(sf_dir: str):
-    from knowledge_graph_ray.stages.dedup import exact_dedup
-
-    kept = exact_dedup(_docs(sf_dir), column="text", id_column="doc_id")
-    return kept.select_columns(["doc_id"])
-
-
-DEDUP_EXACT_SQL = "SELECT min(doc_id) AS doc_id FROM documents GROUP BY text"
-
-
-def dedup_ngram_jaccard(sf_dir: str):
-    from knowledge_graph_ray.stages.dedup import ngram_jaccard_pairs
-
-    pairs = ngram_jaccard_pairs(
-        _docs(sf_dir), threshold=0.04, ngram=2, partition_column="source"
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        # exact integer output: jaccard_e6 = round(n_inter*1e6/n_union),
-        # computed identically to the SQL oracle (no float-engine skew)
-        n_inter = batch.column("n_inter").to_pylist()
-        n_union = batch.column("n_union").to_pylist()
-        j6 = [round_half_away(i * 1_000_000.0 / u) for i, u in zip(n_inter, n_union)]
-        return pa.Table.from_pydict(
-            {
-                "a": batch.column("a").cast(pa.int64()),
-                "b": batch.column("b").cast(pa.int64()),
-                "jaccard_e6": pa.array(j6, type=pa.int64()),
-            }
-        )
-
-    return pairs.map_batches(finish, batch_format="pyarrow")
-
-
-DEDUP_NGRAM_JACCARD_SQL = """
-WITH toks AS (SELECT doc_id, source, string_split(text, ' ') AS ws FROM documents),
-bg AS (
-  SELECT doc_id, source,
-         list_distinct([ws[i] || ' ' || ws[i+1] for i in range(1, len(ws))]) AS bgs
-  FROM toks
-),
-bgx AS (SELECT doc_id, source, unnest(bgs) AS g FROM bg),
-inter AS (
-  SELECT a.doc_id AS da, b.doc_id AS db, count(*) AS n_inter
-  FROM bgx a JOIN bgx b ON a.source = b.source AND a.g = b.g AND a.doc_id < b.doc_id
-  GROUP BY a.doc_id, b.doc_id
-),
-sizes AS (SELECT doc_id, len(bgs) AS n FROM bg)
-SELECT least(da, db) AS a, greatest(da, db) AS b,
-       CAST(round(n_inter * 1000000.0 / (sa.n + sb.n - n_inter)) AS BIGINT) AS jaccard_e6
-FROM inter
-JOIN sizes sa ON sa.doc_id = da
-JOIN sizes sb ON sb.doc_id = db
-WHERE n_inter * 1.0 / (sa.n + sb.n - n_inter) >= 0.04
-"""
-
-
-def dedup_embedding_cosine(sf_dir: str):
-    from knowledge_graph_ray.stages.dedup import embedding_near_dup_pairs
-
-    pairs = embedding_near_dup_pairs(_emb(sf_dir), threshold=0.3)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        # ids only: DuckDB's list_cosine_similarity computes in float32 —
-        # the VALUE can't be made bit-identical across engines, membership
-        # at a threshold away from observed values is stable
-        return pa.Table.from_pydict(
-            {
-                "a": batch.column("a").cast(pa.int64()),
-                "b": batch.column("b").cast(pa.int64()),
-            }
-        )
-
-    return pairs.map_batches(finish, batch_format="pyarrow")
-
-
-DEDUP_EMBEDDING_COSINE_SQL = """
-SELECT a.vec_id AS a, b.vec_id AS b
-FROM embeddings a
-JOIN embeddings b ON a.label = b.label AND a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.3
-"""
-
-
-def dedup_sketch_recall(sf_dir: str):
-    """Sketch recall under the SQL gate: the exact n-gram-Jaccard pairs
-    at >= 0.5 that BOTH sketch paths (MinHash+LSH and SimHash) also
-    surface.  The oracle is the full exact pair set, so the query passes
-    iff sketch recall over high-similarity pairs is 100% — a driver-level
-    recall floor for the sketches (deterministic: seeded hashing).
-
-    Probability note: at j >= 0.5 with 16 bands x 4 rows the LSH
-    candidate probability is >= 1-(1-0.5^4)^16 ~ 0.645 in general, but
-    the planted near-dups in this corpus sit at j >= 0.9 where it is
-    1-5e-16; simhash hamming<=3 holds for them as well.
-    """
-    from knowledge_graph_ray.functions.joins import hash_join, project
-    from knowledge_graph_ray.stages.dedup import (
-        minhash_lsh_pairs,
-        minhash_signatures,
-        ngram_jaccard_pairs,
-        simhash_pairs,
-    )
-
-    docs = _docs(sf_dir)
-    exact = project(
-        ngram_jaccard_pairs(docs, threshold=0.5, ngram=2,
-                            partition_column="source"),
-        ["a", "b"],
-    )
-    mh = project(
-        minhash_lsh_pairs(
-            minhash_signatures(docs, num_perm=64, ngram=2),
-            num_bands=16, threshold=0.35,
-        ),
-        ["a", "b"],
-    )
-    sh = project(simhash_pairs(docs, max_hamming=3), ["a", "b"])
-    recalled = hash_join(
-        hash_join(exact, mh, on=["a", "b"], how="left_semi"),
-        sh, on=["a", "b"], how="left_semi",
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "a": batch.column("a").cast(pa.int64()),
-                "b": batch.column("b").cast(pa.int64()),
-            }
-        )
-
-    return recalled.map_batches(finish, batch_format="pyarrow")
-
-
-DEDUP_SKETCH_RECALL_SQL = """
-WITH toks AS (SELECT doc_id, source, string_split(text, ' ') AS ws FROM documents),
-bg AS (
-  SELECT doc_id, source,
-         list_distinct([ws[i] || ' ' || ws[i+1] for i in range(1, len(ws))]) AS bgs
-  FROM toks
-),
-bgx AS (SELECT doc_id, source, unnest(bgs) AS g FROM bg),
-inter AS (
-  SELECT a.doc_id AS da, b.doc_id AS db, count(*) AS n_inter
-  FROM bgx a JOIN bgx b ON a.source = b.source AND a.g = b.g AND a.doc_id < b.doc_id
-  GROUP BY a.doc_id, b.doc_id
-),
-sizes AS (SELECT doc_id, len(bgs) AS n FROM bg)
-SELECT least(da, db) AS a, greatest(da, db) AS b
-FROM inter
-JOIN sizes sa ON sa.doc_id = da
-JOIN sizes sb ON sb.doc_id = db
-WHERE n_inter * 1.0 / (sa.n + sb.n - n_inter) >= 0.5
-"""
-
-
-def dedup_groups(sf_dir: str):
-    """Duplicate-group labeling under the SQL gate: near-dup pairs
-    (exact n-gram Jaccard >= 0.04, same-source) -> connected components
-    via the DISTRIBUTED star contraction (driver_threshold=0 forces the
-    shuffle path, not the driver union-find fast path).  Oracle: a
-    recursive CTE computing min-reachable-label over the same edges —
-    component = lexicographic min doc_id string, matching the engine's
-    string-keyed components.
-    """
-    from knowledge_graph_ray.stages.dedup import duplicate_groups, ngram_jaccard_pairs
-
-    pairs = ngram_jaccard_pairs(
-        _docs(sf_dir), threshold=0.04, ngram=2, partition_column="source"
-    )
-    return duplicate_groups(pairs, driver_threshold=0)
-
-
-DEDUP_GROUPS_SQL = """
-WITH RECURSIVE
-toks AS (SELECT doc_id, source, string_split(text, ' ') AS ws FROM documents),
-bg AS (
-  SELECT doc_id, source,
-         list_distinct([ws[i] || ' ' || ws[i+1] for i in range(1, len(ws))]) AS bgs
-  FROM toks
-),
-bgx AS (SELECT doc_id, source, unnest(bgs) AS g FROM bg),
-inter AS (
-  SELECT a.doc_id AS da, b.doc_id AS db, count(*) AS n_inter
-  FROM bgx a JOIN bgx b ON a.source = b.source AND a.g = b.g AND a.doc_id < b.doc_id
-  GROUP BY a.doc_id, b.doc_id
-),
-sizes AS (SELECT doc_id, len(bgs) AS n FROM bg),
-edges AS (
-  SELECT CAST(least(da, db) AS VARCHAR) AS u, CAST(greatest(da, db) AS VARCHAR) AS v
-  FROM inter
-  JOIN sizes sa ON sa.doc_id = da
-  JOIN sizes sb ON sb.doc_id = db
-  WHERE n_inter * 1.0 / (sa.n + sb.n - n_inter) >= 0.04
-),
-edges_bi AS (
-  SELECT u, v FROM edges UNION ALL SELECT v AS u, u AS v FROM edges
-),
-nodes AS (SELECT u AS node FROM edges UNION SELECT v FROM edges),
-reach(node, lbl) AS (
-  SELECT node, node FROM nodes
-  UNION
-  SELECT e.v, r.lbl FROM reach r JOIN edges_bi e ON e.u = r.node
-)
-SELECT node AS name, min(lbl) AS component FROM reach GROUP BY node
-"""
-
-
-def dedup_minhash_lsh(sf_dir: str):
-    """Rows-only: MinHash+LSH near-dup pairs (sketch-based, not ANSI-SQL)."""
-    from knowledge_graph_ray.stages.dedup import minhash_lsh_pairs, minhash_signatures
-
-    sigs = minhash_signatures(_docs(sf_dir), num_perm=64, ngram=2)
-    return minhash_lsh_pairs(sigs, num_bands=16, threshold=0.5)
-
-
-def dedup_simhash(sf_dir: str):
-    """Rows-only: SimHash hamming<=3 near-dup pairs."""
-    from knowledge_graph_ray.stages.dedup import simhash_pairs
-
-    return simhash_pairs(_docs(sf_dir), max_hamming=3)
-
-
-# ------------------------------------------------------- similarity queries
+# ------------------------------------------------------- similarity query
 
 
 def _query_vector(sf_dir: str) -> np.ndarray:
@@ -494,7 +255,8 @@ def similarity_topk(sf_dir: str):
     top = brute_force_topk(_emb(sf_dir), _query_vector(sf_dir), k=10)
 
     def finish(batch: pa.Table) -> pa.Table:
-        # (vec_id, rk) only — see dedup_embedding_cosine on float32 skew
+        # (vec_id, rk) only: DuckDB's list_cosine_similarity computes in
+        # float32, so the score can't be bit-identical across engines
         return pa.Table.from_pydict(
             {
                 "vec_id": batch.column("vec_id").cast(pa.int64()),
@@ -516,767 +278,6 @@ FROM scored ORDER BY c DESC, vec_id LIMIT 10
 """
 
 
-def similarity_topk_ivf(sf_dir: str):
-    """Rows-only: approximate IVF variant of the same query."""
-    from knowledge_graph_ray.stages.similarity import (
-        ivf_assign,
-        ivf_topk,
-        train_centroids,
-    )
-
-    emb = _emb(sf_dir)
-    cents = train_centroids(emb, num_centroids=16, sample=1024, seed=6969)
-    assigned = ivf_assign(emb, cents).materialize()
-    return ivf_topk(assigned, cents, _query_vector(sf_dir), k=10, nprobe=4)
-
-
-# ------------------------------------------------------------- text queries
-
-
-def text_token_stats(sf_dir: str):
-    def stats(batch: pa.Table) -> pa.Table:
-        # vectorized in polars (Rust): split + list length / n_unique
-        import os
-
-        os.environ.setdefault("POLARS_MAX_THREADS", "1")
-        import polars as pl
-
-        toks = (
-            pl.from_arrow(batch.select(["text"]))
-            .get_column("text")
-            .fill_null("")
-            .str.split(" ")
-        )
-        return pa.Table.from_pydict(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n_tokens": toks.list.len().cast(pl.Int64).to_arrow(),
-                "n_distinct": toks.list.n_unique().cast(pl.Int64).to_arrow(),
-            }
-        )
-
-    return _docs(sf_dir).select_columns(["doc_id", "text"]).map_batches(
-        stats, batch_format="pyarrow"
-    )
-
-
-TEXT_TOKEN_STATS_SQL = """
-SELECT doc_id, len(string_split(text, ' ')) AS n_tokens,
-       len(list_distinct(string_split(text, ' '))) AS n_distinct
-FROM documents
-"""
-
-
-def text_lang_quality(sf_dir: str):
-    def per_doc(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # vectorized ' the ' containment with the same edge semantics as
-        # the SQL's ' '||text||' ' padding (last arg = separator)
-        padded = pc.binary_join_element_wise(
-            pa.scalar(" "), batch.column("text").cast(pa.string()),
-            pa.scalar(" "), pa.scalar(""),
-        )
-        has_the = pc.match_substring(padded, " the ").cast(pa.int64())
-        return pa.Table.from_pydict(
-            {
-                "lang": batch.column("lang"),
-                "n_chars": batch.column("n_chars"),
-                "has_the": has_the,
-            }
-        )
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    agg = grouped_agg(
-        _docs(sf_dir)
-        .select_columns(["lang", "n_chars", "text"])
-        .map_batches(per_doc, batch_format="pyarrow"),
-        ["lang"],
-        [
-            ("n_docs", None, "count"),
-            ("sum_chars", "n_chars", "sum"),
-            ("docs_with_the", "has_the", "sum"),
-        ],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        # exact-integer mean: sum(n_chars) is an exact int64, so the single
-        # float op round(sum*100/count) is bit-identical to the SQL oracle
-        sums = batch.column("sum_chars").to_pylist()
-        counts = batch.column("n_docs").to_pylist()
-        avg_e2 = [round_half_away(s * 100.0 / c) for s, c in zip(sums, counts)]
-        return pa.Table.from_pydict(
-            {
-                "lang": batch.column("lang"),
-                "n_docs": batch.column("n_docs").cast(pa.int64()),
-                "avg_chars_e2": pa.array(avg_e2, type=pa.int64()),
-                "docs_with_the": batch.column("docs_with_the").cast(pa.int64()),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-# CASTs everywhere: DuckDB types uncast sum(CASE...) as HUGEINT (int128),
-# which hash-mismatches the engine's int64 even when values are equal.
-TEXT_LANG_QUALITY_SQL = """
-SELECT lang, count(*) AS n_docs,
-       CAST(round(sum(n_chars) * 100.0 / count(*)) AS BIGINT) AS avg_chars_e2,
-       CAST(sum(CASE WHEN ' ' || text || ' ' LIKE '% the %' THEN 1 ELSE 0 END) AS BIGINT) AS docs_with_the
-FROM documents GROUP BY lang
-"""
-
-
-# ------------------------------------------------------------ events window
-
-
-def events_hourly_agg(sf_dir: str):
-    def windowed(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_us = batch.column("ts").cast(pa.int64())
-        window = pc.multiply(
-            pc.floor(pc.divide(ts_us, 3_600_000_000)).cast(pa.int64()), 3600
-        )
-        return pa.Table.from_pydict(
-            {
-                "event_type": batch.column("event_type"),
-                "window_start": window,
-                "value": batch.column("value"),
-            }
-        )
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    agg = grouped_agg(
-        rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["ts", "event_type", "value"])
-        .map_batches(windowed, batch_format="pyarrow"),
-        ["event_type", "window_start"],
-        [("n_events", None, "count"), ("sum_value", "value", "sum")],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        scaled = scaled_int_column(batch.column("sum_value"), 100.0)
-        idx = batch.schema.get_field_index("sum_value")
-        return batch.remove_column(idx).add_column(idx, "sum_value_cents", scaled)
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_HOURLY_AGG_SQL = """
-SELECT event_type, CAST(floor(epoch(ts) / 3600) * 3600 AS BIGINT) AS window_start,
-       count(*) AS n_events, CAST(round(sum(value) * 100) AS BIGINT) AS sum_value_cents
-FROM events GROUP BY event_type, window_start
-"""
-
-
-def events_sliding_agg(sf_dir: str):
-    """Sliding windows (1h window, 15min slide): each event lands in 4
-    overlapping windows (stages/windows.sliding_window_agg — vectorized
-    per-copy explode + tumbling groupby)."""
-    from knowledge_graph_ray.stages.windows import sliding_window_agg
-
-    agg = sliding_window_agg(
-        rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["ts", "event_type", "value"]),
-        window_seconds=3600, slide_seconds=900,
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        scaled = scaled_int_column(batch.column("sum_value"), 100.0)
-        idx = batch.schema.get_field_index("sum_value")
-        return batch.remove_column(idx).add_column(idx, "sum_value_cents", scaled)
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_SLIDING_AGG_SQL = """
-WITH e AS (
-  SELECT event_type, CAST(floor(epoch(ts)) AS BIGINT) AS t, value FROM events
-),
-w AS (
-  SELECT event_type, value,
-         (t // 900) * 900 - 900 * c.c AS window_start
-  FROM e, (SELECT unnest(range(4)) AS c) c
-  WHERE (t // 900) * 900 - 900 * c.c + 3600 > t
-)
-SELECT event_type, window_start, count(*) AS n_events,
-       CAST(round(sum(value) * 100) AS BIGINT) AS sum_value_cents
-FROM w GROUP BY event_type, window_start
-"""
-
-
-def events_value_quantiles(sf_dir: str):
-    """Exact grouped quantiles WITHOUT a global sort
-    (stages/sketches.grouped_quantiles: value-histogram groupby, shuffle
-    bounded by distinct (type, value) pairs)."""
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles
-
-    q = grouped_quantiles(
-        rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["event_type", "value"]),
-        "event_type", "value", qs=[0.5, 0.9, 0.99],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        scaled = scaled_int_column(batch.column("value"), 100.0)
-        q_e2 = scaled_int_column(batch.column("q"), 100.0)
-        return pa.Table.from_pydict(
-            {
-                "event_type": batch.column("event_type"),
-                "q_e2": q_e2,
-                "value_cents": scaled,
-            }
-        )
-
-    return q.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_VALUE_QUANTILES_SQL = """
-SELECT event_type, CAST(50 AS BIGINT) AS q_e2,
-       CAST(round(quantile_disc(value, 0.5) * 100) AS BIGINT) AS value_cents
-FROM events GROUP BY event_type
-UNION ALL
-SELECT event_type, CAST(90 AS BIGINT),
-       CAST(round(quantile_disc(value, 0.9) * 100) AS BIGINT)
-FROM events GROUP BY event_type
-UNION ALL
-SELECT event_type, CAST(99 AS BIGINT),
-       CAST(round(quantile_disc(value, 0.99) * 100) AS BIGINT)
-FROM events GROUP BY event_type
-"""
-
-
-def events_distinct_users(sf_dir: str):
-    """Exact distinct count per group (pair-distinct shuffle,
-    stages/sketches.grouped_distinct_count); the HLL sketch variant is
-    the scale path when distinct pairs are too many to shuffle
-    (events_distinct_users_hll)."""
-    from knowledge_graph_ray.stages.sketches import grouped_distinct_count
-
-    out = grouped_distinct_count(
-        rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["event_type", "user_id"]),
-        "event_type", "user_id",
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "event_type": batch.column("event_type"),
-                "n_distinct": batch.column("n_distinct").cast(pa.int64()),
-            }
-        )
-
-    return out.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_DISTINCT_USERS_SQL = """
-SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_distinct
-FROM events GROUP BY event_type
-"""
-
-
-def events_distinct_users_hll(sf_dir: str):
-    """Rows-only: HyperLogLog distinct estimate per event_type (fixed
-    4KB sketch per group on the wire regardless of cardinality;
-    accuracy asserted vs the exact path in pytest)."""
-    from knowledge_graph_ray.stages.sketches import grouped_hll_distinct
-
-    return grouped_hll_distinct(
-        rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["event_type", "user_id"]),
-        "event_type", "user_id",
-    )
-
-
-def events_distinct_users_hll_bound(sf_dir: str):
-    """HLL accuracy under the SQL gate (the dedup_sketch_recall pattern):
-    per event_type, emit the EXACT distinct count only when the HLL
-    estimate agrees within 5% (~3 sigma at p=12, se ~1.6%).  The oracle
-    is the exact count for ALL groups, so the query passes iff the
-    sketch is within bound for every group — a driver-level error floor
-    for the HLL path (deterministic: siphash with a fixed key via
-    ``pd.util.hash_pandas_object`` over dtype-canonicalized values)."""
-    from knowledge_graph_ray.functions.joins import hash_join
-    from knowledge_graph_ray.stages.sketches import (
-        grouped_distinct_count,
-        grouped_hll_distinct,
-    )
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "user_id"]).materialize()
-    exact = grouped_distinct_count(events, "event_type", "user_id")
-    est = grouped_hll_distinct(events, "event_type", "user_id")
-    joined = hash_join(exact, est, on=["event_type"], how="inner",
-                       num_partitions=8)
-
-    def within_bound(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        n = b.column("n_distinct").cast(pa.float64())
-        e = b.column("n_distinct_est").cast(pa.float64())
-        err = pc.divide(pc.abs(pc.subtract(e, n)), n)
-        ok = b.filter(pc.less_equal(err, pa.scalar(0.05)))
-        return pa.Table.from_pydict(
-            {
-                "event_type": ok.column("event_type"),
-                "n_distinct": ok.column("n_distinct").cast(pa.int64()),
-            }
-        )
-
-    return joined.map_batches(within_bound, batch_format="pyarrow")
-
-
-EVENTS_DISTINCT_USERS_HLL_BOUND_SQL = EVENTS_DISTINCT_USERS_SQL
-
-
-def events_asof_join(sf_dir: str):
-    """As-of join (backward): each purchase event paired with the same
-    user's latest click at-or-before it (stages/windows.asof_join_backward
-    — per-key searchsorted; an operator Ray Data lacks natively).
-    Emits the matched click's timestamp (-1 when none), which is
-    tie-stable even when several clicks share a second."""
-    from knowledge_graph_ray.stages.windows import asof_join_backward
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        mask = pc.is_in(batch.column("event_type"),
-                        value_set=pa.array(["purchase", "click"]))
-        b = batch.filter(mask)
-        ts_s = pc.divide(b.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.Table.from_pydict(
-            {
-                "event_id": b.column("event_id"),
-                "user_id": b.column("user_id"),
-                "ts_s": ts_s.cast(pa.int64()),
-                "event_type": b.column("event_type"),
-            }
-        )
-
-    # one parquet scan + one prep pass, materialized; the two sides are
-    # cheap filters over the pinned blocks.  project() not
-    # select_columns: two projected branches of one upstream in a fused
-    # union DAG lose their Project ops (see functions/joins.project)
-    from knowledge_graph_ray.functions.joins import project
-
-    raw = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "event_type"]
-    )
-    if raw.count() <= 500_000:  # metadata-only on a pure parquet read
-        # driver fast path: ONE execution (read+prep pull), then the
-        # same backward/last-dup-wins merge_asof rule the distributed
-        # bucket body applies (stages/windows.py bucket_body) — the
-        # sf0.01 oracle gates both regimes
-        df = raw.map_batches(prep, batch_format="pyarrow").to_pandas()
-        p = df[df["event_type"] == "purchase"].drop(columns=["event_type"])
-        c = df[df["event_type"] == "click"][["user_id", "ts_s"]]
-        rframe = c.assign(click_ts_s=c["ts_s"]).sort_values(
-            "ts_s", kind="stable"
-        )
-        merged = pd.merge_asof(
-            p.sort_values("ts_s", kind="stable"), rframe,
-            on="ts_s", by="user_id", direction="backward",
-        )
-        merged["click_ts_s"] = merged["click_ts_s"].fillna(-1).astype("int64")
-        out = merged[["event_id", "user_id", "ts_s", "click_ts_s"]].astype(
-            {"event_id": "int64", "user_id": "int64"}
-        )
-        return rd.from_arrow(pa.Table.from_pandas(out, preserve_index=False))
-
-    events = raw.map_batches(prep, batch_format="pyarrow").materialize()
-    purchases = project(
-        events.filter(expr="event_type == 'purchase'"),
-        ["event_id", "user_id", "ts_s"],
-    )
-    clicks = project(
-        events.filter(expr="event_type == 'click'"), ["user_id", "ts_s"]
-    )
-    # events.count() on the materialized prep is metadata-cheap and
-    # upper-bounds the tagged union (the two sides are filters of it)
-    joined = asof_join_backward(purchases, clicks, by="user_id", on="ts_s",
-                                driver_threshold=500_000,
-                                size_hint=events.count())
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "event_id": batch.column("event_id").cast(pa.int64()),
-                "user_id": batch.column("user_id").cast(pa.int64()),
-                "ts_s": batch.column("ts_s"),
-                "click_ts_s": batch.column("asof_ts_s").cast(pa.int64()),
-            }
-        )
-
-    return joined.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_ASOF_JOIN_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s, event_type
-  FROM events
-),
-p AS (SELECT event_id, user_id, ts_s FROM e WHERE event_type = 'purchase'),
-c AS (SELECT user_id, ts_s FROM e WHERE event_type = 'click')
-SELECT p.event_id, p.user_id, p.ts_s, COALESCE(c.ts_s, -1) AS click_ts_s
-FROM p ASOF LEFT JOIN c ON p.user_id = c.user_id AND p.ts_s >= c.ts_s
-"""
-
-
-def topk_customers_per_nation(sf_dir: str,
-                              broadcast_max: int = BROADCAST_KEYS_MAX):
-    """Grouped top-k (functions/grouping.grouped_topk — local per-batch
-    top-k combiner bounds the shuffle): top-3 customers by order revenue
-    within each nation.  The nation attach is size-adaptive: broadcast
-    lookup while customer fits, shuffle hash_join above."""
-    import ray
-
-    from knowledge_graph_ray.functions.grouping import grouped_topk
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    rev = grouped_agg(
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_custkey", "o_totalprice"]),
-        ["o_custkey"], [("revenue", "o_totalprice", "sum")],
-    )
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        scaled = scaled_int_column(batch.column("revenue"), 100.0)
-        return pa.Table.from_pydict(
-            {
-                "c_custkey": batch.column("o_custkey").cast(pa.int64()),
-                "revenue_cents": scaled,
-            }
-        )
-
-    rev = rev.map_batches(to_cents, batch_format="pyarrow")
-    customer = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
-    if customer.count() <= broadcast_max:
-        nation = customer.to_pandas().set_index("c_custkey")["c_nationkey"]
-        nation_ref = ray.put(nation)
-
-        def attach_nation(batch: pa.Table) -> pa.Table:
-            # inner-join semantics in BOTH regimes: drop rows whose key
-            # is absent from the dimension (reindex yields NaN there,
-            # which would otherwise crash the int64 Arrow build)
-            lookup = ray.get(nation_ref)
-            keys = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-            vals = lookup.reindex(keys)
-            matched = vals.notna().to_numpy()
-            if not matched.all():
-                batch = batch.filter(pa.array(matched))
-                vals = vals[matched]
-            return batch.append_column(
-                "c_nationkey", pa.array(vals.to_numpy(), type=pa.int64())
-            )
-
-        joined = rev.map_batches(attach_nation, batch_format="pyarrow")
-    else:
-        from knowledge_graph_ray.functions.joins import hash_join, project
-
-        joined = hash_join(
-            rev,
-            project(customer,
-                    {"c_custkey": "c_custkey", "c_nationkey": "c_nationkey"}),
-            on=["c_custkey"], how="inner",
-        )
-    # topk partials are bounded by k x groups x batches <= input rows;
-    # the orders row count (parquet metadata, free) proves smallness here
-    top = grouped_topk(joined, ["c_nationkey"], "revenue_cents", k=3,
-                       descending=True, tie_cols=["c_custkey"],
-                       driver_threshold=500_000,
-                       size_hint=rd.read_parquet(
-                           f"{sf_dir}/orders.parquet",
-                           columns=["o_custkey"]).count())
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "c_nationkey": batch.column("c_nationkey").cast(pa.int64()),
-                "c_custkey": batch.column("c_custkey").cast(pa.int64()),
-                "revenue_cents": batch.column("revenue_cents"),
-                "rk": batch.column("rk").cast(pa.int64()),
-            }
-        )
-
-    return top.map_batches(finish, batch_format="pyarrow")
-
-
-TOPK_CUSTOMERS_PER_NATION_SQL = """
-WITH rev AS (
-  SELECT o_custkey AS c_custkey,
-         CAST(round(sum(o_totalprice) * 100) AS BIGINT) AS revenue_cents
-  FROM orders GROUP BY o_custkey
-),
-ranked AS (
-  SELECT CAST(c_nationkey AS BIGINT) AS c_nationkey, rev.c_custkey,
-         revenue_cents,
-         row_number() OVER (PARTITION BY c_nationkey
-                            ORDER BY revenue_cents DESC, rev.c_custkey) AS rk
-  FROM rev JOIN customer USING (c_custkey)
-)
-SELECT c_nationkey, c_custkey, revenue_cents, CAST(rk AS BIGINT) AS rk
-FROM ranked WHERE rk <= 3
-"""
-
-
-# --------------------------------------------------------- relational suite
-
-
-def agg_pricing_summary(sf_dir: str):
-    def revenue(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        disc = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        return batch.append_column("disc_price", disc)
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    agg = grouped_agg(
-        rd.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_returnflag", "l_linestatus", "l_quantity",
-                     "l_extendedprice", "l_discount"],
-        ).map_batches(revenue, batch_format="pyarrow"),
-        ["l_returnflag", "l_linestatus"],
-        [
-            ("sum_qty", "l_quantity", "sum"),
-            ("sum_base_price", "l_extendedprice", "sum"),
-            ("sum_disc_price", "disc_price", "sum"),
-            ("avg_disc", "l_discount", "mean"),
-            ("count_order", None, "count"),
-        ],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        for col, new, scale in [
-            ("sum_qty", "sum_qty_cents", 100.0),
-            ("sum_base_price", "sum_base_price_cents", 100.0),
-            ("sum_disc_price", "sum_disc_price_cents", 100.0),
-            ("avg_disc", "avg_disc_e4", 10000.0),
-        ]:
-            scaled = scaled_int_column(batch.column(col), scale)
-            idx = batch.schema.get_field_index(col)
-            batch = batch.remove_column(idx).add_column(idx, new, scaled)
-        return batch
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-AGG_PRICING_SUMMARY_SQL = """
-SELECT l_returnflag, l_linestatus,
-       CAST(round(sum(l_quantity) * 100) AS BIGINT) AS sum_qty_cents,
-       CAST(round(sum(l_extendedprice) * 100) AS BIGINT) AS sum_base_price_cents,
-       CAST(round(sum(l_extendedprice * (1 - l_discount)) * 100) AS BIGINT) AS sum_disc_price_cents,
-       CAST(round(avg(l_discount) * 10000) AS BIGINT) AS avg_disc_e4,
-       count(*) AS count_order
-FROM lineitem GROUP BY l_returnflag, l_linestatus
-"""
-
-
-def join_revenue_by_segment(sf_dir: str, broadcast_max: int = BROADCAST_KEYS_MAX):
-    """Dimension join, size-adaptive: customer is broadcast once via
-    ray.put and looked up vectorized per batch while it fits
-    (``broadcast_max`` rows); above that it becomes a partitioned
-    shuffle hash_join — the same query stays correct at 100x."""
-    import ray
-
-    customer = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-    )
-
-    if customer.count() <= broadcast_max:
-        seg = customer.to_pandas().set_index("c_custkey")["c_mktsegment"]
-        seg_ref = ray.put(seg)
-
-        # task pool, not actor pool: the lookup holds no expensive state
-        # (ray.get of a plasma ref is node-local cached) and a fresh
-        # actor pool costs ~2-4s startup for sub-second work
-        def attach_segment(batch: pa.Table) -> pa.Table:
-            # inner-join semantics in BOTH regimes: drop unmatched keys
-            # (reindex yields NaN, which would crash the string Arrow
-            # build) so broadcast and shuffle paths return the same rows
-            lookup = ray.get(seg_ref)
-            keys = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-            segs = lookup.reindex(keys)
-            matched = segs.notna().to_numpy()
-            if not matched.all():
-                batch = batch.filter(pa.array(matched))
-                segs = segs[matched]
-            return batch.append_column(
-                "c_mktsegment", pa.array(segs.to_numpy(), type=pa.string())
-            )
-
-        joined = orders.map_batches(attach_segment, batch_format="pyarrow")
-    else:
-        from knowledge_graph_ray.functions.joins import hash_join, project
-
-        joined = hash_join(
-            project(orders, {"o_custkey": "c_custkey",
-                             "o_totalprice": "o_totalprice"}),
-            customer,
-            on=["c_custkey"],
-            how="inner",
-        )
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    agg = grouped_agg(
-        joined, ["c_mktsegment"],
-        [("n_orders", None, "count"), ("revenue", "o_totalprice", "sum")],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        scaled = scaled_int_column(batch.column("revenue"), 100.0)
-        idx = batch.schema.get_field_index("revenue")
-        return batch.remove_column(idx).add_column(idx, "revenue_cents", scaled)
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-JOIN_REVENUE_BY_SEGMENT_SQL = """
-SELECT c_mktsegment, count(*) AS n_orders,
-       CAST(round(sum(o_totalprice) * 100) AS BIGINT) AS revenue_cents
-FROM orders JOIN customer ON o_custkey = c_custkey
-GROUP BY c_mktsegment
-"""
-
-
-def topk_parts_by_quantity(sf_dir: str):
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    agg = grouped_agg(
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_partkey", "l_quantity"]),
-        ["l_partkey"], [("total_qty", "l_quantity", "sum")],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        scaled = scaled_int_column(batch.column("total_qty"), 100.0)
-        idx = batch.schema.get_field_index("total_qty")
-        return batch.remove_column(idx).add_column(idx, "total_qty_cents", scaled)
-
-    return (
-        agg.map_batches(finish, batch_format="pyarrow")
-        .sort(["total_qty_cents", "l_partkey"], descending=[True, False])
-        .limit(10)
-    )
-
-
-TOPK_PARTS_SQL = """
-SELECT l_partkey, CAST(round(sum(l_quantity) * 100) AS BIGINT) AS total_qty_cents
-FROM lineitem GROUP BY l_partkey
-ORDER BY sum(l_quantity) DESC, l_partkey LIMIT 10
-"""
-
-
-def antijoin_customers_without_orders(sf_dir: str,
-                                      broadcast_max: int = BROADCAST_KEYS_MAX):
-    """Anti-join, size-adaptive.  Small fact side: broadcast the key set
-    (ray.put once, vectorized np.isin per batch).  Large fact side: a
-    partitioned shuffle — per-batch distinct keys, a small groupby to
-    global-distinct, then hash_join(how='left_anti')-style null flagging.
-    Reported per nation so the output is non-empty even when every
-    customer has orders."""
-    import ray
-
-    orders_keys = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
-    customer = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
-
-    if orders_keys.count() <= broadcast_max:
-        custkeys = np.unique(
-            orders_keys.to_pandas()["o_custkey"].to_numpy()
-        )
-        keys_ref = ray.put(custkeys)
-
-        def flag_no_orders(batch: pa.Table) -> pa.Table:
-            known = ray.get(keys_ref)  # sorted unique array, node-cached
-            keys = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-            has = np.isin(keys, known)
-            return pa.Table.from_pydict(
-                {
-                    "c_nationkey": batch.column("c_nationkey").cast(pa.int64()),
-                    "no_orders": pa.array(
-                        (~has).astype(np.int64), type=pa.int64()
-                    ),
-                }
-            )
-
-        flagged = customer.map_batches(flag_no_orders, batch_format="pyarrow")
-    else:
-        from knowledge_graph_ray.functions.joins import hash_join
-
-        # per-batch distinct bounds the shuffle; groupby makes it global
-        def batch_distinct(b: pa.Table) -> pa.Table:
-            return pa.Table.from_pydict(
-                {"c_custkey": np.unique(b.column("o_custkey").to_numpy(zero_copy_only=False))}
-            )
-
-        from knowledge_graph_ray.functions.agg import grouped_agg
-
-        distinct = grouped_agg(
-            orders_keys.map_batches(batch_distinct, batch_format="pyarrow"),
-            ["c_custkey"], [("ord_marker", None, "count")],
-        )
-        joined = hash_join(
-            customer, distinct, on=["c_custkey"], how="left_outer"
-        )
-
-        def flag(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return pa.Table.from_pydict(
-                {
-                    "c_nationkey": b.column("c_nationkey").cast(pa.int64()),
-                    "no_orders": pc.if_else(
-                        pc.is_null(b.column("ord_marker")),
-                        pa.scalar(1, type=pa.int64()),
-                        pa.scalar(0, type=pa.int64()),
-                    ),
-                }
-            )
-
-        flagged = joined.map_batches(flag, batch_format="pyarrow")
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    return grouped_agg(
-        flagged, ["c_nationkey"],
-        [("n_customers", None, "count"),
-         ("n_without_orders", "no_orders", "sum")],
-    )
-
-
-ANTIJOIN_CUSTOMERS_SQL = """
-SELECT CAST(c_nationkey AS BIGINT) AS c_nationkey, count(*) AS n_customers,
-       CAST(sum(CASE WHEN NOT EXISTS (SELECT 1 FROM orders WHERE o_custkey = c_custkey)
-                THEN 1 ELSE 0 END) AS BIGINT) AS n_without_orders
-FROM customer GROUP BY c_nationkey
-"""
-
-
 # -------------------------------------------------------------- KG flagship
 
 
@@ -1290,12 +291,9 @@ def kg_pipeline_entities(sf_dir: str):
     from knowledge_graph_ray.stages.extract import CooccurrenceExtractor
 
     docs = _docs(sf_dir).map_batches(docs_table_to_interleaved, batch_format="pyarrow")
-    # fused G1+G2: the flagship consumes only the canonical tables, so
-    # the raw mention stream never needs to materialize
     cfg = PipelineConfig(chunk_size=256, chunk_overlap=16,
                          extract_use_actor_pool=False,
-                         max_descriptions_per_key=32, max_sources_per_key=256,
-                         fused_canonicalize=True)
+                         max_descriptions_per_key=32, max_sources_per_key=256)
     tables = build_knowledge_graph(
         docs,
         cfg,
@@ -1435,1077 +433,6 @@ def kg_hierarchy(sf_dir: str):
                                num_partitions=8,
                                max_louvain_nodes=8).materialize()
     return community_hierarchy(comms, 8)
-
-
-QUERIES = {
-    "kg_entity_merge": kg_entity_merge,
-    "kg_edge_merge": kg_edge_merge,
-    "kg_degree": kg_degree,
-    "kg_text_units": kg_text_units,
-    "kg_pipeline_entities": kg_pipeline_entities,
-    "kg_communities": kg_communities,
-    "dedup_exact": dedup_exact,
-    "dedup_ngram_jaccard": dedup_ngram_jaccard,
-    "dedup_embedding_cosine": dedup_embedding_cosine,
-    "dedup_minhash_lsh": dedup_minhash_lsh,
-    "dedup_simhash": dedup_simhash,
-    "dedup_sketch_recall": dedup_sketch_recall,
-    "dedup_groups": dedup_groups,
-    "kg_hierarchy": kg_hierarchy,
-    "kg_incremental_entities": kg_incremental_entities,
-    "kg_graph_embedding": kg_graph_embedding,
-    "similarity_topk": similarity_topk,
-    "similarity_topk_ivf": similarity_topk_ivf,
-    "text_token_stats": text_token_stats,
-    "text_lang_quality": text_lang_quality,
-    "events_hourly_agg": events_hourly_agg,
-    "events_sliding_agg": events_sliding_agg,
-    "events_asof_join": events_asof_join,
-    "topk_customers_per_nation": topk_customers_per_nation,
-    "events_value_quantiles": events_value_quantiles,
-    "events_distinct_users": events_distinct_users,
-    "events_distinct_users_hll": events_distinct_users_hll,
-    "events_distinct_users_hll_bound": events_distinct_users_hll_bound,
-    "agg_pricing_summary": agg_pricing_summary,
-    "join_revenue_by_segment": join_revenue_by_segment,
-    "topk_parts_by_quantity": topk_parts_by_quantity,
-    "antijoin_customers_without_orders": antijoin_customers_without_orders,
-}
-
-ORACLE_SQL = {
-    "kg_entity_merge": KG_ENTITY_MERGE_SQL,
-    "kg_edge_merge": KG_EDGE_MERGE_SQL,
-    "kg_degree": KG_DEGREE_SQL,
-    "kg_text_units": KG_TEXT_UNITS_SQL,
-    "dedup_exact": DEDUP_EXACT_SQL,
-    "dedup_ngram_jaccard": DEDUP_NGRAM_JACCARD_SQL,
-    "dedup_embedding_cosine": DEDUP_EMBEDDING_COSINE_SQL,
-    "dedup_sketch_recall": DEDUP_SKETCH_RECALL_SQL,
-    "dedup_groups": DEDUP_GROUPS_SQL,
-    "kg_incremental_entities": KG_INCREMENTAL_ENTITIES_SQL,
-    "similarity_topk": SIMILARITY_TOPK_SQL,
-    "text_token_stats": TEXT_TOKEN_STATS_SQL,
-    "text_lang_quality": TEXT_LANG_QUALITY_SQL,
-    "events_hourly_agg": EVENTS_HOURLY_AGG_SQL,
-    "events_sliding_agg": EVENTS_SLIDING_AGG_SQL,
-    "events_asof_join": EVENTS_ASOF_JOIN_SQL,
-    "topk_customers_per_nation": TOPK_CUSTOMERS_PER_NATION_SQL,
-    "events_value_quantiles": EVENTS_VALUE_QUANTILES_SQL,
-    "events_distinct_users": EVENTS_DISTINCT_USERS_SQL,
-    "events_distinct_users_hll_bound": EVENTS_DISTINCT_USERS_HLL_BOUND_SQL,
-    "agg_pricing_summary": AGG_PRICING_SUMMARY_SQL,
-    "join_revenue_by_segment": JOIN_REVENUE_BY_SEGMENT_SQL,
-    "topk_parts_by_quantity": TOPK_PARTS_SQL,
-    "antijoin_customers_without_orders": ANTIJOIN_CUSTOMERS_SQL,
-}
-
-
-def events_sessionize(sf_dir: str):
-    """Session windows (30-min gap) per user — the stream-shaped operator
-    family (stages/windows.py); SQL oracle uses lag + cumulative sum."""
-    from knowledge_graph_ray.stages.windows import sessionize
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts", "value"])
-    # parquet metadata count: a free row-count upper bound, so the
-    # size-adaptive path never pays a probe barrier in either regime
-    return sessionize(events, gap_seconds=1800,
-                      driver_threshold=500_000, size_hint=events.count())
-
-
-EVENTS_SESSIONIZE_SQL = """
-WITH e AS (
-  SELECT user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s, value
-  FROM events
-),
-flagged AS (
-  SELECT *, CASE WHEN ts_s - lag(ts_s) OVER (PARTITION BY user_id ORDER BY ts_s) > 1800
-                 THEN 1 ELSE 0 END AS new_sess
-  FROM e
-),
-sessions AS (
-  SELECT *, sum(new_sess) OVER (PARTITION BY user_id ORDER BY ts_s
-                                ROWS UNBOUNDED PRECEDING) AS sess_id
-  FROM flagged
-)
-SELECT user_id, min(ts_s) AS session_start, max(ts_s) AS session_end,
-       count(*) AS n_events,
-       CAST(round(sum(value) * 100) AS BIGINT) AS sum_value_cents
-FROM sessions GROUP BY user_id, sess_id
-"""
-
-
-def join_revenue_by_brand(sf_dir: str):
-    """Partitioned hash join (functions/joins.hash_join) lineitem x part,
-    then groupby aggregate — the shuffle-join path under the SQL gate."""
-    from knowledge_graph_ray.functions.joins import hash_join
-
-    lineitem = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_extendedprice"]
-    )
-    from knowledge_graph_ray.functions.joins import project
-
-    part = project(
-        rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]),
-        {"p_partkey": "l_partkey", "p_brand": "p_brand"},
-    )
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    joined = hash_join(lineitem, part, on=["l_partkey"], how="inner", num_partitions=32)
-    agg = grouped_agg(
-        joined, ["p_brand"],
-        [("n_items", None, "count"), ("revenue", "l_extendedprice", "sum")],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        scaled = scaled_int_column(batch.column("revenue"), 100.0)
-        idx = batch.schema.get_field_index("revenue")
-        return batch.remove_column(idx).add_column(idx, "revenue_cents", scaled)
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-JOIN_REVENUE_BY_BRAND_SQL = """
-SELECT p_brand, count(*) AS n_items,
-       CAST(round(sum(l_extendedprice) * 100) AS BIGINT) AS revenue_cents
-FROM lineitem JOIN part ON l_partkey = p_partkey
-GROUP BY p_brand
-"""
-
-
-QUERIES["events_sessionize"] = events_sessionize
-QUERIES["join_revenue_by_brand"] = join_revenue_by_brand
-ORACLE_SQL["events_sessionize"] = EVENTS_SESSIONIZE_SQL
-ORACLE_SQL["join_revenue_by_brand"] = JOIN_REVENUE_BY_BRAND_SQL
-
-
-# ---------------------------------------------------------------------------
-# Round-3 additions: deterministic split / sample / pack (stages/sampling.py,
-# stages/packing.py) — the reproducible-selection family a training-data
-# pipeline needs; every query below is fully DuckDB-oracled.
-
-def split_documents(sf_dir: str):
-    """Deterministic train/val/test split (80/10/10, seed 6969) — the
-    multiplicative-hash label is recomputable row-locally and in SQL."""
-    from knowledge_graph_ray.stages.sampling import hash_split
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return hash_split(docs, "doc_id",
-                      {"train": 0.8, "val": 0.1, "test": 0.1}, seed=6969)
-
-
-def _split_sql() -> str:
-    # inline the EXACT integer thresholds the Ray path uses — computing
-    # 0.8+0.1 in SQL would round the float boundary differently
-    from knowledge_graph_ray.stages.sampling import split_thresholds
-
-    bounds = split_thresholds({"train": 0.8, "val": 0.1, "test": 0.1})
-    case = " ".join(
-        f"WHEN hv < {upper} THEN '{label}'" for label, upper in bounds[:-1]
-    )
-    return f"""
-WITH h AS (
-  SELECT doc_id,
-         ((((CAST(doc_id AS HUGEINT) % 4294967296) + 4294967296) % 4294967296) * 2654435761 + 6969)
-           % 4294967296 AS hv
-  FROM documents
-)
-SELECT doc_id, CASE {case} ELSE '{bounds[-1][0]}' END AS split FROM h
-"""
-
-
-SPLIT_DOCUMENTS_SQL = _split_sql()
-
-
-def sample_events_per_type(sf_dir: str):
-    """Deterministic 50-per-group uniform sample (rank-by-hash through
-    the grouped_topk combiner — shuffle bounded to n/group/batch)."""
-    from knowledge_graph_ray.stages.sampling import grouped_sample
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "event_type"])
-    return grouped_sample(ev, ["event_type"], "event_id", 50, seed=6969,
-                          driver_threshold=500_000, size_hint=ev.count())
-
-
-SAMPLE_EVENTS_PER_TYPE_SQL = """
-WITH h AS (
-  SELECT event_id, event_type,
-         ((((CAST(event_id AS HUGEINT) % 4294967296) + 4294967296) % 4294967296) * 2654435761 + 6969)
-           % 4294967296 AS hv
-  FROM events
-),
-r AS (
-  SELECT event_id, event_type,
-         row_number() OVER (PARTITION BY event_type ORDER BY hv, event_id) AS rk
-  FROM h
-)
-SELECT event_id, event_type, rk FROM r WHERE rk <= 50
-"""
-
-
-def pack_documents(sf_dir: str):
-    """Sequence packing (offset rule): pack_id = start_offset //
-    max_weight over the doc_id-sorted corpus — one sort + an O(blocks)
-    driver prefix-sum (functions/index.with_weight_offsets)."""
-    from knowledge_graph_ray.stages.packing import pack_by_offset
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "n_chars"])
-    return pack_by_offset(docs, "n_chars", 20_000, "doc_id")
-
-
-PACK_DOCUMENTS_SQL = """
-WITH o AS (
-  SELECT doc_id, n_chars,
-         CAST(COALESCE(sum(n_chars) OVER (ORDER BY doc_id
-                ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-              AS BIGINT) AS start_offset
-  FROM documents
-)
-SELECT doc_id, n_chars, start_offset, start_offset // 20000 AS pack_id FROM o
-"""
-
-
-QUERIES["split_documents"] = split_documents
-QUERIES["sample_events_per_type"] = sample_events_per_type
-QUERIES["pack_documents"] = pack_documents
-ORACLE_SQL["split_documents"] = SPLIT_DOCUMENTS_SQL
-ORACLE_SQL["sample_events_per_type"] = SAMPLE_EVENTS_PER_TYPE_SQL
-ORACLE_SQL["pack_documents"] = PACK_DOCUMENTS_SQL
-
-
-def decontaminate_documents(sf_dir: str):
-    """Benchmark decontamination composed with the deterministic split:
-    train docs (hash_split 80/10/10, seed 6969) sharing any 5-gram with
-    the held-out test split, with the distinct-shared-gram count.
-    Broadcast small side (test grams via ray.put), zero-shuffle train
-    scan — see stages/decontaminate.py."""
-    from knowledge_graph_ray.stages.decontaminate import contaminated_counts
-    from knowledge_graph_ray.stages.sampling import hash_split
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    labelled = hash_split(docs, "doc_id",
-                          {"train": 0.8, "val": 0.1, "test": 0.1}, seed=6969)
-    train = labelled.filter(expr="split == 'train'")
-    bench = labelled.filter(expr="split == 'test'")
-    return contaminated_counts(train, bench, n=5)
-
-
-def _decontaminate_sql(n: int = 5) -> str:
-    from knowledge_graph_ray.stages.sampling import split_thresholds
-
-    bounds = split_thresholds({"train": 0.8, "val": 0.1, "test": 0.1})
-    case = " ".join(
-        f"WHEN hv < {upper} THEN '{label}'" for label, upper in bounds[:-1]
-    )
-    gram = " || ' ' || ".join(
-        ["w"] + [f"lead(w, {i}) OVER win" for i in range(1, n)]
-    )
-    return f"""
-WITH s AS (
-  SELECT doc_id, text,
-         CASE {case} ELSE '{bounds[-1][0]}' END AS split
-  FROM (SELECT doc_id, text,
-               ((((CAST(doc_id AS HUGEINT) % 4294967296) + 4294967296) % 4294967296) * 2654435761 + 6969)
-                 % 4294967296 AS hv
-        FROM documents)
-),
-words AS (
-  SELECT doc_id, split, w, pos FROM (
-    SELECT doc_id, split,
-           unnest(regexp_split_to_array(lower(text), '\\W+')) AS w,
-           generate_subscripts(regexp_split_to_array(lower(text), '\\W+'), 1)
-             AS pos
-    FROM s) WHERE w <> ''
-),
-grams AS (
-  SELECT doc_id, split, {gram} AS g
-  FROM words WINDOW win AS (PARTITION BY doc_id ORDER BY pos)
-),
-bench AS (SELECT DISTINCT g FROM grams WHERE split = 'test' AND g IS NOT NULL)
-SELECT t.doc_id, count(DISTINCT t.g) AS n_shared
-FROM grams t JOIN bench b ON t.g = b.g
-WHERE t.split = 'train'
-GROUP BY t.doc_id
-"""
-
-
-DECONTAMINATE_DOCUMENTS_SQL = _decontaminate_sql()
-
-QUERIES["decontaminate_documents"] = decontaminate_documents
-ORACLE_SQL["decontaminate_documents"] = DECONTAMINATE_DOCUMENTS_SQL
-
-
-def upsample_documents_by_lang(sf_dir: str):
-    """Deterministic mixture reweighting: repeat each doc by a
-    per-language weight (en 1.0, zh 2.5, others 0.75) — floor copies
-    plus a hash-Bernoulli extra (stages/sampling.weighted_repeat);
-    stateless, no shuffle."""
-    from knowledge_graph_ray.stages.sampling import weighted_repeat
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang"])
-
-    def add_weight(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        lang = batch.column("lang")
-        w = pc.case_when(
-            pc.make_struct(pc.equal(lang, "en"), pc.equal(lang, "zh")),
-            1.0, 2.5, 0.75,
-        )
-        return batch.append_column("w", w)
-
-    weighted = docs.map_batches(add_weight, batch_format="pyarrow")
-    return weighted_repeat(weighted, "w", "doc_id", seed=6969)
-
-
-UPSAMPLE_DOCUMENTS_BY_LANG_SQL = """
-WITH c AS (
-  SELECT doc_id, lang,
-         CASE lang WHEN 'en' THEN 1.0 WHEN 'zh' THEN 2.5 ELSE 0.75 END AS w,
-         ((((CAST(doc_id AS HUGEINT) % 4294967296) + 4294967296) % 4294967296) * 2654435761 + 6969)
-           % 4294967296 AS hv
-  FROM documents
-),
-n AS (
-  SELECT doc_id, lang, w,
-         CAST(floor(w) AS BIGINT)
-           + CASE WHEN hv < CAST(floor((w - floor(w)) * 4294967296.0)
-                            AS HUGEINT) THEN 1 ELSE 0 END AS n_copies
-  FROM c
-)
-SELECT doc_id, lang, CAST(w AS DOUBLE) AS w,
-       unnest(generate_series(0, n_copies - 1)) AS copy_idx
-FROM n WHERE n_copies > 0
-"""
-
-QUERIES["upsample_documents_by_lang"] = upsample_documents_by_lang
-ORACLE_SQL["upsample_documents_by_lang"] = UPSAMPLE_DOCUMENTS_BY_LANG_SQL
-
-
-def training_data_prep(sf_dir: str):
-    """Flagship training-data composition, every step deterministic and
-    the whole chain one SQL oracle: exact-dedup (keep min doc_id per
-    text) -> hash split 80/10/10 -> drop train docs sharing a 5-gram
-    with the test split (broadcast, zero shuffle) -> per-language
-    mixture upsampling (hash-Bernoulli, seed 1234) -> offset-rule
-    sequence packing (budget 20k chars) over (doc_id, copy_idx) order.
-    Shuffle census: one content-hash exchange (dedup) + one sort
-    (packing); everything else is stateless map_batches."""
-    from knowledge_graph_ray.stages.decontaminate import drop_contaminated
-    from knowledge_graph_ray.stages.dedup import exact_dedup
-    from knowledge_graph_ray.stages.packing import pack_by_offset
-    from knowledge_graph_ray.stages.sampling import hash_split, weighted_repeat
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", "lang", "n_chars"])
-    uniq = exact_dedup(docs, column="text", id_column="doc_id")
-    labelled = hash_split(uniq, "doc_id",
-                          {"train": 0.8, "val": 0.1, "test": 0.1}, seed=6969)
-    train = labelled.filter(expr="split == 'train'")
-    bench = labelled.filter(expr="split == 'test'")
-    clean = drop_contaminated(train, bench, n=5)
-
-    def add_weight(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        lang = batch.column("lang")
-        w = pc.case_when(
-            pc.make_struct(pc.equal(lang, "en"), pc.equal(lang, "zh")),
-            1.0, 2.5, 0.75,
-        )
-        return batch.append_column("w", w)
-
-    ups = weighted_repeat(clean.map_batches(add_weight,
-                                            batch_format="pyarrow"),
-                          "w", "doc_id", seed=1234)
-    packed = pack_by_offset(
-        ups.select_columns(["doc_id", "lang", "copy_idx", "n_chars"]),
-        "n_chars", 20_000, ["doc_id", "copy_idx"],
-    )
-    return packed.select_columns(
-        ["doc_id", "lang", "copy_idx", "n_chars", "start_offset", "pack_id"]
-    )
-
-
-def _training_data_prep_sql(n: int = 5) -> str:
-    from knowledge_graph_ray.stages.sampling import split_thresholds
-
-    bounds = split_thresholds({"train": 0.8, "val": 0.1, "test": 0.1})
-    case = " ".join(
-        f"WHEN hv < {upper} THEN '{label}'" for label, upper in bounds[:-1]
-    )
-    gram = " || ' ' || ".join(
-        ["w"] + [f"lead(w, {i}) OVER win" for i in range(1, n)]
-    )
-    return f"""
-WITH uniq AS (
-  SELECT doc_id, text, lang, n_chars FROM documents
-  QUALIFY row_number() OVER (PARTITION BY text ORDER BY doc_id) = 1
-),
-s AS (
-  SELECT doc_id, text, lang, n_chars,
-         CASE {case} ELSE '{bounds[-1][0]}' END AS split
-  FROM (SELECT *,
-               ((((CAST(doc_id AS HUGEINT) % 4294967296) + 4294967296) % 4294967296) * 2654435761 + 6969)
-                 % 4294967296 AS hv
-        FROM uniq)
-),
-words AS (
-  SELECT doc_id, split, w, pos FROM (
-    SELECT doc_id, split,
-           unnest(regexp_split_to_array(lower(text), '\\W+')) AS w,
-           generate_subscripts(regexp_split_to_array(lower(text), '\\W+'), 1)
-             AS pos
-    FROM s WHERE split IN ('train', 'test')) WHERE w <> ''
-),
-grams AS (
-  SELECT doc_id, split, {gram} AS g
-  FROM words WINDOW win AS (PARTITION BY doc_id ORDER BY pos)
-),
-bench AS (SELECT DISTINCT g FROM grams WHERE split = 'test' AND g IS NOT NULL),
-clean AS (
-  SELECT doc_id, lang, n_chars FROM s
-  WHERE split = 'train' AND doc_id NOT IN (
-    SELECT DISTINCT t.doc_id FROM grams t JOIN bench b ON t.g = b.g
-    WHERE t.split = 'train')
-),
-ups AS (
-  SELECT doc_id, lang, n_chars,
-         unnest(generate_series(0, n_copies - 1)) AS copy_idx
-  FROM (
-    SELECT *, CAST(floor(w) AS BIGINT)
-             + CASE WHEN hv < CAST(floor((w - floor(w)) * 4294967296.0)
-                              AS HUGEINT) THEN 1 ELSE 0 END AS n_copies
-    FROM (SELECT doc_id, lang, n_chars,
-                 CASE lang WHEN 'en' THEN 1.0 WHEN 'zh' THEN 2.5
-                      ELSE 0.75 END AS w,
-                 ((((CAST(doc_id AS HUGEINT) % 4294967296) + 4294967296) % 4294967296) * 2654435761 + 1234)
-                   % 4294967296 AS hv
-          FROM clean))
-  WHERE n_copies > 0
-),
-o AS (
-  SELECT doc_id, lang, copy_idx, n_chars,
-         CAST(COALESCE(sum(n_chars) OVER (ORDER BY doc_id, copy_idx
-                ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-              AS BIGINT) AS start_offset
-  FROM ups
-)
-SELECT doc_id, lang, copy_idx, n_chars, start_offset,
-       start_offset // 20000 AS pack_id
-FROM o
-"""
-
-
-TRAINING_DATA_PREP_SQL = _training_data_prep_sql()
-
-QUERIES["training_data_prep"] = training_data_prep
-ORACLE_SQL["training_data_prep"] = TRAINING_DATA_PREP_SQL
-
-
-def events_range_join(sf_dir: str):
-    """Range join (interval count): each purchase opens a 2-hour
-    attribution window; count same-user clicks with
-    purchase_ts <= click_ts < purchase_ts + 2h (LEFT semantics, zero
-    counts kept).  One keyed shuffle + per-key double searchsorted —
-    stages/windows.interval_join_count."""
-    from knowledge_graph_ray.stages.windows import interval_join_count
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id", "event_type"])
-
-    def to_interval(batch: pa.Table) -> pa.Table:
-        t0 = batch.column("ts").cast(pa.int64())
-        t1 = pa.compute.add(t0, 2 * 3600 * 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "t0": t0, "t1": t1,
-        })
-
-    purchases = ev.filter(expr="event_type == 'purchase'").map_batches(
-        to_interval, batch_format="pyarrow")
-    clicks = ev.filter(expr="event_type == 'click'")
-    # purchases + clicks are disjoint subsets of events, so the parquet
-    # metadata count bounds the union input — the size-adaptive driver
-    # path (one pull + one vectorized pass) then skips the ~2s
-    # shuffle-round fixed cost at bench scale; the distributed path is
-    # regime-equivalent (sf0.01 oracle gates whichever runs)
-    joined = interval_join_count(purchases, clicks, by="user_id",
-                                 start_col="t0", end_col="t1", on="ts",
-                                 count_col="n_clicks",
-                                 driver_threshold=500_000,
-                                 size_hint=ev.count())
-    return joined.select_columns(["event_id", "user_id", "n_clicks"])
-
-
-EVENTS_RANGE_JOIN_SQL = """
-SELECT p.event_id, p.user_id, count(c.event_id) AS n_clicks
-FROM events p LEFT JOIN events c
-  ON c.user_id = p.user_id AND c.event_type = 'click'
- AND c.ts >= p.ts AND c.ts < p.ts + INTERVAL 2 HOUR
-WHERE p.event_type = 'purchase'
-GROUP BY p.event_id, p.user_id
-"""
-
-QUERIES["events_range_join"] = events_range_join
-ORACLE_SQL["events_range_join"] = EVENTS_RANGE_JOIN_SQL
-
-
-# ---------------------------------------------------------------------------
-# ranking / ordered-scan window functions (stages/ranking.py)
-
-
-def events_percent_rank(sf_dir: str):
-    """RANK + PERCENT_RANK of spend per user — the ranking-window family
-    (stages/ranking.window_rank): one shuffle on the high-cardinality
-    partition key, per-bucket vectorized pandas rank, no global sort."""
-    from knowledge_graph_ray.stages.ranking import window_rank
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "value"])
-    return window_rank(events, key="user_id", order_col="value",
-                      id_cols=["event_id"],
-                      driver_threshold=500_000, size_hint=events.count())
-
-
-EVENTS_PERCENT_RANK_SQL = """
-SELECT event_id, user_id, value,
-       CAST(rank() OVER (PARTITION BY user_id ORDER BY value) AS BIGINT) AS rk,
-       percent_rank() OVER (PARTITION BY user_id ORDER BY value) AS pct_rank
-FROM events
-"""
-
-
-def events_running_total(sf_dir: str):
-    """Running total (SUM ... ROWS UNBOUNDED PRECEDING) of cents per
-    user ordered by (ts, event_id) — exact integer prefix sums via
-    stages/ranking.running_sum; floats scaled to cents upstream so the
-    cumsum never drifts."""
-    from knowledge_graph_ray.stages.ranking import running_sum
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    return running_sum(prepped, key="user_id",
-                       order_cols=["ts_s", "event_id"], value_col="cents",
-                       out_col="running_cents",
-                       driver_threshold=500_000, size_hint=events.count())
-
-
-EVENTS_RUNNING_TOTAL_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id, ts_s, event_id, cents,
-       CAST(sum(cents) OVER (PARTITION BY user_id ORDER BY ts_s, event_id
-                             ROWS UNBOUNDED PRECEDING) AS BIGINT)
-         AS running_cents
-FROM e
-"""
-
-
-def events_user_gaps(sf_dir: str):
-    """LAG-delta aggregate (stages/ranking.ordered_gaps): per user the
-    max inter-event gap and the count of gaps > 30 min; output is
-    user-cardinality-sized regardless of input rows."""
-    from knowledge_graph_ray.stages.ranking import ordered_gaps
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts"])
-    return ordered_gaps(events, key="user_id", ts_col="ts",
-                        over_seconds=1800,
-                        driver_threshold=500_000, size_hint=events.count())
-
-
-EVENTS_USER_GAPS_SQL = """
-WITH e AS (
-  SELECT user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s FROM events
-),
-g AS (
-  SELECT user_id,
-         ts_s - lag(ts_s) OVER (PARTITION BY user_id ORDER BY ts_s) AS gap
-  FROM e
-)
-SELECT user_id, count(*) AS n_events,
-       coalesce(max(gap), -1) AS max_gap_s,
-       CAST(coalesce(sum(CASE WHEN gap > 1800 THEN 1 ELSE 0 END), 0)
-            AS BIGINT) AS n_gaps_over
-FROM g GROUP BY user_id
-"""
-
-QUERIES["events_percent_rank"] = events_percent_rank
-QUERIES["events_running_total"] = events_running_total
-QUERIES["events_user_gaps"] = events_user_gaps
-ORACLE_SQL["events_percent_rank"] = EVENTS_PERCENT_RANK_SQL
-ORACLE_SQL["events_running_total"] = EVENTS_RUNNING_TOTAL_SQL
-ORACLE_SQL["events_user_gaps"] = EVENTS_USER_GAPS_SQL
-
-
-# ---------------------------------------------------------------------------
-# corpus vocabulary statistics (stages/vocab.py)
-
-
-def text_vocabulary(sf_dir: str):
-    """Top-100 terms by document frequency — distinct-term explode with
-    a per-batch partial-count combiner (stages/vocab.document_frequency);
-    the final sort runs over the term-cardinality table, not the corpus."""
-    from knowledge_graph_ray.stages.vocab import top_vocabulary
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    return top_vocabulary(docs, k=100)
-
-
-TEXT_VOCABULARY_SQL = """
-WITH terms AS (
-  SELECT doc_id, t.term
-  FROM documents,
-       unnest(list_distinct(string_split(lower(text), ' '))) AS t(term)
-  WHERE t.term <> ''
-)
-SELECT term, count(*) AS df FROM terms GROUP BY term
-ORDER BY df DESC, term LIMIT 100
-"""
-
-
-def text_term_pmi(sf_dir: str):
-    """PMI-weighted co-occurrence over a bounded top-50 vocabulary —
-    the two-pass broadcast pattern (stages/vocab.term_cooccurrence_pmi):
-    vocab derived then ray.put-broadcast, pairs via vectorized per-batch
-    self-merge, output bounded at k^2/2 rows at any corpus size."""
-    from knowledge_graph_ray.stages.vocab import term_cooccurrence_pmi
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    return term_cooccurrence_pmi(docs, n_docs=docs.count(), vocab_k=50)
-
-
-TEXT_TERM_PMI_SQL = """
-WITH terms AS (
-  SELECT doc_id, t.term
-  FROM documents,
-       unnest(list_distinct(string_split(lower(text), ' '))) AS t(term)
-  WHERE t.term <> ''
-),
-df AS (SELECT term, count(*) AS df FROM terms GROUP BY term),
-vocab AS (SELECT term, df FROM df ORDER BY df DESC, term LIMIT 50),
-vt AS (SELECT terms.doc_id, terms.term FROM terms JOIN vocab USING (term)),
-pairs AS (
-  SELECT a.term AS term_a, b.term AS term_b, count(*) AS n_ab
-  FROM vt a JOIN vt b ON a.doc_id = b.doc_id AND a.term < b.term
-  GROUP BY 1, 2
-)
-SELECT term_a, term_b, n_ab, va.df AS df_a, vb.df AS df_b,
-       CAST(round(ln((CAST(n_ab AS DOUBLE) * (SELECT count(*) FROM documents))
-                     / (CAST(va.df AS DOUBLE) * vb.df)) * 1000000)
-            AS BIGINT) AS pmi_e6
-FROM pairs
-JOIN vocab va ON va.term = pairs.term_a
-JOIN vocab vb ON vb.term = pairs.term_b
-"""
-
-QUERIES["text_vocabulary"] = text_vocabulary
-QUERIES["text_term_pmi"] = text_term_pmi
-ORACLE_SQL["text_vocabulary"] = TEXT_VOCABULARY_SQL
-ORACLE_SQL["text_term_pmi"] = TEXT_TERM_PMI_SQL
-
-
-def documents_above_p90(sf_dir: str):
-    """Per-language long-tail selection: docs strictly longer than their
-    language's P90 char count — stages/sketches.quantile_threshold_filter
-    (group-quantile broadcast + stateless vectorized filter, no join)."""
-    from knowledge_graph_ray.stages.sketches import quantile_threshold_filter
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang", "n_chars"])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "lang": batch.column("lang"),
-            "n_chars": batch.column("n_chars"),
-            "p90_chars": batch.column("q_threshold").cast(pa.int64()),
-        })
-
-    return quantile_threshold_filter(
-        docs, group_col="lang", value_col="n_chars", q=0.9
-    ).map_batches(finish, batch_format="pyarrow")
-
-
-DOCUMENTS_ABOVE_P90_SQL = """
-WITH p AS (
-  SELECT lang, CAST(quantile_disc(n_chars, 0.9) AS BIGINT) AS p90_chars
-  FROM documents GROUP BY lang
-)
-SELECT doc_id, documents.lang, n_chars, p90_chars
-FROM documents JOIN p ON documents.lang = p.lang
-WHERE n_chars > p90_chars
-"""
-
-QUERIES["documents_above_p90"] = documents_above_p90
-ORACLE_SQL["documents_above_p90"] = DOCUMENTS_ABOVE_P90_SQL
-
-
-def documents_length_norm(sf_dir: str):
-    """Per-language min-max normalized doc length — the broadcast-
-    moments pattern (stages/sketches.group_minmax_normalize): one
-    combiner-compressed min/max groupby, thresholds ray.put-broadcast,
-    stateless vectorized normalize.  Integer operands make the single
-    division bit-identical to the SQL oracle."""
-    from knowledge_graph_ray.stages.sketches import group_minmax_normalize
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang", "n_chars"])
-    return group_minmax_normalize(docs, "lang", "n_chars",
-                                  out_col="len_norm")
-
-
-DOCUMENTS_LENGTH_NORM_SQL = """
-WITH s AS (
-  SELECT lang, min(n_chars) AS mn, max(n_chars) AS mx
-  FROM documents GROUP BY lang
-)
-SELECT doc_id, documents.lang, n_chars,
-       CASE WHEN mx > mn
-            THEN CAST(n_chars - mn AS DOUBLE) / (mx - mn)
-            ELSE 0.0 END AS len_norm
-FROM documents JOIN s ON documents.lang = s.lang
-"""
-
-
-def dedup_incremental(sf_dir: str):
-    """Incremental crawl dedup: drop NEW docs (odd doc_id) whose exact
-    text already exists in the PRIOR corpus (even doc_id) — a left_anti
-    hash_join on a 128-bit content fingerprint
-    (stages/dedup.anti_join_by_content_hash): the shuffle moves 16
-    bytes per row instead of full document text, the shape that matters
-    when the prior corpus is 100 TB."""
-    from knowledge_graph_ray.stages.dedup import anti_join_by_content_hash
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    # filter(expr=) handles only plain comparisons (ray-249 pitfalls);
-    # parity needs arithmetic -> explicit arrow-compute filter
-    def side(parity):
-        def body(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            keep = pc.equal(
-                pc.bit_wise_and(b.column("doc_id"), pa.scalar(1, pa.int64())),
-                pa.scalar(parity, pa.int64()),
-            )
-            return b.filter(keep)
-
-        return body
-
-    new = docs.map_batches(side(1), batch_format="pyarrow")
-    # no projection here: the fingerprint pass inside
-    # anti_join_by_content_hash discards the prior side's payload
-    # anyway, and a select_columns on one branch of a fused union DAG
-    # is the Project-elision shape this repo bans (see joins.project)
-    prior = docs.map_batches(side(0), batch_format="pyarrow")
-    return anti_join_by_content_hash(new, prior, content_col="text")
-
-
-DEDUP_INCREMENTAL_SQL = """
-SELECT doc_id, text FROM documents n
-WHERE doc_id % 2 = 1
-  AND NOT EXISTS (
-    SELECT 1 FROM documents p WHERE p.doc_id % 2 = 0 AND p.text = n.text
-  )
-"""
-
-QUERIES["documents_length_norm"] = documents_length_norm
-QUERIES["dedup_incremental"] = dedup_incremental
-ORACLE_SQL["documents_length_norm"] = DOCUMENTS_LENGTH_NORM_SQL
-ORACLE_SQL["dedup_incremental"] = DEDUP_INCREMENTAL_SQL
-
-
-def events_ntile(sf_dir: str):
-    """NTILE(4) spend-quartile per user ordered by (ts, event_id) —
-    stages/ranking.window_ntile, the exact SQL uneven-bucket rule."""
-    from knowledge_graph_ray.stages.ranking import window_ntile
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    return window_ntile(prepped, key="user_id",
-                        order_cols=["ts_s", "event_id"], n_tiles=4,
-                        driver_threshold=500_000, size_hint=events.count())
-
-
-EVENTS_NTILE_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s
-  FROM events
-)
-SELECT user_id, ts_s, event_id,
-       CAST(ntile(4) OVER (PARTITION BY user_id ORDER BY ts_s, event_id)
-            AS BIGINT) AS tile
-FROM e
-"""
-
-QUERIES["events_ntile"] = events_ntile
-ORACLE_SQL["events_ntile"] = EVENTS_NTILE_SQL
-
-
-def events_funnel(sf_dir: str):
-    """Ordered view->click->purchase funnel per user — stages/funnel:
-    one key shuffle, vectorized per-bucket threshold sweep, partial
-    counts so the final exchange is steps x buckets rows."""
-    from knowledge_graph_ray.stages.funnel import funnel_counts
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts", "event_type"])
-    return funnel_counts(events, steps=["view", "click", "purchase"],
-                         driver_threshold=500_000,
-                         size_hint=events.count())
-
-
-EVENTS_FUNNEL_SQL = """
-WITH e AS (
-  SELECT user_id, event_type,
-         CAST(floor(epoch(ts)) AS BIGINT) AS ts_s
-  FROM events
-),
-s1 AS (SELECT user_id, min(ts_s) AS t FROM e
-       WHERE event_type = 'view' GROUP BY user_id),
-s2 AS (SELECT e.user_id, min(e.ts_s) AS t FROM e
-       JOIN s1 ON e.user_id = s1.user_id
-       WHERE e.event_type = 'click' AND e.ts_s >= s1.t
-       GROUP BY e.user_id),
-s3 AS (SELECT e.user_id, min(e.ts_s) AS t FROM e
-       JOIN s2 ON e.user_id = s2.user_id
-       WHERE e.event_type = 'purchase' AND e.ts_s >= s2.t
-       GROUP BY e.user_id)
-SELECT 'view' AS step, CAST(1 AS BIGINT) AS step_idx,
-       (SELECT count(*) FROM s1) AS n_keys
-UNION ALL SELECT 'click', CAST(2 AS BIGINT),
-       (SELECT count(*) FROM s2)
-UNION ALL SELECT 'purchase', CAST(3 AS BIGINT),
-       (SELECT count(*) FROM s3)
-"""
-
-QUERIES["events_funnel"] = events_funnel
-ORACLE_SQL["events_funnel"] = EVENTS_FUNNEL_SQL
-
-
-def events_retention(sf_dir: str):
-    """Weekly cohort retention — stages/funnel.cohort_retention: one
-    key shuffle, cohorts x offsets bounded output."""
-    from knowledge_graph_ray.stages.funnel import cohort_retention
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts"])
-    return cohort_retention(events, driver_threshold=500_000,
-                            size_hint=events.count())
-
-
-EVENTS_RETENTION_SQL = """
-WITH e AS (
-  SELECT DISTINCT user_id,
-         CAST(floor(epoch(ts)) AS BIGINT) // 604800 AS wk
-  FROM events
-),
-first AS (SELECT user_id, min(wk) AS cohort FROM e GROUP BY user_id)
-SELECT cohort AS cohort_week, wk - cohort AS week_offset,
-       count(*) AS n_keys
-FROM e JOIN first ON e.user_id = first.user_id
-GROUP BY 1, 2
-"""
-
-QUERIES["events_retention"] = events_retention
-ORACLE_SQL["events_retention"] = EVENTS_RETENTION_SQL
-
-
-def events_lag_value(sf_dir: str):
-    """Per-row LAG of the previous spend (cents) per user ordered by
-    (ts, event_id) — stages/ranking.window_lag."""
-    from knowledge_graph_ray.stages.ranking import window_lag
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    out = window_lag(prepped, key="user_id",
-                     order_cols=["ts_s", "event_id"], value_col="cents",
-                     out_col="lag_cents",
-                     driver_threshold=500_000, size_hint=events.count())
-
-    def cast_lag(batch: pa.Table) -> pa.Table:
-        idx = batch.schema.get_field_index("lag_cents")
-        return batch.set_column(
-            idx, "lag_cents", batch.column("lag_cents").cast(pa.int64())
-        )
-
-    return out.map_batches(cast_lag, batch_format="pyarrow")
-
-
-EVENTS_LAG_VALUE_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id, ts_s, event_id, cents,
-       lag(cents) OVER (PARTITION BY user_id ORDER BY ts_s, event_id)
-         AS lag_cents
-FROM e
-"""
-
-QUERIES["events_lag_value"] = events_lag_value
-ORACLE_SQL["events_lag_value"] = EVENTS_LAG_VALUE_SQL
-
-
-def events_enumerate(sf_dir: str):
-    """ROW_NUMBER + DENSE_RANK + LEAD per user in one shuffle —
-    stages/ranking.window_enumerate."""
-    from knowledge_graph_ray.stages.ranking import window_enumerate
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    out = window_enumerate(prepped, key="user_id",
-                           order_cols=["ts_s", "event_id"],
-                           dense_rank_col="ts_s", value_col="cents",
-                           driver_threshold=500_000,
-                           size_hint=events.count())
-
-    def cast_lead(batch: pa.Table) -> pa.Table:
-        idx = batch.schema.get_field_index("lead_value")
-        return batch.set_column(
-            idx, "lead_cents", batch.column("lead_value").cast(pa.int64())
-        )
-
-    return out.map_batches(cast_lead, batch_format="pyarrow")
-
-
-EVENTS_ENUMERATE_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id, ts_s, event_id, cents,
-       CAST(row_number() OVER
-            (PARTITION BY user_id ORDER BY ts_s, event_id) AS BIGINT) AS rn,
-       CAST(dense_rank() OVER
-            (PARTITION BY user_id ORDER BY ts_s) AS BIGINT) AS drk,
-       lead(cents) OVER
-            (PARTITION BY user_id ORDER BY ts_s, event_id) AS lead_cents
-FROM e
-"""
-
-QUERIES["events_enumerate"] = events_enumerate
-ORACLE_SQL["events_enumerate"] = EVENTS_ENUMERATE_SQL
-
-
-def documents_rollup(sf_dir: str):
-    """GROUP BY ROLLUP(lang, source) in one input scan —
-    functions/agg.rollup_agg: coarser levels re-aggregate the previous
-    level's group-cardinality output (sums of sums), never the input;
-    grouping_id carries the SQL GROUPING() bitmask."""
-    from knowledge_graph_ray.functions.agg import rollup_agg
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["lang", "source", "n_chars"])
-    return rollup_agg(
-        docs, ["lang", "source"],
-        [("total_chars", "n_chars", "sum"), ("n_docs", None, "count")],
-    )
-
-
-DOCUMENTS_ROLLUP_SQL = """
-SELECT lang, source,
-       CAST(sum(n_chars) AS BIGINT) AS total_chars,
-       count(*) AS n_docs,
-       CAST(grouping(lang, source) AS BIGINT) AS grouping_id
-FROM documents GROUP BY ROLLUP (lang, source)
-"""
-
-QUERIES["documents_rollup"] = documents_rollup
-ORACLE_SQL["documents_rollup"] = DOCUMENTS_ROLLUP_SQL
-
-
-def documents_cube(sf_dir: str):
-    """GROUP BY CUBE(lang, source) in one input scan —
-    functions/agg.cube_agg: every subset level re-aggregates the finest
-    level's output."""
-    from knowledge_graph_ray.functions.agg import cube_agg
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["lang", "source", "n_chars"])
-    return cube_agg(
-        docs, ["lang", "source"],
-        [("total_chars", "n_chars", "sum"), ("n_docs", None, "count")],
-    )
-
-
-DOCUMENTS_CUBE_SQL = """
-SELECT lang, source,
-       CAST(sum(n_chars) AS BIGINT) AS total_chars,
-       count(*) AS n_docs,
-       CAST(grouping(lang, source) AS BIGINT) AS grouping_id
-FROM documents GROUP BY CUBE (lang, source)
-"""
-
-QUERIES["documents_cube"] = documents_cube
-ORACLE_SQL["documents_cube"] = DOCUMENTS_CUBE_SQL
 
 
 def _gazetteer_graph(sf_dir: str, use_lcc: bool = False):
@@ -2680,1110 +607,6 @@ SELECT CAST(1 AS BIGINT) AS ok, count(DISTINCT upper(w)) AS n_entities
 FROM toks WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}
 """
 
-QUERIES["kg_community_partition"] = kg_community_partition
-ORACLE_SQL["kg_community_partition"] = KG_COMMUNITY_PARTITION_SQL
-QUERIES["kg_hierarchy_invariants"] = kg_hierarchy_invariants
-ORACLE_SQL["kg_hierarchy_invariants"] = KG_HIERARCHY_INVARIANTS_SQL
-QUERIES["kg_graph_embedding_norms"] = kg_graph_embedding_norms
-ORACLE_SQL["kg_graph_embedding_norms"] = KG_GRAPH_EMBEDDING_NORMS_SQL
-
-
-# ---------------------------------------------------------------------------
-# round-4 window-frame / pivot / grouping-sets / fuzzy / bloom operators
-
-
-def events_moving_avg(sf_dir: str):
-    """Moving-window SUM/AVG (ROWS BETWEEN 6 PRECEDING AND CURRENT ROW)
-    per user — stages/ranking.window_moving_agg: prefix-sum differences,
-    O(rows) regardless of frame width, one shuffle."""
-    from knowledge_graph_ray.stages.ranking import window_moving_agg
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    return window_moving_agg(prepped, key="user_id",
-                             order_cols=["ts_s", "event_id"],
-                             value_col="cents", frame_rows=7,
-                             sum_col="mov_sum_cents",
-                             avg_col="mov_avg_cents",
-                             driver_threshold=500_000,
-                             size_hint=events.count())
-
-
-EVENTS_MOVING_AVG_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id, ts_s, event_id, cents,
-       CAST(sum(cents) OVER w AS BIGINT) AS mov_sum_cents,
-       CAST(sum(cents) OVER w AS DOUBLE) / count(*) OVER w
-         AS mov_avg_cents
-FROM e
-WINDOW w AS (PARTITION BY user_id ORDER BY ts_s, event_id
-             ROWS BETWEEN 6 PRECEDING AND CURRENT ROW)
-"""
-
-
-def events_first_last_value(sf_dir: str):
-    """FIRST_VALUE / LAST_VALUE over the whole partition
-    (stages/ranking.window_first_last) — null-respecting boundary-index
-    pass, one shuffle."""
-    from knowledge_graph_ray.stages.ranking import window_first_last
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    return window_first_last(prepped, key="user_id",
-                             order_cols=["ts_s", "event_id"],
-                             value_col="cents",
-                             first_col="first_cents",
-                             last_col="last_cents",
-                             driver_threshold=500_000,
-                             size_hint=events.count())
-
-
-EVENTS_FIRST_LAST_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id, ts_s, event_id, cents,
-       CAST(first_value(cents) OVER w AS BIGINT) AS first_cents,
-       CAST(last_value(cents) OVER w AS BIGINT) AS last_cents
-FROM e
-WINDOW w AS (PARTITION BY user_id ORDER BY ts_s, event_id
-             ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING)
-"""
-
-
-def documents_grouping_sets(sf_dir: str):
-    """GROUP BY GROUPING SETS ((lang), (source)) — the general grouping
-    form rollup/cube specialize (functions/agg.grouping_sets_agg); one
-    input scan, each requested set re-aggregates the finest level."""
-    from knowledge_graph_ray.functions.agg import grouping_sets_agg
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["lang", "source", "n_chars"])
-    return grouping_sets_agg(
-        docs, ["lang", "source"], [("lang",), ("source",)],
-        [("total_chars", "n_chars", "sum"), ("n_docs", None, "count")],
-    )
-
-
-DOCUMENTS_GROUPING_SETS_SQL = """
-SELECT lang, source,
-       CAST(sum(n_chars) AS BIGINT) AS total_chars,
-       count(*) AS n_docs,
-       CAST(grouping(lang, source) AS BIGINT) AS grouping_id
-FROM documents GROUP BY GROUPING SETS ((lang), (source))
-"""
-
-
-_EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
-
-
-def events_pivot_type(sf_dir: str):
-    """PIVOT events on event_type: per user one (count, cents-sum)
-    column pair per type (functions/agg.pivot_agg) — masked columns
-    inside the per-batch combiner, so the shuffle moves groups x batches
-    partials, never an exploded row per (row, type)."""
-    from knowledge_graph_ray.functions.agg import pivot_agg
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": batch.column("user_id"),
-            "event_type": batch.column("event_type"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    return pivot_agg(prepped, ["user_id"], "event_type", _EVENT_TYPES,
-                     "cents", kinds=["count", "sum"])
-
-
-EVENTS_PIVOT_TYPE_SQL = """
-WITH e AS (
-  SELECT user_id, event_type,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id,
-""" + ",\n".join(
-    f"       count(*) FILTER (WHERE event_type = '{t}') AS count_{t},\n"
-    f"       CAST(sum(cents) FILTER (WHERE event_type = '{t}') AS BIGINT)"
-    f" AS sum_{t}"
-    for t in _EVENT_TYPES
-) + """
-FROM e GROUP BY user_id
-"""
-
-
-def part_fuzzy_name_pairs(sf_dir: str):
-    """Blocked fuzzy self-join: part-name pairs within a brand whose
-    character-set Jaccard >= 0.92 (stages/fuzzy.char_jaccard_pairs) —
-    one blocking shuffle, vectorized byte-presence matmul per block,
-    bit-identical to DuckDB jaccard()."""
-    from knowledge_graph_ray.stages.fuzzy import char_jaccard_pairs
-
-    part = rd.read_parquet(f"{sf_dir}/part.parquet",
-                           columns=["p_partkey", "p_name", "p_brand"])
-    return char_jaccard_pairs(part, id_col="p_partkey", text_col="p_name",
-                              block_cols=["p_brand"], threshold=0.92,
-                              size_hint=part.count())
-
-
-PART_FUZZY_NAME_PAIRS_SQL = """
-SELECT a.p_brand, a.p_partkey AS id_a, b.p_partkey AS id_b,
-       jaccard(a.p_name, b.p_name) AS sim
-FROM part a JOIN part b
-  ON a.p_brand = b.p_brand AND a.p_partkey < b.p_partkey
-WHERE jaccard(a.p_name, b.p_name) >= 0.92
-"""
-
-
-def bloom_semijoin_orders(sf_dir: str):
-    """Orders of BUILDING-segment customers via a broadcast Bloom
-    prefilter + exact residual semi-join
-    (functions/joins.bloom_semi_join): definite non-members are dropped
-    before any shuffle; only the Bloom-positive residue pays the exact
-    hash join."""
-    from knowledge_graph_ray.functions.joins import bloom_semi_join, project
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_totalprice"],
-    )
-    custs = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                            columns=["c_custkey", "c_mktsegment"])
-    building = custs.filter(expr="c_mktsegment == 'BUILDING'")
-    keys = project(building, {"c_custkey": "o_custkey"})
-    return bloom_semi_join(orders, keys, on=["o_custkey"], how="left_semi")
-
-
-BLOOM_SEMIJOIN_ORDERS_SQL = """
-SELECT o_orderkey, o_custkey, o_totalprice
-FROM orders o
-WHERE EXISTS (SELECT 1 FROM customer c
-              WHERE c.c_custkey = o.o_custkey
-                AND c.c_mktsegment = 'BUILDING')
-"""
-
-
-def events_mode_value(sf_dir: str):
-    """MODE (most frequent cents value) per event type, smallest-value
-    tiebreak — composed: grouped_agg count by (type, cents), then the
-    k/group/batch-bounded grouped_topk takes the top row per type."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import grouped_topk
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    counts = grouped_agg(prepped, ["event_type", "cents"],
-                         [("cnt", None, "count")])
-    top = grouped_topk(counts, ["event_type"], "cnt", k=1,
-                       descending=True, tie_cols=["cents"])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "mode_cents": batch.column("cents"),
-            "cnt": batch.column("cnt"),
-        })
-
-    return top.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_MODE_VALUE_SQL = """
-WITH e AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-c AS (SELECT event_type, cents, count(*) AS cnt FROM e GROUP BY 1, 2)
-SELECT event_type, cents AS mode_cents, cnt FROM c
-QUALIFY row_number() OVER (PARTITION BY event_type
-                           ORDER BY cnt DESC, cents) = 1
-"""
-
-
-QUERIES["events_moving_avg"] = events_moving_avg
-ORACLE_SQL["events_moving_avg"] = EVENTS_MOVING_AVG_SQL
-QUERIES["events_first_last_value"] = events_first_last_value
-ORACLE_SQL["events_first_last_value"] = EVENTS_FIRST_LAST_SQL
-QUERIES["documents_grouping_sets"] = documents_grouping_sets
-ORACLE_SQL["documents_grouping_sets"] = DOCUMENTS_GROUPING_SETS_SQL
-QUERIES["events_pivot_type"] = events_pivot_type
-ORACLE_SQL["events_pivot_type"] = EVENTS_PIVOT_TYPE_SQL
-QUERIES["part_fuzzy_name_pairs"] = part_fuzzy_name_pairs
-ORACLE_SQL["part_fuzzy_name_pairs"] = PART_FUZZY_NAME_PAIRS_SQL
-QUERIES["bloom_semijoin_orders"] = bloom_semijoin_orders
-ORACLE_SQL["bloom_semijoin_orders"] = BLOOM_SEMIJOIN_ORDERS_SQL
-QUERIES["events_mode_value"] = events_mode_value
-ORACLE_SQL["events_mode_value"] = EVENTS_MODE_VALUE_SQL
-
-
-def events_type_sequence(sf_dir: str):
-    """Per-user ordered event-type sequence — SQL string_agg(... ORDER
-    BY ts) via functions/agg.grouped_string_agg: one shuffle, per-bucket
-    sort, and ONE vectorized Arrow binary_join over group-boundary list
-    offsets (no per-group Python join loop)."""
-    from knowledge_graph_ray.functions.agg import grouped_string_agg
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type"],
-    )
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "event_type": batch.column("event_type"),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    return grouped_string_agg(prepped, ["user_id"], "event_type",
-                              ["ts_s", "event_id"], sep=",",
-                              out_col="type_seq",
-                              size_hint=events.count())
-
-
-EVENTS_TYPE_SEQUENCE_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         event_type
-  FROM events
-)
-SELECT user_id,
-       string_agg(event_type, ',' ORDER BY ts_s, event_id) AS type_seq
-FROM e GROUP BY user_id
-"""
-
-
-def except_event_users(sf_dir: str):
-    """SQL EXCEPT: distinct event user ids that are NOT
-    BUILDING-segment customer keys — functions/joins.except_distinct
-    (distinct combiner + one anti hash join).  The right side is
-    segment-restricted so the result is non-empty at every sf (every
-    event user is a customer key in the test data; an all-empty result
-    would only exercise the empty-schema path)."""
-    from knowledge_graph_ray.functions.joins import except_distinct, project
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id"])
-    custs = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                            columns=["c_custkey", "c_mktsegment"])
-    building = custs.filter(expr="c_mktsegment == 'BUILDING'")
-    return except_distinct(events,
-                           project(building, {"c_custkey": "user_id"}),
-                           ["user_id"])
-
-
-EXCEPT_EVENT_USERS_SQL = """
-SELECT user_id FROM events
-EXCEPT
-SELECT c_custkey AS user_id FROM customer WHERE c_mktsegment = 'BUILDING'
-"""
-
-
-def intersect_event_users(sf_dir: str):
-    """SQL INTERSECT: distinct event user ids that ARE customer keys —
-    functions/joins.intersect_distinct (distinct combiners + one semi
-    hash join)."""
-    from knowledge_graph_ray.functions.joins import (
-        intersect_distinct,
-        project,
-    )
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id"])
-    custs = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                            columns=["c_custkey"])
-    return intersect_distinct(events,
-                              project(custs, {"c_custkey": "user_id"}),
-                              ["user_id"])
-
-
-INTERSECT_EVENT_USERS_SQL = """
-SELECT user_id FROM events
-INTERSECT
-SELECT c_custkey AS user_id FROM customer
-"""
-
-
-def events_value_histogram(sf_dir: str):
-    """Equi-width histogram of event value per type
-    (functions/agg.histogram_agg): stateless vectorized bin column +
-    the grouped_agg count combiner — (groups x bins) x batches partial
-    rows on the wire."""
-    from knowledge_graph_ray.functions.agg import histogram_agg
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-    return histogram_agg(events, ["event_type"], "value", bin_width=25.0)
-
-
-EVENTS_VALUE_HISTOGRAM_SQL = """
-SELECT event_type, CAST(floor(value / 25.0) AS BIGINT) AS bin,
-       count(*) AS n
-FROM events WHERE value IS NOT NULL
-GROUP BY event_type, bin
-"""
-
-
-QUERIES["events_type_sequence"] = events_type_sequence
-ORACLE_SQL["events_type_sequence"] = EVENTS_TYPE_SEQUENCE_SQL
-QUERIES["except_event_users"] = except_event_users
-ORACLE_SQL["except_event_users"] = EXCEPT_EVENT_USERS_SQL
-QUERIES["intersect_event_users"] = intersect_event_users
-ORACLE_SQL["intersect_event_users"] = INTERSECT_EVENT_USERS_SQL
-QUERIES["events_value_histogram"] = events_value_histogram
-ORACLE_SQL["events_value_histogram"] = EVENTS_VALUE_HISTOGRAM_SQL
-
-
-def kg_pagerank(sf_dir: str):
-    """Weighted undirected PageRank (3 power iterations, d=0.85) over
-    the flagship-gazetteer co-occurrence graph — stages/pagerank: edges
-    never move; per iteration one broadcast rank lookup + the
-    grouped_agg contribution combiner.  Fixed-point e9 scaling makes
-    the float sums hash-comparable (the text_term_pmi pattern)."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.pagerank import pagerank
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    pr = pagerank(edges, weight="weight", iterations=3, damping=0.85,
-                  undirected=True)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "name": batch.column("name"),
-            "pr_e9": scaled_int_column(batch.column("pr"), 1e9),
-        })
-
-    return pr.map_batches(finish, batch_format="pyarrow")
-
-
-def _pagerank_iter_sql(prev: str, cur: str) -> str:
-    return f"""
-{cur} AS (
-  SELECT nd.name, (1.0 - 0.85)/(SELECT n FROM nn) + 0.85 * coalesce(q.c, 0) AS pr
-  FROM nodes nd LEFT JOIN (
-    SELECT e.dst AS name, sum({prev}.pr * e.w / st.s) AS c
-    FROM edges e
-    JOIN {prev} ON {prev}.name = e.src
-    JOIN strength st ON st.src = e.src
-    GROUP BY e.dst
-  ) q ON q.name = nd.name
-)"""
-
-
-KG_PAGERANK_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-pairs AS (SELECT a.name AS src, b.name AS dst, count(*) AS w
-          FROM present a JOIN present b
-            ON a.doc_id = b.doc_id AND a.name < b.name
-          GROUP BY a.name, b.name),
-edges AS (SELECT src, dst, CAST(w AS DOUBLE) AS w FROM pairs
-          UNION ALL
-          SELECT dst, src, CAST(w AS DOUBLE) AS w FROM pairs),
-nodes AS (SELECT DISTINCT src AS name FROM edges),
-nn AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM nodes),
-strength AS (SELECT src, sum(w) AS s FROM edges GROUP BY src),
-r0 AS (SELECT name, 1.0/(SELECT n FROM nn) AS pr FROM nodes),
-{_pagerank_iter_sql('r0', 'r1')},
-{_pagerank_iter_sql('r1', 'r2')},
-{_pagerank_iter_sql('r2', 'r3')}
-SELECT name, CAST(round(pr * 1e9) AS BIGINT) AS pr_e9 FROM r3
-"""
-
-QUERIES["kg_pagerank"] = kg_pagerank
-ORACLE_SQL["kg_pagerank"] = KG_PAGERANK_SQL
-
-
-def events_frequent_types(sf_dir: str):
-    """Exact heavy hitters (stages/sketches.frequent_items): event
-    types above a 5% row share — per-batch share-threshold candidates
-    (<= 1/share rows per batch on the wire, the Misra-Gries pigeonhole)
-    + broadcast exact recount, so the output is exactly the SQL HAVING
-    clause."""
-    from knowledge_graph_ray.stages.sketches import frequent_items
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type"])
-    return frequent_items(events, ["event_type"], min_share=0.05)
-
-
-EVENTS_FREQUENT_TYPES_SQL = """
-SELECT event_type, count(*) AS n
-FROM events GROUP BY event_type
-HAVING count(*) > 0.05 * (SELECT count(*) FROM events)
-"""
-
-QUERIES["events_frequent_types"] = events_frequent_types
-ORACLE_SQL["events_frequent_types"] = EVENTS_FREQUENT_TYPES_SQL
-
-
-def events_cume_dist(sf_dir: str):
-    """CUME_DIST() per user over cents (stages/ranking.window_cume_dist)
-    — one shuffle, per-bucket vectorized max-rank; the division is the
-    same two exact int64 operands on both engines."""
-    from knowledge_graph_ray.stages.ranking import window_cume_dist
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    return window_cume_dist(prepped, key="user_id", order_col="cents",
-                            id_cols=["event_id"],
-                            driver_threshold=500_000,
-                            size_hint=events.count())
-
-
-EVENTS_CUME_DIST_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT event_id, user_id, cents,
-       cume_dist() OVER (PARTITION BY user_id ORDER BY cents) AS cume
-FROM e
-"""
-
-
-def weighted_sample_documents(sf_dir: str):
-    """Deterministic weighted sample (Efraimidis-Spirakis exponential
-    races, stages/sampling.weighted_sample_per_group): 5 docs per lang,
-    inclusion odds proportional to n_chars, selected by hash-derived
-    priorities — row-local, zero-shuffle beyond the top-n combiner, and
-    the oracle replays the identical priority expression."""
-    from knowledge_graph_ray.stages.sampling import weighted_sample_per_group
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang", "n_chars"])
-    return weighted_sample_per_group(docs, ["lang"], "doc_id", "n_chars",
-                                     n=5, seed=6969,
-                                     size_hint=docs.count())
-
-
-WEIGHTED_SAMPLE_DOCUMENTS_SQL = """
-WITH pri AS (
-  SELECT doc_id, lang, n_chars,
-         CASE WHEN n_chars > 0 THEN
-           -ln(((
-              (((CAST(doc_id AS HUGEINT) % 4294967296) + 4294967296)
-               % 4294967296) * 2654435761 + 6969
-            ) % 4294967296 + 0.5) / 4294967296.0)
-           / CAST(n_chars AS DOUBLE)
-         END AS p
-  FROM documents
-)
-SELECT doc_id, lang, n_chars, rk FROM (
-  SELECT doc_id, lang, n_chars,
-         CAST(row_number() OVER (PARTITION BY lang ORDER BY p, doc_id)
-              AS BIGINT) AS rk
-  FROM pri
-) WHERE rk <= 5
-"""
-
-QUERIES["events_cume_dist"] = events_cume_dist
-ORACLE_SQL["events_cume_dist"] = EVENTS_CUME_DIST_SQL
-QUERIES["weighted_sample_documents"] = weighted_sample_documents
-ORACLE_SQL["weighted_sample_documents"] = WEIGHTED_SAMPLE_DOCUMENTS_SQL
-
-
-def kg_triangles(sf_dir: str):
-    """Exact triangle count of the flagship co-occurrence graph
-    (stages/graphops.triangle_count): degree-ordered orientation bounds
-    the wedge explosion to O(sqrt(m)) out-degree, vectorized pair
-    expansion, one semi hash-join to close wedges."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.graphops import triangle_count
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    return triangle_count(edges)
-
-
-KG_TRIANGLES_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-pairs AS (SELECT DISTINCT x.name AS a, y.name AS b
-          FROM present x JOIN present y
-            ON x.doc_id = y.doc_id AND x.name < y.name)
-SELECT count(*) AS triangles
-FROM pairs e1
-JOIN pairs e2 ON e2.a = e1.a AND e2.b > e1.b
-JOIN pairs e3 ON e3.a = e1.b AND e3.b = e2.b
-"""
-
-QUERIES["kg_triangles"] = kg_triangles
-ORACLE_SQL["kg_triangles"] = KG_TRIANGLES_SQL
-
-
-def events_hour_value_corr(sf_dir: str):
-    """Pearson correlation per event type between hour-of-day and cents
-    (functions/agg.grouped_corr): six exact int64 sufficient statistics
-    through the combiner, one fixed float64 closing expression — e9
-    fixed point for the hash compare."""
-    from knowledge_graph_ray.functions.agg import grouped_corr
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        hour = pc.subtract(
-            pc.divide(ts_s, 3600),
-            pc.multiply(pc.divide(pc.divide(ts_s, 3600), 24),
-                        pa.scalar(24, pa.int64())),
-        )
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "hour": hour.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    r = grouped_corr(prepped, ["event_type"], "hour", "cents")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "r_e9": scaled_int_column(batch.column("r"), 1e9),
-        })
-
-    return r.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_HOUR_VALUE_CORR_SQL = """
-WITH e AS (
-  SELECT event_type,
-         (CAST(floor(epoch(ts)) AS BIGINT) // 3600) % 24 AS hour,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-s AS (
-  SELECT event_type,
-         CAST(count(*) AS DOUBLE) AS n,
-         CAST(sum(hour) AS DOUBLE) AS sx,
-         CAST(sum(cents) AS DOUBLE) AS sy,
-         CAST(sum(hour * cents) AS DOUBLE) AS sxy,
-         CAST(sum(hour * hour) AS DOUBLE) AS sxx,
-         CAST(sum(cents * cents) AS DOUBLE) AS syy
-  FROM e GROUP BY event_type
-)
-SELECT event_type,
-       CAST(round(
-         (n * sxy - sx * sy)
-         / (sqrt(n * sxx - sx * sx) * sqrt(n * syy - sy * sy)) * 1e9
-       ) AS BIGINT) AS r_e9
-FROM s
-"""
-
-QUERIES["events_hour_value_corr"] = events_hour_value_corr
-ORACLE_SQL["events_hour_value_corr"] = EVENTS_HOUR_VALUE_CORR_SQL
-
-
-def events_unpivot_counts(sf_dir: str):
-    """UNPIVOT roundtrip: melt the per-user pivot counts back to long
-    (user_id, event_type, n) rows (functions/agg.unpivot) — zero-count
-    cells filtered so the result equals the plain GROUP BY."""
-    from knowledge_graph_ray.functions.agg import pivot_agg, unpivot
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "event_type"])
-    wide = pivot_agg(events, ["user_id"], "event_type", _EVENT_TYPES,
-                     None, kinds=["count"])
-    long = unpivot(wide, ["user_id"],
-                   [f"count_{t}" for t in _EVENT_TYPES],
-                   name_col="pivot_col", value_col="n")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        etype = pc.utf8_replace_slice(batch.column("pivot_col"),
-                                      start=0, stop=6, replacement="")
-        t = pa.table({
-            "user_id": batch.column("user_id"),
-            "event_type": etype,
-            "n": batch.column("n"),
-        })
-        return t.filter(pc.greater(t.column("n"), 0))
-
-    return long.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_UNPIVOT_COUNTS_SQL = """
-SELECT user_id, event_type, count(*) AS n
-FROM events GROUP BY user_id, event_type
-"""
-
-QUERIES["events_unpivot_counts"] = events_unpivot_counts
-ORACLE_SQL["events_unpivot_counts"] = EVENTS_UNPIVOT_COUNTS_SQL
-
-
-def events_json_extract(sf_dir: str):
-    """JSON-path projection of the props column
-    (functions/jsonx.extract_json_paths): vectorized polars
-    json_path_match, no per-row json.loads — SQL ->> semantics
-    (malformed / missing / JSON-null all yield NULL)."""
-    from knowledge_graph_ray.functions.jsonx import extract_json_paths
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "props"])
-    return extract_json_paths(events, "props", {"k_val": "$.k"},
-                              types={"k_val": pa.int64()},
-                              keep_cols=["event_id", "user_id"])
-
-
-EVENTS_JSON_EXTRACT_SQL = """
-SELECT event_id, user_id,
-       CAST(props ->> '$.k' AS BIGINT) AS k_val
-FROM events
-"""
-
-QUERIES["events_json_extract"] = events_json_extract
-ORACLE_SQL["events_json_extract"] = EVENTS_JSON_EXTRACT_SQL
-
-
-def embeddings_label_centroid(sf_dir: str):
-    """Per-label embedding centroid (stages/similarity.vector_centroids,
-    a combiner vector aggregate) exploded to (label, idx, avg_e6) long
-    form for the hash compare — e6 fixed point absorbs summation-order
-    float noise."""
-    from knowledge_graph_ray.stages.similarity import vector_centroids
-
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["label", "embedding"])
-    cents = vector_centroids(emb, "label", "embedding")
-
-    def explode(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        df = batch.to_pandas()
-        mats = np.stack([np.asarray(v, dtype=np.float64)
-                         for v in df.centroid])
-        n, dim = mats.shape
-        flat = mats.ravel()
-        avg_e6 = np.where(flat >= 0, np.floor(flat * 1e6 + 0.5),
-                          np.ceil(flat * 1e6 - 0.5)).astype("int64")
-        return pa.table({
-            "label": pa.Array.from_pandas(
-                df.label.repeat(dim).reset_index(drop=True)),
-            "idx": pa.array(np.tile(np.arange(1, dim + 1), n),
-                            type=pa.int64()),
-            "avg_e6": pa.array(avg_e6, type=pa.int64()),
-        })
-
-    return cents.map_batches(explode, batch_format="pyarrow")
-
-
-EMBEDDINGS_LABEL_CENTROID_SQL = """
-SELECT label, CAST(gs.i AS BIGINT) AS idx,
-       CAST(round(avg(embedding[gs.i]) * 1e6) AS BIGINT) AS avg_e6
-FROM embeddings, generate_series(1, 64) gs(i)
-GROUP BY label, gs.i
-"""
-
-QUERIES["embeddings_label_centroid"] = embeddings_label_centroid
-ORACLE_SQL["embeddings_label_centroid"] = EMBEDDINGS_LABEL_CENTROID_SQL
-
-
-def events_latest_per_user(sf_dir: str):
-    """DISTINCT ON / argmax: each user's latest event (grouped_topk
-    k=1 descending by (ts_s, event_id) — the k/group/batch combiner, so
-    hub users ship one row per upstream block, never their history)."""
-    from knowledge_graph_ray.functions.grouping import grouped_topk
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    top = grouped_topk(prepped, ["user_id"], "ts_s", k=1,
-                       descending=True, tie_cols=["event_id"])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return batch.select(["user_id", "event_id", "ts_s", "cents"])
-
-    return top.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_LATEST_PER_USER_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id, event_id, ts_s, cents FROM e
-QUALIFY row_number() OVER (PARTITION BY user_id
-                           ORDER BY ts_s DESC, event_id) = 1
-"""
-
-
-def events_value_share(sf_dir: str):
-    """RATIO_TO_REPORT (stages/ranking.window_share): each event's
-    share of its user's total cents — one shuffle, exact-int operands
-    for the single division."""
-    from knowledge_graph_ray.stages.ranking import window_share
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    return window_share(prepped, key="user_id", order_cols=["event_id"],
-                        value_col="cents", driver_threshold=500_000,
-                        size_hint=events.count())
-
-
-EVENTS_VALUE_SHARE_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id, event_id, cents,
-       CAST(cents AS DOUBLE)
-         / NULLIF(sum(cents) OVER (PARTITION BY user_id), 0) AS share
-FROM e
-"""
-
-QUERIES["events_latest_per_user"] = events_latest_per_user
-ORACLE_SQL["events_latest_per_user"] = EVENTS_LATEST_PER_USER_SQL
-QUERIES["events_value_share"] = events_value_share
-ORACLE_SQL["events_value_share"] = EVENTS_VALUE_SHARE_SQL
-
-
-def similarity_ivf_recall(sf_dir: str):
-    """SQL-gated recall floor for the IVF path (the dedup_sketch_recall
-    pattern, VERDICT r3 #4 family): IVF top-10 at nprobe=12/16 must
-    recover >= 80% of the brute-force top-10 — deterministic (seeded
-    codebook, fixed query; measured 9-10/10 at sf0.001/0.01/0.1 on the
-    near-random driver embeddings, where low nprobe recalls ~half).
-    Emits a boolean gate; the
-    oracle asserts the gate, so a silent recall collapse FAILS the
-    driver, not just a pytest."""
-    from knowledge_graph_ray.functions.joins import hash_join, project
-    from knowledge_graph_ray.stages.similarity import (
-        brute_force_topk,
-        ivf_assign,
-        ivf_topk,
-        train_centroids,
-    )
-
-    emb = _emb(sf_dir)
-    exact = project(brute_force_topk(emb, _query_vector(sf_dir), k=10),
-                    ["vec_id"])
-    cents = train_centroids(emb, num_centroids=16, sample=1024, seed=6969)
-    assigned = ivf_assign(emb, cents).materialize()
-    approx = project(
-        ivf_topk(assigned, cents, _query_vector(sf_dir), k=10, nprobe=12),
-        ["vec_id"],
-    )
-    overlap = hash_join(exact, approx, on=["vec_id"], how="left_semi")
-    n = overlap.count()
-    ok = 1 if n >= 8 else 0
-    return pa.table({
-        "ok": pa.array([ok], type=pa.int64()),
-        "recall_floor_met": pa.array([ok], type=pa.int64()),
-    })
-
-
-SIMILARITY_IVF_RECALL_SQL = """
-SELECT CAST(1 AS BIGINT) AS ok, CAST(1 AS BIGINT) AS recall_floor_met
-"""
-
-QUERIES["similarity_ivf_recall"] = similarity_ivf_recall
-ORACLE_SQL["similarity_ivf_recall"] = SIMILARITY_IVF_RECALL_SQL
-
-
-def cross_region_nation(sf_dir: str):
-    """CROSS JOIN (functions/joins.cross_join): every (region, nation)
-    pair — broadcast right side, vectorized cartesian takes per batch."""
-    from knowledge_graph_ray.functions.joins import cross_join
-
-    region = rd.read_parquet(f"{sf_dir}/region.parquet",
-                             columns=["r_regionkey", "r_name"])
-    nation = rd.read_parquet(f"{sf_dir}/nation.parquet",
-                             columns=["n_nationkey", "n_name"])
-    return cross_join(region, nation)
-
-
-CROSS_REGION_NATION_SQL = """
-SELECT r_regionkey, r_name, n_nationkey, n_name
-FROM region CROSS JOIN nation
-"""
-
-QUERIES["cross_region_nation"] = cross_region_nation
-ORACLE_SQL["cross_region_nation"] = CROSS_REGION_NATION_SQL
-
-
-def documents_redact(sf_dir: str):
-    """Pattern redaction (stages/textstats.regex_redact): scrub the
-    gazetteer words from every document — vectorized Rust-regex
-    replace_all + match counts, the PII-scrub audit shape."""
-    from knowledge_graph_ray.stages.textstats import regex_redact
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    pat = r"\b(" + "|".join(GAZETTEER) + r")\b"
-    return regex_redact(docs, "text", pat, replacement="[ENTITY]",
-                        keep_cols=["doc_id"])
-
-
-DOCUMENTS_REDACT_SQL = r"""
-SELECT doc_id,
-       regexp_replace(text, '\b(spark|customer|table|window|vector)\b',
-                      '[ENTITY]', 'g') AS redacted,
-       CAST(coalesce(len(regexp_extract_all(
-            text, '\b(spark|customer|table|window|vector)\b')), 0)
-            AS BIGINT) AS n_redacted
-FROM documents
-"""
-
-QUERIES["documents_redact"] = documents_redact
-ORACLE_SQL["documents_redact"] = DOCUMENTS_REDACT_SQL
-
-
-def events_type_transitions(sf_dir: str):
-    """Markov transition counts over per-user event streams: LAG the
-    type within each ordered stream (stages/ranking.window_lag), then
-    count (prev_type, event_type) pairs with the grouped_agg combiner —
-    the bigram feature builder for behavioral models, two existing
-    operators composed."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.ranking import window_lag
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type"],
-    )
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "event_type": batch.column("event_type"),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    lagged = window_lag(prepped, key="user_id",
-                        order_cols=["ts_s", "event_id"],
-                        value_col="event_type", out_col="prev_type",
-                        driver_threshold=500_000,
-                        size_hint=events.count())
-
-    def first_dropped(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.is_valid(batch.column("prev_type")))
-
-    pairs = lagged.map_batches(first_dropped, batch_format="pyarrow")
-    return grouped_agg(pairs, ["prev_type", "event_type"],
-                       [("n", None, "count")])
-
-
-EVENTS_TYPE_TRANSITIONS_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         event_type
-  FROM events
-),
-lagged AS (
-  SELECT event_type,
-         lag(event_type) OVER (PARTITION BY user_id
-                               ORDER BY ts_s, event_id) AS prev_type
-  FROM e
-)
-SELECT prev_type, event_type, count(*) AS n
-FROM lagged WHERE prev_type IS NOT NULL
-GROUP BY prev_type, event_type
-"""
-
-QUERIES["events_type_transitions"] = events_type_transitions
-ORACLE_SQL["events_type_transitions"] = EVENTS_TYPE_TRANSITIONS_SQL
-
-
-def stratified_sample_documents(sf_dir: str):
-    """Exact stratified 70% split per lang
-    (stages/sampling.stratified_take_fraction): each stratum yields
-    exactly floor(0.7 x n_lang) rows in deterministic hash order — a
-    global Bernoulli split only matches in expectation."""
-    from knowledge_graph_ray.stages.sampling import stratified_take_fraction
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang", "n_chars"])
-    return stratified_take_fraction(docs, ["lang"], "doc_id", 0.7,
-                                    seed=6969, driver_threshold=500_000,
-                                    size_hint=docs.count())
-
-
-STRATIFIED_SAMPLE_DOCUMENTS_SQL = """
-WITH h AS (
-  SELECT doc_id, lang, n_chars,
-         ((((CAST(doc_id AS HUGEINT) % 4294967296) + 4294967296)
-           % 4294967296) * 2654435761 + 6969) % 4294967296 AS hv
-  FROM documents
-)
-SELECT doc_id, lang, n_chars FROM (
-  SELECT doc_id, lang, n_chars,
-         row_number() OVER (PARTITION BY lang ORDER BY hv, doc_id) AS rk,
-         count(*) OVER (PARTITION BY lang) AS n
-  FROM h
-) WHERE rk <= floor(CAST(0.7 AS DOUBLE) * n)
-"""
-
-QUERIES["stratified_sample_documents"] = stratified_sample_documents
-ORACLE_SQL["stratified_sample_documents"] = STRATIFIED_SAMPLE_DOCUMENTS_SQL
-
-
-def documents_kfold(sf_dir: str):
-    """Deterministic 5-fold assignment (stages/sampling.kfold_assign):
-    fold = knuth_hash(doc_id) % 5 — zero shuffle, row-local, the
-    cross-validation counterpart of split_documents."""
-    from knowledge_graph_ray.stages.sampling import kfold_assign
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang"])
-    return kfold_assign(docs, "doc_id", k=5, seed=6969)
-
-
-DOCUMENTS_KFOLD_SQL = """
-SELECT doc_id, lang,
-       CAST(((((CAST(doc_id AS HUGEINT) % 4294967296) + 4294967296)
-              % 4294967296) * 2654435761 + 6969) % 4294967296 % 5
-            AS BIGINT) AS fold
-FROM documents
-"""
-
-QUERIES["documents_kfold"] = documents_kfold
-ORACLE_SQL["documents_kfold"] = DOCUMENTS_KFOLD_SQL
-
-
-def events_nth_value(sf_dir: str):
-    """NTH_VALUE(cents, 3) over each user's full ordered stream
-    (stages/ranking.window_nth_value) — boundary-index pass, NULL for
-    users with fewer than 3 events."""
-    from knowledge_graph_ray.stages.ranking import window_nth_value
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    return window_nth_value(prepped, key="user_id",
-                            order_cols=["ts_s", "event_id"],
-                            value_col="cents", n=3, out_col="third_cents",
-                            driver_threshold=500_000,
-                            size_hint=events.count())
-
-
-EVENTS_NTH_VALUE_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id, ts_s, event_id, cents,
-       CAST(nth_value(cents, 3) OVER w AS BIGINT) AS third_cents
-FROM e
-WINDOW w AS (PARTITION BY user_id ORDER BY ts_s, event_id
-             ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING)
-"""
-
-QUERIES["events_nth_value"] = events_nth_value
-ORACLE_SQL["events_nth_value"] = EVENTS_NTH_VALUE_SQL
-
 
 # ---------------------------------------------------------- claims family
 
@@ -3925,11 +748,6 @@ KG_CLAIMS_RESOLVED_SQL = (
     + _CLAIMS_MERGE_SELECT.replace("FROM claims", "FROM resolved")
 )
 
-QUERIES["kg_claims_merge"] = kg_claims_merge
-QUERIES["kg_claims_resolved"] = kg_claims_resolved
-ORACLE_SQL["kg_claims_merge"] = KG_CLAIMS_MERGE_SQL
-ORACLE_SQL["kg_claims_resolved"] = KG_CLAIMS_RESOLVED_SQL
-
 
 def kg_prompt_tune(sf_dir: str):
     """Rows-only: the prompt-tuning pipeline (reference api.py:25-152 /
@@ -3966,1559 +784,7 @@ def kg_prompt_tune(sf_dir: str):
     ))
 
 
-QUERIES["kg_prompt_tune"] = kg_prompt_tune
-
-
-# ---------------------------------------------------------------------------
-# Round-5 additions: multi-table analytic join DAGs (the TPC-H Q3/Q10
-# shapes — semi-join pruning, aggregate-before-dimension-join), per-group
-# OLS regression from exact sufficient statistics, and the value-based
-# RANGE window frame.  All fully DuckDB-oracled.
-
-def tpch_shipping_priority(sf_dir: str):
-    """TPC-H Q3 shape: BUILDING-segment customers' orders placed before
-    1998, revenue of lineitems shipped after 1998-01-01, top 10 orders.
-
-    Scale shape: the date predicates are pushed INTO the parquet read
-    (pyarrow dataset filter — pruned row groups never leave storage);
-    the customer segment filter reaches orders as a zero-shuffle
-    bloom_semi_join (broadcast key set at this cardinality, Bloom +
-    exact residual above it); the lineitem x orders join is
-    size-adaptive (broadcast the filtered orders while they fit,
-    partitioned hash_join above) — at THIS scale the whole query runs
-    with zero all-to-all exchanges; the groupby runs on the per-batch
-    combiner so only (order x batch) partials would shuffle."""
-    import datetime
-
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import (
-        bloom_semi_join,
-        project,
-        size_adaptive_join,
-    )
-
-    cutoff = datetime.datetime(1998, 1, 1)
-    building = project(
-        rd.read_parquet(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"],
-            filter=pads.field("c_mktsegment") == "BUILDING",
-        ).select_columns(["c_custkey"]),
-        {"c_custkey": "o_custkey"},
-    )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
-        filter=pads.field("o_orderdate") < cutoff,
-    )
-
-    def date_to_s(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": batch.column("o_orderkey"),
-            "o_custkey": batch.column("o_custkey"),
-            "o_orderdate_s": pc.divide(
-                batch.column("o_orderdate").cast(pa.int64()), 1_000_000
-            ).cast(pa.int64()),
-            "o_orderpriority": batch.column("o_orderpriority"),
-        })
-
-    orders_sub = bloom_semi_join(
-        orders.map_batches(date_to_s, batch_format="pyarrow"), building,
-        on=["o_custkey"], how="left_semi",
-    ).drop_columns(["o_custkey"])
-
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        filter=pads.field("l_shipdate") > cutoff,
-    )
-
-    def rev(batch: pa.Table) -> pa.Table:
-        r = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        return pa.table({"o_orderkey": batch.column("l_orderkey"), "rev": r})
-
-    joined = size_adaptive_join(
-        line.map_batches(rev, batch_format="pyarrow"), orders_sub,
-        on=["o_orderkey"], how="inner", broadcast_max=BROADCAST_KEYS_MAX,
-    )
-    agg = grouped_agg(
-        joined, ["o_orderkey", "o_orderdate_s", "o_orderpriority"],
-        [("revenue", "rev", "sum")],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": batch.column("o_orderkey"),
-            "revenue_cents": scaled_int_column(batch.column("revenue"),
-                                               100.0),
-            "o_orderdate_s": batch.column("o_orderdate_s"),
-            "o_orderpriority": batch.column("o_orderpriority"),
-        })
-
-    return (
-        agg.map_batches(finish, batch_format="pyarrow")
-        .sort(["revenue_cents", "o_orderkey"], descending=[True, False])
-        .limit(10)
-    )
-
-
-TPCH_SHIPPING_PRIORITY_SQL = """
-SELECT l_orderkey AS o_orderkey,
-       CAST(round(sum(l_extendedprice * (1 - l_discount)) * 100) AS BIGINT)
-         AS revenue_cents,
-       CAST(floor(epoch(o_orderdate)) AS BIGINT) AS o_orderdate_s,
-       o_orderpriority
-FROM customer
-JOIN orders ON c_custkey = o_custkey
-JOIN lineitem ON l_orderkey = o_orderkey
-WHERE c_mktsegment = 'BUILDING'
-  AND o_orderdate < TIMESTAMP '1998-01-01'
-  AND l_shipdate > TIMESTAMP '1998-01-01'
-GROUP BY l_orderkey, o_orderdate, o_orderpriority
-ORDER BY revenue_cents DESC, l_orderkey
-LIMIT 10
-"""
-
-
-def tpch_returned_customers(sf_dir: str):
-    """TPC-H Q10 shape: top-20 customers by revenue of RETURNED items.
-
-    Scale shape: aggregate-before-dimension-join — lineitem x orders is
-    reduced to one row per customer BEFORE any dimension attaches, so
-    the customer and nation joins see customer-cardinality inputs, not
-    fact rows; the returnflag predicate is pushed into the parquet
-    read; every join is size-adaptive (zero-shuffle broadcast while the
-    right side fits, partitioned hash_join above — at 100x all three
-    flip regimes independently)."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import (
-        project,
-        size_adaptive_join,
-    )
-
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_returnflag"],
-        filter=pads.field("l_returnflag") == "R",
-    )
-
-    def rev(batch: pa.Table) -> pa.Table:
-        r = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        return pa.table({"o_orderkey": batch.column("l_orderkey"), "rev": r})
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey"])
-    joined = size_adaptive_join(
-        line.map_batches(rev, batch_format="pyarrow"), orders,
-        on=["o_orderkey"], how="inner", broadcast_max=BROADCAST_KEYS_MAX,
-    )
-    per_cust = grouped_agg(joined.select_columns(["o_custkey", "rev"]),
-                           ["o_custkey"], [("revenue", "rev", "sum")])
-
-    customer = project(
-        rd.read_parquet(f"{sf_dir}/customer.parquet",
-                        columns=["c_custkey", "c_name", "c_acctbal",
-                                 "c_nationkey"]),
-        {"c_custkey": "o_custkey", "c_name": "c_name",
-         "c_acctbal": "c_acctbal", "c_nationkey": "n_nationkey"},
-    )
-    nation = rd.read_parquet(f"{sf_dir}/nation.parquet",
-                             columns=["n_nationkey", "n_name"])
-    dims = size_adaptive_join(per_cust, customer, on=["o_custkey"],
-                              how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX)
-    full = size_adaptive_join(dims, nation, on=["n_nationkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_custkey": batch.column("o_custkey"),
-            "c_name": batch.column("c_name"),
-            "n_name": batch.column("n_name"),
-            "acctbal_cents": scaled_int_column(batch.column("c_acctbal"),
-                                               100.0),
-            "revenue_cents": scaled_int_column(batch.column("revenue"),
-                                               100.0),
-        })
-
-    return (
-        full.map_batches(finish, batch_format="pyarrow")
-        .sort(["revenue_cents", "c_custkey"], descending=[True, False])
-        .limit(20)
-    )
-
-
-TPCH_RETURNED_CUSTOMERS_SQL = """
-SELECT c_custkey, c_name, n_name,
-       CAST(round(c_acctbal * 100) AS BIGINT) AS acctbal_cents,
-       CAST(round(sum(l_extendedprice * (1 - l_discount)) * 100) AS BIGINT)
-         AS revenue_cents
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-JOIN nation ON c_nationkey = n_nationkey
-WHERE l_returnflag = 'R'
-GROUP BY c_custkey, c_name, n_name, c_acctbal
-ORDER BY revenue_cents DESC, c_custkey
-LIMIT 20
-"""
-
-
-def events_hour_value_regression(sf_dir: str):
-    """Per-event-type OLS line of cents on hour-of-day
-    (functions/agg.grouped_regression): five exact int64 sufficient
-    statistics through the combiner, one fixed float64 closing
-    expression — e6 fixed point for the hash compare."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_regression
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        hour = pc.subtract(
-            pc.divide(ts_s, 3600),
-            pc.multiply(pc.divide(pc.divide(ts_s, 3600), 24),
-                        pa.scalar(24, pa.int64())),
-        )
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "hour": hour.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    reg = grouped_regression(prepped, ["event_type"], "hour", "cents")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "slope_e6": scaled_int_column(batch.column("slope"), 1e6),
-            "intercept_e6": scaled_int_column(batch.column("intercept"), 1e6),
-        })
-
-    return reg.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_HOUR_VALUE_REGRESSION_SQL = """
-WITH e AS (
-  SELECT event_type,
-         (CAST(floor(epoch(ts)) AS BIGINT) // 3600) % 24 AS hour,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-s AS (
-  SELECT event_type,
-         CAST(count(*) AS DOUBLE) AS n,
-         CAST(sum(hour) AS DOUBLE) AS sx,
-         CAST(sum(cents) AS DOUBLE) AS sy,
-         CAST(sum(hour * cents) AS DOUBLE) AS sxy,
-         CAST(sum(hour * hour) AS DOUBLE) AS sxx
-  FROM e GROUP BY event_type
-)
-SELECT event_type,
-       CAST(round(
-         (n * sxy - sx * sy) / (n * sxx - sx * sx) * 1e6
-       ) AS BIGINT) AS slope_e6,
-       CAST(round(
-         (sy - (n * sxy - sx * sy) / (n * sxx - sx * sx) * sx) / n * 1e6
-       ) AS BIGINT) AS intercept_e6
-FROM s
-"""
-
-
-def events_trailing_hour(sf_dir: str):
-    """Value-based RANGE window frame (stages/ranking.window_range_agg):
-    per event, the SUM/COUNT/AVG of cents over the same user's trailing
-    hour [ts-1h, ts] — peers at the exact same timestamp included like
-    SQL RANGE CURRENT ROW.  One shuffle on user_id, two searchsorted
-    calls per bucket, no per-key loop."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.stages.ranking import window_range_agg
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    return window_range_agg(
-        prepped, key="user_id", order_col="ts_s", value_col="cents",
-        range_preceding=3600, id_cols=["event_id"],
-        sum_col="hr_sum_cents", n_col="hr_n", avg_col="hr_avg_cents",
-        driver_threshold=500_000, size_hint=events.count(),
-    )
-
-
-EVENTS_TRAILING_HOUR_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id, ts_s, event_id, cents,
-       CAST(sum(cents) OVER w AS BIGINT) AS hr_sum_cents,
-       CAST(count(*) OVER w AS BIGINT) AS hr_n,
-       CAST(sum(cents) OVER w AS DOUBLE) / count(*) OVER w
-         AS hr_avg_cents
-FROM e
-WINDOW w AS (PARTITION BY user_id ORDER BY ts_s
-             RANGE BETWEEN 3600 PRECEDING AND CURRENT ROW)
-"""
-
-
-QUERIES["tpch_shipping_priority"] = tpch_shipping_priority
-QUERIES["tpch_returned_customers"] = tpch_returned_customers
-QUERIES["events_hour_value_regression"] = events_hour_value_regression
-QUERIES["events_trailing_hour"] = events_trailing_hour
-ORACLE_SQL["tpch_shipping_priority"] = TPCH_SHIPPING_PRIORITY_SQL
-ORACLE_SQL["tpch_returned_customers"] = TPCH_RETURNED_CUSTOMERS_SQL
-ORACLE_SQL["events_hour_value_regression"] = EVENTS_HOUR_VALUE_REGRESSION_SQL
-ORACLE_SQL["events_trailing_hour"] = EVENTS_TRAILING_HOUR_SQL
-
-
-def similarity_topk_lsh(sf_dir: str):
-    """Rows-only: LSH-bucketed ANN variant of similarity_topk — sign
-    random projections (stages/similarity.lsh_assign), multiprobe
-    bit-flip buckets ordered by hyperplane margin.  Unlike IVF the
-    bucketer needs no training pass: planes are a pure (dim, seed)
-    function, so incremental corpora bucket consistently."""
-    from knowledge_graph_ray.stages.similarity import (
-        lsh_assign,
-        lsh_planes,
-        lsh_topk,
-    )
-
-    emb = _emb(sf_dir)
-    planes = lsh_planes(dim=64, n_bits=4, seed=6969)
-    assigned = lsh_assign(emb, planes).materialize()
-    return lsh_topk(assigned, planes, _query_vector(sf_dir), k=10, nprobe=4)
-
-
-def similarity_lsh_recall(sf_dir: str):
-    """SQL-gated recall floor for the LSH path (same pattern as
-    similarity_ivf_recall): multiprobe top-10 at nprobe=12/16 buckets
-    must recover >= 80% of the brute-force top-10 — deterministic
-    (seeded planes, fixed query).  A silent recall collapse FAILS the
-    driver, not just a pytest."""
-    from knowledge_graph_ray.functions.joins import hash_join, project
-    from knowledge_graph_ray.stages.similarity import (
-        brute_force_topk,
-        lsh_assign,
-        lsh_planes,
-        lsh_topk,
-    )
-
-    emb = _emb(sf_dir)
-    exact = project(brute_force_topk(emb, _query_vector(sf_dir), k=10),
-                    ["vec_id"])
-    planes = lsh_planes(dim=64, n_bits=4, seed=6969)
-    assigned = lsh_assign(emb, planes).materialize()
-    approx = project(
-        lsh_topk(assigned, planes, _query_vector(sf_dir), k=10, nprobe=12),
-        ["vec_id"],
-    )
-    overlap = hash_join(exact, approx, on=["vec_id"], how="left_semi")
-    n = overlap.count()
-    ok = 1 if n >= 8 else 0
-    return pa.table({
-        "ok": pa.array([ok], type=pa.int64()),
-        "recall_floor_met": pa.array([ok], type=pa.int64()),
-    })
-
-
-SIMILARITY_LSH_RECALL_SQL = """
-SELECT CAST(1 AS BIGINT) AS ok, CAST(1 AS BIGINT) AS recall_floor_met
-"""
-
-QUERIES["similarity_topk_lsh"] = similarity_topk_lsh
-QUERIES["similarity_lsh_recall"] = similarity_lsh_recall
-ORACLE_SQL["similarity_lsh_recall"] = SIMILARITY_LSH_RECALL_SQL
-
-
-def tpch_order_priority(sf_dir: str):
-    """TPC-H Q4 shape: orders with at least one lineitem shipped after
-    the order date, counted per priority — the EXISTS-with-predicate
-    join.
-
-    Scale shape: the EXISTS never materializes matches — lineitem
-    reduces to ONE (orderkey, max shipdate) row per order through the
-    combiner (shuffle moves order-cardinality partials), the orders
-    side attaches size-adaptively, and the predicate is a stateless
-    vectorized compare."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import size_adaptive_join
-
-    line = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                           columns=["l_orderkey", "l_shipdate"])
-
-    def ship_s(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": batch.column("l_orderkey"),
-            "ship_s": pc.divide(
-                batch.column("l_shipdate").cast(pa.int64()), 1_000_000
-            ).cast(pa.int64()),
-        })
-
-    max_ship = grouped_agg(
-        line.map_batches(ship_s, batch_format="pyarrow"),
-        ["o_orderkey"], [("max_ship_s", "ship_s", "max")],
-    )
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderdate",
-                                      "o_orderpriority"])
-
-    def date_s(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": batch.column("o_orderkey"),
-            "date_s": pc.divide(
-                batch.column("o_orderdate").cast(pa.int64()), 1_000_000
-            ).cast(pa.int64()),
-            "o_orderpriority": batch.column("o_orderpriority"),
-        })
-
-    joined = size_adaptive_join(
-        max_ship, orders.map_batches(date_s, batch_format="pyarrow"),
-        on=["o_orderkey"], how="inner", broadcast_max=BROADCAST_KEYS_MAX,
-    )
-    late = joined.map_batches(
-        lambda t: t.filter(pa.compute.greater(t.column("max_ship_s"),
-                                              t.column("date_s"))),
-        batch_format="pyarrow",
-    )
-    return grouped_agg(late, ["o_orderpriority"], [("n", None, "count")])
-
-
-TPCH_ORDER_PRIORITY_SQL = """
-SELECT o_orderpriority, count(*) AS n
-FROM orders o
-WHERE EXISTS (SELECT 1 FROM lineitem l
-              WHERE l.l_orderkey = o.o_orderkey
-                AND l.l_shipdate > o.o_orderdate)
-GROUP BY o_orderpriority
-"""
-
-
-def tpch_asia_volume(sf_dir: str):
-    """TPC-H Q5 shape: revenue per nation where customer and supplier
-    share the nation, restricted to one region — the 6-table join DAG.
-
-    Scale shape: lineitem streams through FOUR size-adaptive joins
-    (supplier / orders / customer attach, then the region-filtered
-    nation names) — each flips independently to a partitioned
-    hash_join when its right side outgrows the broadcast budget; the
-    same-nation predicate is a stateless vectorized compare, and the
-    final groupby is nation-cardinality."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import (
-        project,
-        size_adaptive_join,
-    )
-
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    )
-
-    def rev(batch: pa.Table) -> pa.Table:
-        r = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        return pa.table({"o_orderkey": batch.column("l_orderkey"),
-                         "l_suppkey": batch.column("l_suppkey"), "rev": r})
-
-    supplier = project(
-        rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_nationkey"]),
-        {"s_suppkey": "l_suppkey", "s_nationkey": "s_nationkey"},
-    )
-    orders = project(
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderkey", "o_custkey"]),
-        ["o_orderkey", "o_custkey"],
-    )
-    customer = project(
-        rd.read_parquet(f"{sf_dir}/customer.parquet",
-                        columns=["c_custkey", "c_nationkey"]),
-        {"c_custkey": "o_custkey", "c_nationkey": "c_nationkey"},
-    )
-
-    step = size_adaptive_join(line.map_batches(rev, batch_format="pyarrow"),
-                              supplier, on=["l_suppkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX)
-    step = size_adaptive_join(step, orders, on=["o_orderkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX)
-    step = size_adaptive_join(step, customer, on=["o_custkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX)
-    same_nation = step.map_batches(
-        lambda t: t.filter(pa.compute.equal(
-            t.column("c_nationkey").cast(pa.int64()),
-            t.column("s_nationkey").cast(pa.int64()))),
-        batch_format="pyarrow",
-    )
-
-    nation = rd.read_parquet(f"{sf_dir}/nation.parquet",
-                             columns=["n_nationkey", "n_name", "n_regionkey"])
-    region = rd.read_parquet(f"{sf_dir}/region.parquet",
-                             columns=["r_regionkey", "r_name"])
-    asia = size_adaptive_join(
-        nation, project(region, {"r_regionkey": "n_regionkey",
-                                 "r_name": "r_name"}),
-        on=["n_regionkey"], how="inner", broadcast_max=BROADCAST_KEYS_MAX,
-    ).map_batches(
-        lambda t: t.filter(pa.compute.equal(t.column("r_name"), "ASIA")),
-        batch_format="pyarrow",
-    )
-    asia_names = project(asia.select_columns(["n_nationkey", "n_name"]),
-                         {"n_nationkey": "s_nationkey", "n_name": "n_name"})
-
-    full = size_adaptive_join(same_nation, asia_names, on=["s_nationkey"],
-                              how="inner", broadcast_max=BROADCAST_KEYS_MAX)
-    agg = grouped_agg(full.select_columns(["n_name", "rev"]), ["n_name"],
-                      [("revenue", "rev", "sum")])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "n_name": batch.column("n_name"),
-            "revenue_cents": scaled_int_column(batch.column("revenue"),
-                                               100.0),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-TPCH_ASIA_VOLUME_SQL = """
-SELECT n_name,
-       CAST(round(sum(l_extendedprice * (1 - l_discount)) * 100) AS BIGINT)
-         AS revenue_cents
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-JOIN supplier ON l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-JOIN nation ON s_nationkey = n_nationkey
-JOIN region ON n_regionkey = r_regionkey
-WHERE r_name = 'ASIA'
-GROUP BY n_name
-"""
-
-
-QUERIES["tpch_order_priority"] = tpch_order_priority
-QUERIES["tpch_asia_volume"] = tpch_asia_volume
-ORACLE_SQL["tpch_order_priority"] = TPCH_ORDER_PRIORITY_SQL
-ORACLE_SQL["tpch_asia_volume"] = TPCH_ASIA_VOLUME_SQL
-
-
-def events_value_quantiles_cont(sf_dir: str):
-    """Interpolated quantiles (SQL PERCENTILE_CONT / quantile_cont) per
-    event type — stages/sketches.grouped_quantiles_cont: the same
-    value-histogram combiner as the discrete path (shuffle bounded by
-    distinct (type, value) pairs), linear interpolation between the two
-    order statistics around rank (n-1)*q.  e6 fixed point (cents inputs
-    interpolate to <= 4 decimals, exactly representable)."""
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles_cont
-
-    q = grouped_quantiles_cont(
-        rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["event_type", "value"]),
-        "event_type", "value", qs=[0.5, 0.9, 0.99],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict({
-            "event_type": batch.column("event_type"),
-            "q_e2": scaled_int_column(batch.column("q"), 100.0),
-            "value_e6": scaled_int_column(batch.column("value"), 1e6),
-        })
-
-    return q.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_VALUE_QUANTILES_CONT_SQL = """
-SELECT event_type, CAST(50 AS BIGINT) AS q_e2,
-       CAST(round(quantile_cont(value, 0.5) * 1e6) AS BIGINT) AS value_e6
-FROM events GROUP BY event_type
-UNION ALL
-SELECT event_type, CAST(90 AS BIGINT),
-       CAST(round(quantile_cont(value, 0.9) * 1e6) AS BIGINT)
-FROM events GROUP BY event_type
-UNION ALL
-SELECT event_type, CAST(99 AS BIGINT),
-       CAST(round(quantile_cont(value, 0.99) * 1e6) AS BIGINT)
-FROM events GROUP BY event_type
-"""
-
-
-def tpch_revenue_forecast(sf_dir: str):
-    """TPC-H Q6 shape: global filtered sum — the read-pruning
-    showcase.  ALL four predicates (shipdate range, discount band,
-    quantity cap) are pushed into the parquet read as one conjunction
-    (pruned row groups never leave storage); the surviving rows reduce
-    through the constant-key combiner (one partial row per block, no
-    driver materialization)."""
-    import datetime
-
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    f = (
-        (pads.field("l_shipdate") >= datetime.datetime(1998, 1, 1))
-        & (pads.field("l_shipdate") < datetime.datetime(1999, 1, 1))
-        & (pads.field("l_discount") >= 0.05)
-        & (pads.field("l_discount") <= 0.07)
-        & (pads.field("l_quantity") < 24)
-    )
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_extendedprice", "l_discount", "l_shipdate",
-                 "l_quantity"],
-        filter=f,
-    )
-
-    def rev(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "__grand": pa.array(
-                np.zeros(len(batch), dtype=np.int8)),
-            "rev": pc.multiply(batch.column("l_extendedprice"),
-                               batch.column("l_discount")),
-        })
-
-    agg = grouped_agg(
-        line.map_batches(rev, batch_format="pyarrow"), ["__grand"],
-        [("revenue", "rev", "sum"), ("n_items", None, "count")],
-        num_buckets=1,
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "revenue_cents": scaled_int_column(batch.column("revenue"),
-                                               100.0),
-            "n_items": batch.column("n_items"),
-        })
-
-    out = agg.map_batches(finish, batch_format="pyarrow").materialize()
-    if out.count() == 0:
-        # ungrouped SQL aggregates always yield ONE row: sum over no
-        # rows is NULL, count(*) is 0 — match that shape exactly
-        return pa.table({
-            "revenue_cents": pa.array([None], type=pa.int64()),
-            "n_items": pa.array([0], type=pa.int64()),
-        })
-    return out
-
-
-TPCH_REVENUE_FORECAST_SQL = """
-SELECT CAST(round(sum(l_extendedprice * l_discount) * 100) AS BIGINT)
-         AS revenue_cents,
-       count(*) AS n_items
-FROM lineitem
-WHERE l_shipdate >= TIMESTAMP '1998-01-01'
-  AND l_shipdate < TIMESTAMP '1999-01-01'
-  AND l_discount BETWEEN 0.05 AND 0.07
-  AND l_quantity < 24
-"""
-
-
-QUERIES["events_value_quantiles_cont"] = events_value_quantiles_cont
-QUERIES["tpch_revenue_forecast"] = tpch_revenue_forecast
-ORACLE_SQL["events_value_quantiles_cont"] = EVENTS_VALUE_QUANTILES_CONT_SQL
-ORACLE_SQL["tpch_revenue_forecast"] = TPCH_REVENUE_FORECAST_SQL
-
-
-def events_disjunctive_scan(sf_dir: str):
-    """Disjunctive predicate pushdown (the TPC-H Q19 shape reduced to
-    one table): an OR of per-branch conjunctions is pushed INTO the
-    parquet read as a single pyarrow dataset expression — row groups
-    where NO branch can match never leave storage — then one combiner
-    groupby per event type."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    f = (
-        ((pads.field("event_type") == "click")
-         & (pads.field("value") > 400.0))
-        | ((pads.field("event_type") == "view")
-           & (pads.field("value") < 10.0))
-    )
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"], filter=f)
-
-    def cents(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    agg = grouped_agg(events.map_batches(cents, batch_format="pyarrow"),
-                      ["event_type"],
-                      [("n", None, "count"), ("sum_cents", "cents", "sum")])
-    return agg
-
-
-EVENTS_DISJUNCTIVE_SCAN_SQL = """
-SELECT event_type, count(*) AS n,
-       CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS sum_cents
-FROM events
-WHERE (event_type = 'click' AND value > 400.0)
-   OR (event_type = 'view' AND value < 10.0)
-GROUP BY event_type
-"""
-
-QUERIES["events_disjunctive_scan"] = events_disjunctive_scan
-ORACLE_SQL["events_disjunctive_scan"] = EVENTS_DISJUNCTIVE_SCAN_SQL
-
-
-def tpch_ship_priority_lines(sf_dir: str):
-    """TPC-H Q12 shape: lineitems shipped in one year, classified by
-    order priority into high/low counts per return flag — the
-    join-then-conditional-count pattern.
-
-    Scale shape: the year predicate is pushed into the parquet read
-    (row groups outside the window never leave storage), the orders
-    side attaches size-adaptively (keys + one small string column),
-    and the CASE collapses inside the combiner groupby — the shuffle
-    moves returnflag-cardinality partial rows."""
-    import datetime
-
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    f = (
-        (pads.field("l_shipdate") >= datetime.datetime(1996, 1, 1))
-        & (pads.field("l_shipdate") < datetime.datetime(1997, 1, 1))
-    )
-    line = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                           columns=["l_orderkey", "l_returnflag"], filter=f)
-    orders = project(
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderkey", "o_orderpriority"]),
-        {"o_orderkey": "l_orderkey", "o_orderpriority": "o_orderpriority"},
-    )
-    joined = size_adaptive_join(line, orders, on=["l_orderkey"], how="inner",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-
-    def classify(batch: pa.Table) -> pa.Table:
-        high = pc.is_in(
-            batch.column("o_orderpriority"),
-            value_set=pa.array(["1-URGENT", "2-HIGH"]),
-        ).cast(pa.int64())
-        return pa.table({
-            "l_returnflag": batch.column("l_returnflag"),
-            "high": high,
-            "low": pc.subtract(pa.scalar(1, type=pa.int64()), high),
-        })
-
-    return grouped_agg(
-        joined.map_batches(classify, batch_format="pyarrow"),
-        ["l_returnflag"],
-        [("high_line_count", "high", "sum"), ("low_line_count", "low", "sum")],
-    )
-
-
-TPCH_SHIP_PRIORITY_LINES_SQL = """
-SELECT l_returnflag,
-       CAST(sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
-                     THEN 1 ELSE 0 END) AS BIGINT) AS high_line_count,
-       CAST(sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
-                     THEN 0 ELSE 1 END) AS BIGINT) AS low_line_count
-FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-  AND l_shipdate < TIMESTAMP '1997-01-01'
-GROUP BY l_returnflag
-"""
-
-
-def tpch_customer_order_counts(sf_dir: str):
-    """TPC-H Q13 shape: distribution of per-customer order counts
-    INCLUDING zero-order customers — the left-outer-join + two-level
-    aggregation pattern.
-
-    Scale shape: orders collapse to one (custkey, count) partial per
-    customer BEFORE any join (the shuffle moves customer-cardinality
-    rows, never order rows), the customer side attaches left-outer
-    size-adaptively so zero-order customers survive as nulls, and the
-    distribution groupby is count-cardinality."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_orderpriority"])
-    non_urgent = orders.map_batches(
-        lambda t: t.filter(pc.not_equal(t.column("o_orderpriority"),
-                                        "1-URGENT")),
-        batch_format="pyarrow",
-    )
-    per_cust = project(
-        grouped_agg(non_urgent, ["o_custkey"], [("c_count", None, "count")]),
-        {"o_custkey": "c_custkey", "c_count": "c_count"},
-    )
-    customer = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                               columns=["c_custkey"])
-    joined = size_adaptive_join(customer, per_cust, on=["c_custkey"],
-                                how="left_outer",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-
-    def fill_zero(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_count": pc.fill_null(
-                batch.column("c_count").cast(pa.int64()), 0
-            ),
-        })
-
-    return grouped_agg(
-        joined.map_batches(fill_zero, batch_format="pyarrow"),
-        ["c_count"], [("custdist", None, "count")],
-    )
-
-
-TPCH_CUSTOMER_ORDER_COUNTS_SQL = """
-SELECT c_count, CAST(count(*) AS BIGINT) AS custdist
-FROM (
-  SELECT c_custkey, CAST(count(o_custkey) AS BIGINT) AS c_count
-  FROM customer LEFT OUTER JOIN orders
-    ON c_custkey = o_custkey AND o_orderpriority <> '1-URGENT'
-  GROUP BY c_custkey
-) t
-GROUP BY c_count
-"""
-
-
-def tpch_promo_revenue(sf_dir: str):
-    """TPC-H Q14 shape: share of one year's revenue from promo parts —
-    join + conditional grand-total aggregation.
-
-    Scale shape: the year predicate is pushed into the read, the part
-    type attaches size-adaptively (part is the small side), and both
-    sums collapse through the constant-key combiner — one partial row
-    per block reaches the driver-side finish.  Numerator and
-    denominator are reported as separate cent sums (a ratio of two
-    float sums would be hash-brittle)."""
-    import datetime
-
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    f = (
-        (pads.field("l_shipdate") >= datetime.datetime(1997, 1, 1))
-        & (pads.field("l_shipdate") < datetime.datetime(1998, 1, 1))
-    )
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount"], filter=f,
-    )
-    part = project(
-        rd.read_parquet(f"{sf_dir}/part.parquet",
-                        columns=["p_partkey", "p_type"]),
-        {"p_partkey": "l_partkey", "p_type": "p_type"},
-    )
-    joined = size_adaptive_join(line, part, on=["l_partkey"], how="inner",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-
-    def revs(batch: pa.Table) -> pa.Table:
-        rev = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        promo = pc.if_else(
-            pc.equal(batch.column("p_type"), "PROMO"), rev, pa.scalar(0.0)
-        )
-        return pa.table({
-            "g": pa.array([1] * len(batch), type=pa.int64()),
-            "rev": rev,
-            "promo": promo,
-        })
-
-    agg = grouped_agg(
-        joined.map_batches(revs, batch_format="pyarrow"),
-        ["g"],
-        [("promo_rev", "promo", "sum"), ("total_rev", "rev", "sum")],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "promo_revenue_cents": scaled_int_column(
-                batch.column("promo_rev"), 100.0),
-            "total_revenue_cents": scaled_int_column(
-                batch.column("total_rev"), 100.0),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-TPCH_PROMO_REVENUE_SQL = """
-SELECT CAST(round(sum(CASE WHEN p_type = 'PROMO'
-                           THEN l_extendedprice * (1 - l_discount)
-                           ELSE 0 END) * 100) AS BIGINT)
-         AS promo_revenue_cents,
-       CAST(round(sum(l_extendedprice * (1 - l_discount)) * 100) AS BIGINT)
-         AS total_revenue_cents
-FROM lineitem JOIN part ON l_partkey = p_partkey
-WHERE l_shipdate >= TIMESTAMP '1997-01-01'
-  AND l_shipdate < TIMESTAMP '1998-01-01'
-"""
-
-
-QUERIES["tpch_ship_priority_lines"] = tpch_ship_priority_lines
-QUERIES["tpch_customer_order_counts"] = tpch_customer_order_counts
-QUERIES["tpch_promo_revenue"] = tpch_promo_revenue
-ORACLE_SQL["tpch_ship_priority_lines"] = TPCH_SHIP_PRIORITY_LINES_SQL
-ORACLE_SQL["tpch_customer_order_counts"] = TPCH_CUSTOMER_ORDER_COUNTS_SQL
-ORACLE_SQL["tpch_promo_revenue"] = TPCH_PROMO_REVENUE_SQL
-
-
-def tpch_small_quantity_revenue(sf_dir: str):
-    """TPC-H Q17 shape: revenue from below-average-quantity lineitems
-    of one brand — the self-aggregation join-back (correlated-avg)
-    pattern.
-
-    Scale shape: the brand's partkeys broadcast as a semi-join filter
-    (lineitem never shuffles for the filter), the per-part average is a
-    combiner groupby over the filtered subset (part-cardinality
-    partials), and the join-back attaches size-adaptively.  Quantities
-    are integer-valued doubles, so the per-part mean is exact and the
-    strict-inequality threshold cannot drift between engines."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    part = rd.read_parquet(f"{sf_dir}/part.parquet",
-                           columns=["p_partkey", "p_brand"])
-    brand_keys = project(
-        part.map_batches(
-            lambda t: t.filter(pc.equal(t.column("p_brand"), "Brand#23")),
-            batch_format="pyarrow",
-        ),
-        {"p_partkey": "l_partkey"},
-    )
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice"],
-    )
-    brand_lines = size_adaptive_join(line, brand_keys, on=["l_partkey"],
-                                     how="left_semi",
-                                     broadcast_max=BROADCAST_KEYS_MAX)
-    brand_lines = brand_lines.materialize()
-    avg_qty = grouped_agg(brand_lines, ["l_partkey"],
-                          [("avg_qty", "l_quantity", "mean")])
-    joined = size_adaptive_join(brand_lines, avg_qty, on=["l_partkey"],
-                                how="inner",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-
-    def below(batch: pa.Table) -> pa.Table:
-        keep = pc.less(
-            batch.column("l_quantity"),
-            pc.multiply(pa.scalar(0.2), batch.column("avg_qty")),
-        )
-        t = batch.filter(keep)
-        return pa.table({
-            "g": pa.array([1] * len(t), type=pa.int64()),
-            "l_extendedprice": t.column("l_extendedprice"),
-        })
-
-    agg = grouped_agg(
-        joined.map_batches(below, batch_format="pyarrow"),
-        ["g"],
-        [("price_sum", "l_extendedprice", "sum"), ("n_lines", None, "count")],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "avg_yearly_cents": scaled_int_column(
-                pc.divide(batch.column("price_sum"), 7.0), 100.0),
-            "n_lines": batch.column("n_lines"),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-TPCH_SMALL_QUANTITY_REVENUE_SQL = """
-WITH pl AS (
-  SELECT l_partkey, l_quantity, l_extendedprice
-  FROM lineitem JOIN part ON p_partkey = l_partkey
-  WHERE p_brand = 'Brand#23'
-), a AS (
-  SELECT l_partkey, 0.2 * avg(l_quantity) AS lim
-  FROM pl GROUP BY l_partkey
-)
-SELECT CAST(round(sum(l_extendedprice) / 7.0 * 100) AS BIGINT)
-         AS avg_yearly_cents,
-       CAST(count(*) AS BIGINT) AS n_lines
-FROM pl JOIN a USING (l_partkey)
-WHERE l_quantity < lim
-"""
-
-
-def tpch_large_orders(sf_dir: str):
-    """TPC-H Q18 shape: orders whose total quantity exceeds a threshold,
-    with customer attribution — the HAVING-on-aggregate + join-back
-    pattern.
-
-    Scale shape: lineitem collapses to one (orderkey, sum) partial per
-    order through the combiner, the HAVING filter drops most orders
-    BEFORE any join, and the two dimension attaches are size-adaptive.
-    Quantity sums are integer-valued doubles — the BIGINT cast is
-    exact."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    line = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                           columns=["l_orderkey", "l_quantity"])
-    per_order = grouped_agg(line, ["l_orderkey"],
-                            [("sum_qty_f", "l_quantity", "sum")])
-    big = per_order.map_batches(
-        lambda t: t.filter(pc.greater(t.column("sum_qty_f"), 150.0)),
-        batch_format="pyarrow",
-    )
-    orders = project(
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderkey", "o_custkey", "o_totalprice"]),
-        {"o_orderkey": "l_orderkey", "o_custkey": "o_custkey",
-         "o_totalprice": "o_totalprice"},
-    )
-    joined = size_adaptive_join(big, orders, on=["l_orderkey"], how="inner",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-    customer = project(
-        rd.read_parquet(f"{sf_dir}/customer.parquet",
-                        columns=["c_custkey", "c_name"]),
-        {"c_custkey": "o_custkey", "c_name": "c_name"},
-    )
-    full = size_adaptive_join(joined, customer, on=["o_custkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_name": batch.column("c_name"),
-            "o_orderkey": batch.column("l_orderkey"),
-            "totalprice_cents": scaled_int_column(
-                batch.column("o_totalprice"), 100.0),
-            "sum_qty": scaled_int_column(batch.column("sum_qty_f"), 1.0),
-        })
-
-    return full.map_batches(finish, batch_format="pyarrow")
-
-
-TPCH_LARGE_ORDERS_SQL = """
-SELECT c_name, o_orderkey,
-       CAST(round(o_totalprice * 100) AS BIGINT) AS totalprice_cents,
-       CAST(round(sq) AS BIGINT) AS sum_qty
-FROM (
-  SELECT l_orderkey, sum(l_quantity) AS sq
-  FROM lineitem GROUP BY l_orderkey HAVING sum(l_quantity) > 150
-) t
-JOIN orders ON o_orderkey = l_orderkey
-JOIN customer ON c_custkey = o_custkey
-"""
-
-
-def tpch_idle_rich_customers(sf_dir: str):
-    """TPC-H Q22 shape: above-average-balance customers with no urgent
-    orders, grouped by segment — the scalar-subquery broadcast +
-    anti-join pattern.
-
-    Scale shape: the balance average collapses through the constant-key
-    combiner to ONE driver scalar (bounded take on a 1-row dataset),
-    the urgent-customer keys anti-join size-adaptively (keys only on
-    the wire), and balances sum as exact per-row cents."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    customer = rd.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_acctbal", "c_mktsegment"],
-    )
-
-    def positive(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.greater(batch.column("c_acctbal"), 0.0))
-        return pa.table({
-            "g": pa.array([1] * len(t), type=pa.int64()),
-            "c_acctbal": t.column("c_acctbal"),
-        })
-
-    stats = grouped_agg(
-        customer.map_batches(positive, batch_format="pyarrow"),
-        ["g"], [("bal_sum", "c_acctbal", "sum"), ("n", None, "count")],
-    ).take(1)[0]
-    avg_bal = stats["bal_sum"] / stats["n"]
-
-    rich = customer.map_batches(
-        lambda t: t.filter(pc.greater(t.column("c_acctbal"), avg_bal)),
-        batch_format="pyarrow",
-    )
-    urgent = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_orderpriority"])
-    urgent_keys = project(
-        urgent.map_batches(
-            lambda t: t.filter(pc.equal(t.column("o_orderpriority"),
-                                        "1-URGENT")),
-            batch_format="pyarrow",
-        ),
-        {"o_custkey": "c_custkey"},
-    )
-    idle = size_adaptive_join(rich, urgent_keys, on=["c_custkey"],
-                              how="left_anti",
-                              broadcast_max=BROADCAST_KEYS_MAX)
-
-    def cents(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_mktsegment": batch.column("c_mktsegment"),
-            "bal_cents": scaled_int_column(batch.column("c_acctbal"), 100.0),
-        })
-
-    return grouped_agg(
-        idle.map_batches(cents, batch_format="pyarrow"),
-        ["c_mktsegment"],
-        [("numcust", None, "count"), ("totacctbal_cents", "bal_cents", "sum")],
-    )
-
-
-TPCH_IDLE_RICH_CUSTOMERS_SQL = """
-WITH a AS (SELECT avg(c_acctbal) AS v FROM customer WHERE c_acctbal > 0)
-SELECT c_mktsegment, CAST(count(*) AS BIGINT) AS numcust,
-       CAST(sum(CAST(round(c_acctbal * 100) AS BIGINT)) AS BIGINT)
-         AS totacctbal_cents
-FROM customer, a
-WHERE c_acctbal > v
-  AND NOT EXISTS (SELECT 1 FROM orders
-                  WHERE o_custkey = c_custkey
-                    AND o_orderpriority = '1-URGENT')
-GROUP BY c_mktsegment
-"""
-
-
-QUERIES["tpch_small_quantity_revenue"] = tpch_small_quantity_revenue
-QUERIES["tpch_large_orders"] = tpch_large_orders
-QUERIES["tpch_idle_rich_customers"] = tpch_idle_rich_customers
-ORACLE_SQL["tpch_small_quantity_revenue"] = TPCH_SMALL_QUANTITY_REVENUE_SQL
-ORACLE_SQL["tpch_large_orders"] = TPCH_LARGE_ORDERS_SQL
-ORACLE_SQL["tpch_idle_rich_customers"] = TPCH_IDLE_RICH_CUSTOMERS_SQL
-
-
-def embeddings_kmeans_sizes(sf_dir: str):
-    """Rows-only: distributed Lloyd's k-means document clustering
-    (stages/similarity.kmeans_fit) — cluster sizes for k=8.  Non-SQL
-    (iterative); the invariants gate is embeddings_kmeans_quality."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.similarity import kmeans_assign, kmeans_fit
-
-    emb = _emb(sf_dir)
-    cents, _ = kmeans_fit(emb, k=8, iters=4, seed=6969)
-    assigned = kmeans_assign(emb, cents).select_columns(["cluster"])
-    return grouped_agg(assigned, ["cluster"], [("n_vectors", None, "count")])
-
-
-def embeddings_kmeans_quality(sf_dir: str):
-    """SQL-gated invariants for the k-means path (the established
-    self-check-gate pattern, cf. similarity_ivf_recall): (a) Lloyd's
-    inertia sequence is non-increasing across iterations; (b) the
-    final WCSS — recomputed in an independent streaming pass against
-    the final centroids — does not exceed the last iteration's inertia
-    (a broken centroid update would raise it); (c) the fit returns
-    exactly k finite centroids.  A silent divergence FAILS the driver,
-    not just a pytest."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.similarity import (
-        _as_matrix,
-        kmeans_fit,
-    )
-
-    emb = _emb(sf_dir)
-    cents, inertia = kmeans_fit(emb, k=8, iters=4, seed=6969)
-
-    def wcss(batch: pa.Table) -> pa.Table:
-        mat = _as_matrix(batch.column("embedding").to_pylist()).astype(
-            np.float64
-        )
-        d2 = (
-            -2.0 * (mat @ cents.T)
-            + (cents * cents).sum(axis=1)[None, :]
-            + (mat * mat).sum(axis=1)[:, None]
-        )
-        return pa.table({
-            "g": pa.array([1] * len(batch), type=pa.int64()),
-            "err": pa.array(d2.min(axis=1), type=pa.float64()),
-        })
-
-    row = grouped_agg(
-        emb.select_columns(["embedding"]).map_batches(
-            wcss, batch_format="pyarrow"),
-        ["g"], [("final_wcss", "err", "sum")],
-    ).take(1)
-    final_wcss = float(row[0]["final_wcss"]) if row else 0.0
-
-    monotone = int(all(
-        b <= a * (1 + 1e-9) for a, b in zip(inertia, inertia[1:])
-    ))
-    update_ok = int(final_wcss <= inertia[-1] * (1 + 1e-9))
-    finite_ok = int(
-        len(cents) == 8 and bool(np.isfinite(cents).all())
-    )
-    return pa.table({
-        "inertia_monotone": pa.array([monotone], type=pa.int64()),
-        "final_update_improves": pa.array([update_ok], type=pa.int64()),
-        "k_finite_centroids": pa.array([finite_ok], type=pa.int64()),
-    })
-
-
-EMBEDDINGS_KMEANS_QUALITY_SQL = """
-SELECT CAST(1 AS BIGINT) AS inertia_monotone,
-       CAST(1 AS BIGINT) AS final_update_improves,
-       CAST(1 AS BIGINT) AS k_finite_centroids
-"""
-
-QUERIES["embeddings_kmeans_sizes"] = embeddings_kmeans_sizes
-QUERIES["embeddings_kmeans_quality"] = embeddings_kmeans_quality
-ORACLE_SQL["embeddings_kmeans_quality"] = EMBEDDINGS_KMEANS_QUALITY_SQL
-
-
-def text_inverted_index(sf_dir: str):
-    """Inverted index over the corpus: term -> document frequency +
-    ascending posting list — the index-build shape behind sharded
-    retrieval.
-
-    Scale shape: the corpus explodes to distinct (term, doc) incidence
-    rows per batch (stages/vocab.term_doc_pairs — text never leaves the
-    batch), then ONE shuffle on term builds every posting list with the
-    vectorized Arrow sort + group-boundary binary_join of
-    grouped_string_agg; df is recovered from the joined string's
-    separator count (doc ids contain no commas), so no second shuffle.
-    At 100 TB the posting lists of stop-word-like terms are the skew
-    risk — the redaction/stopword filters upstream bound them."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_string_agg
-    from knowledge_graph_ray.stages.vocab import term_doc_pairs
-
-    pairs = term_doc_pairs(_docs(sf_dir))
-
-    def add_str(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "doc_id_str", batch.column("doc_id").cast(pa.string())
-        )
-
-    postings = grouped_string_agg(
-        pairs.map_batches(add_str, batch_format="pyarrow"),
-        ["term"], "doc_id_str", ["doc_id"], sep=",", out_col="postings",
-    )
-
-    def with_df(batch: pa.Table) -> pa.Table:
-        n_sep = pc.count_substring(batch.column("postings"), ",")
-        return pa.table({
-            "term": batch.column("term"),
-            "df": pc.add(n_sep, 1).cast(pa.int64()),
-            "postings": batch.column("postings"),
-        })
-
-    return postings.map_batches(with_df, batch_format="pyarrow")
-
-
-TEXT_INVERTED_INDEX_SQL = """
-WITH terms AS (
-  SELECT DISTINCT doc_id, t.term
-  FROM documents,
-       unnest(list_distinct(string_split(lower(text), ' '))) AS t(term)
-  WHERE t.term <> ''
-)
-SELECT term, CAST(count(*) AS BIGINT) AS df,
-       string_agg(CAST(doc_id AS VARCHAR), ',' ORDER BY doc_id) AS postings
-FROM terms GROUP BY term
-"""
-
-QUERIES["text_inverted_index"] = text_inverted_index
-ORACLE_SQL["text_inverted_index"] = TEXT_INVERTED_INDEX_SQL
-
-
-def events_type_value_stddev(sf_dir: str):
-    """Sample stddev of value-cents per event type —
-    functions/agg.grouped_stddev: exact int64 sufficient statistics
-    (n, Σx, Σx²) through the combiner, then ONE fixed float64
-    expression — bit-reproducible vs a SQL oracle writing the same
-    tree (the builtin stddev_samp's streaming accumulation is
-    order-dependent in the last ulp)."""
-    from knowledge_graph_ray.functions.agg import grouped_stddev
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def cents(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    return grouped_stddev(
-        events.map_batches(cents, batch_format="pyarrow"),
-        ["event_type"], "cents", out_col="stddev_cents",
-    )
-
-
-EVENTS_TYPE_VALUE_STDDEV_SQL = """
-WITH e AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-s AS (
-  SELECT event_type,
-         CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(cents) AS BIGINT) AS sx,
-         CAST(sum(cents * cents) AS BIGINT) AS sxx
-  FROM e GROUP BY event_type
-)
-SELECT event_type, n,
-       sqrt((CAST(n AS DOUBLE) * sxx - CAST(sx AS DOUBLE) * sx)
-            / (CAST(n AS DOUBLE) * (n - 1))) AS stddev_cents
-FROM s
-"""
-
-
-def text_bigram_counts(sf_dir: str):
-    """Corpus-wide adjacent-token bigram counts
-    (stages/vocab.bigram_counts) — the n-gram LM counting shape; top
-    100 by (n desc, pair asc) for a bounded result."""
-    from knowledge_graph_ray.stages.vocab import bigram_counts
-
-    return (
-        bigram_counts(_docs(sf_dir))
-        .sort(["n", "term_a", "term_b"], descending=[True, False, False])
-        .limit(100)
-    )
-
-
-TEXT_BIGRAM_COUNTS_SQL = """
-WITH toks AS (
-  SELECT doc_id,
-         list_filter(string_split(lower(text), ' '), x -> x <> '') AS l
-  FROM documents
-)
-SELECT l[i] AS term_a, l[i + 1] AS term_b, CAST(count(*) AS BIGINT) AS n
-FROM toks, unnest(generate_series(1, len(l) - 1)) AS g(i)
-GROUP BY 1, 2
-ORDER BY n DESC, term_a, term_b
-LIMIT 100
-"""
-
-
-def documents_source_entropy(sf_dir: str):
-    """Shannon entropy of each language's source distribution — the
-    distribution-health metric for corpus mixing.
-
-    Scale shape: the ONLY distributed work is the (lang, source) count
-    groupby (combiner partials); the entropy formula runs on the
-    bounded langs x sources table (driver-side, ~100 rows — same
-    bounded-finish discipline as the chi-square query)."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["lang", "source"])
-    cells = grouped_agg(docs, ["lang", "source"],
-                        [("n", None, "count")]).to_pandas()
-    tot = cells.groupby("lang")["n"].transform("sum")
-    p = cells["n"] / tot
-    cells["h"] = -p * np.log(p)
-    ent = cells.groupby("lang", sort=True)["h"].sum()
-    return pa.table({
-        "lang": pa.array(ent.index.to_numpy(dtype=object),
-                         type=pa.string()),
-        "entropy_e6": pa.array(
-            np.round(ent.to_numpy() * 1e6).astype(np.int64)
-        ),
-    })
-
-
-DOCUMENTS_SOURCE_ENTROPY_SQL = """
-WITH c AS (
-  SELECT lang, source, CAST(count(*) AS DOUBLE) AS n
-  FROM documents GROUP BY 1, 2
-),
-t AS (SELECT lang, sum(n) AS tot FROM c GROUP BY 1)
-SELECT c.lang,
-       CAST(round(sum(-(n / tot) * ln(n / tot)) * 1e6) AS BIGINT)
-         AS entropy_e6
-FROM c JOIN t ON c.lang = t.lang
-GROUP BY c.lang
-"""
-
-
-def documents_lang_source_chi2(sf_dir: str):
-    """Chi-square independence statistic for the lang x source
-    contingency table (zero-observed cells included via the marginal
-    grid) — the corpus-drift test shape.
-
-    Scale shape: distributed work = ONE (lang, source) count groupby;
-    marginals + the chi2 sum run on the bounded cell grid
-    (driver-side, langs x sources rows)."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["lang", "source"])
-    cells = grouped_agg(docs, ["lang", "source"],
-                        [("n", None, "count")]).to_pandas()
-    langs = sorted(cells["lang"].unique())
-    sources = sorted(cells["source"].unique())
-    obs = cells.pivot_table(index="lang", columns="source", values="n",
-                            fill_value=0).reindex(
-        index=langs, columns=sources, fill_value=0
-    ).to_numpy(dtype=np.float64)
-    rn = obs.sum(axis=1, keepdims=True)
-    cn = obs.sum(axis=0, keepdims=True)
-    t = obs.sum()
-    e = rn * cn / t
-    chi2 = float(((obs - e) ** 2 / e).sum())
-    return pa.table({
-        "chi2_e6": pa.array([int(np.round(chi2 * 1e6))], type=pa.int64()),
-        "n_cells": pa.array([obs.size], type=pa.int64()),
-    })
-
-
-DOCUMENTS_LANG_SOURCE_CHI2_SQL = """
-WITH cells AS (
-  SELECT lang, source, CAST(count(*) AS DOUBLE) AS n
-  FROM documents GROUP BY 1, 2
-),
-rm AS (SELECT lang, sum(n) AS rn FROM cells GROUP BY 1),
-cm AS (SELECT source, sum(n) AS cn FROM cells GROUP BY 1),
-tot AS (SELECT sum(n) AS t FROM cells),
-grid AS (SELECT lang, source, rn, cn, t FROM rm, cm, tot),
-full_g AS (
-  SELECT g.lang, g.source, coalesce(c.n, 0) AS o, g.rn * g.cn / g.t AS e
-  FROM grid g LEFT JOIN cells c ON g.lang = c.lang AND g.source = c.source
-)
-SELECT CAST(round(sum((o - e) * (o - e) / e) * 1e6) AS BIGINT) AS chi2_e6,
-       CAST(count(*) AS BIGINT) AS n_cells
-FROM full_g
-"""
-
-
-def text_tfidf_top_terms(sf_dir: str):
-    """Top-3 TF-IDF terms per document — the keyword-extraction shape.
-
-    Scale shape: per-doc term frequencies stay in their batch
-    (stages/vocab.term_count_pairs), the tiny df table broadcast-joins
-    via the size-adaptive path, n_docs is one streaming count, and the
-    per-doc top-3 runs through the grouped_topk combiner (<= k rows
-    per (doc, batch) ever shuffle)."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.grouping import grouped_topk
-    from knowledge_graph_ray.functions.joins import size_adaptive_join
-    from knowledge_graph_ray.stages.vocab import (
-        document_frequency,
-        term_count_pairs,
-    )
-
-    docs = _docs(sf_dir)
-    n_docs = docs.count()
-    pairs = term_count_pairs(docs)
-    dfreq = document_frequency(docs)
-    joined = size_adaptive_join(pairs, dfreq, on=["term"], how="inner",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-
-    def weigh(batch: pa.Table) -> pa.Table:
-        tf = batch.column("tf").to_numpy(zero_copy_only=False)
-        dfv = batch.column("df").to_numpy(zero_copy_only=False)
-        w = np.round(
-            tf * np.log(float(n_docs) / dfv) * 1e6
-        ).astype(np.int64)
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "term": batch.column("term"),
-            "tf": batch.column("tf"),
-            "weight_e6": pa.array(w),
-        })
-
-    return grouped_topk(
-        joined.map_batches(weigh, batch_format="pyarrow"),
-        ["doc_id"], "weight_e6", k=3, descending=True, tie_cols=["term"],
-    )
-
-
-TEXT_TFIDF_TOP_TERMS_SQL = """
-WITH pairs AS (
-  SELECT doc_id, t.term, CAST(count(*) AS BIGINT) AS tf
-  FROM documents,
-       unnest(list_filter(string_split(lower(text), ' '), x -> x <> ''))
-         AS t(term)
-  GROUP BY 1, 2
-),
-df AS (
-  SELECT term, count(*) AS df FROM pairs GROUP BY term
-),
-nd AS (SELECT count(*) AS n FROM documents),
-w AS (
-  SELECT doc_id, pairs.term, tf,
-         CAST(round(tf * ln(CAST(n AS DOUBLE) / df) * 1e6) AS BIGINT)
-           AS weight_e6
-  FROM pairs JOIN df ON pairs.term = df.term, nd
-),
-r AS (
-  SELECT *, row_number() OVER (
-    PARTITION BY doc_id ORDER BY weight_e6 DESC, term
-  ) AS rk FROM w
-)
-SELECT doc_id, term, tf, weight_e6, CAST(rk AS BIGINT) AS rk
-FROM r WHERE rk <= 3
-"""
-
-
-QUERIES["events_type_value_stddev"] = events_type_value_stddev
-QUERIES["text_bigram_counts"] = text_bigram_counts
-QUERIES["documents_source_entropy"] = documents_source_entropy
-QUERIES["documents_lang_source_chi2"] = documents_lang_source_chi2
-QUERIES["text_tfidf_top_terms"] = text_tfidf_top_terms
-ORACLE_SQL["events_type_value_stddev"] = EVENTS_TYPE_VALUE_STDDEV_SQL
-ORACLE_SQL["text_bigram_counts"] = TEXT_BIGRAM_COUNTS_SQL
-ORACLE_SQL["documents_source_entropy"] = DOCUMENTS_SOURCE_ENTROPY_SQL
-ORACLE_SQL["documents_lang_source_chi2"] = DOCUMENTS_LANG_SOURCE_CHI2_SQL
-ORACLE_SQL["text_tfidf_top_terms"] = TEXT_TFIDF_TOP_TERMS_SQL
+# ------------------------------------------------------------ media queries
 
 
 def kg_media_features(sf_dir: str):
@@ -5617,4774 +883,8 @@ SELECT CAST(1 AS BIGINT) AS refs_equal_decoded,
        CAST(3 AS BIGINT) AS kinds_found
 """
 
-QUERIES["kg_media_features"] = kg_media_features
-QUERIES["kg_media_integrity"] = kg_media_integrity
-ORACLE_SQL["kg_media_integrity"] = KG_MEDIA_INTEGRITY_SQL
 
-
-def graph_bfs_hops(sf_dir: str):
-    """3-hop BFS frontier expansion from the smallest customer over the
-    customer-supplier bipartite graph (distinct trading pairs) — the
-    iterative graph-traversal shape.
-
-    Scale shape: each hop is one size-adaptive semi-join of the edge
-    set against the frontier plus one anti-join against the visited
-    side (stages/graphops.bipartite_bfs_hops) — frontiers broadcast
-    while small and flip to partitioned joins when they outgrow the
-    budget; only node keys ever sit in frontier/visited sets."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-    from knowledge_graph_ray.stages.graphops import bipartite_bfs_hops
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey"])
-    line = project(
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_orderkey", "l_suppkey"]),
-        {"l_orderkey": "o_orderkey", "l_suppkey": "s"},
-    )
-    pairs = size_adaptive_join(line, orders, on=["o_orderkey"], how="inner",
-                               broadcast_max=BROADCAST_KEYS_MAX)
-    edges = grouped_agg(
-        project(pairs.select_columns(["o_custkey", "s"]),
-                {"o_custkey": "c", "s": "s"}),
-        ["c", "s"], [("__n", None, "count")],
-    ).select_columns(["c", "s"]).materialize()
-
-    seed_val = grouped_agg(
-        edges.map_batches(
-            lambda t: pa.table({
-                "g": pa.array([1] * len(t), type=pa.int64()),
-                "c": t.column("c"),
-            }),
-            batch_format="pyarrow",
-        ),
-        ["g"], [("min_c", "c", "min")],
-    ).take(1)[0]["min_c"]
-    seed = rd.from_arrow(pa.table({"c": pa.array([seed_val],
-                                                 type=pa.int64())}))
-
-    counts = bipartite_bfs_hops(edges, seed, hops=3)
-    return pa.table({
-        "hop": pa.array([h for h, _ in counts], type=pa.int64()),
-        "n_new": pa.array([n for _, n in counts], type=pa.int64()),
-    })
-
-
-GRAPH_BFS_HOPS_SQL = """
-WITH e AS (
-  SELECT DISTINCT o_custkey AS c, l_suppkey AS s
-  FROM orders JOIN lineitem ON o_orderkey = l_orderkey
-),
-seed AS (SELECT min(c) AS c FROM e),
-h1 AS (SELECT DISTINCT s FROM e JOIN seed USING (c)),
-h2 AS (SELECT DISTINCT c FROM e JOIN h1 USING (s)
-       WHERE c NOT IN (SELECT c FROM seed)),
-h3 AS (SELECT DISTINCT s FROM e JOIN h2 USING (c)
-       WHERE s NOT IN (SELECT s FROM h1))
-SELECT CAST(1 AS BIGINT) AS hop, CAST((SELECT count(*) FROM h1) AS BIGINT) AS n_new
-UNION ALL
-SELECT CAST(2 AS BIGINT), CAST((SELECT count(*) FROM h2) AS BIGINT)
-UNION ALL
-SELECT CAST(3 AS BIGINT), CAST((SELECT count(*) FROM h3) AS BIGINT)
-"""
-
-QUERIES["graph_bfs_hops"] = graph_bfs_hops
-ORACLE_SQL["graph_bfs_hops"] = GRAPH_BFS_HOPS_SQL
-
-
-def events_hour_groups_frame(sf_dir: str):
-    """GROUPS window frame (stages/ranking.window_groups_agg): per
-    event, the cent sum over its hour peer group plus the previous
-    distinct hour group within its event type — completes the
-    ROWS/RANGE/GROUPS frame triad.  One shuffle on event_type, two
-    searchsorted calls per bucket on the group-index axis."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.stages.ranking import window_groups_agg
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "event_type", "ts",
-                                      "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        hour = pc.divide(
-            pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000),
-            3600,
-        )
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "event_type": batch.column("event_type"),
-            "hour": hour.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    return window_groups_agg(
-        events.map_batches(prep, batch_format="pyarrow"),
-        key="event_type", order_col="hour", value_col="cents",
-        groups_preceding=1, id_cols=["event_id"],
-        sum_col="grp_sum_cents", driver_threshold=500_000,
-        size_hint=events.count(),
-    )
-
-
-EVENTS_HOUR_GROUPS_FRAME_SQL = """
-WITH e AS (
-  SELECT event_id, event_type,
-         CAST(floor(epoch(ts)) AS BIGINT) // 3600 AS hour,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-g AS (SELECT event_type, hour, sum(cents) AS gs FROM e GROUP BY 1, 2),
-w AS (
-  SELECT event_type, hour,
-         gs + coalesce(lag(gs) OVER (PARTITION BY event_type
-                                     ORDER BY hour), 0) AS s
-  FROM g
-)
-SELECT e.event_id, e.event_type, e.hour, e.cents,
-       CAST(w.s AS BIGINT) AS grp_sum_cents
-FROM e JOIN w USING (event_type, hour)
-"""
-
-
-def events_value_mad(sf_dir: str):
-    """Median absolute deviation of cents per event type — the robust
-    dispersion statistic: exact discrete median, broadcast back
-    (size-adaptive join), exact discrete median of absolute
-    deviations.  All-integer pipeline: both quantile passes move one
-    row per DISTINCT (type, value) pair."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.joins import (
-        hash_join,
-        project,
-        size_adaptive_join,
-    )
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def cents(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    cents_ds = events.map_batches(cents, batch_format="pyarrow")
-    cents_ds = cents_ds.materialize()
-    meds = grouped_quantiles(cents_ds, "event_type", "cents", [0.5])
-    meds_proj = project(meds, {"event_type": "event_type",
-                               "cents": "med_f"}).materialize()
-    joined = size_adaptive_join(cents_ds, meds_proj, on=["event_type"],
-                                how="inner",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-
-    def adev(batch: pa.Table) -> pa.Table:
-        med = batch.column("med_f").cast(pa.int64())
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "adev": pc.abs(pc.subtract(batch.column("cents"), med)),
-        })
-
-    mads = grouped_quantiles(
-        joined.map_batches(adev, batch_format="pyarrow"),
-        "event_type", "adev", [0.5],
-    )
-    out = hash_join(
-        meds_proj,
-        project(mads, {"event_type": "event_type", "adev": "mad_f"}),
-        on=["event_type"], how="inner",
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "med_cents": batch.column("med_f").cast(pa.int64()),
-            "mad_cents": batch.column("mad_f").cast(pa.int64()),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_VALUE_MAD_SQL = """
-WITH c AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-m AS (
-  SELECT event_type, quantile_disc(cents, 0.5) AS med FROM c GROUP BY 1
-)
-SELECT c.event_type, CAST(m.med AS BIGINT) AS med_cents,
-       CAST(quantile_disc(abs(c.cents - m.med), 0.5) AS BIGINT) AS mad_cents
-FROM c JOIN m ON c.event_type = m.event_type
-GROUP BY c.event_type, m.med
-"""
-
-
-def events_dense_topk(sf_dir: str):
-    """DENSE_RANK top-k: rows whose cent value is among each type's
-    top-3 DISTINCT values, with their row counts — pure composition:
-    distinct (type, cents) collapse through the count combiner, then
-    the bounded top-k combiner ranks distinct values (so rk IS the
-    dense rank of the raw rows)."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import grouped_topk
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def cents(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    distinct = grouped_agg(
-        events.map_batches(cents, batch_format="pyarrow"),
-        ["event_type", "cents"], [("n", None, "count")],
-    )
-    return grouped_topk(distinct, ["event_type"], "cents", k=3,
-                        descending=True)
-
-
-EVENTS_DENSE_TOPK_SQL = """
-WITH d AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cents,
-         CAST(count(*) AS BIGINT) AS n
-  FROM events GROUP BY 1, 2
-),
-r AS (
-  SELECT *, row_number() OVER (
-    PARTITION BY event_type ORDER BY cents DESC
-  ) AS rk FROM d
-)
-SELECT event_type, cents, n, CAST(rk AS BIGINT) AS rk
-FROM r WHERE rk <= 3
-"""
-
-QUERIES["events_hour_groups_frame"] = events_hour_groups_frame
-QUERIES["events_value_mad"] = events_value_mad
-QUERIES["events_dense_topk"] = events_dense_topk
-ORACLE_SQL["events_hour_groups_frame"] = EVENTS_HOUR_GROUPS_FRAME_SQL
-ORACLE_SQL["events_value_mad"] = EVENTS_VALUE_MAD_SQL
-ORACLE_SQL["events_dense_topk"] = EVENTS_DENSE_TOPK_SQL
-
-
-def events_winsorized_mean(sf_dir: str):
-    """Winsorized (clipped at [P5, P95]) cent sum and count per event
-    type — the robust-mean preprocessing shape: exact discrete group
-    quantiles, thresholds attach via the size-adaptive join, stateless
-    vectorized clip, combiner sum.  All-integer end to end."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def cents(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    cents_ds = events.map_batches(cents, batch_format="pyarrow") \
-        .materialize()
-    qs = grouped_quantiles(cents_ds, "event_type", "cents", [0.05, 0.95]) \
-        .to_pandas()
-    wide = qs.pivot(index="event_type", columns="q",
-                    values="cents").reset_index()
-    bounds = rd.from_arrow(pa.table({
-        "event_type": pa.array(wide["event_type"].to_numpy(dtype=object),
-                               type=pa.string()),
-        "p5": pa.array(wide[0.05].to_numpy(), type=pa.int64()),
-        "p95": pa.array(wide[0.95].to_numpy(), type=pa.int64()),
-    }))
-    joined = size_adaptive_join(cents_ds, bounds, on=["event_type"],
-                                how="inner",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-
-    def clip(batch: pa.Table) -> pa.Table:
-        c = pc.min_element_wise(
-            pc.max_element_wise(batch.column("cents"),
-                                batch.column("p5")),
-            batch.column("p95"),
-        )
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "wcents": c,
-        })
-
-    return grouped_agg(
-        joined.map_batches(clip, batch_format="pyarrow"),
-        ["event_type"],
-        [("wsum_cents", "wcents", "sum"), ("n", None, "count")],
-    )
-
-
-EVENTS_WINSORIZED_MEAN_SQL = """
-WITH c AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-p AS (
-  SELECT event_type, quantile_disc(cents, 0.05) AS p5,
-         quantile_disc(cents, 0.95) AS p95
-  FROM c GROUP BY 1
-)
-SELECT c.event_type,
-       CAST(sum(CASE WHEN cents < p5 THEN p5
-                     WHEN cents > p95 THEN p95 ELSE cents END) AS BIGINT)
-         AS wsum_cents,
-       CAST(count(*) AS BIGINT) AS n
-FROM c JOIN p ON c.event_type = p.event_type
-GROUP BY c.event_type
-"""
-
-
-def events_user_gini(sf_dir: str):
-    """Gini coefficient of the per-user event-count distribution — the
-    skew-diagnostics shape (how concentrated is activity across
-    users).
-
-    Scale shape: per-user counts collapse through the combiner
-    (user-cardinality rows); the sorted-rank formula then needs a
-    GLOBAL enumerate — run here over the count table (users, not
-    events) on a constant key; at hub-scale user counts the
-    range-salted enumerate (running_sum_salted's pattern) is the
-    documented escape hatch.  Formula: G = 2·Σ(i·x_i)/(n·Σx) −
-    (n+1)/n over counts sorted ascending, reported at e6."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.ranking import window_enumerate
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id"])
-    counts = grouped_agg(events, ["user_id"], [("n_events", None, "count")])
-
-    def const_key(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "g", pa.array([1] * len(batch), type=pa.int64())
-        )
-
-    ranked = window_enumerate(
-        counts.map_batches(const_key, batch_format="pyarrow"),
-        key="g", order_cols=["n_events", "user_id"],
-        dense_rank_col="n_events", value_col="n_events",
-    )
-
-    def weighted(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "g": batch.column("g"),
-            "x": batch.column("n_events"),
-            "ix": pc.multiply(batch.column("rn"),
-                              batch.column("n_events")),
-        })
-
-    stats = grouped_agg(
-        ranked.map_batches(weighted, batch_format="pyarrow"),
-        ["g"],
-        [("s1", "x", "sum"), ("s2", "ix", "sum"), ("n", None, "count")],
-    ).take(1)[0]
-    n, s1, s2 = float(stats["n"]), float(stats["s1"]), float(stats["s2"])
-    gini = 2.0 * s2 / (n * s1) - (n + 1.0) / n
-    return pa.table({
-        "gini_e6": pa.array([int(np.round(gini * 1e6))], type=pa.int64()),
-        "n_users": pa.array([int(stats["n"])], type=pa.int64()),
-    })
-
-
-EVENTS_USER_GINI_SQL = """
-WITH c AS (
-  SELECT user_id, CAST(count(*) AS BIGINT) AS n_events
-  FROM events GROUP BY user_id
-),
-r AS (
-  SELECT n_events,
-         row_number() OVER (ORDER BY n_events, user_id) AS i
-  FROM c
-),
-s AS (
-  SELECT CAST(sum(n_events) AS DOUBLE) AS s1,
-         CAST(sum(i * n_events) AS DOUBLE) AS s2,
-         CAST(count(*) AS DOUBLE) AS n
-  FROM r
-)
-SELECT CAST(round((2 * s2 / (n * s1) - (n + 1) / n) * 1e6) AS BIGINT)
-         AS gini_e6,
-       CAST(n AS BIGINT) AS n_users
-FROM s
-"""
-
-
-def referential_integrity_audit(sf_dir: str):
-    """Foreign-key orphan audit across the fact tables — the
-    data-quality gate shape: one size-adaptive anti-join per FK edge
-    (keys only on the wire), all three unioned into ONE counting
-    execution (a 0-weight baseline row per FK preserves zero-orphan
-    relationships)."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    line = project(
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_orderkey"]),
-        {"l_orderkey": "o_orderkey"},
-    )
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey"])
-    customer = project(
-        rd.read_parquet(f"{sf_dir}/customer.parquet",
-                        columns=["c_custkey"]),
-        {"c_custkey": "o_custkey"},
-    )
-    supplier_keys = project(
-        rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey"]),
-        {"s_suppkey": "l_suppkey"},
-    )
-    line_supp = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                                columns=["l_suppkey"])
-
-    def tag(name):
-        def body(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "fk": pa.array([name] * len(t), type=pa.string()),
-                "one": pa.array([1] * len(t), type=pa.int64()),
-            })
-        return body
-
-    n_orders = _pq_rows(f"{sf_dir}/orders.parquet")
-    orphan_line = size_adaptive_join(
-        line, orders.select_columns(["o_orderkey"]), on=["o_orderkey"],
-        how="left_anti", broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=n_orders,
-    ).map_batches(tag("lineitem.orderkey"), batch_format="pyarrow")
-    orphan_orders = size_adaptive_join(
-        orders.select_columns(["o_custkey"]), customer, on=["o_custkey"],
-        how="left_anti", broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/customer.parquet"),
-    ).map_batches(tag("orders.custkey"), batch_format="pyarrow")
-    orphan_supp = size_adaptive_join(
-        line_supp, supplier_keys, on=["l_suppkey"],
-        how="left_anti", broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/supplier.parquet"),
-    ).map_batches(tag("lineitem.suppkey"), batch_format="pyarrow")
-
-    # zero-orphan FKs must still report a row: union a 0-weight
-    # baseline so the single count execution preserves zeros
-    baseline = rd.from_arrow(pa.table({
-        "fk": pa.array(["lineitem.orderkey", "lineitem.suppkey",
-                        "orders.custkey"], type=pa.string()),
-        "one": pa.array([0, 0, 0], type=pa.int64()),
-    }))
-    unioned = baseline.union(orphan_line).union(orphan_supp) \
-        .union(orphan_orders)
-    return grouped_agg(unioned, ["fk"], [("n_orphans", "one", "sum")])
-
-
-REFERENTIAL_INTEGRITY_AUDIT_SQL = """
-SELECT 'lineitem.orderkey' AS fk,
-       CAST((SELECT count(*) FROM lineitem
-             WHERE l_orderkey NOT IN (SELECT o_orderkey FROM orders))
-            AS BIGINT) AS n_orphans
-UNION ALL
-SELECT 'lineitem.suppkey',
-       CAST((SELECT count(*) FROM lineitem
-             WHERE l_suppkey NOT IN (SELECT s_suppkey FROM supplier))
-            AS BIGINT)
-UNION ALL
-SELECT 'orders.custkey',
-       CAST((SELECT count(*) FROM orders
-             WHERE o_custkey NOT IN (SELECT c_custkey FROM customer))
-            AS BIGINT)
-"""
-
-QUERIES["events_winsorized_mean"] = events_winsorized_mean
-QUERIES["events_user_gini"] = events_user_gini
-QUERIES["referential_integrity_audit"] = referential_integrity_audit
-ORACLE_SQL["events_winsorized_mean"] = EVENTS_WINSORIZED_MEAN_SQL
-ORACLE_SQL["events_user_gini"] = EVENTS_USER_GINI_SQL
-ORACLE_SQL["referential_integrity_audit"] = REFERENTIAL_INTEGRITY_AUDIT_SQL
-
-
-def events_column_profile(sf_dir: str):
-    """Per-column completeness/cardinality profile of the events table
-    (null count + exact distinct count per column) — the dataset-
-    profiling shape that fronts every ingestion pipeline.
-
-    Scale shape: ONE streaming read pass — each batch emits, per
-    column, its distinct non-null values (cast to their exact
-    shortest-roundtrip string form, injective per column type) plus a
-    null-marker row carrying the batch's null count; the pair-distinct
-    combiner groupby then collapses values across batches and a final
-    column-cardinality groupby counts them.  Exact for any column the
-    pair shuffle can hold — the HLL sketch path
-    (events_distinct_users_hll) is the swap-in when a column's
-    cardinality makes exact pair shuffles too wide."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    cols = ["event_id", "ts", "user_id", "event_type", "value", "props"]
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=cols)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        out_col: list = []
-        out_v: list = []
-        out_nulls: list = []
-        for c in cols:
-            arr = batch.column(c)
-            vals = pc.unique(
-                arr.combine_chunks().drop_null().cast(pa.string())
-            )
-            out_col.extend([c] * len(vals))
-            out_v.extend(vals.to_pylist())
-            out_nulls.extend([0] * len(vals))
-            # null-marker row (v = NULL): carries the batch null count
-            out_col.append(c)
-            out_v.append(None)
-            out_nulls.append(arr.null_count)
-        return pa.table({
-            "col": pa.array(out_col, type=pa.string()),
-            "v": pa.array(out_v, type=pa.string()),
-            "nulls_p": pa.array(out_nulls, type=pa.int64()),
-        })
-
-    pairs = grouped_agg(
-        events.map_batches(partial, batch_format="pyarrow"),
-        ["col", "v"], [("nulls", "nulls_p", "sum")],
-    )
-
-    def flags(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "col": batch.column("col"),
-            "is_val": pc.is_valid(batch.column("v")).cast(pa.int64()),
-            "nulls": batch.column("nulls"),
-        })
-
-    return grouped_agg(
-        pairs.map_batches(flags, batch_format="pyarrow"),
-        ["col"],
-        [("n_null", "nulls", "sum"), ("n_distinct", "is_val", "sum")],
-    )
-
-
-EVENTS_COLUMN_PROFILE_SQL = """
-SELECT 'event_id' AS col,
-       CAST(count(*) - count(event_id) AS BIGINT) AS n_null,
-       CAST(count(DISTINCT event_id) AS BIGINT) AS n_distinct FROM events
-UNION ALL
-SELECT 'ts', CAST(count(*) - count(ts) AS BIGINT),
-       CAST(count(DISTINCT ts) AS BIGINT) FROM events
-UNION ALL
-SELECT 'user_id', CAST(count(*) - count(user_id) AS BIGINT),
-       CAST(count(DISTINCT user_id) AS BIGINT) FROM events
-UNION ALL
-SELECT 'event_type', CAST(count(*) - count(event_type) AS BIGINT),
-       CAST(count(DISTINCT event_type) AS BIGINT) FROM events
-UNION ALL
-SELECT 'value', CAST(count(*) - count(value) AS BIGINT),
-       CAST(count(DISTINCT value) AS BIGINT) FROM events
-UNION ALL
-SELECT 'props', CAST(count(*) - count(props) AS BIGINT),
-       CAST(count(DISTINCT props) AS BIGINT) FROM events
-"""
-
-QUERIES["events_column_profile"] = events_column_profile
-ORACLE_SQL["events_column_profile"] = EVENTS_COLUMN_PROFILE_SQL
-
-
-def tpch_nation_trade_pairs(sf_dir: str):
-    """TPC-H Q7 shape: revenue between supplier-nation / customer-nation
-    pairs (generalized to all alphabetically-ordered pairs) — the
-    two-dimension-attach join DAG.
-
-    Scale shape: lineitem streams through the same size-adaptive chain
-    as the Q5 query but attaches BOTH nation names (supplier side and
-    customer side, the second via a renamed copy of the tiny nation
-    table); the pair predicate is a stateless vectorized compare and
-    the final groupby is pair-cardinality.  Revenue rounds to cents
-    PER ROW (exact integer sums both sides) — a rounded float sum sits
-    one ulp from a half-cent boundary here and hash-mismatches."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    )
-
-    def rev(batch: pa.Table) -> pa.Table:
-        r = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        return pa.table({"o_orderkey": batch.column("l_orderkey"),
-                         "l_suppkey": batch.column("l_suppkey"), "rev_cents": scaled_int_column(r, 100.0)})
-
-    supplier = project(
-        rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_nationkey"]),
-        {"s_suppkey": "l_suppkey", "s_nationkey": "s_nationkey"},
-    )
-    orders = project(
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderkey", "o_custkey"]),
-        ["o_orderkey", "o_custkey"],
-    )
-    customer = project(
-        rd.read_parquet(f"{sf_dir}/customer.parquet",
-                        columns=["c_custkey", "c_nationkey"]),
-        {"c_custkey": "o_custkey", "c_nationkey": "c_nationkey"},
-    )
-    nation = rd.read_parquet(f"{sf_dir}/nation.parquet",
-                             columns=["n_nationkey", "n_name"])
-    supp_nation = project(nation, {"n_nationkey": "s_nationkey",
-                                   "n_name": "supp_nation"})
-    cust_nation = project(nation, {"n_nationkey": "c_nationkey",
-                                   "n_name": "cust_nation"})
-
-    # snowflake -> star: fold each nation name into its tiny dimension
-    # first (two dimension-sized joins) so the lineitem stream passes
-    # THREE attaches instead of five
-    n_nation = _pq_rows(f"{sf_dir}/nation.parquet")
-    supp_dim = size_adaptive_join(
-        supplier, supp_nation, on=["s_nationkey"], how="inner",
-        broadcast_max=BROADCAST_KEYS_MAX, right_size_hint=n_nation,
-    ).select_columns(["l_suppkey", "supp_nation"])
-    cust_dim = size_adaptive_join(
-        customer, cust_nation, on=["c_nationkey"], how="inner",
-        broadcast_max=BROADCAST_KEYS_MAX, right_size_hint=n_nation,
-    ).select_columns(["o_custkey", "cust_nation"])
-    step = size_adaptive_join(line.map_batches(rev, batch_format="pyarrow"),
-                              supp_dim, on=["l_suppkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX,
-                              right_size_hint=_pq_rows(
-                                  f"{sf_dir}/supplier.parquet"))
-    step = size_adaptive_join(step, orders, on=["o_orderkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX,
-                              right_size_hint=_pq_rows(
-                                  f"{sf_dir}/orders.parquet"))
-    step = size_adaptive_join(step, cust_dim, on=["o_custkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX,
-                              right_size_hint=_pq_rows(
-                                  f"{sf_dir}/customer.parquet"))
-    pairs = step.map_batches(
-        lambda t: t.filter(pa.compute.less(t.column("supp_nation"),
-                                           t.column("cust_nation"))),
-        batch_format="pyarrow",
-    )
-    return grouped_agg(
-        pairs.select_columns(["supp_nation", "cust_nation", "rev_cents"]),
-        ["supp_nation", "cust_nation"],
-        [("revenue_cents", "rev_cents", "sum")],
-    )
-
-
-TPCH_NATION_TRADE_PAIRS_SQL = """
-SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                     AS BIGINT)) AS BIGINT) AS revenue_cents
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
-JOIN supplier ON l_suppkey = s_suppkey
-JOIN customer ON o_custkey = c_custkey
-JOIN nation n1 ON s_nationkey = n1.n_nationkey
-JOIN nation n2 ON c_nationkey = n2.n_nationkey
-WHERE n1.n_name < n2.n_name
-GROUP BY 1, 2
-"""
-
-
-def events_hourly_dense(sf_dir: str):
-    """Gap-filled hourly counts: every (event_type, hour) cell from the
-    global min to max hour, zero-filled where no events landed — the
-    time-series densification (spine join) shape.
-
-    Scale shape: the hour bounds collapse to ONE driver scalar pair
-    through the constant-key combiner; the spine is generated
-    DISTRIBUTED (rd.range over the hour span, types cross-attached
-    per batch from a broadcast list), and the observed counts attach
-    by left-outer size-adaptive join with vectorized zero-fill."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import size_adaptive_join
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "ts"])
-
-    def hours(batch: pa.Table) -> pa.Table:
-        h = pc.divide(
-            pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000),
-            3600,
-        ).cast(pa.int64())
-        return pa.table({"event_type": batch.column("event_type"),
-                         "hour": h})
-
-    hourly = events.map_batches(hours, batch_format="pyarrow").materialize()
-    counts = grouped_agg(hourly, ["event_type", "hour"],
-                         [("n", None, "count")])
-
-    def with_g(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "g": pa.array([1] * len(batch), type=pa.int64()),
-            "hour": batch.column("hour"),
-        })
-
-    bounds = grouped_agg(
-        hourly.map_batches(with_g, batch_format="pyarrow"),
-        ["g"], [("mn", "hour", "min"), ("mx", "hour", "max")],
-    ).take(1)[0]
-    mn, mx = int(bounds["mn"]), int(bounds["mx"])
-    types = sorted(
-        grouped_agg(hourly.select_columns(["event_type"]), ["event_type"],
-                    [("__n", None, "count")])
-        .to_pandas()["event_type"].tolist()
-    )
-
-    def spine_batch(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        hrs = batch.column("id").to_numpy(zero_copy_only=False) + mn
-        return pa.table({
-            "event_type": pa.array(
-                np.repeat(np.asarray(types, dtype=object), len(hrs)),
-                type=pa.string(),
-            ),
-            "hour": pa.array(np.tile(hrs, len(types)), type=pa.int64()),
-        })
-
-    spine = rd.range(mx - mn + 1).map_batches(spine_batch,
-                                              batch_format="pyarrow")
-    joined = size_adaptive_join(spine, counts, on=["event_type", "hour"],
-                                how="left_outer",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-
-    def fill(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "hour": batch.column("hour"),
-            "n": pc.fill_null(batch.column("n").cast(pa.int64()), 0),
-        })
-
-    return joined.map_batches(fill, batch_format="pyarrow")
-
-
-EVENTS_HOURLY_DENSE_SQL = """
-WITH e AS (
-  SELECT event_type, CAST(floor(epoch(ts)) AS BIGINT) // 3600 AS hour
-  FROM events
-),
-b AS (SELECT min(hour) AS mn, max(hour) AS mx FROM e),
-types AS (SELECT DISTINCT event_type FROM e),
-spine AS (
-  SELECT event_type, g.h AS hour
-  FROM types, b, unnest(generate_series(mn, mx)) AS g(h)
-),
-cnt AS (SELECT event_type, hour, CAST(count(*) AS BIGINT) AS n
-        FROM e GROUP BY 1, 2)
-SELECT s.event_type, s.hour, coalesce(c.n, 0) AS n
-FROM spine s LEFT JOIN cnt c
-  ON s.event_type = c.event_type AND s.hour = c.hour
-"""
-
-QUERIES["tpch_nation_trade_pairs"] = tpch_nation_trade_pairs
-QUERIES["events_hourly_dense"] = events_hourly_dense
-ORACLE_SQL["tpch_nation_trade_pairs"] = TPCH_NATION_TRADE_PAIRS_SQL
-ORACLE_SQL["events_hourly_dense"] = EVENTS_HOURLY_DENSE_SQL
-
-
-def documents_k_anonymity(sf_dir: str):
-    """k-anonymity audit over the (lang, source) quasi-identifier pair:
-    how many equivalence classes fall below k=5 members, plus the
-    smallest class size — the privacy-release gate shape.  ONE count
-    groupby (combiner partials); the class-level scan is
-    class-cardinality."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["lang", "source"])
-    classes = grouped_agg(docs, ["lang", "source"],
-                          [("n", None, "count")])
-
-    def flags(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "g": pa.array([1] * len(batch), type=pa.int64()),
-            "viol": pc.less(batch.column("n"), 5).cast(pa.int64()),
-            "n": batch.column("n"),
-        })
-
-    row = grouped_agg(
-        classes.map_batches(flags, batch_format="pyarrow"),
-        ["g"],
-        [("n_classes", None, "count"), ("n_below_k", "viol", "sum"),
-         ("min_class", "n", "min")],
-    ).take(1)[0]
-    return pa.table({
-        "n_classes": pa.array([row["n_classes"]], type=pa.int64()),
-        "n_below_k": pa.array([row["n_below_k"]], type=pa.int64()),
-        "min_class": pa.array([row["min_class"]], type=pa.int64()),
-    })
-
-
-DOCUMENTS_K_ANONYMITY_SQL = """
-WITH c AS (
-  SELECT lang, source, CAST(count(*) AS BIGINT) AS n
-  FROM documents GROUP BY 1, 2
-)
-SELECT CAST(count(*) AS BIGINT) AS n_classes,
-       CAST(sum(CASE WHEN n < 5 THEN 1 ELSE 0 END) AS BIGINT) AS n_below_k,
-       CAST(min(n) AS BIGINT) AS min_class
-FROM c
-"""
-
-
-def events_value_psi(sf_dir: str):
-    """Population stability index of the event-value distribution
-    between the first and second half of the time range (fixed-width
-    cent bins) — the distribution-drift monitor shape for training
-    pipelines.
-
-    Scale shape: ONE streaming pass bins every event and emits
-    (half, bin) partial counts; the PSI formula runs on the bounded
-    bin table.  Empty-on-one-side bins get the standard +1 count
-    smoothing so ln stays finite — applied identically in the
-    oracle."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["ts", "value"])
-
-    def with_g(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "g": pa.array([1] * len(batch), type=pa.int64()),
-            "ts_s": ts_s.cast(pa.int64()),
-        })
-
-    b = grouped_agg(
-        events.map_batches(with_g, batch_format="pyarrow"),
-        ["g"], [("mn", "ts_s", "min"), ("mx", "ts_s", "max")],
-    ).take(1)[0]
-    mid = (int(b["mn"]) + int(b["mx"])) // 2
-
-    def binned(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()),
-                         1_000_000).cast(pa.int64())
-        half = pc.greater(ts_s, mid).cast(pa.int64())
-        cents = scaled_int_column(batch.column("value"), 100.0)
-        return pa.table({
-            "half": half,
-            # values are non-negative, so pyarrow's truncating divide
-            # equals SQL's flooring // here
-            "bin": pc.divide(cents, 5000).cast(pa.int64()),
-        })
-
-    cells = grouped_agg(
-        events.map_batches(binned, batch_format="pyarrow"),
-        ["half", "bin"], [("n", None, "count")],
-    ).to_pandas()
-    wide = cells.pivot_table(index="bin", columns="half", values="n",
-                             fill_value=0)
-    c0 = wide.get(0, pd.Series(0, index=wide.index)).to_numpy(
-        dtype=np.float64) + 1.0
-    c1 = wide.get(1, pd.Series(0, index=wide.index)).to_numpy(
-        dtype=np.float64) + 1.0
-    p0, p1 = c0 / c0.sum(), c1 / c1.sum()
-    psi = float(((p0 - p1) * np.log(p0 / p1)).sum())
-    return pa.table({
-        "psi_e6": pa.array([int(np.round(psi * 1e6))], type=pa.int64()),
-        "n_bins": pa.array([len(wide)], type=pa.int64()),
-    })
-
-
-EVENTS_VALUE_PSI_SQL = """
-WITH e AS (
-  SELECT CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) // 5000 AS bin
-  FROM events
-),
-b AS (SELECT (min(ts_s) + max(ts_s)) // 2 AS mid FROM e),
-h AS (
-  SELECT bin, CASE WHEN ts_s > mid THEN 1 ELSE 0 END AS half
-  FROM e, b
-),
-cells AS (
-  SELECT bin,
-         CAST(sum(CASE WHEN half = 0 THEN 1 ELSE 0 END) + 1 AS DOUBLE) AS c0,
-         CAST(sum(CASE WHEN half = 1 THEN 1 ELSE 0 END) + 1 AS DOUBLE) AS c1
-  FROM h GROUP BY bin
-),
-tot AS (SELECT sum(c0) AS t0, sum(c1) AS t1 FROM cells)
-SELECT CAST(round(sum((c0 / t0 - c1 / t1) * ln((c0 / t0) / (c1 / t1)))
-                  * 1e6) AS BIGINT) AS psi_e6,
-       CAST(count(*) AS BIGINT) AS n_bins
-FROM cells, tot
-"""
-
-QUERIES["documents_k_anonymity"] = documents_k_anonymity
-QUERIES["events_value_psi"] = events_value_psi
-ORACLE_SQL["documents_k_anonymity"] = DOCUMENTS_K_ANONYMITY_SQL
-ORACLE_SQL["events_value_psi"] = EVENTS_VALUE_PSI_SQL
-
-
-def tpch_top_supplier(sf_dir: str):
-    """TPC-H Q15 shape: the supplier(s) with maximum quarterly revenue
-    — the argmax-of-aggregate pattern (max computed over an aggregate,
-    then the aggregate rows filtered back to it, ties kept).
-
-    Scale shape: lineitem collapses to supplier-cardinality revenue
-    partials through the combiner (per-row cent rounding — exact
-    integer sums), the global max collapses through a second
-    constant-key combiner to ONE driver scalar, and the winner filter
-    + name attach are stateless/size-adaptive."""
-    import datetime
-
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    f = (
-        (pads.field("l_shipdate") >= datetime.datetime(1996, 1, 1))
-        & (pads.field("l_shipdate") < datetime.datetime(1996, 4, 1))
-    )
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice", "l_discount"], filter=f,
-    )
-
-    def cents(batch: pa.Table) -> pa.Table:
-        r = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        return pa.table({
-            "s_suppkey": batch.column("l_suppkey"),
-            "rev_cents": scaled_int_column(r, 100.0),
-        })
-
-    rev = grouped_agg(
-        line.map_batches(cents, batch_format="pyarrow"),
-        ["s_suppkey"], [("total_cents", "rev_cents", "sum")],
-    ).materialize()
-
-    mx = grouped_agg(
-        rev.map_batches(
-            lambda t: pa.table({
-                "g": pa.array([1] * len(t), type=pa.int64()),
-                "total_cents": t.column("total_cents"),
-            }),
-            batch_format="pyarrow",
-        ),
-        ["g"], [("mx", "total_cents", "max")],
-    ).take(1)[0]["mx"]
-
-    winners = rev.map_batches(
-        lambda t: t.filter(pc.equal(t.column("total_cents"), mx)),
-        batch_format="pyarrow",
-    )
-    supplier = rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                               columns=["s_suppkey", "s_name"])
-    return size_adaptive_join(
-        winners, supplier, on=["s_suppkey"], how="inner",
-        broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/supplier.parquet"),
-    ).select_columns(["s_suppkey", "s_name", "total_cents"])
-
-
-TPCH_TOP_SUPPLIER_SQL = """
-WITH rev AS (
-  SELECT l_suppkey AS s_suppkey,
-         CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                       AS BIGINT)) AS BIGINT) AS total_cents
-  FROM lineitem
-  WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-    AND l_shipdate < TIMESTAMP '1996-04-01'
-  GROUP BY 1
-),
-m AS (SELECT max(total_cents) AS mx FROM rev)
-SELECT rev.s_suppkey, s_name, total_cents
-FROM rev JOIN m ON total_cents = mx
-JOIN supplier ON supplier.s_suppkey = rev.s_suppkey
-"""
-
-QUERIES["tpch_top_supplier"] = tpch_top_supplier
-ORACLE_SQL["tpch_top_supplier"] = TPCH_TOP_SUPPLIER_SQL
-
-
-def tpch_market_share(sf_dir: str):
-    """TPC-H Q8 shape: one supplier nation's (NATION_3) share of a region's PROMO
-    part revenue per order year — the conditional-share-per-group join
-    DAG (numerator/denominator reported as separate cent sums, the
-    repo's standard anti-brittleness form for shares).
-
-    Scale shape: part-type and region predicates prune the tiny
-    dimensions BEFORE the fact stream attaches them; lineitem passes a
-    semi-join (promo parts), three size-adaptive attaches (star-folded
-    supplier nation, orders+year, region-filtered customers), and the
-    CASE collapses in a year-cardinality combiner groupby."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    nation = rd.read_parquet(f"{sf_dir}/nation.parquet",
-                             columns=["n_nationkey", "n_name", "n_regionkey"])
-    region = rd.read_parquet(f"{sf_dir}/region.parquet",
-                             columns=["r_regionkey", "r_name"])
-    n_nation = _pq_rows(f"{sf_dir}/nation.parquet")
-
-    # customers restricted to the AMERICA region (tiny side, prune first)
-    america_nations = size_adaptive_join(
-        nation, project(region, {"r_regionkey": "n_regionkey",
-                                 "r_name": "r_name"}),
-        on=["n_regionkey"], how="inner", broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/region.parquet"),
-    ).map_batches(
-        lambda t: t.filter(pc.equal(t.column("r_name"), "AMERICA")),
-        batch_format="pyarrow",
-    ).select_columns(["n_nationkey"])
-    customer = project(
-        rd.read_parquet(f"{sf_dir}/customer.parquet",
-                        columns=["c_custkey", "c_nationkey"]),
-        {"c_custkey": "o_custkey", "c_nationkey": "n_nationkey"},
-    )
-    america_cust = size_adaptive_join(
-        customer, america_nations, on=["n_nationkey"], how="left_semi",
-        broadcast_max=BROADCAST_KEYS_MAX, right_size_hint=n_nation,
-    ).select_columns(["o_custkey"])
-
-    # supplier with nation name folded in (star pre-join)
-    supp_dim = size_adaptive_join(
-        project(rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                                columns=["s_suppkey", "s_nationkey"]),
-                {"s_suppkey": "l_suppkey", "s_nationkey": "s_nationkey"}),
-        project(nation, {"n_nationkey": "s_nationkey",
-                         "n_name": "supp_nation"}),
-        on=["s_nationkey"], how="inner", broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=n_nation,
-    ).select_columns(["l_suppkey", "supp_nation"])
-
-    promo_parts = project(
-        rd.read_parquet(f"{sf_dir}/part.parquet",
-                        columns=["p_partkey", "p_type"]).map_batches(
-            lambda t: t.filter(pc.equal(t.column("p_type"), "PROMO")),
-            batch_format="pyarrow",
-        ),
-        {"p_partkey": "l_partkey"},
-    )
-
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_partkey", "l_suppkey",
-                 "l_extendedprice", "l_discount"],
-    )
-
-    def rev(batch: pa.Table) -> pa.Table:
-        r = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        return pa.table({
-            "o_orderkey": batch.column("l_orderkey"),
-            "l_partkey": batch.column("l_partkey"),
-            "l_suppkey": batch.column("l_suppkey"),
-            "rev_cents": scaled_int_column(r, 100.0),
-        })
-
-    step = size_adaptive_join(
-        line.map_batches(rev, batch_format="pyarrow"), promo_parts,
-        on=["l_partkey"], how="left_semi",
-        broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/part.parquet"),
-    )
-    step = size_adaptive_join(step, supp_dim, on=["l_suppkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX,
-                              right_size_hint=_pq_rows(
-                                  f"{sf_dir}/supplier.parquet"))
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate"])
-
-    def with_year(batch: pa.Table) -> pa.Table:
-        yr = pc.year(batch.column("o_orderdate"))
-        return pa.table({
-            "o_orderkey": batch.column("o_orderkey"),
-            "o_custkey": batch.column("o_custkey"),
-            "o_year": yr.cast(pa.int64()),
-        })
-
-    step = size_adaptive_join(
-        step, orders.map_batches(with_year, batch_format="pyarrow"),
-        on=["o_orderkey"], how="inner", broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/orders.parquet"),
-    )
-    step = size_adaptive_join(step, america_cust, on=["o_custkey"],
-                              how="left_semi",
-                              broadcast_max=BROADCAST_KEYS_MAX,
-                              right_size_hint=_pq_rows(
-                                  f"{sf_dir}/customer.parquet"))
-
-    def shares(batch: pa.Table) -> pa.Table:
-        is_target = pc.equal(batch.column("supp_nation"), "NATION_3") \
-            .cast(pa.int64())
-        return pa.table({
-            "o_year": batch.column("o_year"),
-            "target": pc.multiply(batch.column("rev_cents"), is_target),
-            "total": batch.column("rev_cents"),
-        })
-
-    return grouped_agg(
-        step.map_batches(shares, batch_format="pyarrow"),
-        ["o_year"],
-        [("target_cents", "target", "sum"), ("total_cents", "total", "sum")],
-    )
-
-
-TPCH_MARKET_SHARE_SQL = """
-SELECT CAST(year(o_orderdate) AS BIGINT) AS o_year,
-       CAST(sum(CASE WHEN n2.n_name = 'NATION_3'
-                     THEN CAST(round(l_extendedprice * (1 - l_discount)
-                                     * 100) AS BIGINT)
-                     ELSE 0 END) AS BIGINT) AS target_cents,
-       CAST(sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                     AS BIGINT)) AS BIGINT) AS total_cents
-FROM lineitem
-JOIN part ON l_partkey = p_partkey
-JOIN supplier ON l_suppkey = s_suppkey
-JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-JOIN nation n1 ON c_nationkey = n1.n_nationkey
-JOIN region ON n1.n_regionkey = r_regionkey
-JOIN nation n2 ON s_nationkey = n2.n_nationkey
-WHERE p_type = 'PROMO' AND r_name = 'AMERICA'
-GROUP BY 1
-"""
-
-QUERIES["tpch_market_share"] = tpch_market_share
-ORACLE_SQL["tpch_market_share"] = TPCH_MARKET_SHARE_SQL
-
-
-def events_daily_new_users(sf_dir: str):
-    """Growth accounting: users first seen per day plus the cumulative
-    user count — the first-touch attribution shape.
-
-    Scale shape: first-seen day collapses to one (user, min day) row
-    per user through the combiner, the per-day counts are a second
-    day-cardinality combiner groupby, and the cumulative sum runs the
-    running_sum machinery over the DAY table (day-cardinality, not
-    events; a constant partition key is fine at that size)."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.ranking import running_sum
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts"])
-
-    def days(batch: pa.Table) -> pa.Table:
-        d = pc.divide(
-            pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000),
-            86_400,
-        ).cast(pa.int64())
-        return pa.table({"user_id": batch.column("user_id"), "day": d})
-
-    first = grouped_agg(
-        events.map_batches(days, batch_format="pyarrow"),
-        ["user_id"], [("day", "day", "min")],
-    )
-    per_day = grouped_agg(first.select_columns(["day"]), ["day"],
-                          [("new_users", None, "count")])
-
-    def with_g(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "g", pa.array([1] * len(batch), type=pa.int64())
-        )
-
-    out = running_sum(
-        per_day.map_batches(with_g, batch_format="pyarrow"),
-        key="g", order_cols=["day"], value_col="new_users",
-        out_col="cum_users",
-    )
-    return out.select_columns(["day", "new_users", "cum_users"])
-
-
-EVENTS_DAILY_NEW_USERS_SQL = """
-WITH f AS (
-  SELECT user_id,
-         min(CAST(floor(epoch(ts)) AS BIGINT) // 86400) AS day
-  FROM events GROUP BY user_id
-),
-d AS (SELECT day, CAST(count(*) AS BIGINT) AS new_users FROM f GROUP BY day)
-SELECT day, new_users,
-       CAST(sum(new_users) OVER (ORDER BY day) AS BIGINT) AS cum_users
-FROM d
-"""
-
-
-def events_type_trigrams(sf_dir: str):
-    """Top-25 three-step event-type journeys (adjacent per user in
-    time order) — the path-mining shape extending the pairwise
-    transition counts.
-
-    Scale shape: ONE shuffle on user_id; each bucket sorts its users'
-    events once and emits (t1, t2, t3) partial counts via two
-    vectorized within-user shifts; the global count groupby moves
-    (triple, bucket) partials and the final sort ranks the bounded
-    triple table."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts", "event_id",
-                                      "event_type"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "event_id": batch.column("event_id"),
-            "event_type": batch.column("event_type"),
-        })
-
-    def bucket_body(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["user_id", "ts_s", "event_id"], kind="stable")
-        u = g["user_id"].to_numpy()
-        same3 = pd.Series(u).shift(-2).to_numpy() == u
-        t1 = g["event_type"].to_numpy(dtype=object)
-        t2 = g["event_type"].shift(-1).to_numpy(dtype=object)
-        t3 = g["event_type"].shift(-2).to_numpy(dtype=object)
-        df = pd.DataFrame({"t1": t1[same3], "t2": t2[same3],
-                           "t3": t3[same3]})
-        counts = df.groupby(["t1", "t2", "t3"], sort=False).size()
-        idx = counts.index.to_frame(index=False)
-        return pa.Table.from_pydict({
-            "t1": pa.array(idx["t1"], type=pa.string()),
-            "t2": pa.array(idx["t2"], type=pa.string()),
-            "t3": pa.array(idx["t3"], type=pa.string()),
-            "n_partial": pa.array(counts.to_numpy(), type=pa.int64()),
-        })
-
-    partials = bucketed_bucket_map(
-        events.map_batches(prep, batch_format="pyarrow"),
-        ["user_id"], bucket_body,
-        empty_schema=pa.schema([("t1", pa.string()), ("t2", pa.string()),
-                                ("t3", pa.string()),
-                                ("n_partial", pa.int64())]),
-    )
-    return (
-        grouped_agg(partials, ["t1", "t2", "t3"],
-                    [("n", "n_partial", "sum")])
-        .sort(["n", "t1", "t2", "t3"],
-              descending=[True, False, False, False])
-        .limit(25)
-    )
-
-
-EVENTS_TYPE_TRIGRAMS_SQL = """
-WITH o AS (
-  SELECT user_id, event_type,
-         lead(event_type, 1) OVER w AS t2,
-         lead(event_type, 2) OVER w AS t3
-  FROM events
-  WINDOW w AS (PARTITION BY user_id
-               ORDER BY CAST(floor(epoch(ts)) AS BIGINT), event_id)
-)
-SELECT event_type AS t1, t2, t3, CAST(count(*) AS BIGINT) AS n
-FROM o WHERE t3 IS NOT NULL
-GROUP BY 1, 2, 3
-ORDER BY n DESC, t1, t2, t3
-LIMIT 25
-"""
-
-QUERIES["events_daily_new_users"] = events_daily_new_users
-QUERIES["events_type_trigrams"] = events_type_trigrams
-ORACLE_SQL["events_daily_new_users"] = EVENTS_DAILY_NEW_USERS_SQL
-ORACLE_SQL["events_type_trigrams"] = EVENTS_TYPE_TRIGRAMS_SQL
-
-
-def events_weighted_median(sf_dir: str):
-    """Importance-weighted median of cents per event type (weight =
-    1 + event_id % 5) — stages/sketches.grouped_weighted_quantile: the
-    distinct-pair combiner carries exact int64 weight sums and the
-    rank comparison is exact integer arithmetic, so the SQL oracle
-    writing the same ``2*cumw >= totw`` rule matches bit-for-bit."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.stages.sketches import grouped_weighted_quantile
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-            "w": pc.add(
-                pc.subtract(
-                    batch.column("event_id"),
-                    pc.multiply(
-                        pc.divide(batch.column("event_id"), 5),
-                        pa.scalar(5, type=pa.int64()),
-                    ),
-                ),
-                pa.scalar(1, type=pa.int64()),
-            ).cast(pa.int64()),
-        })
-
-    out = grouped_weighted_quantile(
-        events.map_batches(prep, batch_format="pyarrow"),
-        "event_type", "cents", "w", q_num=1, q_den=2,
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "wmedian_cents": batch.column("cents").cast(pa.int64()),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_WEIGHTED_MEDIAN_SQL = """
-WITH t AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cents,
-         (event_id % 5) + 1 AS w
-  FROM events
-),
-pairs AS (
-  SELECT event_type, cents, CAST(sum(w) AS BIGINT) AS w
-  FROM t GROUP BY 1, 2
-),
-c AS (
-  SELECT event_type, cents,
-         sum(w) OVER (PARTITION BY event_type ORDER BY cents) AS cw,
-         sum(w) OVER (PARTITION BY event_type) AS tw
-  FROM pairs
-)
-SELECT event_type, CAST(min(cents) AS BIGINT) AS wmedian_cents
-FROM c WHERE 2 * cw >= tw
-GROUP BY event_type
-"""
-
-QUERIES["events_weighted_median"] = events_weighted_median
-ORACLE_SQL["events_weighted_median"] = EVENTS_WEIGHTED_MEDIAN_SQL
-
-
-def contamination_provenance(sf_dir: str):
-    """Benchmark-contamination PROVENANCE: the actual shared 5-grams
-    per contaminated train doc (first 50 by doc, gram) — the audit
-    view behind decontaminate_documents' counts: which held-out text
-    leaked, not just how much.
-
-    Scale shape: same broadcast gram set as the counting query; the
-    vectorized _gram_frame explode runs once per batch and the hit
-    rows (doc, gram) stream to the bounded sorted limit."""
-    import ray
-
-    from knowledge_graph_ray.stages.decontaminate import (
-        _gram_frame,
-        collect_benchmark_grams,
-    )
-    from knowledge_graph_ray.stages.sampling import hash_split
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    labelled = hash_split(docs, "doc_id",
-                          {"train": 0.8, "val": 0.1, "test": 0.1}, seed=6969)
-    train = labelled.filter(expr="split == 'train'")
-    bench = labelled.filter(expr="split == 'test'")
-    bench_ref = ray.put(collect_benchmark_grams(bench, 5))
-
-    def hits(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        bench_grams = ray.get(bench_ref)
-        gf = _gram_frame(batch.column("text"), 5) \
-            .drop_duplicates(["doc", "gram"])
-        hit = gf[gf["gram"].isin(bench_grams).to_numpy()]
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "doc_id": pa.array(ids[hit["doc"].to_numpy()],
-                               type=pa.int64()),
-            "gram": pa.array(hit["gram"].to_numpy(dtype=object),
-                             type=pa.string()),
-        })
-
-    return (
-        train.map_batches(hits, batch_format="pyarrow")
-        .sort(["doc_id", "gram"])
-        .limit(50)
-    )
-
-
-CONTAMINATION_PROVENANCE_SQL = _decontaminate_sql().replace(
-    """SELECT t.doc_id, count(DISTINCT t.g) AS n_shared
-FROM grams t JOIN bench b ON t.g = b.g
-WHERE t.split = 'train'
-GROUP BY t.doc_id""",
-    """SELECT DISTINCT t.doc_id, t.g AS gram
-FROM grams t JOIN bench b ON t.g = b.g
-WHERE t.split = 'train'
-ORDER BY t.doc_id, gram
-LIMIT 50""",
-)
-
-QUERIES["contamination_provenance"] = contamination_provenance
-ORACLE_SQL["contamination_provenance"] = CONTAMINATION_PROVENANCE_SQL
-
-
-def events_wow_change(sf_dir: str):
-    """Week-over-week revenue delta per event type — the
-    period-over-period reporting shape: weekly cent sums through the
-    combiner (week-cardinality partials), then LAG over the WEEK
-    table attaches the previous period and the delta is a stateless
-    subtract."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.ranking import window_lag
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "ts", "value"])
-
-    def weekly(batch: pa.Table) -> pa.Table:
-        wk = pc.divide(
-            pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000),
-            604_800,
-        ).cast(pa.int64())
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "week": wk,
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    per_week = grouped_agg(
-        events.map_batches(weekly, batch_format="pyarrow"),
-        ["event_type", "week"], [("week_cents", "cents", "sum")],
-    )
-    lagged = window_lag(per_week, key="event_type", order_cols=["week"],
-                        value_col="week_cents", out_col="prev_cents")
-
-    def delta(batch: pa.Table) -> pa.Table:
-        prev = batch.column("prev_cents").cast(pa.int64())
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "week": batch.column("week"),
-            "week_cents": batch.column("week_cents"),
-            "prev_cents": prev,
-            "delta_cents": pc.subtract(batch.column("week_cents"), prev),
-        })
-
-    return lagged.map_batches(delta, batch_format="pyarrow")
-
-
-EVENTS_WOW_CHANGE_SQL = """
-WITH w AS (
-  SELECT event_type,
-         CAST(floor(epoch(ts)) AS BIGINT) // 604800 AS week,
-         CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT)
-           AS week_cents
-  FROM events GROUP BY 1, 2
-)
-SELECT event_type, week, week_cents,
-       lag(week_cents) OVER (PARTITION BY event_type ORDER BY week)
-         AS prev_cents,
-       week_cents - lag(week_cents) OVER (PARTITION BY event_type
-                                          ORDER BY week) AS delta_cents
-FROM w
-"""
-
-QUERIES["events_wow_change"] = events_wow_change
-ORACLE_SQL["events_wow_change"] = EVENTS_WOW_CHANGE_SQL
-
-
-def events_session_sizes(sf_dir: str):
-    """Session-length distribution (incl. the bounce bucket,
-    n_events = 1) — composes the sessionizer's per-session rows with
-    one size-cardinality count groupby; the bounce rate is
-    sizes[1] / total, left to the reader in exact counts."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.windows import sessionize
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts", "value"])
-    sessions = sessionize(events, gap_seconds=1800,
-                          driver_threshold=500_000,
-                          size_hint=events.count())
-    return grouped_agg(sessions.select_columns(["n_events"]),
-                       ["n_events"], [("n_sessions", None, "count")])
-
-
-EVENTS_SESSION_SIZES_SQL = """
-WITH e AS (
-  SELECT user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s
-  FROM events
-),
-flagged AS (
-  SELECT *, CASE WHEN ts_s - lag(ts_s) OVER (PARTITION BY user_id
-                                             ORDER BY ts_s) > 1800
-                 THEN 1 ELSE 0 END AS new_sess
-  FROM e
-),
-sessions AS (
-  SELECT *, sum(new_sess) OVER (PARTITION BY user_id ORDER BY ts_s
-                                ROWS UNBOUNDED PRECEDING) AS sess_id
-  FROM flagged
-),
-sizes AS (
-  SELECT count(*) AS n_events FROM sessions GROUP BY user_id, sess_id
-)
-SELECT CAST(n_events AS BIGINT) AS n_events,
-       CAST(count(*) AS BIGINT) AS n_sessions
-FROM sizes GROUP BY n_events
-"""
-
-QUERIES["events_session_sizes"] = events_session_sizes
-ORACLE_SQL["events_session_sizes"] = EVENTS_SESSION_SIZES_SQL
-
-
-def tpch_waiting_suppliers(sf_dir: str):
-    """TPC-H Q21 shape: suppliers who were the sole late supplier on a
-    finished multi-supplier order (exists / not-exists over the same
-    order's other lineitems).  The driver tables lack
-    l_commitdate/l_receiptdate, so "late" is pinned as
-    l_shipdate > o_orderdate + 60 days — the same double-correlated
-    quantifier DAG over the available columns.
-
-    Scale shape: ONE orderkey exchange attaches o_orderdate
-    (size-adaptive: broadcast below the key ceiling, partitioned hash
-    join above), then lineitems collapse to (order, supplier,
-    any_late) partials through the combiner, order-level quantifiers
-    (n_supp >= 2, n_late == 1) are a second orderkey-cardinality
-    combiner pass, and the sole-late winners semi-join the qualifying
-    keys — every exchange moves keys + two small ints, never
-    lineitem payloads."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import size_adaptive_join
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate"],
-        filter=pads.field("o_orderstatus") == "F",
-    ).map_batches(
-        lambda t: pa.table({
-            "l_orderkey": t.column("o_orderkey"),
-            "o_date_us": t.column("o_orderdate").cast(pa.int64()),
-        }),
-        batch_format="pyarrow",
-    )
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_shipdate"],
-    )
-    joined = size_adaptive_join(
-        line, orders, on=["l_orderkey"],
-        broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/orders.parquet"),
-    )
-
-    late_us = 60 * 86_400 * 1_000_000  # 60 days in timestamp[us] units
-
-    def flag(batch: pa.Table) -> pa.Table:
-        diff = pc.subtract(batch.column("l_shipdate").cast(pa.int64()),
-                           batch.column("o_date_us"))
-        return pa.table({
-            "l_orderkey": batch.column("l_orderkey"),
-            "l_suppkey": batch.column("l_suppkey"),
-            "late": pc.greater(diff, pa.scalar(late_us)).cast(pa.int64()),
-        })
-
-    per_supp = grouped_agg(
-        joined.map_batches(flag, batch_format="pyarrow"),
-        ["l_orderkey", "l_suppkey"], [("any_late", "late", "max")],
-    ).materialize()
-
-    per_order = grouped_agg(
-        per_supp, ["l_orderkey"],
-        [("n_supp", None, "count"), ("n_late", "any_late", "sum")],
-    )
-    qualifying = per_order.map_batches(
-        lambda t: t.filter(
-            pc.and_(pc.greater_equal(t.column("n_supp"), pa.scalar(2)),
-                    pc.equal(t.column("n_late"), pa.scalar(1)))
-        ).select(["l_orderkey"]),
-        batch_format="pyarrow",
-    )
-    sole_late = per_supp.map_batches(
-        lambda t: t.filter(pc.equal(t.column("any_late"), pa.scalar(1)))
-                   .select(["l_orderkey", "l_suppkey"]),
-        batch_format="pyarrow",
-    )
-    waiting = size_adaptive_join(
-        sole_late, qualifying, on=["l_orderkey"], how="left_semi",
-        broadcast_max=BROADCAST_KEYS_MAX,
-    ).map_batches(
-        lambda t: pa.table({"s_suppkey": t.column("l_suppkey")}),
-        batch_format="pyarrow",
-    )
-    numwait = grouped_agg(waiting, ["s_suppkey"],
-                          [("numwait", None, "count")])
-    supplier = rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                               columns=["s_suppkey", "s_name"])
-    return size_adaptive_join(
-        numwait, supplier, on=["s_suppkey"],
-        broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/supplier.parquet"),
-    ).select_columns(["s_suppkey", "s_name", "numwait"])
-
-
-TPCH_WAITING_SUPPLIERS_SQL = """
-WITH l AS (
-  SELECT l_orderkey, l_suppkey,
-         CASE WHEN l_shipdate > o_orderdate + INTERVAL 60 DAY
-              THEN 1 ELSE 0 END AS late
-  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-  WHERE o_orderstatus = 'F'
-),
-ps AS (
-  SELECT l_orderkey, l_suppkey, max(late) AS any_late
-  FROM l GROUP BY 1, 2
-),
-o AS (
-  SELECT l_orderkey,
-         count(*) AS n_supp, sum(any_late) AS n_late
-  FROM ps GROUP BY 1
-),
-q AS (SELECT l_orderkey FROM o WHERE n_supp >= 2 AND n_late = 1)
-SELECT s.s_suppkey, s.s_name,
-       CAST(count(*) AS BIGINT) AS numwait
-FROM ps
-JOIN q USING (l_orderkey)
-JOIN supplier s ON ps.l_suppkey = s.s_suppkey
-WHERE ps.any_late = 1
-GROUP BY 1, 2
-"""
-
-QUERIES["tpch_waiting_suppliers"] = tpch_waiting_suppliers
-ORACLE_SQL["tpch_waiting_suppliers"] = TPCH_WAITING_SUPPLIERS_SQL
-
-
-def part_brand_copurchase(sf_dir: str):
-    """Market-basket co-purchase: unordered brand pairs bought in the
-    same order, with exact supports (n_both, per-brand order counts,
-    n_orders) — lift/confidence left to the reader in exact integers
-    (the repo's standard anti-brittleness form for ratios).
-
-    Scale shape: ONE broadcast attaches p_brand to lineitems (part is
-    the small side), ONE orderkey shuffle co-locates each order's
-    lines, and the bucket body runs the incidence-matmul trick from
-    ``term_cooccurrence_pmi`` (orders x brands 0/1 matrix, C = M^T M)
-    with LOCAL brand factorization — per-bucket output is bounded at
-    k^2 pair partials (k = brand cardinality, ~25), so the final
-    groupby moves O(buckets * k^2) tiny rows no matter how many
-    lineitems flow through.  Diagonal entries carry the per-brand
-    marginals, so supports ride the same exchange."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-    from knowledge_graph_ray.functions.joins import size_adaptive_join
-
-    line = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                           columns=["l_orderkey", "l_partkey"])
-    part = rd.read_parquet(f"{sf_dir}/part.parquet",
-                           columns=["p_partkey", "p_brand"]).map_batches(
-        lambda t: pa.table({"l_partkey": t.column("p_partkey"),
-                            "p_brand": t.column("p_brand")}),
-        batch_format="pyarrow",
-    )
-    ob = size_adaptive_join(
-        line, part, on=["l_partkey"],
-        broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/part.parquet"),
-    ).select_columns(["l_orderkey", "p_brand"])
-
-    pair_schema = pa.schema([("brand_a", pa.string()),
-                             ("brand_b", pa.string()),
-                             ("n", pa.int64())])
-
-    def bucket_pairs(bucket: pd.DataFrame) -> pa.Table:
-        dd = bucket.drop_duplicates(["l_orderkey", "p_brand"])
-        brands, binv = np.unique(dd["p_brand"].to_numpy(), return_inverse=True)
-        rows = pd.factorize(dd["l_orderkey"])[0]
-        m = np.zeros((rows.max() + 1, len(brands)), dtype=np.float64)
-        m[rows, binv] = 1.0
-        c = m.T @ m
-        # upper triangle INCLUDING the diagonal: diagonal rows are the
-        # per-brand order-count marginals riding the same exchange
-        ai, bi = np.triu_indices(len(brands), k=0)
-        n = c[ai, bi]
-        nz = n > 0
-        return pa.Table.from_pydict({
-            "brand_a": pa.array(brands[ai[nz]], type=pa.string()),
-            "brand_b": pa.array(brands[bi[nz]], type=pa.string()),
-            "n": pa.array(n[nz].astype(np.int64)),
-        }, schema=pair_schema)
-
-    partials = bucketed_bucket_map(ob, ["l_orderkey"], bucket_pairs,
-                                   num_buckets=16,
-                                   empty_schema=pair_schema)
-    agg = grouped_agg(partials, ["brand_a", "brand_b"],
-                      [("n", "n", "sum")]).materialize()
-
-    # bounded driver pull: one row per brand (k ~ 25)
-    marg_pdf = agg.map_batches(
-        lambda t: t.filter(pc_equal_cols(t, "brand_a", "brand_b")),
-        batch_format="pyarrow",
-    ).to_pandas()
-    n_map = dict(zip(marg_pdf["brand_a"], marg_pdf["n"].astype(int)))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = pc.less(batch.column("brand_a"), batch.column("brand_b"))
-        t = batch.filter(keep)
-        ba = t.column("brand_a").to_pylist()
-        bb = t.column("brand_b").to_pylist()
-        return pa.table({
-            "brand_a": t.column("brand_a"),
-            "brand_b": t.column("brand_b"),
-            "n_both": t.column("n"),
-            "n_a": pa.array([n_map[b] for b in ba], type=pa.int64()),
-            "n_b": pa.array([n_map[b] for b in bb], type=pa.int64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-def pc_equal_cols(t: pa.Table, a: str, b: str):
-    import pyarrow.compute as pc
-
-    return pc.equal(t.column(a), t.column(b))
-
-
-PART_BRAND_COPURCHASE_SQL = """
-WITH ob AS (
-  SELECT DISTINCT l_orderkey, p_brand
-  FROM lineitem JOIN part ON l_partkey = p_partkey
-),
-pairs AS (
-  SELECT a.p_brand AS brand_a, b.p_brand AS brand_b,
-         CAST(count(*) AS BIGINT) AS n_both
-  FROM ob a JOIN ob b
-    ON a.l_orderkey = b.l_orderkey AND a.p_brand < b.p_brand
-  GROUP BY 1, 2
-),
-bc AS (SELECT p_brand, CAST(count(*) AS BIGINT) AS n FROM ob GROUP BY 1)
-SELECT brand_a, brand_b, n_both, ba.n AS n_a, bb.n AS n_b
-FROM pairs
-JOIN bc ba ON ba.p_brand = brand_a
-JOIN bc bb ON bb.p_brand = brand_b
-"""
-
-QUERIES["part_brand_copurchase"] = part_brand_copurchase
-ORACLE_SQL["part_brand_copurchase"] = PART_BRAND_COPURCHASE_SQL
-
-
-def events_value_scd(sf_dir: str):
-    """SCD2 interval construction — the dimension-snapshot build shape:
-    collapse each user's event stream to the rows where the tracked
-    attribute (the value decile bucket) CHANGED, each carrying
-    [valid_from, valid_to) with an open current interval (valid_to
-    null).  Ties on ts break on event_id on both sides.
-
-    Scale shape: ONE user_id shuffle, then the bucket body is fully
-    vectorized pandas (groupby-shift change detection + groupby-shift
-    lead for the interval close) — no per-row Python, output is
-    change-cardinality (<= input)."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "event_id", "ts", "value"])
-
-    out_schema = pa.schema([
-        ("user_id", pa.int64()),
-        ("valid_from", pa.timestamp("us")),
-        ("valid_to", pa.timestamp("us")),
-        ("val_bucket", pa.int64()),
-    ])
-
-    def body(bucket: pd.DataFrame) -> pa.Table:
-        df = bucket.sort_values(["user_id", "ts", "event_id"],
-                                kind="mergesort")
-        df["val_bucket"] = np.floor(df["value"].to_numpy() / 10.0).astype(np.int64)
-        g = df.groupby("user_id", sort=False)
-        chg = df["val_bucket"].ne(g["val_bucket"].shift()) | (
-            g.cumcount() == 0
-        )
-        ch = df[chg].copy()
-        ch["valid_to"] = ch.groupby("user_id", sort=False)["ts"].shift(-1)
-        return pa.Table.from_pydict({
-            "user_id": pa.array(ch["user_id"].to_numpy(), type=pa.int64()),
-            "valid_from": pa.Array.from_pandas(ch["ts"], type=pa.timestamp("us")),
-            "valid_to": pa.Array.from_pandas(ch["valid_to"], type=pa.timestamp("us")),
-            "val_bucket": pa.array(ch["val_bucket"].to_numpy(), type=pa.int64()),
-        }, schema=out_schema)
-
-    return bucketed_bucket_map(events, ["user_id"], body,
-                               num_buckets=16, empty_schema=out_schema)
-
-
-EVENTS_VALUE_SCD_SQL = """
-WITH e AS (
-  SELECT user_id, event_id, ts,
-         CAST(floor(value / 10) AS BIGINT) AS val_bucket
-  FROM events
-),
-flagged AS (
-  SELECT *, CASE WHEN val_bucket IS DISTINCT FROM
-                      lag(val_bucket) OVER (PARTITION BY user_id
-                                            ORDER BY ts, event_id)
-                 THEN 1 ELSE 0 END AS chg
-  FROM e
-),
-changes AS (
-  SELECT user_id, event_id, ts, val_bucket FROM flagged WHERE chg = 1
-)
-SELECT user_id, ts AS valid_from,
-       lead(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id)
-         AS valid_to,
-       val_bucket
-FROM changes
-"""
-
-QUERIES["events_value_scd"] = events_value_scd
-ORACLE_SQL["events_value_scd"] = EVENTS_VALUE_SCD_SQL
-
-
-def _skyline2d_pandas(df: pd.DataFrame) -> pd.DataFrame:
-    """Exact 2D skyline (minimize p_retailprice, maximize p_size);
-    point B is dominated when some A has price <= and size >= with at
-    least one strict.  Equal (price, size) duplicates co-survive.
-    Vectorized: one sort + per-price-group max + exclusive prefix max
-    over cheaper groups."""
-    import numpy as np
-
-    if not len(df):
-        return df
-    df = df.sort_values(["p_retailprice", "p_size"],
-                        ascending=[True, False], kind="mergesort")
-    price = df["p_retailprice"].to_numpy()
-    size = df["p_size"].to_numpy(dtype=np.float64)
-    new_price = np.r_[True, price[1:] != price[:-1]]
-    gid = np.cumsum(new_price) - 1
-    group_max = size[new_price]  # sorted desc within a price run
-    prev_max = np.r_[-np.inf, np.maximum.accumulate(group_max)[:-1]]
-    keep = (size == group_max[gid]) & (size > prev_max[gid])
-    return df[keep]
-
-
-def part_price_size_skyline(sf_dir: str):
-    """Pareto-frontier (skyline) query: parts not dominated on
-    (cheaper price, larger size).  The distributed skyline algorithm:
-    each block computes its LOCAL skyline (the union of local
-    skylines is a superset of the global one — dominance is
-    transitive within any subset), candidates collapse to one block,
-    and the same exact kernel runs once more.  Candidate volume is
-    the sum of per-block frontier sizes (O(log n) expected per block
-    on continuous data), so the final pass is bounded regardless of
-    input size."""
-    part = rd.read_parquet(f"{sf_dir}/part.parquet",
-                           columns=["p_partkey", "p_retailprice", "p_size"])
-
-    def local(batch: pd.DataFrame) -> pd.DataFrame:
-        return _skyline2d_pandas(batch)
-
-    candidates = part.map_batches(local, batch_format="pandas")
-    return candidates.repartition(1).map_batches(
-        _skyline2d_pandas, batch_format="pandas", batch_size=None,
-    )
-
-
-PART_PRICE_SIZE_SKYLINE_SQL = """
-SELECT p_partkey, p_retailprice, p_size
-FROM part a
-WHERE NOT EXISTS (
-  SELECT 1 FROM part b
-  WHERE b.p_retailprice <= a.p_retailprice AND b.p_size >= a.p_size
-    AND (b.p_retailprice < a.p_retailprice OR b.p_size > a.p_size)
-)
-"""
-
-QUERIES["part_price_size_skyline"] = part_price_size_skyline
-ORACLE_SQL["part_price_size_skyline"] = PART_PRICE_SIZE_SKYLINE_SQL
-
-
-def events_peak_concurrency(sf_dir: str):
-    """Sweep-line peak concurrency: the maximum number of user
-    sessions simultaneously open (gap-based sessions, 1800s; touching
-    sessions count as concurrent — starts order before ends on ties).
-
-    Scale shape: sessionize is ONE user_id shuffle; endpoint deltas
-    (+1/-1) then need a GLOBAL ordered prefix sum — the canonical
-    single-hot-key window — so this query runs the documented skew
-    escape hatch ``running_sum_salted``: range-salted slices compute
-    local cumsums and a tiny salts-table of exclusive offsets
-    broadcasts back, no single task ever holds the whole timeline.
-    The peak is a constant-key max combiner over the running column."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.ranking import running_sum_salted
-    from knowledge_graph_ray.stages.windows import sessionize
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts", "value"])
-    sessions = sessionize(events, gap_seconds=1800,
-                          driver_threshold=500_000,
-                          size_hint=events.count())
-
-    def endpoints(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        ones = pa.array([1] * n, type=pa.int64())
-        neg = pa.array([-1] * n, type=pa.int64())
-        g = pa.array([1] * (2 * n), type=pa.int64())
-        t = pa.concat_arrays([
-            batch.column("session_start").combine_chunks(),
-            batch.column("session_end").combine_chunks(),
-        ])
-        d = pa.concat_arrays([ones, neg])
-        # neg_d orders starts (+1) before ends (-1) on tied timestamps
-        return pa.table({"g": g, "t": t, "d": d,
-                         "neg_d": pc.negate(d)})
-
-    pts = sessions.map_batches(endpoints, batch_format="pyarrow")
-    runs = running_sum_salted(pts, key="g", order_cols=["t", "neg_d"],
-                              value_col="d", out_col="running")
-    peak = grouped_agg(runs.select_columns(["g", "running"]), ["g"],
-                       [("peak", "running", "max")])
-    return peak.select_columns(["peak"])
-
-
-EVENTS_PEAK_CONCURRENCY_SQL = """
-WITH e AS (
-  SELECT user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s
-  FROM events
-),
-flagged AS (
-  SELECT *, CASE WHEN ts_s - lag(ts_s) OVER (PARTITION BY user_id
-                                             ORDER BY ts_s) > 1800
-                 THEN 1 ELSE 0 END AS new_sess
-  FROM e
-),
-sess AS (
-  SELECT *, sum(new_sess) OVER (PARTITION BY user_id ORDER BY ts_s
-                                ROWS UNBOUNDED PRECEDING) AS sess_id
-  FROM flagged
-),
-s AS (
-  SELECT min(ts_s) AS session_start, max(ts_s) AS session_end
-  FROM sess GROUP BY user_id, sess_id
-),
-pts AS (
-  SELECT session_start AS t, 1 AS d FROM s
-  UNION ALL
-  SELECT session_end AS t, -1 AS d FROM s
-),
-r AS (
-  SELECT sum(d) OVER (ORDER BY t, d DESC ROWS UNBOUNDED PRECEDING) AS run
-  FROM pts
-)
-SELECT CAST(max(run) AS BIGINT) AS peak FROM r
-"""
-
-QUERIES["events_peak_concurrency"] = events_peak_concurrency
-ORACLE_SQL["events_peak_concurrency"] = EVENTS_PEAK_CONCURRENCY_SQL
-
-
-def events_time_weighted_value(sf_dir: str):
-    """Time-weighted value per user — the sensor/metering aggregation
-    shape: each reading holds until the next one, so its weight is the
-    gap (seconds) to the user's next event; the final open reading
-    carries no weight.  Reported as exact integer sufficient stats
-    (tw_cents = sum(cents x gap_s), total_s = sum(gap_s)) — the
-    weighted mean is tw_cents / total_s, left to the reader.
-
-    Scale shape: ONE user_id shuffle; the bucket body is a vectorized
-    sort + groupby-shift lead + in-bucket groupby-sum, so the exchange
-    output is user-cardinality sufficient stats, never raw events."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "event_id", "ts", "value"])
-
-    out_schema = pa.schema([
-        ("user_id", pa.int64()),
-        ("tw_cents", pa.int64()),
-        ("total_s", pa.int64()),
-    ])
-
-    def body(bucket: pd.DataFrame) -> pa.Table:
-        df = bucket.sort_values(["user_id", "ts", "event_id"],
-                                kind="mergesort")
-        ts_s = (df["ts"].astype("int64").to_numpy() // 1_000_000)
-        v = df["value"].to_numpy(dtype=np.float64) * 100.0
-        cents = np.where(v >= 0, np.floor(v + 0.5), np.ceil(v - 0.5)).astype(np.int64)
-        df = pd.DataFrame({"user_id": df["user_id"].to_numpy(),
-                           "ts_s": ts_s, "cents": cents})
-        nxt = df.groupby("user_id", sort=False)["ts_s"].shift(-1)
-        gap = (nxt - df["ts_s"])
-        keep = gap.notna()
-        sub = pd.DataFrame({
-            "user_id": df["user_id"][keep],
-            "w": df["cents"][keep].to_numpy() * gap[keep].to_numpy(dtype=np.int64),
-            "g": gap[keep].to_numpy(dtype=np.int64),
-        })
-        agg = sub.groupby("user_id", sort=False, as_index=False).agg(
-            tw_cents=("w", "sum"), total_s=("g", "sum"))
-        return pa.Table.from_pydict({
-            "user_id": pa.array(agg["user_id"].astype("int64")),
-            "tw_cents": pa.array(agg["tw_cents"].astype("int64")),
-            "total_s": pa.array(agg["total_s"].astype("int64")),
-        }, schema=out_schema)
-
-    return bucketed_bucket_map(events, ["user_id"], body,
-                               num_buckets=16, empty_schema=out_schema)
-
-
-EVENTS_TIME_WEIGHTED_VALUE_SQL = """
-WITH g AS (
-  SELECT user_id,
-         CAST(round(value * 100) AS BIGINT) AS cents,
-         CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         lead(CAST(floor(epoch(ts)) AS BIGINT))
-           OVER (PARTITION BY user_id ORDER BY ts, event_id) AS nxt
-  FROM events
-)
-SELECT user_id,
-       CAST(sum(cents * (nxt - ts_s)) AS BIGINT) AS tw_cents,
-       CAST(sum(nxt - ts_s) AS BIGINT) AS total_s
-FROM g WHERE nxt IS NOT NULL
-GROUP BY 1
-"""
-
-QUERIES["events_time_weighted_value"] = events_time_weighted_value
-ORACLE_SQL["events_time_weighted_value"] = EVENTS_TIME_WEIGHTED_VALUE_SQL
-
-
-def events_session_attribution(sf_dir: str):
-    """First-touch attribution: every event's value is credited to the
-    CHANNEL (event_type) that opened its session (gap 1800s) — the
-    marketing-attribution shape composing sessionization, an ordered
-    first_value, and a channel rollup.
-
-    Scale shape: ONE user_id shuffle; the bucket body segments
-    sessions vectorized, takes the ordered-first channel per session,
-    and pre-aggregates to channel-cardinality partials INSIDE the
-    bucket, so the final combiner moves O(buckets x channels) rows."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type", "value"],
-    )
-
-    partial_schema = pa.schema([
-        ("channel", pa.string()),
-        ("cents", pa.int64()),
-        ("n", pa.int64()),
-    ])
-
-    def body(bucket: pd.DataFrame) -> pa.Table:
-        df = bucket.sort_values(["user_id", "ts", "event_id"],
-                                kind="mergesort")
-        ts_s = df["ts"].astype("int64").to_numpy() // 1_000_000
-        codes, _ = pd.factorize(df["user_id"], use_na_sentinel=False)
-        n = len(df)
-        brk = np.ones(n, dtype=bool)
-        if n > 1:
-            brk[1:] = (codes[1:] != codes[:-1]) | ((ts_s[1:] - ts_s[:-1]) > 1800)
-        sid = np.cumsum(brk)
-        v = df["value"].to_numpy(dtype=np.float64) * 100.0
-        cents = np.where(v >= 0, np.floor(v + 0.5), np.ceil(v - 0.5)).astype(np.int64)
-        sess = pd.DataFrame({"sid": sid,
-                             "channel": df["event_type"].to_numpy(),
-                             "cents": cents})
-        per_sess = sess.groupby("sid", sort=False).agg(
-            channel=("channel", "first"), cents=("cents", "sum"))
-        out = per_sess.groupby("channel", sort=False, as_index=False).agg(
-            cents=("cents", "sum"), n=("cents", "size"))
-        return pa.Table.from_pydict({
-            "channel": pa.array(out["channel"], type=pa.string()),
-            "cents": pa.array(out["cents"].astype("int64")),
-            "n": pa.array(out["n"].astype("int64")),
-        }, schema=partial_schema)
-
-    partials = bucketed_bucket_map(events, ["user_id"], body,
-                                   num_buckets=16,
-                                   empty_schema=partial_schema)
-    return grouped_agg(partials, ["channel"],
-                       [("attributed_cents", "cents", "sum"),
-                        ("n_sessions", "n", "sum")])
-
-
-EVENTS_SESSION_ATTRIBUTION_SQL = """
-WITH e AS (
-  SELECT user_id, event_id, event_type,
-         CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-flagged AS (
-  SELECT *, CASE WHEN ts_s - lag(ts_s) OVER (PARTITION BY user_id
-                                             ORDER BY ts_s, event_id) > 1800
-                 THEN 1 ELSE 0 END AS new_sess
-  FROM e
-),
-sess AS (
-  SELECT *, sum(new_sess) OVER (PARTITION BY user_id
-                                ORDER BY ts_s, event_id
-                                ROWS UNBOUNDED PRECEDING) AS sess_id
-  FROM flagged
-),
-attr AS (
-  SELECT user_id, sess_id,
-         first(event_type ORDER BY ts_s, event_id) AS channel,
-         sum(cents) AS cents
-  FROM sess GROUP BY 1, 2
-)
-SELECT channel, CAST(sum(cents) AS BIGINT) AS attributed_cents,
-       CAST(count(*) AS BIGINT) AS n_sessions
-FROM attr GROUP BY 1
-"""
-
-QUERIES["events_session_attribution"] = events_session_attribution
-ORACLE_SQL["events_session_attribution"] = EVENTS_SESSION_ATTRIBUTION_SQL
-
-
-def dedup_group_representatives(sf_dir: str):
-    """Canonical-document selection: for every near-duplicate group
-    (same edges + components as ``dedup_groups``), keep ONE
-    representative — the longest document, ties to the smaller
-    doc_id — plus the group size.  This is the step a training-data
-    pipeline runs after dup-group labeling: drop all but the best
-    copy.
-
-    Scale shape: components move only (name, component) label pairs
-    (size-adaptive: driver union-find below 100k edges, star
-    contraction above — the distributed path is what ``dedup_groups``
-    itself pins with driver_threshold=0); the n_chars attach is a
-    size-adaptive join (documents' id+length columns only, text never
-    ships); the argmax-per-group is ONE component shuffle with a
-    vectorized sort + groupby-first body."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-    from knowledge_graph_ray.functions.joins import size_adaptive_join
-    from knowledge_graph_ray.stages.dedup import (
-        duplicate_groups,
-        ngram_jaccard_pairs,
-    )
-
-    pairs = ngram_jaccard_pairs(
-        _docs(sf_dir), threshold=0.04, ngram=2, partition_column="source"
-    )
-    # 1M-edge driver budget (16 bytes/labeled pair = ~16MB): the
-    # distributed star-contraction regime engages above it and is
-    # separately pinned by dedup_groups (driver_threshold=0)
-    groups = duplicate_groups(pairs, driver_threshold=1_000_000)
-
-    lengths = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "n_chars"]).map_batches(
-        lambda t: pa.table({
-            "name": t.column("doc_id").cast(pa.string()),
-            "n_chars": t.column("n_chars"),
-        }),
-        batch_format="pyarrow",
-    )
-    labeled = size_adaptive_join(
-        groups, lengths, on=["name"],
-        broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/documents.parquet"),
-    )
-
-    out_schema = pa.schema([
-        ("component", pa.string()),
-        ("rep", pa.string()),
-        ("group_size", pa.int64()),
-    ])
-
-    def body(bucket: pd.DataFrame) -> pa.Table:
-        df = bucket.sort_values(["component", "n_chars", "name"],
-                                ascending=[True, False, True],
-                                kind="mergesort")
-        g = df.groupby("component", sort=False, as_index=False).agg(
-            rep=("name", "first"), group_size=("name", "size"))
-        return pa.Table.from_pydict({
-            "component": pa.array(g["component"], type=pa.string()),
-            "rep": pa.array(g["rep"], type=pa.string()),
-            "group_size": pa.array(g["group_size"].astype("int64")),
-        }, schema=out_schema)
-
-    return bucketed_bucket_map(labeled, ["component"], body,
-                               num_buckets=16, empty_schema=out_schema)
-
-
-DEDUP_GROUP_REPRESENTATIVES_SQL = """
-WITH RECURSIVE
-toks AS (SELECT doc_id, source, string_split(text, ' ') AS ws FROM documents),
-bg AS (
-  SELECT doc_id, source,
-         list_distinct([ws[i] || ' ' || ws[i+1] for i in range(1, len(ws))]) AS bgs
-  FROM toks
-),
-bgx AS (SELECT doc_id, source, unnest(bgs) AS g FROM bg),
-inter AS (
-  SELECT a.doc_id AS da, b.doc_id AS db, count(*) AS n_inter
-  FROM bgx a JOIN bgx b ON a.source = b.source AND a.g = b.g AND a.doc_id < b.doc_id
-  GROUP BY a.doc_id, b.doc_id
-),
-sizes AS (SELECT doc_id, len(bgs) AS n FROM bg),
-edges AS (
-  SELECT CAST(least(da, db) AS VARCHAR) AS u, CAST(greatest(da, db) AS VARCHAR) AS v
-  FROM inter
-  JOIN sizes sa ON sa.doc_id = da
-  JOIN sizes sb ON sb.doc_id = db
-  WHERE n_inter * 1.0 / (sa.n + sb.n - n_inter) >= 0.04
-),
-edges_bi AS (
-  SELECT u, v FROM edges UNION ALL SELECT v AS u, u AS v FROM edges
-),
-nodes AS (SELECT u AS node FROM edges UNION SELECT v FROM edges),
-reach(node, lbl) AS (
-  SELECT node, node FROM nodes
-  UNION
-  SELECT e.v, r.lbl FROM reach r JOIN edges_bi e ON e.u = r.node
-),
-comp AS (SELECT node AS name, min(lbl) AS component FROM reach GROUP BY node)
-SELECT component,
-       first(comp.name ORDER BY d.n_chars DESC, comp.name) AS rep,
-       CAST(count(*) AS BIGINT) AS group_size
-FROM comp JOIN documents d ON CAST(d.doc_id AS VARCHAR) = comp.name
-GROUP BY component
-"""
-
-QUERIES["dedup_group_representatives"] = dedup_group_representatives
-ORACLE_SQL["dedup_group_representatives"] = DEDUP_GROUP_REPRESENTATIVES_SQL
-
-
-def tpch_daily_order_ship_recon(sf_dir: str):
-    """Two-fact-table reconciliation: orders placed vs lineitems shipped
-    per day, FULL OUTER joined so gap days on either side survive with
-    the other side's measures zeroed — the audit shape that catches
-    "we shipped on a day with no bookings" and vice versa.
-
-    Scale shape: both fact scans collapse to day-cardinality partial
-    aggregates through the combiner BEFORE the full_outer hash_join
-    moves anything; the join shuffles only ~2.5k day rows however large
-    the fact tables grow."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import hash_join
-
-    def day_of(col: pa.ChunkedArray) -> pa.ChunkedArray:
-        return pc.divide(
-            pc.divide(col.cast(pa.int64()), 1_000_000), 86_400
-        ).cast(pa.int64())
-
-    def o_prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "day": day_of(batch.column("o_orderdate")),
-            "o_totalprice": batch.column("o_totalprice"),
-        })
-
-    o_daily = grouped_agg(
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderdate", "o_totalprice"])
-        .map_batches(o_prep, batch_format="pyarrow"),
-        ["day"],
-        [("n_orders", None, "count"), ("order_value", "o_totalprice", "sum")],
-    )
-
-    def l_prep(batch: pa.Table) -> pa.Table:
-        rev = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        return pa.table({
-            "day": day_of(batch.column("l_shipdate")),
-            "rev": rev,
-        })
-
-    s_daily = grouped_agg(
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_shipdate", "l_extendedprice",
-                                 "l_discount"])
-        .map_batches(l_prep, batch_format="pyarrow"),
-        ["day"],
-        [("n_ship_lines", None, "count"), ("ship_value", "rev", "sum")],
-    )
-
-    joined = hash_join(o_daily, s_daily, on=["day"], how="full_outer")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        zero_i = pa.scalar(0, type=pa.int64())
-        return pa.table({
-            "day": batch.column("day"),
-            "n_orders": pc.coalesce(batch.column("n_orders"), zero_i),
-            "order_value_cents": scaled_int_column(
-                pc.coalesce(batch.column("order_value"), pa.scalar(0.0)),
-                100.0),
-            "n_ship_lines": pc.coalesce(batch.column("n_ship_lines"),
-                                        zero_i),
-            # e4 scale: rev has exactly 4 decimals, so the scaled sum is
-            # integer-valued and rounding never lands on a .5 tie (cents
-            # scaling hit half-cent ties that flip with float sum order)
-            "ship_value_e4": scaled_int_column(
-                pc.coalesce(batch.column("ship_value"), pa.scalar(0.0)),
-                10_000.0),
-        })
-
-    return joined.map_batches(finish, batch_format="pyarrow").sort("day")
-
-
-TPCH_DAILY_ORDER_SHIP_RECON_SQL = """
-WITH o AS (
-  SELECT CAST(floor(epoch(o_orderdate)) AS BIGINT) // 86400 AS day,
-         count(*) AS n_orders,
-         CAST(round(sum(o_totalprice) * 100) AS BIGINT) AS order_value_cents
-  FROM orders GROUP BY 1
-),
-s AS (
-  SELECT CAST(floor(epoch(l_shipdate)) AS BIGINT) // 86400 AS day,
-         count(*) AS n_ship_lines,
-         CAST(round(sum(l_extendedprice * (1 - l_discount)) * 10000)
-              AS BIGINT) AS ship_value_e4
-  FROM lineitem GROUP BY 1
-)
-SELECT COALESCE(o.day, s.day) AS day,
-       COALESCE(n_orders, CAST(0 AS BIGINT)) AS n_orders,
-       COALESCE(order_value_cents, CAST(0 AS BIGINT)) AS order_value_cents,
-       COALESCE(n_ship_lines, CAST(0 AS BIGINT)) AS n_ship_lines,
-       COALESCE(ship_value_e4, CAST(0 AS BIGINT)) AS ship_value_e4
-FROM o FULL OUTER JOIN s ON o.day = s.day
-ORDER BY 1
-"""
-
-QUERIES["tpch_daily_order_ship_recon"] = tpch_daily_order_ship_recon
-ORACLE_SQL["tpch_daily_order_ship_recon"] = TPCH_DAILY_ORDER_SHIP_RECON_SQL
-
-
-def events_zscore_outliers(sf_dir: str):
-    """Per-type z-score outlier counts (|value - mean| > 2 sd) — the
-    statistical outlier-filtering shape an LLM-data quality pipeline
-    runs before training.
-
-    Scale shape: pass 1 collapses the fact scan to exact integer
-    sufficient statistics (n, sum cents, sum cents^2) per type through
-    the combiner; the tiny per-type stats table is broadcast once via
-    ray.put and pass 2 flags outliers vectorized per batch, emitting
-    per-type partial counts — no fact-table shuffle at all.  Exactness:
-    mean/variance are derived from EXACT integer sums with the same
-    IEEE expression order as the oracle SQL, so the boundary compare is
-    bit-identical."""
-    import numpy as np
-    import pyarrow.compute as pc
-    import ray
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        cents = scaled_int_column(batch.column("value"), 100.0)
-        sq = pc.multiply(cents, cents)
-        return pa.table({"event_type": batch.column("event_type"),
-                         "cents": cents, "sq": sq})
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    stats = grouped_agg(prepped, ["event_type"],
-                        [("n", None, "count"), ("s", "cents", "sum"),
-                         ("q", "sq", "sum")]).to_pandas()
-    # per-type mean/var from exact ints; type cardinality is a bounded
-    # enum (the pivot/PSI queries rely on the same bound)
-    lut = {}
-    for _, r in stats.iterrows():
-        n, s_d, q_d = int(r["n"]), float(r["s"]), float(r["q"])
-        mean = s_d / n
-        var = (q_d - (s_d * s_d) / n) / (n - 1) if n > 1 else 0.0
-        lut[r["event_type"]] = (mean, var)
-    lut_ref = ray.put(lut)
-
-    def flag(batch: pa.Table) -> pa.Table:
-        table = ray.get(lut_ref)
-        types = batch.column("event_type").to_numpy(zero_copy_only=False)
-        cents = batch.column("cents").to_numpy(zero_copy_only=False)
-        # vectorize the lookup: factorize types against their uniques
-        uniq, inv = np.unique(types, return_inverse=True)
-        mean_v = np.array([table[t][0] for t in uniq])[inv]
-        var_v = np.array([table[t][1] for t in uniq])[inv]
-        d = cents.astype(np.float64) - mean_v
-        out = (d * d) > (4.0 * var_v)
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "one": pa.array(np.ones(len(batch), dtype=np.int64)),
-            "is_out": pa.array(out.astype(np.int64)),
-        })
-
-    flagged = prepped.map_batches(flag, batch_format="pyarrow")
-    return grouped_agg(flagged, ["event_type"],
-                       [("n_events", "one", "sum"),
-                        ("n_outliers", "is_out", "sum")])
-
-
-EVENTS_ZSCORE_OUTLIERS_SQL = """
-WITH e AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-s AS (
-  SELECT event_type, count(*) AS n,
-         CAST(sum(cents) AS DOUBLE) AS sd,
-         CAST(sum(cents * cents) AS DOUBLE) AS qd
-  FROM e GROUP BY event_type
-),
-p AS (
-  SELECT event_type, sd / n AS mean,
-         (qd - (sd * sd) / n) / (n - 1) AS var
-  FROM s
-)
-SELECT e.event_type,
-       CAST(count(*) AS BIGINT) AS n_events,
-       CAST(sum(CASE WHEN (CAST(cents AS DOUBLE) - mean)
-                          * (CAST(cents AS DOUBLE) - mean) > 4.0 * var
-                THEN 1 ELSE 0 END) AS BIGINT) AS n_outliers
-FROM e JOIN p USING (event_type)
-GROUP BY e.event_type
-"""
-
-
-def documents_number_extract(sf_dir: str):
-    """First-number regex extraction per document, aggregated per
-    source — the structured-field-harvest shape (RE2 semantics shared
-    by pyarrow and the oracle; 6-digit cap keeps the BIGINT sum exact).
-
-    Scale shape: stateless vectorized extract_regex per batch, partial
-    per-source counts through the combiner; only (source, partial)
-    rows shuffle."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["source", "text"])
-
-    def extract(batch: pa.Table) -> pa.Table:
-        m = pc.extract_regex(batch.column("text"),
-                             r"(?P<num>[0-9]{1,6})")
-        num_str = pc.struct_field(m, "num")
-        valid = pc.is_valid(num_str)
-        num = pc.if_else(valid, pc.cast(num_str, pa.int64()),
-                         pa.scalar(0, type=pa.int64()))
-        return pa.table({
-            "source": batch.column("source"),
-            "one": pa.array([1] * len(batch), type=pa.int64()),
-            "has_num": valid.cast(pa.int64()),
-            "num": num,
-        })
-
-    return grouped_agg(docs.map_batches(extract, batch_format="pyarrow"),
-                       ["source"],
-                       [("n_docs", "one", "sum"),
-                        ("n_with_number", "has_num", "sum"),
-                        ("sum_first_number", "num", "sum")])
-
-
-DOCUMENTS_NUMBER_EXTRACT_SQL = """
-WITH x AS (
-  SELECT source, NULLIF(regexp_extract(text, '[0-9]{1,6}'), '') AS num
-  FROM documents
-)
-SELECT source, CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(count(num) AS BIGINT) AS n_with_number,
-       CAST(COALESCE(sum(CAST(num AS BIGINT)), 0) AS BIGINT)
-         AS sum_first_number
-FROM x GROUP BY source
-"""
-
-
-def events_rolling_median(sf_dir: str):
-    """Rolling MEDIAN over a 5-row frame per user (ROWS BETWEEN 4
-    PRECEDING AND CURRENT ROW) — the order-statistic window the
-    prefix-sum machinery can't express; robust smoothing for noisy
-    metric streams.
-
-    Scale shape: ONE shuffle on user_id; each bucket sorts its users'
-    events once and runs pandas' C rolling-median kernel per user.
-    Values are exact cents ints, the median interpolation (mean of two
-    middle ints) is exact in binary — bit-identical to the oracle."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts",
-                                      "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    def bucket_body(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["user_id", "ts_s", "event_id"], kind="stable")
-        med = (g.groupby("user_id", sort=False)["cents"]
-                .rolling(5, min_periods=1).median()
-                .reset_index(level=0, drop=True))
-        return pa.Table.from_pydict({
-            "user_id": pa.array(g["user_id"], type=pa.int64()),
-            "ts_s": pa.array(g["ts_s"], type=pa.int64()),
-            "event_id": pa.array(g["event_id"], type=pa.int64()),
-            "cents": pa.array(g["cents"], type=pa.int64()),
-            "roll_med": pa.array(med, type=pa.float64()),
-        })
-
-    return bucketed_bucket_map(
-        events.map_batches(prep, batch_format="pyarrow"),
-        ["user_id"], bucket_body,
-        empty_schema=pa.schema([
-            ("user_id", pa.int64()), ("ts_s", pa.int64()),
-            ("event_id", pa.int64()), ("cents", pa.int64()),
-            ("roll_med", pa.float64()),
-        ]),
-    )
-
-
-EVENTS_ROLLING_MEDIAN_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-)
-SELECT user_id, ts_s, event_id, cents,
-       median(cents) OVER (PARTITION BY user_id ORDER BY ts_s, event_id
-                           ROWS BETWEEN 4 PRECEDING AND CURRENT ROW)
-         AS roll_med
-FROM e
-"""
-
-QUERIES["events_zscore_outliers"] = events_zscore_outliers
-ORACLE_SQL["events_zscore_outliers"] = EVENTS_ZSCORE_OUTLIERS_SQL
-QUERIES["documents_number_extract"] = documents_number_extract
-ORACLE_SQL["documents_number_extract"] = DOCUMENTS_NUMBER_EXTRACT_SQL
-QUERIES["events_rolling_median"] = events_rolling_median
-ORACLE_SQL["events_rolling_median"] = EVENTS_ROLLING_MEDIAN_SQL
-
-
-def events_quantile_sketch_bound(sf_dir: str):
-    """KMV quantile-sketch accuracy under the SQL gate (the
-    hll_bound/sketch_recall pattern): per event_type, emit the EXACT
-    p50/p90 only when the bottom-k sample estimate's true rank sits
-    within 3 percentage points of the target quantile — a driver-level
-    rank-error floor for the mergeable quantile sketch.
-
-    Scale shape: the estimate path shuffles at most k=4096 rows per
-    (type, block) partial; the rank check is a second zero-shuffle scan
-    against the broadcast estimates; the exact side is the bounded
-    value-histogram walk the exact-quantile query already uses.  A
-    group with <= k rows is sampled completely, so the gate is exact at
-    small scale and statistical (±3sigma) at large scale."""
-    import numpy as np
-    import pyarrow.compute as pc
-    import ray
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.sketches import (
-        grouped_kmv_quantiles,
-        grouped_quantiles,
-    )
-
-    qs = [0.5, 0.9]
-    eps = 0.03
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "event_id",
-                                      "value"]).materialize()
-
-    est = grouped_kmv_quantiles(events, "event_type", "event_id",
-                                "value", qs=qs).to_pandas()
-    # {type: [est_q50, est_q90]} — bounded by the event_type enum
-    lut = {}
-    for _, r in est.iterrows():
-        lut.setdefault(r["event_type"], {})[round(r["q"], 2)] = r["est"]
-    lut_ref = ray.put(lut)
-
-    def rank_partial(batch: pa.Table) -> pa.Table:
-        table = ray.get(lut_ref)
-        types = batch.column("event_type").to_numpy(zero_copy_only=False)
-        vals = batch.column("value").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(types, return_inverse=True)
-        e50 = np.array([table[t][0.5] for t in uniq])[inv]
-        e90 = np.array([table[t][0.9] for t in uniq])[inv]
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "one": pa.array(np.ones(len(batch), dtype=np.int64)),
-            "lt50": pa.array((vals < e50).astype(np.int64)),
-            "le50": pa.array((vals <= e50).astype(np.int64)),
-            "lt90": pa.array((vals < e90).astype(np.int64)),
-            "le90": pa.array((vals <= e90).astype(np.int64)),
-        })
-
-    ranks = grouped_agg(
-        events.map_batches(rank_partial, batch_format="pyarrow"),
-        ["event_type"],
-        [("n", "one", "sum"), ("lt50", "lt50", "sum"),
-         ("le50", "le50", "sum"), ("lt90", "lt90", "sum"),
-         ("le90", "le90", "sum")],
-    ).to_pandas()
-    passing = set()
-    for _, r in ranks.iterrows():
-        n = float(r["n"])
-        ok = True
-        for q, lt, le in [(0.5, r["lt50"], r["le50"]),
-                          (0.9, r["lt90"], r["le90"])]:
-            if not (le / n >= q - eps and lt / n <= q + eps):
-                ok = False
-        if ok:
-            passing.add(r["event_type"])
-    passing_ref = ray.put(passing)
-
-    exact = grouped_quantiles(events, "event_type", "value", qs=qs)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        keep = ray.get(passing_ref)
-        types = batch.column("event_type").to_numpy(zero_copy_only=False)
-        mask = pa.array([t in keep for t in types], type=pa.bool_())
-        b = batch.filter(mask)
-        return pa.Table.from_pydict({
-            "event_type": b.column("event_type"),
-            "q_e2": scaled_int_column(b.column("q"), 100.0),
-            "value_cents": scaled_int_column(b.column("value"), 100.0),
-        })
-
-    return exact.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_QUANTILE_SKETCH_BOUND_SQL = """
-SELECT event_type, CAST(50 AS BIGINT) AS q_e2,
-       CAST(round(quantile_disc(value, 0.5) * 100) AS BIGINT) AS value_cents
-FROM events GROUP BY event_type
-UNION ALL
-SELECT event_type, CAST(90 AS BIGINT),
-       CAST(round(quantile_disc(value, 0.9) * 100) AS BIGINT)
-FROM events GROUP BY event_type
-"""
-
-QUERIES["events_quantile_sketch_bound"] = events_quantile_sketch_bound
-ORACLE_SQL["events_quantile_sketch_bound"] = EVENTS_QUANTILE_SKETCH_BOUND_SQL
-
-
-def events_trailing_distinct_users(sf_dir: str):
-    """Distinct users in the GLOBAL trailing hour, per event — the
-    concurrency/reach metric (count(DISTINCT) OVER an unpartitioned
-    RANGE frame) that neither the per-key range kit nor the salted
-    prefix sum can express, because distinct does not sum.
-
-    Scale shape (stages/windows.global_trailing_distinct): time is
-    range-partitioned into 4h blocks with a <=25% one-block halo
-    replication; each event becomes a stab interval
-    [max(ts, prev_same_user_ts + W), ts + W - 1] and the per-block body
-    answers every owned query time with two vectorized searchsorteds —
-    ONE shuffle, no per-row loop, no global sort."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.stages.windows import global_trailing_distinct
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "ts"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-        })
-
-    return global_trailing_distinct(
-        events.map_batches(prep, batch_format="pyarrow"),
-        order_col="ts_s", user_col="user_id", id_cols=["event_id"],
-        window=3600,
-    )
-
-
-EVENTS_TRAILING_DISTINCT_USERS_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s
-  FROM events
-)
-SELECT event_id, ts_s,
-       CAST(count(DISTINCT user_id) OVER (
-            ORDER BY ts_s RANGE BETWEEN 3599 PRECEDING AND CURRENT ROW)
-         AS BIGINT) AS trailing_users
-FROM e
-"""
-
-QUERIES["events_trailing_distinct_users"] = events_trailing_distinct_users
-ORACLE_SQL["events_trailing_distinct_users"] = (
-    EVENTS_TRAILING_DISTINCT_USERS_SQL
-)
-
-
-def documents_union_by_name(sf_dir: str):
-    """Schema-drift ingestion: an old crawl generation without the
-    ``source`` column unioned with the current generation, aligned BY
-    NAME (sources/io.union_by_name — Ray's ``union`` alone requires
-    exact schema agreement), then counted per (lang, source) with the
-    old generation surfacing as '(missing)'.
-
-    Scale shape: alignment is a stateless per-batch projection (typed
-    null fill + column reorder, zero-copy for present columns); the
-    union itself is streaming; only (lang, source, partial) rows
-    shuffle."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.sources.io import union_by_name
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang", "source"])
-
-    # opaque filter+projection per branch: twin branches of one
-    # upstream must not let a fused Project drop the column difference
-    # (see functions/joins.project)
-    def gen_branch(parity: int, cols: list[str]):
-        def body(batch: pa.Table) -> pa.Table:
-            keep = pc.equal(
-                pc.bit_wise_and(batch.column("doc_id"),
-                                pa.scalar(1, type=pa.int64())),
-                pa.scalar(parity, type=pa.int64()),
-            )
-            return batch.filter(keep).select(cols)
-
-        return docs.map_batches(body, batch_format="pyarrow")
-
-    old_gen = gen_branch(0, ["doc_id", "lang"])
-    new_gen = gen_branch(1, ["doc_id", "lang", "source"])
-    unioned = union_by_name(old_gen, new_gen)
-
-    def prep(batch: pa.Table) -> pa.Table:
-        src = pc.coalesce(batch.column("source"), pa.scalar("(missing)"))
-        return pa.table({
-            "lang": batch.column("lang"),
-            "source": src,
-            "one": pa.array([1] * len(batch), type=pa.int64()),
-        })
-
-    return grouped_agg(unioned.map_batches(prep, batch_format="pyarrow"),
-                       ["lang", "source"], [("n_docs", "one", "sum")])
-
-
-DOCUMENTS_UNION_BY_NAME_SQL = """
-WITH a AS (
-  SELECT doc_id, lang, CAST(NULL AS VARCHAR) AS source
-  FROM documents WHERE doc_id % 2 = 0
-),
-b AS (
-  SELECT doc_id, lang, source FROM documents WHERE doc_id % 2 = 1
-),
-u AS (SELECT * FROM a UNION ALL SELECT * FROM b)
-SELECT lang, COALESCE(source, '(missing)') AS source,
-       CAST(count(*) AS BIGINT) AS n_docs
-FROM u GROUP BY 1, 2
-"""
-
-QUERIES["documents_union_by_name"] = documents_union_by_name
-ORACLE_SQL["documents_union_by_name"] = DOCUMENTS_UNION_BY_NAME_SQL
-
-
-def events_equidepth_histogram(sf_dir: str):
-    """Equi-depth (quartile-bucket) histogram per event type — the
-    optimizer-statistics primitive: exact discrete quantile edges, then
-    per-bucket counts.  Complements the fixed-width
-    events_value_histogram.
-
-    Scale shape: edges come from the bounded value-histogram quantile
-    walk (shuffle = distinct (type, cents) pairs); the tiny edge table
-    broadcasts via ray.put and bucket assignment is a zero-shuffle
-    vectorized scan emitting (type, bucket) partials."""
-    import numpy as np
-    import pyarrow.compute as pc
-    import ray
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow").materialize()
-    edges = grouped_quantiles(prepped, "event_type", "cents",
-                              qs=[0.25, 0.5, 0.75]).to_pandas()
-    lut = {}
-    for _, r in edges.iterrows():
-        lut.setdefault(r["event_type"], {})[round(float(r["q"]), 2)] = int(
-            r["cents"]
-        )
-    lut_ref = ray.put(lut)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        table = ray.get(lut_ref)
-        types = batch.column("event_type").to_numpy(zero_copy_only=False)
-        cents = batch.column("cents").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(types, return_inverse=True)
-        q1 = np.array([table[t][0.25] for t in uniq], dtype=np.int64)[inv]
-        q2 = np.array([table[t][0.5] for t in uniq], dtype=np.int64)[inv]
-        q3 = np.array([table[t][0.75] for t in uniq], dtype=np.int64)[inv]
-        bucket = ((cents > q1).astype(np.int64)
-                  + (cents > q2).astype(np.int64)
-                  + (cents > q3).astype(np.int64))
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "bucket": pa.array(bucket, type=pa.int64()),
-            "one": pa.array(np.ones(len(batch), dtype=np.int64)),
-        })
-
-    return grouped_agg(
-        prepped.map_batches(bucketize, batch_format="pyarrow"),
-        ["event_type", "bucket"], [("n", "one", "sum")],
-    )
-
-
-EVENTS_EQUIDEPTH_HISTOGRAM_SQL = """
-WITH e AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-q AS (
-  SELECT event_type,
-         quantile_disc(cents, 0.25) AS q1,
-         quantile_disc(cents, 0.50) AS q2,
-         quantile_disc(cents, 0.75) AS q3
-  FROM e GROUP BY event_type
-)
-SELECT e.event_type,
-       CAST(CASE WHEN cents <= q1 THEN 0 WHEN cents <= q2 THEN 1
-                 WHEN cents <= q3 THEN 2 ELSE 3 END AS BIGINT) AS bucket,
-       CAST(count(*) AS BIGINT) AS n
-FROM e JOIN q USING (event_type)
-GROUP BY 1, 2
-"""
-
-QUERIES["events_equidepth_histogram"] = events_equidepth_histogram
-ORACLE_SQL["events_equidepth_histogram"] = EVENTS_EQUIDEPTH_HISTOGRAM_SQL
-
-
-def events_dau_wau(sf_dir: str):
-    """DAU / WAU stickiness per day — the product-analytics headline
-    metric: daily distinct users over trailing-7-day distinct users.
-
-    Scale shape: the fact scan collapses to distinct (user, day) pairs
-    through the combiner; DAU is a day-cardinality groupby of the
-    pairs; WAU reuses ``global_trailing_distinct`` at day granularity
-    (window=7), so the trailing distinct never re-scans users — then
-    one tiny day-table join.  The ratio divides two exact ints."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import hash_join
-    from knowledge_graph_ray.stages.windows import global_trailing_distinct
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts"])
-
-    def days(batch: pa.Table) -> pa.Table:
-        d = pc.divide(
-            pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000),
-            86_400,
-        ).cast(pa.int64())
-        return pa.table({"user_id": batch.column("user_id"), "day": d})
-
-    pairs = grouped_agg(
-        events.map_batches(days, batch_format="pyarrow"),
-        ["user_id", "day"], [("n", None, "count")],
-    ).select_columns(["user_id", "day"]).materialize()
-
-    dau = grouped_agg(pairs.select_columns(["day"]), ["day"],
-                      [("dau", None, "count")])
-    wau_rows = global_trailing_distinct(pairs, order_col="day",
-                                        user_col="user_id", id_cols=[],
-                                        window=7)
-    # every pair of one day carries the same trailing count; reduce
-    wau = grouped_agg(wau_rows, ["day"], [("wau", "trailing_users", "max")])
-
-    joined = hash_join(dau, wau, on=["day"], how="inner",
-                       num_partitions=8)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        dau_c = batch.column("dau").cast(pa.int64())
-        wau_c = batch.column("wau").cast(pa.int64())
-        ratio = pc.divide(dau_c.cast(pa.float64()),
-                          wau_c.cast(pa.float64()))
-        return pa.table({"day": batch.column("day"), "dau": dau_c,
-                         "wau": wau_c, "stickiness": ratio})
-
-    return joined.map_batches(finish, batch_format="pyarrow").sort("day")
-
-
-EVENTS_DAU_WAU_SQL = """
-WITH p AS (
-  SELECT DISTINCT user_id,
-         CAST(floor(epoch(ts)) AS BIGINT) // 86400 AS day
-  FROM events
-),
-d AS (SELECT day, CAST(count(*) AS BIGINT) AS dau FROM p GROUP BY day),
-w AS (
-  SELECT DISTINCT day,
-         CAST(count(DISTINCT user_id) OVER (
-              ORDER BY day RANGE BETWEEN 6 PRECEDING AND CURRENT ROW)
-           AS BIGINT) AS wau
-  FROM p
-)
-SELECT day, dau, wau, CAST(dau AS DOUBLE) / CAST(wau AS DOUBLE)
-         AS stickiness
-FROM d JOIN w USING (day)
-ORDER BY day
-"""
-
-
-def tpch_reorder_intervals(sf_dir: str):
-    """Repeat-purchase cadence: per market segment, the count, mean and
-    exact median of day gaps between a customer's consecutive orders —
-    the retention-cadence shape.
-
-    Scale shape: ONE shuffle on o_custkey for the per-customer lag
-    (vectorized shift inside the bucket body), a size-adaptive segment
-    join (customer key+segment only), then the bounded value-histogram
-    median walk per segment; the mean divides exact integer sums."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-    from knowledge_graph_ray.functions.joins import size_adaptive_join
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        d = pc.divide(
-            pc.divide(batch.column("o_orderdate").cast(pa.int64()),
-                      1_000_000),
-            86_400,
-        ).cast(pa.int64())
-        return pa.table({
-            "o_custkey": batch.column("o_custkey"),
-            "o_orderkey": batch.column("o_orderkey"),
-            "day": d,
-        })
-
-    def gaps_body(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["o_custkey", "day", "o_orderkey"],
-                          kind="mergesort")
-        cust = g["o_custkey"].to_numpy()
-        day = g["day"].to_numpy()
-        import numpy as np
-
-        same = np.empty(len(g), dtype=bool)
-        same[0] = False
-        if len(g) > 1:
-            same[1:] = cust[1:] == cust[:-1]
-        gap = day - np.concatenate(([0], day[:-1]))
-        keep = same
-        return pa.Table.from_pydict({
-            "o_custkey": pa.array(cust[keep], type=pa.int64()),
-            "gap_days": pa.array(gap[keep], type=pa.int64()),
-        })
-
-    gaps = bucketed_bucket_map(
-        orders.map_batches(prep, batch_format="pyarrow"),
-        ["o_custkey"], gaps_body,
-        empty_schema=pa.schema([("o_custkey", pa.int64()),
-                                ("gap_days", pa.int64())]),
-    )
-
-    customer = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                               columns=["c_custkey", "c_mktsegment"])
-    seg = customer.map_batches(
-        lambda t: pa.table({"o_custkey": t.column("c_custkey"),
-                            "c_mktsegment": t.column("c_mktsegment")}),
-        batch_format="pyarrow",
-    )
-    labeled = size_adaptive_join(
-        gaps, seg, on=["o_custkey"], broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/customer.parquet"),
-    ).materialize()
-
-    stats = grouped_agg(labeled, ["c_mktsegment"],
-                        [("n_gaps", None, "count"),
-                         ("sum_gap", "gap_days", "sum")])
-    med = grouped_quantiles(labeled, "c_mktsegment", "gap_days",
-                            qs=[0.5])
-
-    def med_prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_mktsegment": batch.column("c_mktsegment"),
-            "med_gap_days": batch.column("gap_days").cast(pa.int64()),
-        })
-
-    from knowledge_graph_ray.functions.joins import hash_join
-
-    joined = hash_join(stats,
-                       med.map_batches(med_prep, batch_format="pyarrow"),
-                       on=["c_mktsegment"], num_partitions=4)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        n = batch.column("n_gaps").cast(pa.int64())
-        s = batch.column("sum_gap").cast(pa.int64())
-        avg = pc.divide(s.cast(pa.float64()), n.cast(pa.float64()))
-        return pa.table({
-            "c_mktsegment": batch.column("c_mktsegment"),
-            "n_gaps": n,
-            "avg_gap_days": avg,
-            "med_gap_days": batch.column("med_gap_days"),
-        })
-
-    return joined.map_batches(finish, batch_format="pyarrow")
-
-
-TPCH_REORDER_INTERVALS_SQL = """
-WITH o AS (
-  SELECT o_custkey,
-         CAST(floor(epoch(o_orderdate)) AS BIGINT) // 86400 AS day,
-         lag(CAST(floor(epoch(o_orderdate)) AS BIGINT) // 86400) OVER (
-             PARTITION BY o_custkey
-             ORDER BY CAST(floor(epoch(o_orderdate)) AS BIGINT) // 86400,
-                      o_orderkey) AS prev_day
-  FROM orders
-),
-g AS (
-  SELECT o_custkey, day - prev_day AS gap_days
-  FROM o WHERE prev_day IS NOT NULL
-)
-SELECT c_mktsegment,
-       CAST(count(*) AS BIGINT) AS n_gaps,
-       CAST(sum(gap_days) AS DOUBLE) / count(*) AS avg_gap_days,
-       CAST(quantile_disc(gap_days, 0.5) AS BIGINT) AS med_gap_days
-FROM g JOIN customer ON c_custkey = o_custkey
-GROUP BY c_mktsegment
-"""
-
-QUERIES["events_dau_wau"] = events_dau_wau
-ORACLE_SQL["events_dau_wau"] = EVENTS_DAU_WAU_SQL
-QUERIES["tpch_reorder_intervals"] = tpch_reorder_intervals
-ORACLE_SQL["tpch_reorder_intervals"] = TPCH_REORDER_INTERVALS_SQL
-
-
-def customer_name_onechar_variants(sf_dir: str):
-    """Single-character-variant detection over customer names
-    (stages/fuzzy.hamming1_pairs): counts of name pairs identical
-    except at one position, by position — the SymSpell/FastSS
-    positional-deletion join, the spelling-dedup blocking strategy
-    whose join key IS the exact verdict (no post-verification).
-
-    Scale shape: vectorized variant explode, one variant-hash shuffle,
-    alphabet-bounded group sizes — no all-pairs step at any scale."""
-    from knowledge_graph_ray.stages.fuzzy import hamming1_pairs
-
-    customers = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                                columns=["c_name"])
-    return hamming1_pairs(customers, "c_name")
-
-
-CUSTOMER_NAME_ONECHAR_VARIANTS_SQL = """
-WITH v AS (
-  SELECT c_name,
-         CAST(p AS BIGINT) AS p,
-         substr(c_name, 1, CAST(p - 1 AS INT))
-           || substr(c_name, CAST(p + 1 AS INT)) AS var
-  FROM customer, LATERAL (SELECT unnest(range(1, length(c_name) + 1)) AS p)
-)
-SELECT a.p AS diff_pos, CAST(count(*) AS BIGINT) AS n_pairs
-FROM v a JOIN v b ON a.var = b.var AND a.p = b.p AND a.c_name < b.c_name
-GROUP BY a.p
-"""
-
-QUERIES["customer_name_onechar_variants"] = customer_name_onechar_variants
-ORACLE_SQL["customer_name_onechar_variants"] = (
-    CUSTOMER_NAME_ONECHAR_VARIANTS_SQL
-)
-
-
-def tpch_order_total_audit(sf_dir: str):
-    """Value-consistency audit between two fact tables: per order,
-    o_totalprice vs the sum of its lineitems' charges
-    (extendedprice x (1-discount) x (1+tax)), classified EXACTLY on
-    e6-scaled integers — match / over / under / no_lines — with the
-    max absolute discrepancy per class.  The cross-table invariant
-    check a warehouse runs after every load.
-
-    Scale shape: lineitem collapses to per-order e6-integer partial
-    sums through the combiner before the single orderkey shuffle
-    (left_outer hash_join keeps line-less orders); classification is a
-    stateless vectorized scan emitting 4-row partials."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import hash_join
-
-    lines = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                            columns=["l_orderkey", "l_extendedprice",
-                                     "l_discount", "l_tax"])
-
-    def l_prep(batch: pa.Table) -> pa.Table:
-        charge = pc.multiply(
-            pc.multiply(
-                batch.column("l_extendedprice"),
-                pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-            ),
-            pc.add(pa.scalar(1.0), batch.column("l_tax")),
-        )
-        return pa.table({
-            "o_orderkey": batch.column("l_orderkey"),
-            "charge_e6": scaled_int_column(charge, 1_000_000.0),
-        })
-
-    per_order = grouped_agg(
-        lines.map_batches(l_prep, batch_format="pyarrow"),
-        ["o_orderkey"], [("line_e6", "charge_e6", "sum")],
-    )
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_totalprice"])
-
-    def o_prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderkey": batch.column("o_orderkey"),
-            "total_e6": scaled_int_column(batch.column("o_totalprice"),
-                                          1_000_000.0),
-        })
-
-    joined = hash_join(
-        orders.map_batches(o_prep, batch_format="pyarrow"),
-        per_order, on=["o_orderkey"], how="left_outer",
-    )
-
-    def classify(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        total = batch.column("total_e6").to_numpy(zero_copy_only=False)
-        line = batch.column("line_e6").to_pandas()
-        has = (~line.isna()).to_numpy()
-        linev = line.fillna(0).to_numpy(np.int64)
-        diff = total - linev
-        cat = np.where(~has, "no_lines",
-                       np.where(diff == 0, "match",
-                                np.where(diff > 0, "over", "under")))
-        absd = np.where(has, np.abs(diff), 0)
-        return pa.table({
-            "category": pa.array(cat.astype(object), type=pa.string()),
-            "one": pa.array(np.ones(len(batch), dtype=np.int64)),
-            "abs_diff_e6": pa.array(absd.astype(np.int64)),
-        })
-
-    return grouped_agg(
-        joined.map_batches(classify, batch_format="pyarrow"),
-        ["category"],
-        [("n_orders", "one", "sum"), ("max_abs_diff_e6", "abs_diff_e6",
-                                      "max")],
-    )
-
-
-TPCH_ORDER_TOTAL_AUDIT_SQL = """
-WITH l AS (
-  SELECT l_orderkey AS o_orderkey,
-         sum(CAST(round(l_extendedprice * (1 - l_discount) * (1 + l_tax)
-                        * 1000000) AS BIGINT)) AS line_e6
-  FROM lineitem GROUP BY 1
-),
-j AS (
-  SELECT CAST(round(o_totalprice * 1000000) AS BIGINT) AS total_e6,
-         line_e6
-  FROM orders LEFT JOIN l USING (o_orderkey)
-)
-SELECT CASE WHEN line_e6 IS NULL THEN 'no_lines'
-            WHEN total_e6 = line_e6 THEN 'match'
-            WHEN total_e6 > line_e6 THEN 'over' ELSE 'under' END
-         AS category,
-       CAST(count(*) AS BIGINT) AS n_orders,
-       CAST(max(CASE WHEN line_e6 IS NULL THEN 0
-                     ELSE abs(total_e6 - line_e6) END) AS BIGINT)
-         AS max_abs_diff_e6
-FROM j GROUP BY 1
-"""
-
-QUERIES["tpch_order_total_audit"] = tpch_order_total_audit
-ORACLE_SQL["tpch_order_total_audit"] = TPCH_ORDER_TOTAL_AUDIT_SQL
-
-
-def events_user_skew_profile(sf_dir: str):
-    """Key-skew profiler over user_id — the shuffle-planning diagnostic
-    this engine's own salted/skew-join escape hatches are gated on:
-    key count, row count, p50/p99/max group size, and the heaviest
-    key's share of all rows.
-
-    Scale shape: per-key sizes collapse through the count combiner;
-    the size DISTRIBUTION stats reuse the bounded value-histogram walk
-    (shuffle = distinct size values) and a constant-key combiner
-    grand total — the profile never materializes the key table on the
-    driver."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id"])
-    sizes = grouped_agg(events, ["user_id"],
-                        [("sz", None, "count")]).materialize()
-
-    def add_const(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "g", pa.array(np.zeros(len(b), dtype=np.int8)))
-
-    keyed = sizes.map_batches(add_const, batch_format="pyarrow")
-    totals = grouped_agg(keyed, ["g"],
-                         [("n_keys", None, "count"), ("n_rows", "sz", "sum"),
-                          ("max_size", "sz", "max")])
-    quants = grouped_quantiles(keyed, "g", "sz", qs=[0.5, 0.99])
-
-    tot = totals.to_pandas().iloc[0]
-    qd = quants.to_pandas()
-    p50 = int(qd.loc[np.isclose(qd["q"], 0.5), "sz"].iloc[0])
-    p99 = int(qd.loc[np.isclose(qd["q"], 0.99), "sz"].iloc[0])
-    n_rows = int(tot["n_rows"])
-    max_size = int(tot["max_size"])
-    return pa.table({
-        "n_keys": pa.array([int(tot["n_keys"])], type=pa.int64()),
-        "n_rows": pa.array([n_rows], type=pa.int64()),
-        "p50_size": pa.array([p50], type=pa.int64()),
-        "p99_size": pa.array([p99], type=pa.int64()),
-        "max_size": pa.array([max_size], type=pa.int64()),
-        "top1_share": pa.array([float(max_size) / float(n_rows)],
-                               type=pa.float64()),
-    })
-
-
-EVENTS_USER_SKEW_PROFILE_SQL = """
-WITH g AS (SELECT user_id, count(*) AS sz FROM events GROUP BY user_id)
-SELECT CAST(count(*) AS BIGINT) AS n_keys,
-       CAST(sum(sz) AS BIGINT) AS n_rows,
-       CAST(quantile_disc(sz, 0.5) AS BIGINT) AS p50_size,
-       CAST(quantile_disc(sz, 0.99) AS BIGINT) AS p99_size,
-       CAST(max(sz) AS BIGINT) AS max_size,
-       CAST(max(sz) AS DOUBLE) / CAST(sum(sz) AS DOUBLE) AS top1_share
-FROM g
-"""
-
-QUERIES["events_user_skew_profile"] = events_user_skew_profile
-ORACLE_SQL["events_user_skew_profile"] = EVENTS_USER_SKEW_PROFILE_SQL
-
-
-def tpch_exact_median_charge(sf_dir: str):
-    """EXACT median of the discounted line charge — a mostly-UNIQUE
-    value space (e4-scaled 6-digit prices), where the value-histogram
-    quantile walk would shuffle nearly one distinct value per row.
-    Uses stages/sketches.exact_kth_value: sample-guided distributed
-    selection (KMV sample brackets the target rank, one exact
-    count+collect pass validates it; retries widen, never wrong).
-
-    The 100k bracket_cap makes sf0.1 exercise the true two-pass
-    selection path while smaller SFs take the single-collect fast
-    path — both regimes driver-oracled."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.stages.sketches import exact_kth_value
-
-    lines = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                            columns=["l_extendedprice", "l_discount"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        charge = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        return pa.table({"charge_e4": scaled_int_column(charge, 10_000.0)})
-
-    prepped = lines.map_batches(prep, batch_format="pyarrow").materialize()
-    n = prepped.count()
-    k = (n + 1) // 2  # ceil(0.5 * n): quantile_disc rank
-    med = exact_kth_value(prepped, "charge_e4", k, bracket_cap=100_000)
-    return pa.table({
-        "n": pa.array([n], type=pa.int64()),
-        "median_charge_e4": pa.array([med], type=pa.int64()),
-    })
-
-
-TPCH_EXACT_MEDIAN_CHARGE_SQL = """
-SELECT CAST(count(*) AS BIGINT) AS n,
-       CAST(quantile_disc(
-            CAST(round(l_extendedprice * (1 - l_discount) * 10000)
-                 AS BIGINT), 0.5) AS BIGINT) AS median_charge_e4
-FROM lineitem
-"""
-
-QUERIES["tpch_exact_median_charge"] = tpch_exact_median_charge
-ORACLE_SQL["tpch_exact_median_charge"] = TPCH_EXACT_MEDIAN_CHARGE_SQL
-
-
-def events_click_view_intersect_all(sf_dir: str):
-    """SQL INTERSECT ALL (bag semantics): each user id appears
-    min(#clicks, #views) times — functions/joins.intersect_all; the
-    DISTINCT variants are intersect_event_users/except_event_users.
-
-    Scale shape: both sides collapse to (user, count) through the
-    count combiner before the single key shuffle; row replication
-    happens on the bounded joined key table."""
-    from knowledge_graph_ray.functions.joins import intersect_all, project
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "event_type"])
-    clicks = project(events.filter(expr="event_type == 'click'"),
-                     ["user_id"])
-    views = project(events.filter(expr="event_type == 'view'"),
-                    ["user_id"])
-    return intersect_all(clicks, views, ["user_id"])
-
-
-EVENTS_CLICK_VIEW_INTERSECT_ALL_SQL = """
-SELECT user_id FROM events WHERE event_type = 'click'
-INTERSECT ALL
-SELECT user_id FROM events WHERE event_type = 'view'
-"""
-
-
-def events_click_view_except_all(sf_dir: str):
-    """SQL EXCEPT ALL (bag semantics): each user id appears
-    max(#clicks - #views, 0) times — functions/joins.except_all."""
-    from knowledge_graph_ray.functions.joins import except_all, project
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "event_type"])
-    clicks = project(events.filter(expr="event_type == 'click'"),
-                     ["user_id"])
-    views = project(events.filter(expr="event_type == 'view'"),
-                    ["user_id"])
-    return except_all(clicks, views, ["user_id"])
-
-
-EVENTS_CLICK_VIEW_EXCEPT_ALL_SQL = """
-SELECT user_id FROM events WHERE event_type = 'click'
-EXCEPT ALL
-SELECT user_id FROM events WHERE event_type = 'view'
-"""
-
-QUERIES["events_click_view_intersect_all"] = events_click_view_intersect_all
-ORACLE_SQL["events_click_view_intersect_all"] = (
-    EVENTS_CLICK_VIEW_INTERSECT_ALL_SQL
-)
-QUERIES["events_click_view_except_all"] = events_click_view_except_all
-ORACLE_SQL["events_click_view_except_all"] = (
-    EVENTS_CLICK_VIEW_EXCEPT_ALL_SQL
-)
-
-
-def events_linear_attribution(sf_dir: str):
-    """Linear multi-touch attribution: each session's value is split
-    EQUALLY across the session's distinct channels (event types) — the
-    companion to first-touch `events_session_attribution`.
-
-    Scale shape: ONE user_id shuffle; the bucket body sessionizes
-    vectorized, builds (session, distinct channel) rows, divides the
-    exact session cent sum by the channel count (e4-scaled round — a
-    .5 tie is impossible while channel counts stay below 2^5, proven in
-    the docstring of the oracle), and pre-aggregates to
-    channel-cardinality partials inside the bucket."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type", "value"],
-    )
-
-    partial_schema = pa.schema([
-        ("channel", pa.string()),
-        ("n_partial", pa.int64()),
-        ("credit_partial", pa.int64()),
-    ])
-
-    def body(bucket: pd.DataFrame) -> pa.Table:
-        df = bucket.sort_values(["user_id", "ts", "event_id"],
-                                kind="mergesort")
-        ts_s = df["ts"].astype("int64").to_numpy() // 1_000_000
-        codes, _ = pd.factorize(df["user_id"], use_na_sentinel=False)
-        n = len(df)
-        brk = np.ones(n, dtype=bool)
-        if n > 1:
-            brk[1:] = (codes[1:] != codes[:-1]) | \
-                ((ts_s[1:] - ts_s[:-1]) > 1800)
-        sid = np.cumsum(brk)
-        v = df["value"].to_numpy(dtype=np.float64) * 100.0
-        cents = np.where(v >= 0, np.floor(v + 0.5),
-                         np.ceil(v - 0.5)).astype(np.int64)
-        rows = pd.DataFrame({"sid": sid,
-                             "channel": df["event_type"].to_numpy(),
-                             "cents": cents})
-        per_sess = rows.groupby("sid", sort=False).agg(
-            sess_cents=("cents", "sum"))
-        k = rows.groupby("sid", sort=False)["channel"].nunique()
-        per_sess["k"] = k
-        chan = rows[["sid", "channel"]].drop_duplicates()
-        chan = chan.merge(per_sess, left_on="sid", right_index=True)
-        x = chan["sess_cents"].to_numpy(np.float64) * 10_000.0 \
-            / chan["k"].to_numpy(np.float64)
-        credit = np.where(x >= 0, np.floor(x + 0.5),
-                          np.ceil(x - 0.5)).astype(np.int64)
-        out = pd.DataFrame({"channel": chan["channel"].to_numpy(),
-                            "credit": credit})
-        agg = out.groupby("channel", sort=False, as_index=False).agg(
-            n_partial=("credit", "size"),
-            credit_partial=("credit", "sum"))
-        return pa.Table.from_pydict({
-            "channel": pa.array(agg["channel"], type=pa.string()),
-            "n_partial": pa.array(agg["n_partial"].to_numpy(np.int64)),
-            "credit_partial": pa.array(
-                agg["credit_partial"].to_numpy(np.int64)),
-        })
-
-    partials = bucketed_bucket_map(events, ["user_id"], body,
-                                   empty_schema=partial_schema)
-    return grouped_agg(partials, ["channel"],
-                       [("n_touches", "n_partial", "sum"),
-                        ("credit_e4", "credit_partial", "sum")])
-
-
-EVENTS_LINEAR_ATTRIBUTION_SQL = """
-WITH e AS (
-  SELECT user_id, event_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         event_type, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-s AS (
-  SELECT *, CASE WHEN lag(ts_s) OVER w IS NULL
-                   OR ts_s - lag(ts_s) OVER w > 1800
-            THEN 1 ELSE 0 END AS brk
-  FROM e WINDOW w AS (PARTITION BY user_id ORDER BY ts_s, event_id)
-),
-s2 AS (
-  SELECT *, sum(brk) OVER (PARTITION BY user_id ORDER BY ts_s, event_id
-                           ROWS UNBOUNDED PRECEDING) AS sid
-  FROM s
-),
-sess AS (
-  SELECT user_id, sid, sum(cents) AS sess_cents,
-         count(DISTINCT event_type) AS k
-  FROM s2 GROUP BY 1, 2
-),
-chan AS (SELECT DISTINCT user_id, sid, event_type FROM s2),
-credit AS (
-  SELECT event_type,
-         CAST(round(CAST(sess_cents AS DOUBLE) * 10000 / k) AS BIGINT)
-           AS c_e4
-  FROM chan JOIN sess USING (user_id, sid)
-)
-SELECT event_type AS channel, CAST(count(*) AS BIGINT) AS n_touches,
-       CAST(sum(c_e4) AS BIGINT) AS credit_e4
-FROM credit GROUP BY 1
-"""
-
-QUERIES["events_linear_attribution"] = events_linear_attribution
-ORACLE_SQL["events_linear_attribution"] = EVENTS_LINEAR_ATTRIBUTION_SQL
-
-
-def events_longest_streak(sf_dir: str):
-    """Gaps-and-islands: each user's LONGEST run of consecutive active
-    days, reported as a distribution (streak length -> user count) —
-    the engagement-streak shape.
-
-    Scale shape: the fact scan collapses to distinct (user, day) pairs
-    through the combiner; ONE user shuffle; the bucket body finds run
-    breaks with a vectorized diff (day step != 1 or user change), run
-    lengths by cumsum segmentation, per-user max, then
-    streak-cardinality partials."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts"])
-
-    def days(batch: pa.Table) -> pa.Table:
-        d = pc.divide(
-            pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000),
-            86_400,
-        ).cast(pa.int64())
-        return pa.table({"user_id": batch.column("user_id"), "day": d})
-
-    pairs = grouped_agg(
-        events.map_batches(days, batch_format="pyarrow"),
-        ["user_id", "day"], [("n", None, "count")],
-    ).select_columns(["user_id", "day"])
-
-    def body(bucket: pd.DataFrame) -> pa.Table:
-        df = bucket.sort_values(["user_id", "day"], kind="mergesort")
-        u = df["user_id"].to_numpy()
-        d = df["day"].to_numpy(np.int64)
-        n = len(df)
-        brk = np.ones(n, dtype=bool)
-        if n > 1:
-            brk[1:] = (u[1:] != u[:-1]) | ((d[1:] - d[:-1]) != 1)
-        run_id = np.cumsum(brk)
-        runs = pd.DataFrame({"u": u, "run": run_id})
-        run_len = runs.groupby("run", sort=False).agg(
-            u=("u", "first"), ln=("run", "size"))
-        best = run_len.groupby("u", sort=False)["ln"].max()
-        dist = best.value_counts()
-        return pa.Table.from_pydict({
-            "streak_days": pa.array(dist.index.to_numpy(np.int64)),
-            "n_partial": pa.array(dist.to_numpy(np.int64)),
-        })
-
-    partials = bucketed_bucket_map(
-        pairs, ["user_id"], body,
-        empty_schema=pa.schema([("streak_days", pa.int64()),
-                                ("n_partial", pa.int64())]),
-    )
-    return grouped_agg(partials, ["streak_days"],
-                       [("n_users", "n_partial", "sum")])
-
-
-EVENTS_LONGEST_STREAK_SQL = """
-WITH p AS (
-  SELECT DISTINCT user_id,
-         CAST(floor(epoch(ts)) AS BIGINT) // 86400 AS day
-  FROM events
-),
-r AS (
-  SELECT user_id, day,
-         day - row_number() OVER (PARTITION BY user_id ORDER BY day)
-           AS island
-  FROM p
-),
-runs AS (
-  SELECT user_id, CAST(count(*) AS BIGINT) AS ln
-  FROM r GROUP BY user_id, island
-),
-best AS (SELECT user_id, max(ln) AS streak_days FROM runs GROUP BY user_id)
-SELECT streak_days, CAST(count(*) AS BIGINT) AS n_users
-FROM best GROUP BY streak_days
-"""
-
-QUERIES["events_longest_streak"] = events_longest_streak
-ORACLE_SQL["events_longest_streak"] = EVENTS_LONGEST_STREAK_SQL
-
-
-def events_signup_to_purchase_latency(sf_dir: str):
-    """Funnel latency: among users whose first purchase happens at or
-    after their first signup, the count and exact median of the
-    signup-to-purchase delay in seconds — the conversion-latency
-    reporting shape.
-
-    Scale shape: the fact scan collapses to (user, first signup,
-    first purchase) through min combiners; the delay table is
-    user-cardinality; the median is the bounded histogram walk over
-    distinct delay values."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import hash_join, project
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "ts", "event_type"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "user_id": batch.column("user_id"),
-            "event_type": batch.column("event_type"),
-            "ts_s": ts_s.cast(pa.int64()),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-
-    def first_of(t: str, col: str):
-        flt = prepped.filter(expr=f"event_type == '{t}'")
-        agg = grouped_agg(flt, ["user_id"], [(col, "ts_s", "min")])
-        return agg
-
-    signups = first_of("signup", "signup_s")
-    purchases = first_of("purchase", "purchase_s")
-    j = hash_join(signups, purchases, on=["user_id"], how="inner")
-
-    def delay(batch: pa.Table) -> pa.Table:
-        d = pc.subtract(batch.column("purchase_s").cast(pa.int64()),
-                        batch.column("signup_s").cast(pa.int64()))
-        keep = pc.greater_equal(d, pa.scalar(0, type=pa.int64()))
-        t = batch.append_column("delay_s", d).filter(keep)
-        return pa.table({
-            "g": pa.array([1] * len(t), type=pa.int8()),
-            "delay_s": t.column("delay_s"),
-        })
-
-    delays = j.map_batches(delay, batch_format="pyarrow").materialize()
-    n = delays.count()
-    med = grouped_quantiles(delays, "g", "delay_s", qs=[0.5]).to_pandas()
-    return pa.table({
-        "n_converted": pa.array([n], type=pa.int64()),
-        "median_delay_s": pa.array([int(med["delay_s"].iloc[0])],
-                                   type=pa.int64()),
-    })
-
-
-EVENTS_SIGNUP_TO_PURCHASE_LATENCY_SQL = """
-WITH f AS (
-  SELECT user_id,
-         min(CASE WHEN event_type = 'signup'
-             THEN CAST(floor(epoch(ts)) AS BIGINT) END) AS signup_s,
-         min(CASE WHEN event_type = 'purchase'
-             THEN CAST(floor(epoch(ts)) AS BIGINT) END) AS purchase_s
-  FROM events GROUP BY user_id
-),
-d AS (
-  SELECT purchase_s - signup_s AS delay_s
-  FROM f
-  WHERE signup_s IS NOT NULL AND purchase_s IS NOT NULL
-    AND purchase_s >= signup_s
-)
-SELECT CAST(count(*) AS BIGINT) AS n_converted,
-       CAST(quantile_disc(delay_s, 0.5) AS BIGINT) AS median_delay_s
-FROM d
-"""
-
-
-def events_top_types_with_other(sf_dir: str):
-    """Top-3 event types by total value with everything else rolled
-    into an 'OTHER' bucket — the standard reporting rollup that keeps
-    dashboards bounded however wide the category space grows.
-
-    Scale shape: type totals collapse through the combiner to a
-    type-cardinality table; the top-3 cut happens on that bounded
-    table and the final re-aggregate moves <= 4 rows."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "cents": scaled_int_column(batch.column("value"), 100.0),
-        })
-
-    totals = grouped_agg(
-        events.map_batches(prep, batch_format="pyarrow"),
-        ["event_type"],
-        [("cents", "cents", "sum"), ("n", None, "count")],
-    ).to_pandas()  # bounded: one row per event type
-    totals = totals.sort_values(["cents", "event_type"],
-                                ascending=[False, True])
-    top = set(totals.head(3)["event_type"])
-    totals["bucket"] = [
-        t if t in top else "OTHER" for t in totals["event_type"]
-    ]
-    out = totals.groupby("bucket", as_index=False).agg(
-        total_cents=("cents", "sum"), n_events=("n", "sum"))
-    return pa.Table.from_pydict({
-        "bucket": pa.array(out["bucket"], type=pa.string()),
-        "total_cents": pa.array(out["total_cents"].to_numpy(),
-                                type=pa.int64()),
-        "n_events": pa.array(out["n_events"].to_numpy(),
-                             type=pa.int64()),
-    })
-
-
-EVENTS_TOP_TYPES_WITH_OTHER_SQL = """
-WITH t AS (
-  SELECT event_type,
-         sum(CAST(round(value * 100) AS BIGINT)) AS cents,
-         count(*) AS n
-  FROM events GROUP BY event_type
-),
-r AS (
-  SELECT *, row_number() OVER (ORDER BY cents DESC, event_type) AS rk
-  FROM t
-)
-SELECT CASE WHEN rk <= 3 THEN event_type ELSE 'OTHER' END AS bucket,
-       CAST(sum(cents) AS BIGINT) AS total_cents,
-       CAST(sum(n) AS BIGINT) AS n_events
-FROM r GROUP BY 1
-"""
-
-QUERIES["events_signup_to_purchase_latency"] = (
-    events_signup_to_purchase_latency
-)
-ORACLE_SQL["events_signup_to_purchase_latency"] = (
-    EVENTS_SIGNUP_TO_PURCHASE_LATENCY_SQL
-)
-QUERIES["events_top_types_with_other"] = events_top_types_with_other
-ORACLE_SQL["events_top_types_with_other"] = (
-    EVENTS_TOP_TYPES_WITH_OTHER_SQL
-)
-
-
-def tpch_benford_digits(sf_dir: str):
-    """Benford's-law first-digit audit over order totals — the fraud
-    screening shape: count of orders by the leading significant digit
-    of o_totalprice (exact: leading digit of the cent-scaled integer,
-    no float log10 at power boundaries).
-
-    Scale shape: stateless vectorized digit extraction, 9-row partials
-    per batch through the combiner."""
-    import numpy as np
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_totalprice"])
-
-    def digits(batch: pa.Table) -> pa.Table:
-        cents = scaled_int_column(batch.column("o_totalprice"), 100.0)
-        c = cents.to_numpy(zero_copy_only=False).astype(np.int64)
-        c = np.abs(c)
-        # strip trailing magnitude: repeated //10 until < 10, vectorized
-        # over the bounded digit count (int64 -> at most 19 steps)
-        d = c.copy()
-        for _ in range(19):
-            big = d >= 10
-            if not big.any():
-                break
-            d[big] //= 10
-        return pa.table({
-            "digit": pa.array(d, type=pa.int64()),
-            "one": pa.array(np.ones(len(batch), dtype=np.int64)),
-        })
-
-    return grouped_agg(orders.map_batches(digits, batch_format="pyarrow"),
-                       ["digit"], [("n_orders", "one", "sum")])
-
-
-TPCH_BENFORD_DIGITS_SQL = """
-WITH c AS (
-  SELECT abs(CAST(round(o_totalprice * 100) AS BIGINT)) AS cents
-  FROM orders
-)
-SELECT CAST(substr(CAST(cents AS VARCHAR), 1, 1) AS BIGINT) AS digit,
-       CAST(count(*) AS BIGINT) AS n_orders
-FROM c GROUP BY 1
-"""
-
-
-def join_revenue_hhi_by_nation(sf_dir: str):
-    """Herfindahl-Hirschman market concentration per supplier nation:
-    HHI_e18 = sum over suppliers of (e9-scaled revenue share)^2 — ALL
-    integer arithmetic.  Normalizing shares BEFORE squaring bounds the
-    sum at 1e18 regardless of data scale (raw cent-square sums overflow
-    int64 already at sf1), so the metric stays exact at 100TB.
-
-    Scale shape: lineitem collapses to (supplier, cents) through the
-    combiner; nation totals are a second nation-cardinality combiner
-    broadcast back via hash_join over the tiny supplier table; squares
-    ride one more nation-cardinality combiner."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import (
-        hash_join,
-        project,
-        size_adaptive_join,
-    )
-    lines = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                            columns=["l_suppkey", "l_extendedprice",
-                                     "l_discount"])
-
-    def rev(batch: pa.Table) -> pa.Table:
-        r = pc.multiply(
-            batch.column("l_extendedprice"),
-            pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
-        )
-        return pa.table({
-            "l_suppkey": batch.column("l_suppkey"),
-            "cents": scaled_int_column(r, 100.0),
-        })
-
-    per_supp = grouped_agg(
-        lines.map_batches(rev, batch_format="pyarrow"),
-        ["l_suppkey"], [("cents", "cents", "sum")],
-    )
-
-    supplier = rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                               columns=["s_suppkey", "s_nationkey"])
-    nation = rd.read_parquet(f"{sf_dir}/nation.parquet",
-                             columns=["n_nationkey", "n_name"])
-    supp_dim = size_adaptive_join(
-        project(supplier, {"s_suppkey": "l_suppkey",
-                           "s_nationkey": "n_nationkey"}),
-        project(nation, {"n_nationkey": "n_nationkey",
-                         "n_name": "nation"}),
-        on=["n_nationkey"], broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/nation.parquet"),
-    ).select_columns(["l_suppkey", "nation"])
-
-    labeled = size_adaptive_join(
-        per_supp, supp_dim, on=["l_suppkey"],
-        broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/supplier.parquet"),
-    ).materialize()
-
-    totals = grouped_agg(labeled.select_columns(["nation", "cents"]),
-                         ["nation"], [("total_cents", "cents", "sum")])
-    with_tot = hash_join(labeled, totals, on=["nation"],
-                         num_partitions=8)
-
-    def shares(batch: pa.Table) -> pa.Table:
-        share = pc.divide(
-            pc.multiply(batch.column("cents").cast(pa.float64()),
-                        pa.scalar(1e9)),
-            batch.column("total_cents").cast(pa.float64()),
-        )
-        share_e9 = scaled_int_column(share, 1.0)
-        return pa.table({
-            "nation": batch.column("nation"),
-            "sq": pc.multiply(share_e9, share_e9),
-            "cents": batch.column("cents"),
-        })
-
-    agg = grouped_agg(
-        with_tot.map_batches(shares, batch_format="pyarrow"),
-        ["nation"],
-        [("n_suppliers", None, "count"), ("total_cents", "cents", "sum"),
-         ("hhi_e18", "sq", "sum")],
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "nation": batch.column("nation"),
-            "n_suppliers": batch.column("n_suppliers").cast(pa.int64()),
-            "total_cents": batch.column("total_cents").cast(pa.int64()),
-            "hhi_e18": batch.column("hhi_e18").cast(pa.int64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-JOIN_REVENUE_HHI_BY_NATION_SQL = """
-WITH s AS (
-  SELECT l_suppkey,
-         sum(CAST(round(l_extendedprice * (1 - l_discount) * 100)
-                  AS BIGINT)) AS cents
-  FROM lineitem GROUP BY l_suppkey
-),
-lbl AS (
-  SELECT n_name AS nation, cents
-  FROM s JOIN supplier ON l_suppkey = s_suppkey
-         JOIN nation ON s_nationkey = n_nationkey
-),
-t AS (SELECT nation, sum(cents) AS total_cents FROM lbl GROUP BY nation),
-sh AS (
-  SELECT lbl.nation, cents,
-         CAST(round(CAST(cents AS DOUBLE) * 1e9
-                    / CAST(total_cents AS DOUBLE)) AS BIGINT) AS share_e9
-  FROM lbl JOIN t USING (nation)
-)
-SELECT nation,
-       CAST(count(*) AS BIGINT) AS n_suppliers,
-       CAST(sum(cents) AS BIGINT) AS total_cents,
-       CAST(sum(share_e9 * share_e9) AS BIGINT) AS hhi_e18
-FROM sh GROUP BY nation
-"""
-
-
-QUERIES["tpch_benford_digits"] = tpch_benford_digits
-ORACLE_SQL["tpch_benford_digits"] = TPCH_BENFORD_DIGITS_SQL
-QUERIES["join_revenue_hhi_by_nation"] = join_revenue_hhi_by_nation
-ORACLE_SQL["join_revenue_hhi_by_nation"] = JOIN_REVENUE_HHI_BY_NATION_SQL
-
-
-def tpch_rfm_segments(sf_dir: str):
-    """RFM segmentation: each ordering customer labeled with
-    recency/frequency/monetary QUINTILES (edges = exact discrete
-    20/40/60/80 percentiles of the customer-metric table), reported as
-    segment counts — the classic CRM partition.
-
-    Scale shape: orders collapse to customer-cardinality (recency max,
-    frequency count, monetary cent sum) through one combiner; the nine
-    quintile edges come from three bounded histogram walks and
-    broadcast as scalars; labeling is a stateless vectorized scan over
-    the customer table emitting <=125 partial rows per batch."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_orderdate",
-                                      "o_totalprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        day = pc.divide(
-            pc.divide(batch.column("o_orderdate").cast(pa.int64()),
-                      1_000_000),
-            86_400,
-        ).cast(pa.int64())
-        return pa.table({
-            "o_custkey": batch.column("o_custkey"),
-            "day": day,
-            "cents": scaled_int_column(batch.column("o_totalprice"),
-                                       100.0),
-        })
-
-    cust = grouped_agg(
-        orders.map_batches(prep, batch_format="pyarrow"),
-        ["o_custkey"],
-        [("recency", "day", "max"), ("frequency", None, "count"),
-         ("monetary", "cents", "sum")],
-    ).materialize()
-
-    def add_g(b: pa.Table) -> pa.Table:
-        return b.append_column("g", pa.array(
-            np.zeros(len(b), dtype=np.int8)))
-
-    keyed = cust.map_batches(add_g, batch_format="pyarrow")
-    edges = {}
-    for metric in ["recency", "frequency", "monetary"]:
-        qd = grouped_quantiles(keyed, "g", metric,
-                               qs=[0.2, 0.4, 0.6, 0.8]).to_pandas()
-        qd = qd.sort_values("q")
-        edges[metric] = qd[metric].to_numpy(np.int64)
-
-    def label(batch: pa.Table) -> pa.Table:
-        out = {}
-        for metric, col in [("recency", "r_q"), ("frequency", "f_q"),
-                            ("monetary", "m_q")]:
-            v = batch.column(metric).to_numpy(zero_copy_only=False)
-            e = edges[metric]
-            q = (1 + (v > e[0]).astype(np.int64)
-                 + (v > e[1]).astype(np.int64)
-                 + (v > e[2]).astype(np.int64)
-                 + (v > e[3]).astype(np.int64))
-            out[col] = pa.array(q, type=pa.int64())
-        out["one"] = pa.array(np.ones(len(batch), dtype=np.int64))
-        return pa.table(out)
-
-    return grouped_agg(
-        cust.map_batches(label, batch_format="pyarrow"),
-        ["r_q", "f_q", "m_q"], [("n_customers", "one", "sum")],
-    )
-
-
-TPCH_RFM_SEGMENTS_SQL = """
-WITH m AS (
-  SELECT o_custkey,
-         max(CAST(floor(epoch(o_orderdate)) AS BIGINT) // 86400)
-           AS recency,
-         count(*) AS frequency,
-         sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS monetary
-  FROM orders GROUP BY o_custkey
-),
-e AS (
-  SELECT quantile_disc(recency, 0.2) AS r1, quantile_disc(recency, 0.4) AS r2,
-         quantile_disc(recency, 0.6) AS r3, quantile_disc(recency, 0.8) AS r4,
-         quantile_disc(frequency, 0.2) AS f1, quantile_disc(frequency, 0.4) AS f2,
-         quantile_disc(frequency, 0.6) AS f3, quantile_disc(frequency, 0.8) AS f4,
-         quantile_disc(monetary, 0.2) AS m1, quantile_disc(monetary, 0.4) AS m2,
-         quantile_disc(monetary, 0.6) AS m3, quantile_disc(monetary, 0.8) AS m4
-  FROM m
-)
-SELECT CAST(1 + CAST(recency > r1 AS INT) + CAST(recency > r2 AS INT)
-              + CAST(recency > r3 AS INT) + CAST(recency > r4 AS INT) AS BIGINT) AS r_q,
-       CAST(1 + CAST(frequency > f1 AS INT) + CAST(frequency > f2 AS INT)
-              + CAST(frequency > f3 AS INT) + CAST(frequency > f4 AS INT) AS BIGINT) AS f_q,
-       CAST(1 + CAST(monetary > m1 AS INT) + CAST(monetary > m2 AS INT)
-              + CAST(monetary > m3 AS INT) + CAST(monetary > m4 AS INT) AS BIGINT) AS m_q,
-       CAST(count(*) AS BIGINT) AS n_customers
-FROM m, e
-GROUP BY 1, 2, 3
-"""
-
-
-def tpch_pareto_customers(sf_dir: str):
-    """Pareto 80/20 coverage: the revenue threshold above which
-    customers jointly carry >= 80% of all revenue, with how many
-    customers that is and their exact revenue share — computed through
-    the weighted-quantile walk (weights = the revenues themselves, the
-    ascending 20% cut), all comparisons in exact integer arithmetic.
-
-    Scale shape: orders collapse to customer-cardinality cent sums;
-    the weighted quantile moves one row per DISTINCT revenue value;
-    the final count/sum is one more bounded combiner pass."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.sketches import (
-        grouped_weighted_quantile,
-    )
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_totalprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_custkey": batch.column("o_custkey"),
-            "cents": scaled_int_column(batch.column("o_totalprice"),
-                                       100.0),
-        })
-
-    cust = grouped_agg(
-        orders.map_batches(prep, batch_format="pyarrow"),
-        ["o_custkey"], [("rev", "cents", "sum")],
-    ).materialize()
-
-    def add_g(b: pa.Table) -> pa.Table:
-        # string group key: the weighted-quantile walk emits string keys
-        return b.append_column("g", pa.array(["all"] * len(b),
-                                             type=pa.string()))
-
-    keyed = cust.map_batches(add_g, batch_format="pyarrow")
-
-    def add_w(b: pa.Table) -> pa.Table:
-        return b.append_column("w", b.column("rev"))
-
-    # ascending weighted 20% cut: smallest revenue whose cumulative
-    # revenue reaches 1/5 of the total — everything ABOVE it is the
-    # "top" mass carrying >= 80%
-    thr = int(
-        grouped_weighted_quantile(
-            keyed.map_batches(add_w, batch_format="pyarrow"),
-            "g", "rev", "w", q_num=1, q_den=5)
-        .to_pandas()["rev"].iloc[0]
-    )
-
-    def split(batch: pa.Table) -> pa.Table:
-        top = pc.greater(batch.column("rev"),
-                         pa.scalar(thr, type=pa.int64()))
-        t = top.cast(pa.int64())
-        return pa.table({
-            "g": batch.column("g"),
-            "is_top": t,
-            "top_rev": pc.multiply(batch.column("rev").cast(pa.int64()),
-                                   t),
-            "rev": batch.column("rev"),
-        })
-
-    agg = grouped_agg(
-        keyed.map_batches(split, batch_format="pyarrow"),
-        ["g"],
-        [("n_customers", None, "count"), ("n_top", "is_top", "sum"),
-         ("top_cents", "top_rev", "sum"), ("total_cents", "rev", "sum")],
-    ).to_pandas().iloc[0]
-    return pa.table({
-        "threshold_cents": pa.array([thr], type=pa.int64()),
-        "n_customers": pa.array([int(agg["n_customers"])],
-                                type=pa.int64()),
-        "n_top": pa.array([int(agg["n_top"])], type=pa.int64()),
-        "top_cents": pa.array([int(agg["top_cents"])], type=pa.int64()),
-        "total_cents": pa.array([int(agg["total_cents"])],
-                                type=pa.int64()),
-    })
-
-
-TPCH_PARETO_CUSTOMERS_SQL = """
-WITH c AS (
-  SELECT o_custkey,
-         sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS rev
-  FROM orders GROUP BY o_custkey
-),
-w AS (
-  SELECT rev,
-         sum(rev) OVER (ORDER BY rev ROWS UNBOUNDED PRECEDING) AS cumw,
-         sum(rev) OVER () AS totw
-  FROM c
-),
-t AS (SELECT min(rev) AS thr FROM w WHERE cumw * 5 >= totw)
-SELECT CAST(thr AS BIGINT) AS threshold_cents,
-       CAST((SELECT count(*) FROM c) AS BIGINT) AS n_customers,
-       CAST((SELECT count(*) FROM c, t WHERE rev > thr) AS BIGINT)
-         AS n_top,
-       CAST((SELECT COALESCE(sum(rev), 0) FROM c, t WHERE rev > thr)
-            AS BIGINT) AS top_cents,
-       CAST((SELECT sum(rev) FROM c) AS BIGINT) AS total_cents
-FROM t
-"""
-
-QUERIES["tpch_rfm_segments"] = tpch_rfm_segments
-ORACLE_SQL["tpch_rfm_segments"] = TPCH_RFM_SEGMENTS_SQL
-QUERIES["tpch_pareto_customers"] = tpch_pareto_customers
-ORACLE_SQL["tpch_pareto_customers"] = TPCH_PARETO_CUSTOMERS_SQL
-
-
-def events_session_conversion(sf_dir: str):
-    """Conversion rate by ENTRY channel: sessions grouped by the
-    channel that opened them, with how many contained a purchase — the
-    funnel-efficiency companion to first-touch attribution (same
-    session machinery, a per-session ANY flag instead of a value
-    rollup).
-
-    Scale shape: ONE user shuffle; the bucket body sessionizes
-    vectorized, takes the ordered-first channel and a purchase ANY per
-    session, and pre-aggregates to channel-cardinality partials; the
-    rate is one exact-int division."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type"],
-    )
-
-    partial_schema = pa.schema([
-        ("channel", pa.string()),
-        ("n_partial", pa.int64()),
-        ("conv_partial", pa.int64()),
-    ])
-
-    def body(bucket: pd.DataFrame) -> pa.Table:
-        df = bucket.sort_values(["user_id", "ts", "event_id"],
-                                kind="mergesort")
-        ts_s = df["ts"].astype("int64").to_numpy() // 1_000_000
-        codes, _ = pd.factorize(df["user_id"], use_na_sentinel=False)
-        n = len(df)
-        brk = np.ones(n, dtype=bool)
-        if n > 1:
-            brk[1:] = (codes[1:] != codes[:-1]) | \
-                ((ts_s[1:] - ts_s[:-1]) > 1800)
-        sid = np.cumsum(brk)
-        rows = pd.DataFrame({
-            "sid": sid,
-            "channel": df["event_type"].to_numpy(),
-            "is_purchase": (df["event_type"] == "purchase")
-            .to_numpy().astype(np.int64),
-        })
-        per_sess = rows.groupby("sid", sort=False).agg(
-            channel=("channel", "first"),
-            conv=("is_purchase", "max"))
-        agg = per_sess.groupby("channel", sort=False, as_index=False).agg(
-            n_partial=("conv", "size"), conv_partial=("conv", "sum"))
-        return pa.Table.from_pydict({
-            "channel": pa.array(agg["channel"], type=pa.string()),
-            "n_partial": pa.array(agg["n_partial"].to_numpy(np.int64)),
-            "conv_partial": pa.array(
-                agg["conv_partial"].to_numpy(np.int64)),
-        })
-
-    partials = bucketed_bucket_map(events, ["user_id"], body,
-                                   empty_schema=partial_schema)
-    agg = grouped_agg(partials, ["channel"],
-                      [("n_sessions", "n_partial", "sum"),
-                       ("n_converted", "conv_partial", "sum")])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        n = batch.column("n_sessions").cast(pa.int64())
-        c = batch.column("n_converted").cast(pa.int64())
-        return pa.table({
-            "channel": batch.column("channel"),
-            "n_sessions": n,
-            "n_converted": c,
-            "cvr": pc.divide(c.cast(pa.float64()), n.cast(pa.float64())),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_SESSION_CONVERSION_SQL = """
-WITH e AS (
-  SELECT user_id, event_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         event_type
-  FROM events
-),
-s AS (
-  SELECT *, CASE WHEN lag(ts_s) OVER w IS NULL
-                   OR ts_s - lag(ts_s) OVER w > 1800
-            THEN 1 ELSE 0 END AS brk
-  FROM e WINDOW w AS (PARTITION BY user_id ORDER BY ts_s, event_id)
-),
-s2 AS (
-  SELECT *, sum(brk) OVER (PARTITION BY user_id ORDER BY ts_s, event_id
-                           ROWS UNBOUNDED PRECEDING) AS sid
-  FROM s
-),
-sess AS (
-  SELECT user_id, sid,
-         first(event_type ORDER BY ts_s, event_id) AS channel,
-         max(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END)
-           AS conv
-  FROM s2 GROUP BY user_id, sid
-)
-SELECT channel,
-       CAST(count(*) AS BIGINT) AS n_sessions,
-       CAST(sum(conv) AS BIGINT) AS n_converted,
-       CAST(sum(conv) AS DOUBLE) / count(*) AS cvr
-FROM sess GROUP BY channel
-"""
-
-QUERIES["events_session_conversion"] = events_session_conversion
-ORACLE_SQL["events_session_conversion"] = EVENTS_SESSION_CONVERSION_SQL
-
-
-def dedup_rate_by_source(sf_dir: str):
-    """Duplication-rate provenance: per source, how many near-duplicate
-    pairs (same n-gram Jaccard gate as dedup_ngram_jaccard) and how
-    many distinct documents are entangled in them — the per-provider
-    quality report a crawl pipeline uses to drop or re-weight feeds.
-
-    Scale shape: pair generation is the existing blocked Jaccard path
-    (no all-pairs step); the source attach is one size-adaptive join of
-    doc ids only; the doc-level distinct collapses through a
-    (source, doc) combiner before the final count."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import (
-        project,
-        size_adaptive_join,
-    )
-    from knowledge_graph_ray.stages.dedup import ngram_jaccard_pairs
-
-    pairs = ngram_jaccard_pairs(
-        _docs(sf_dir), threshold=0.04, ngram=2, partition_column="source"
-    ).materialize()
-
-    src = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                          columns=["doc_id", "source"]).map_batches(
-        lambda t: pa.table({
-            "a": pc.cast(t.column("doc_id"), pa.string()),
-            "source": t.column("source"),
-        }),
-        batch_format="pyarrow",
-    )
-    labeled = size_adaptive_join(
-        pairs, src, on=["a"], broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/documents.parquet"),
-    ).materialize()
-
-    pair_counts = grouped_agg(labeled, ["source"],
-                              [("n_dup_pairs", None, "count")])
-
-    def explode_docs(batch: pa.Table) -> pa.Table:
-        # each pair contributes both endpoints under its (shared) source
-        src = batch.column("source").combine_chunks()
-        return pa.table({
-            "source": pa.chunked_array([src, src]),
-            "doc": pa.chunked_array(
-                [batch.column("a").combine_chunks(),
-                 batch.column("b").combine_chunks()]),
-        })
-
-    docs_in_dups = grouped_agg(
-        grouped_agg(
-            labeled.map_batches(explode_docs, batch_format="pyarrow"),
-            ["source", "doc"], [("n", None, "count")],
-        ).select_columns(["source"]),
-        ["source"], [("n_dup_docs", None, "count")],
-    )
-
-    from knowledge_graph_ray.functions.joins import hash_join
-
-    return hash_join(pair_counts, docs_in_dups, on=["source"],
-                     num_partitions=4)
-
-
-DEDUP_RATE_BY_SOURCE_SQL = """
-WITH toks AS (SELECT doc_id, source, string_split(text, ' ') AS ws
-              FROM documents),
-bg AS (
-  SELECT doc_id, source,
-         list_distinct([ws[i] || ' ' || ws[i+1]
-                        for i in range(1, len(ws))]) AS bgs
-  FROM toks
-),
-bgx AS (SELECT doc_id, source, unnest(bgs) AS g FROM bg),
-inter AS (
-  SELECT a.source AS source, a.doc_id AS da, b.doc_id AS db,
-         count(*) AS n_inter
-  FROM bgx a JOIN bgx b ON a.source = b.source AND a.g = b.g
-                        AND a.doc_id < b.doc_id
-  GROUP BY 1, 2, 3
-),
-sizes AS (SELECT doc_id, len(bgs) AS n FROM bg),
-p AS (
-  SELECT source, da, db
-  FROM inter
-  JOIN sizes sa ON sa.doc_id = da
-  JOIN sizes sb ON sb.doc_id = db
-  WHERE n_inter * 1.0 / (sa.n + sb.n - n_inter) >= 0.04
-),
-d AS (
-  SELECT source, da AS doc FROM p UNION SELECT source, db FROM p
-)
-SELECT source,
-       (SELECT CAST(count(*) AS BIGINT) FROM p p2
-        WHERE p2.source = d.source) AS n_dup_pairs,
-       CAST(count(*) AS BIGINT) AS n_dup_docs
-FROM d GROUP BY source
-"""
-
-QUERIES["dedup_rate_by_source"] = dedup_rate_by_source
-ORACLE_SQL["dedup_rate_by_source"] = DEDUP_RATE_BY_SOURCE_SQL
-
-
-def orders_priority_drift(sf_dir: str):
-    """Categorical drift monitor: order-priority mix in the EARLY half
-    of the date range vs the LATE half, with per-class e6-integer share
-    drift — the categorical companion to the value-based PSI monitor
-    (events_value_psi).  All arithmetic exact: shares are rounded
-    e6 integers against exact half totals.
-
-    Scale shape: one streaming pass bins each order into (half,
-    priority) partials; the drift math runs on the bounded class
-    table."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderdate", "o_orderpriority"])
-
-    def day_prep(batch: pa.Table) -> pa.Table:
-        d = pc.divide(
-            pc.divide(batch.column("o_orderdate").cast(pa.int64()),
-                      1_000_000),
-            86_400,
-        ).cast(pa.int64())
-        return pa.table({"day": d,
-                         "prio": batch.column("o_orderpriority")})
-
-    prepped = orders.map_batches(day_prep,
-                                 batch_format="pyarrow").materialize()
-    bounds = grouped_agg(
-        prepped.map_batches(
-            lambda t: t.append_column(
-                "g", pa.array(["all"] * len(t), type=pa.string())),
-            batch_format="pyarrow"),
-        ["g"], [("lo", "day", "min"), ("hi", "day", "max")],
-    ).to_pandas().iloc[0]
-    mid = (int(bounds["lo"]) + int(bounds["hi"])) // 2
-
-    def halves(batch: pa.Table) -> pa.Table:
-        late = pc.greater(batch.column("day"),
-                          pa.scalar(mid, type=pa.int64()))
-        return pa.table({
-            "prio": batch.column("prio"),
-            "early": pc.if_else(late, pa.scalar(0, type=pa.int64()),
-                                pa.scalar(1, type=pa.int64())),
-            "late": late.cast(pa.int64()),
-        })
-
-    counts = grouped_agg(
-        prepped.map_batches(halves, batch_format="pyarrow"),
-        ["prio"],
-        [("n_early", "early", "sum"), ("n_late", "late", "sum")],
-    ).to_pandas()  # bounded: one row per priority class
-    te, tl = int(counts["n_early"].sum()), int(counts["n_late"].sum())
-    ne = counts["n_early"].to_numpy(np.float64)
-    nl = counts["n_late"].to_numpy(np.float64)
-    se = np.floor(ne * 1e6 / te + 0.5).astype(np.int64)
-    sl = np.floor(nl * 1e6 / tl + 0.5).astype(np.int64)
-    return pa.table({
-        "prio": pa.array(counts["prio"], type=pa.string()),
-        "n_early": pa.array(counts["n_early"].to_numpy(np.int64)),
-        "n_late": pa.array(counts["n_late"].to_numpy(np.int64)),
-        "share_early_e6": pa.array(se),
-        "share_late_e6": pa.array(sl),
-        "drift_e6": pa.array(np.abs(se - sl)),
-    })
-
-
-ORDERS_PRIORITY_DRIFT_SQL = """
-WITH d AS (
-  SELECT CAST(floor(epoch(o_orderdate)) AS BIGINT) // 86400 AS day,
-         o_orderpriority AS prio
-  FROM orders
-),
-b AS (SELECT (min(day) + max(day)) // 2 AS mid FROM d),
-c AS (
-  SELECT prio,
-         sum(CASE WHEN day <= mid THEN 1 ELSE 0 END) AS n_early,
-         sum(CASE WHEN day > mid THEN 1 ELSE 0 END) AS n_late
-  FROM d, b GROUP BY prio
-),
-t AS (SELECT sum(n_early) AS te, sum(n_late) AS tl FROM c)
-SELECT prio,
-       CAST(n_early AS BIGINT) AS n_early,
-       CAST(n_late AS BIGINT) AS n_late,
-       CAST(floor(CAST(n_early AS DOUBLE) * 1e6 / te + 0.5) AS BIGINT)
-         AS share_early_e6,
-       CAST(floor(CAST(n_late AS DOUBLE) * 1e6 / tl + 0.5) AS BIGINT)
-         AS share_late_e6,
-       CAST(abs(floor(CAST(n_early AS DOUBLE) * 1e6 / te + 0.5)
-              - floor(CAST(n_late AS DOUBLE) * 1e6 / tl + 0.5))
-            AS BIGINT) AS drift_e6
-FROM c, t
-"""
-
-QUERIES["orders_priority_drift"] = orders_priority_drift
-ORACLE_SQL["orders_priority_drift"] = ORDERS_PRIORITY_DRIFT_SQL
-
-
-def tpch_order_to_ship_latency(sf_dir: str):
-    """Operational SLA: days from order placement to FIRST line
-    shipment, exact p50/p90 per order priority — the fulfilment
-    latency report.
-
-    Scale shape: lineitem collapses to per-order min shipdate through
-    the combiner before the one orderkey exchange; the per-priority
-    percentiles run the bounded histogram walk over distinct latency
-    values."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import hash_join
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles
-
-    lines = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                            columns=["l_orderkey", "l_shipdate"])
-
-    def l_prep(batch: pa.Table) -> pa.Table:
-        d = pc.divide(
-            pc.divide(batch.column("l_shipdate").cast(pa.int64()),
-                      1_000_000),
-            86_400,
-        ).cast(pa.int64())
-        return pa.table({"o_orderkey": batch.column("l_orderkey"),
-                         "ship_day": d})
-
-    first_ship = grouped_agg(
-        lines.map_batches(l_prep, batch_format="pyarrow"),
-        ["o_orderkey"], [("ship_day", "ship_day", "min")],
-    )
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderdate",
-                                      "o_orderpriority"])
-
-    def o_prep(batch: pa.Table) -> pa.Table:
-        d = pc.divide(
-            pc.divide(batch.column("o_orderdate").cast(pa.int64()),
-                      1_000_000),
-            86_400,
-        ).cast(pa.int64())
-        return pa.table({
-            "o_orderkey": batch.column("o_orderkey"),
-            "order_day": d,
-            "prio": batch.column("o_orderpriority"),
-        })
-
-    joined = hash_join(
-        orders.map_batches(o_prep, batch_format="pyarrow"),
-        first_ship, on=["o_orderkey"], how="inner",
-    )
-
-    def latency(batch: pa.Table) -> pa.Table:
-        lat = pc.subtract(batch.column("ship_day").cast(pa.int64()),
-                          batch.column("order_day").cast(pa.int64()))
-        return pa.table({"prio": batch.column("prio"),
-                         "latency_days": lat})
-
-    lat = joined.map_batches(latency, batch_format="pyarrow")
-    q = grouped_quantiles(lat, "prio", "latency_days", qs=[0.5, 0.9])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "prio": batch.column("prio"),
-            "q_e2": scaled_int_column(batch.column("q"), 100.0),
-            "latency_days": batch.column("latency_days")
-            .cast(pa.int64()),
-        })
-
-    return q.map_batches(finish, batch_format="pyarrow")
-
-
-TPCH_ORDER_TO_SHIP_LATENCY_SQL = """
-WITH f AS (
-  SELECT l_orderkey,
-         min(CAST(floor(epoch(l_shipdate)) AS BIGINT) // 86400)
-           AS ship_day
-  FROM lineitem GROUP BY l_orderkey
-),
-l AS (
-  SELECT o_orderpriority AS prio,
-         ship_day - CAST(floor(epoch(o_orderdate)) AS BIGINT) // 86400
-           AS latency_days
-  FROM orders JOIN f ON o_orderkey = l_orderkey
-)
-SELECT prio, CAST(50 AS BIGINT) AS q_e2,
-       CAST(quantile_disc(latency_days, 0.5) AS BIGINT) AS latency_days
-FROM l GROUP BY prio
-UNION ALL
-SELECT prio, CAST(90 AS BIGINT),
-       CAST(quantile_disc(latency_days, 0.9) AS BIGINT)
-FROM l GROUP BY prio
-"""
-
-QUERIES["tpch_order_to_ship_latency"] = tpch_order_to_ship_latency
-ORACLE_SQL["tpch_order_to_ship_latency"] = TPCH_ORDER_TO_SHIP_LATENCY_SQL
-
-
-def tpch_nation_share_of_region(sf_dir: str):
-    """Percent-of-parent reporting: each nation's customer revenue and
-    its share of the region total — the two-level rollup join every
-    BI layer ships.
-
-    Scale shape: orders collapse to customer-cardinality then
-    nation-cardinality cent sums through combiners (customer dimension
-    attaches size-adaptively, keys only); region totals re-aggregate
-    the bounded nation table; the share is one exact-int division."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import (
-        hash_join,
-        project,
-        size_adaptive_join,
-    )
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_totalprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_custkey": batch.column("o_custkey"),
-            "cents": scaled_int_column(batch.column("o_totalprice"),
-                                       100.0),
-        })
-
-    per_cust = grouped_agg(
-        orders.map_batches(prep, batch_format="pyarrow"),
-        ["o_custkey"], [("cents", "cents", "sum")],
-    )
-
-    customer = project(
-        rd.read_parquet(f"{sf_dir}/customer.parquet",
-                        columns=["c_custkey", "c_nationkey"]),
-        {"c_custkey": "o_custkey", "c_nationkey": "n_nationkey"},
-    )
-    nation = project(
-        rd.read_parquet(f"{sf_dir}/nation.parquet",
-                        columns=["n_nationkey", "n_name",
-                                 "n_regionkey"]),
-        {"n_nationkey": "n_nationkey", "n_name": "nation",
-         "n_regionkey": "r_regionkey"},
-    )
-    region = project(
-        rd.read_parquet(f"{sf_dir}/region.parquet",
-                        columns=["r_regionkey", "r_name"]),
-        {"r_regionkey": "r_regionkey", "r_name": "region"},
-    )
-
-    labeled = size_adaptive_join(
-        per_cust, customer, on=["o_custkey"],
-        broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/customer.parquet"),
-    )
-    labeled = size_adaptive_join(
-        labeled, nation, on=["n_nationkey"],
-        broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/nation.parquet"),
-    )
-    labeled = size_adaptive_join(
-        labeled, region, on=["r_regionkey"],
-        broadcast_max=BROADCAST_KEYS_MAX,
-        right_size_hint=_pq_rows(f"{sf_dir}/region.parquet"),
-    )
-
-    per_nation = grouped_agg(labeled, ["region", "nation"],
-                             [("nation_cents", "cents", "sum")])
-    per_region = grouped_agg(
-        per_nation.select_columns(["region", "nation_cents"]),
-        ["region"], [("region_cents", "nation_cents", "sum")],
-    )
-    joined = hash_join(per_nation, per_region, on=["region"],
-                       num_partitions=4)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        n = batch.column("nation_cents").cast(pa.int64())
-        r = batch.column("region_cents").cast(pa.int64())
-        return pa.table({
-            "region": batch.column("region"),
-            "nation": batch.column("nation"),
-            "nation_cents": n,
-            "region_cents": r,
-            "share": pc.divide(n.cast(pa.float64()),
-                               r.cast(pa.float64())),
-        })
-
-    return joined.map_batches(finish, batch_format="pyarrow")
-
-
-TPCH_NATION_SHARE_OF_REGION_SQL = """
-WITH n AS (
-  SELECT r_name AS region, n_name AS nation,
-         sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS nation_cents
-  FROM orders
-  JOIN customer ON o_custkey = c_custkey
-  JOIN nation ON c_nationkey = n_nationkey
-  JOIN region ON n_regionkey = r_regionkey
-  GROUP BY 1, 2
-),
-r AS (SELECT region, sum(nation_cents) AS region_cents FROM n
-      GROUP BY region)
-SELECT region, nation,
-       CAST(nation_cents AS BIGINT) AS nation_cents,
-       CAST(region_cents AS BIGINT) AS region_cents,
-       CAST(nation_cents AS DOUBLE) / CAST(region_cents AS DOUBLE)
-         AS share
-FROM n JOIN r USING (region)
-"""
-
-QUERIES["tpch_nation_share_of_region"] = tpch_nation_share_of_region
-ORACLE_SQL["tpch_nation_share_of_region"] = (
-    TPCH_NATION_SHARE_OF_REGION_SQL
-)
-
-
-def events_purchase_by_prior_type(sf_dir: str):
-    """Behavioral conditioning: purchase count and exact average value
-    grouped by the event type that IMMEDIATELY preceded the purchase in
-    the same user's stream ('(none)' when the purchase opens it) —
-    "what precedes high-value purchases".
-
-    Scale shape: ONE user shuffle; the bucket body sorts once, shifts
-    for the prior type, filters purchases, and emits
-    prior-type-cardinality partials with exact cent sums; the mean is
-    one exact-int division."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type", "value"],
-    )
-
-    partial_schema = pa.schema([
-        ("prior_type", pa.string()),
-        ("n_partial", pa.int64()),
-        ("cents_partial", pa.int64()),
-    ])
-
-    def body(bucket: pd.DataFrame) -> pa.Table:
-        df = bucket.sort_values(["user_id", "ts", "event_id"],
-                                kind="mergesort")
-        u = df["user_id"].to_numpy()
-        et = df["event_type"].to_numpy(dtype=object)
-        prior = np.empty(len(df), dtype=object)
-        prior[0] = "(none)"
-        if len(df) > 1:
-            same = u[1:] == u[:-1]
-            prior[1:] = np.where(same, et[:-1], "(none)")
-        v = df["value"].to_numpy(dtype=np.float64) * 100.0
-        cents = np.where(v >= 0, np.floor(v + 0.5),
-                         np.ceil(v - 0.5)).astype(np.int64)
-        mask = et == "purchase"
-        out = pd.DataFrame({"prior_type": prior[mask],
-                            "cents": cents[mask]})
-        agg = out.groupby("prior_type", sort=False, as_index=False).agg(
-            n_partial=("cents", "size"),
-            cents_partial=("cents", "sum"))
-        return pa.Table.from_pydict({
-            "prior_type": pa.array(agg["prior_type"], type=pa.string()),
-            "n_partial": pa.array(agg["n_partial"].to_numpy(np.int64)),
-            "cents_partial": pa.array(
-                agg["cents_partial"].to_numpy(np.int64)),
-        })
-
-    partials = bucketed_bucket_map(events, ["user_id"], body,
-                                   empty_schema=partial_schema)
-    agg = grouped_agg(partials, ["prior_type"],
-                      [("n_purchases", "n_partial", "sum"),
-                       ("cents", "cents_partial", "sum")])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        n = batch.column("n_purchases").cast(pa.int64())
-        c = batch.column("cents").cast(pa.int64())
-        return pa.table({
-            "prior_type": batch.column("prior_type"),
-            "n_purchases": n,
-            "total_cents": c,
-            "avg_cents": pc.divide(c.cast(pa.float64()),
-                                   n.cast(pa.float64())),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_PURCHASE_BY_PRIOR_TYPE_SQL = """
-WITH e AS (
-  SELECT user_id, event_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         event_type, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-o AS (
-  SELECT *, COALESCE(lag(event_type) OVER (
-              PARTITION BY user_id ORDER BY ts_s, event_id),
-            '(none)') AS prior_type
-  FROM e
-)
-SELECT prior_type,
-       CAST(count(*) AS BIGINT) AS n_purchases,
-       CAST(sum(cents) AS BIGINT) AS total_cents,
-       CAST(sum(cents) AS DOUBLE) / count(*) AS avg_cents
-FROM o WHERE event_type = 'purchase'
-GROUP BY prior_type
-"""
-
-QUERIES["events_purchase_by_prior_type"] = events_purchase_by_prior_type
-ORACLE_SQL["events_purchase_by_prior_type"] = (
-    EVENTS_PURCHASE_BY_PRIOR_TYPE_SQL
-)
+# ------------------------------------------------------- query-side context
 
 
 def kg_local_search_context(sf_dir: str):
@@ -10413,8 +913,7 @@ def kg_local_search_context(sf_dir: str):
     cfg = PipelineConfig(chunk_size=256, chunk_overlap=16,
                          extract_use_actor_pool=False,
                          max_descriptions_per_key=32,
-                         max_sources_per_key=256,
-                         fused_canonicalize=True)
+                         max_sources_per_key=256)
     tables = build_knowledge_graph(
         docs, cfg, extractor_cls=CooccurrenceExtractor,
         vocabulary=[(w, "organization") for w in FLAGSHIP_GAZETTEER],
@@ -10443,8 +942,6 @@ def kg_local_search_context(sf_dir: str):
             [len(ctx["text_units"])] * len(ents), type=pa.int64()),
     })
     return out
-
-QUERIES["kg_local_search_context"] = kg_local_search_context
 
 
 def kg_global_search_context(sf_dir: str):
@@ -10483,4175 +980,43 @@ def kg_global_search_context(sf_dir: str):
             type=pa.int64()),
     })
 
-QUERIES["kg_global_search_context"] = kg_global_search_context
 
-
-def documents_repetition_stats(sf_dir: str):
-    """Gopher-style repetition signals per document (duplicate-token
-    fraction, top-token share, duplicate-bigram fraction) — ONE
-    stateless vectorized pass, zero shuffle at any corpus size
-    (stages/quality.repetition_stats)."""
-    from knowledge_graph_ray.stages.quality import repetition_stats
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    return repetition_stats(docs)
-
-
-DOCUMENTS_REPETITION_STATS_SQL = """
-WITH lists AS (
-  SELECT doc_id, list_filter(string_split(lower(text), ' '), x -> x <> '') AS l
-  FROM documents
-),
-toks AS (SELECT doc_id, unnest(l) AS tok FROM lists),
-counts AS (SELECT doc_id, tok, count(*) AS c FROM toks GROUP BY 1, 2),
-tstats AS (SELECT doc_id, CAST(sum(c) AS BIGINT) AS n, count(*) AS d,
-                  max(c) AS topc
-           FROM counts GROUP BY 1),
-bl AS (SELECT doc_id,
-              list_transform(generate_series(1, len(l) - 1),
-                             i -> l[i] || ' ' || l[i + 1]) AS bg
-       FROM lists),
-bt AS (SELECT doc_id, unnest(bg) AS b FROM bl),
-bstats AS (SELECT doc_id, count(*) AS nb, count(DISTINCT b) AS db
-           FROM bt GROUP BY 1)
-SELECT t.doc_id, t.n AS n_tokens,
-       CAST(round((t.n - t.d) / t.n * 1e6) AS BIGINT) AS dup_token_frac_e6,
-       CAST(round(topc / t.n * 1e6) AS BIGINT) AS top_token_share_e6,
-       CAST(round(coalesce((b.nb - b.db) / b.nb, 0.0) * 1e6) AS BIGINT)
-         AS dup_bigram_frac_e6
-FROM tstats t LEFT JOIN bstats b USING (doc_id)
-"""
-
-
-def documents_unigram_logprob(sf_dir: str):
-    """CCNet-style corpus-LM quality score: per-document integer sum of
-    e6 fixed-point token log-probs under the corpus's own unigram model
-    — two-pass broadcast pattern, exact integer per-doc arithmetic
-    (stages/quality.unigram_logprob)."""
-    from knowledge_graph_ray.stages.quality import unigram_logprob
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    return unigram_logprob(docs)
-
-
-DOCUMENTS_UNIGRAM_LOGPROB_SQL = """
-WITH lists AS (
-  SELECT doc_id, list_filter(string_split(lower(text), ' '), x -> x <> '') AS l
-  FROM documents
-),
-toks AS (SELECT doc_id, unnest(l) AS tok FROM lists),
-tc AS (SELECT tok, count(*) AS c FROM toks GROUP BY 1),
-tot AS (SELECT CAST(sum(c) AS DOUBLE) AS n FROM tc),
-lp AS (SELECT tok,
-              CAST(round(ln(CAST(c AS DOUBLE) / (SELECT n FROM tot)) * 1e6)
-                   AS BIGINT) AS lp_e6
-       FROM tc)
-SELECT t.doc_id, count(*) AS n_tokens,
-       CAST(sum(l.lp_e6) AS BIGINT) AS sum_logprob_e6
-FROM toks t JOIN lp l USING (tok) GROUP BY 1
-"""
-
-
-def dedup_duplicated_spans(sf_dir: str):
-    """Cross-document duplicated-span detection: per document, the
-    fraction of its overlapping 4-token spans whose text appears
-    verbatim in at least one OTHER document — span text is
-    fingerprinted to 128 bits in-batch, shuffles move 24-byte rows
-    (stages/quality.duplicated_spans)."""
-    from knowledge_graph_ray.stages.quality import duplicated_spans
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    return duplicated_spans(docs, window=4)
-
-
-DEDUP_DUPLICATED_SPANS_SQL = """
-WITH lists AS (
-  SELECT doc_id, list_filter(string_split(lower(text), ' '), x -> x <> '') AS l
-  FROM documents
-),
-wins AS (
-  SELECT doc_id,
-         unnest(list_transform(generate_series(1, len(l) - 3),
-                               i -> array_to_string(l[i:i+3], ' '))) AS w
-  FROM lists
-),
-dk AS (SELECT w FROM wins GROUP BY w HAVING count(DISTINCT doc_id) > 1),
-per AS (
-  SELECT doc_id, count(*) AS n_windows,
-         count(*) FILTER (WHERE w IN (SELECT w FROM dk)) AS n_dup_windows
-  FROM wins GROUP BY 1
-)
-SELECT doc_id, n_windows, n_dup_windows,
-       CAST(round(n_dup_windows / n_windows * 1e6) AS BIGINT)
-         AS dup_span_frac_e6
-FROM per
-"""
-
-QUERIES["documents_repetition_stats"] = documents_repetition_stats
-QUERIES["documents_unigram_logprob"] = documents_unigram_logprob
-QUERIES["dedup_duplicated_spans"] = dedup_duplicated_spans
-ORACLE_SQL["documents_repetition_stats"] = DOCUMENTS_REPETITION_STATS_SQL
-ORACLE_SQL["documents_unigram_logprob"] = DOCUMENTS_UNIGRAM_LOGPROB_SQL
-ORACLE_SQL["dedup_duplicated_spans"] = DEDUP_DUPLICATED_SPANS_SQL
-
-
-def dedup_prefix_filter(sf_dir: str):
-    """GLOBAL exact trigram-Jaccard near-dup pairs (J >= 0.5) with NO
-    blocking key — the prefix-filtering set-similarity self-join (PPJoin
-    family, stages/dedup.prefix_filter_jaccard_pairs): frequency-ordered
-    prefixes generate candidates, a sorted-array intersect verifies
-    exactly.  Complements dedup_ngram_jaccard (within-partition exact)
-    and the MinHash/SimHash sketches (approximate): same exact answer as
-    an all-pairs scan, corpus-wide, without one."""
-    from knowledge_graph_ray.stages.dedup import prefix_filter_jaccard_pairs
-
-    pairs = prefix_filter_jaccard_pairs(
-        _docs(sf_dir).select_columns(["doc_id", "text"]),
-        threshold=0.5, ngram=3,
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        # exact integer output, computed identically to the SQL oracle;
-        # re-order (a, b) numerically (the stage orders ids as strings)
-        import pyarrow.compute as pc
-
-        n_inter = batch.column("n_inter").to_pylist()
-        n_union = batch.column("n_union").to_pylist()
-        j6 = [round_half_away(i * 1_000_000.0 / u)
-              for i, u in zip(n_inter, n_union)]
-        ai = batch.column("a").cast(pa.int64())
-        bi = batch.column("b").cast(pa.int64())
-        return pa.Table.from_pydict(
-            {
-                "a": pc.min_element_wise(ai, bi),
-                "b": pc.max_element_wise(ai, bi),
-                "jaccard_e6": pa.array(j6, type=pa.int64()),
-            }
-        )
-
-    return pairs.map_batches(finish, batch_format="pyarrow")
-
-
-DEDUP_PREFIX_FILTER_SQL = """
-WITH toks AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
-tg AS (
-  SELECT doc_id,
-         list_distinct([ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2]
-                        for i in range(1, len(ws) - 1)]) AS gs
-  FROM toks
-),
-gx AS (SELECT doc_id, unnest(gs) AS g FROM tg),
-inter AS (
-  SELECT a.doc_id AS da, b.doc_id AS db, count(*) AS n_inter
-  FROM gx a JOIN gx b ON a.g = b.g AND a.doc_id < b.doc_id
-  GROUP BY a.doc_id, b.doc_id
-),
-sizes AS (SELECT doc_id, len(gs) AS n FROM tg)
-SELECT least(da, db) AS a, greatest(da, db) AS b,
-       CAST(round(n_inter * 1000000.0 / (sa.n + sb.n - n_inter)) AS BIGINT)
-         AS jaccard_e6
-FROM inter
-JOIN sizes sa ON sa.doc_id = da
-JOIN sizes sb ON sb.doc_id = db
-WHERE n_inter * 1.0 / (sa.n + sb.n - n_inter) >= 0.5
-"""
-
-QUERIES["dedup_prefix_filter"] = dedup_prefix_filter
-ORACLE_SQL["dedup_prefix_filter"] = DEDUP_PREFIX_FILTER_SQL
-
-
-def dedup_prefix_filter_groups(sf_dir: str):
-    """Composed global exact-dedup pipeline: PPJoin pairs (trigram
-    J >= 0.5, corpus-wide, no blocking key) -> duplicate groups via the
-    DISTRIBUTED star contraction (driver_threshold=0 forces the shuffle
-    path).  Oracle: recursive min-label CTE over the same global edges
-    (string-keyed components, lexicographic min doc_id)."""
-    from knowledge_graph_ray.stages.dedup import (
-        duplicate_groups,
-        prefix_filter_jaccard_pairs,
-    )
-
-    pairs = prefix_filter_jaccard_pairs(
-        _docs(sf_dir).select_columns(["doc_id", "text"]),
-        threshold=0.5, ngram=3,
-    )
-    return duplicate_groups(pairs, driver_threshold=0)
-
-
-DEDUP_PREFIX_FILTER_GROUPS_SQL = """
-WITH RECURSIVE
-toks AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
-tg AS (
-  SELECT doc_id,
-         list_distinct([ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2]
-                        for i in range(1, len(ws) - 1)]) AS gs
-  FROM toks
-),
-gx AS (SELECT doc_id, unnest(gs) AS g FROM tg),
-inter AS (
-  SELECT a.doc_id AS da, b.doc_id AS db, count(*) AS n_inter
-  FROM gx a JOIN gx b ON a.g = b.g AND a.doc_id < b.doc_id
-  GROUP BY a.doc_id, b.doc_id
-),
-sizes AS (SELECT doc_id, len(gs) AS n FROM tg),
-edges AS (
-  SELECT CAST(least(da, db) AS VARCHAR) AS u,
-         CAST(greatest(da, db) AS VARCHAR) AS v
-  FROM inter
-  JOIN sizes sa ON sa.doc_id = da
-  JOIN sizes sb ON sb.doc_id = db
-  WHERE n_inter * 1.0 / (sa.n + sb.n - n_inter) >= 0.5
-),
-edges_bi AS (
-  SELECT u, v FROM edges UNION ALL SELECT v AS u, u AS v FROM edges
-),
-nodes AS (SELECT u AS node FROM edges UNION SELECT v FROM edges),
-reach(node, lbl) AS (
-  SELECT node, node FROM nodes
-  UNION
-  SELECT e.v, r.lbl FROM reach r JOIN edges_bi e ON e.u = r.node
-)
-SELECT node AS name, min(lbl) AS component FROM reach GROUP BY node
-"""
-
-QUERIES["dedup_prefix_filter_groups"] = dedup_prefix_filter_groups
-ORACLE_SQL["dedup_prefix_filter_groups"] = DEDUP_PREFIX_FILTER_GROUPS_SQL
-
-
-def similarity_pq_recall(sf_dir: str):
-    """SQL-gated recall floor for the product-quantization path (the
-    similarity_ivf_recall pattern): the ADC top-50 shortlist over 8-byte
-    PQ codes (m=8 x nbits=8 over 64 dims — 32x smaller than raw float32)
-    must contain >= 80% of the brute-force top-10 for the deterministic
-    query vector.  Deterministic (seeded codebooks); the oracle asserts
-    the gate so a silent recall collapse FAILS the driver."""
-    from knowledge_graph_ray.functions.joins import hash_join, project
-    from knowledge_graph_ray.stages.similarity import (
-        brute_force_topk,
-        pq_encode,
-        pq_topk,
-        pq_train,
-    )
-
-    emb = _emb(sf_dir)
-    exact = project(brute_force_topk(emb, _query_vector(sf_dir), k=10),
-                    ["vec_id"])
-    books = pq_train(emb, m=8, nbits=8, sample=4096, seed=6969)
-    codes = pq_encode(emb, books).materialize()
-    shortlist = project(
-        pq_topk(codes, books, _query_vector(sf_dir), k=50), ["vec_id"]
-    )
-    overlap = hash_join(exact, shortlist, on=["vec_id"], how="left_semi")
-    ok = 1 if overlap.count() >= 8 else 0
-    return pa.table({
-        "ok": pa.array([ok], type=pa.int64()),
-        "recall_floor_met": pa.array([ok], type=pa.int64()),
-    })
-
-
-SIMILARITY_PQ_RECALL_SQL = """
-SELECT CAST(1 AS BIGINT) AS ok, CAST(1 AS BIGINT) AS recall_floor_met
-"""
-
-QUERIES["similarity_pq_recall"] = similarity_pq_recall
-ORACLE_SQL["similarity_pq_recall"] = SIMILARITY_PQ_RECALL_SQL
-
-
-ZORDER_BITS = 10
-ZORDER_BLOCK_SHIFT = 8
-# fixed probe box in folded (hour, value-bin) space
-ZORDER_BOX = (200, 299, 50, 149)  # hr_lo, hr_hi, vb_lo, vb_hi
-
-
-def events_zorder_blocks(sf_dir: str):
-    """Z-order (Morton) data-layout blocks: interleave the event's hour
-    and integer value bin into a 20-bit Morton key, form layout blocks
-    by z-prefix (zkey >> 8 — each block a bounded rectangle-ish cell in
-    (hour, value) space), and report per-block row counts, min/max of
-    both dimensions, and whether a fixed box query would have to read
-    the block.  This is the multi-dimensional clustering technique used
-    for scan pruning at 100-TB scale (Delta/Iceberg OPTIMIZE ZORDER
-    shape): a box predicate touches only blocks whose min/max envelope
-    overlaps, instead of every hour-linear block.  One partial-combiner
-    groupby; the Morton math is vectorized bit arithmetic."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["ts", "value"])
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        us = batch.column("ts").cast(pa.timestamp("us")).cast(pa.int64())
-        hr = (us.to_numpy() // 3_600_000_000) % (1 << ZORDER_BITS)
-        vb = np.minimum(
-            np.floor(batch.column("value").to_numpy()).astype(np.int64),
-            (1 << ZORDER_BITS) - 1,
-        )
-        z = np.zeros_like(hr)
-        for k in range(ZORDER_BITS):
-            z |= ((hr >> k) & 1) << (2 * k)
-            z |= ((vb >> k) & 1) << (2 * k + 1)
-        return pa.table({
-            "zblock": pa.array(z >> ZORDER_BLOCK_SHIFT, type=pa.int64()),
-            "hr": pa.array(hr, type=pa.int64()),
-            "vb": pa.array(vb, type=pa.int64()),
-        })
-
-    blocks = grouped_agg(
-        events.map_batches(keyed, batch_format="pyarrow"),
-        ["zblock"],
-        [("n_rows", None, "count"),
-         ("min_hr", "hr", "min"), ("max_hr", "hr", "max"),
-         ("min_vb", "vb", "min"), ("max_vb", "vb", "max")],
-    )
-
-    h_lo, h_hi, v_lo, v_hi = ZORDER_BOX
-
-    def hit_flag(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        miss = pc.or_(
-            pc.or_(pc.less(batch.column("max_hr"), h_lo),
-                   pc.greater(batch.column("min_hr"), h_hi)),
-            pc.or_(pc.less(batch.column("max_vb"), v_lo),
-                   pc.greater(batch.column("min_vb"), v_hi)),
-        )
-        return batch.append_column(
-            "hit", pc.invert(miss).cast(pa.int64())
-        )
-
-    return blocks.map_batches(hit_flag, batch_format="pyarrow")
-
-
-EVENTS_ZORDER_BLOCKS_SQL = f"""
-WITH keyed AS (
-  SELECT CAST(floor(epoch(ts) / 3600) AS BIGINT) % {1 << ZORDER_BITS} AS hr,
-         LEAST(CAST(floor(value) AS BIGINT), {(1 << ZORDER_BITS) - 1}) AS vb
-  FROM events
-),
-z AS (
-  SELECT hr, vb,
-         CAST(list_sum([
-           (((hr >> k) & 1) << (2 * k)) + (((vb >> k) & 1) << (2 * k + 1))
-           for k in range(0, {ZORDER_BITS})
-         ]) AS BIGINT) AS zkey
-  FROM keyed
-),
-blocks AS (
-  SELECT zkey >> {ZORDER_BLOCK_SHIFT} AS zblock,
-         count(*) AS n_rows,
-         min(hr) AS min_hr, max(hr) AS max_hr,
-         min(vb) AS min_vb, max(vb) AS max_vb
-  FROM z GROUP BY 1
-)
-SELECT zblock, n_rows, min_hr, max_hr, min_vb, max_vb,
-       CAST(NOT (max_hr < {ZORDER_BOX[0]} OR min_hr > {ZORDER_BOX[1]}
-             OR max_vb < {ZORDER_BOX[2]} OR min_vb > {ZORDER_BOX[3]})
-            AS BIGINT) AS hit
-FROM blocks
-"""
-
-QUERIES["events_zorder_blocks"] = events_zorder_blocks
-ORACLE_SQL["events_zorder_blocks"] = EVENTS_ZORDER_BLOCKS_SQL
-
-
-def events_type_cms_bound(sf_dir: str):
-    """Count-min sketch frequency estimates under a two-sided SQL gate
-    (the hll_bound pattern): per event_type, the CMS point estimate must
-    never UNDERcount (structural CMS property) and must stay within the
-    (e/w) * N additive error envelope.  Exact counts ride along so the
-    driver value-hash checks real numbers, not just the gate."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.sketches import cms_sketch
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type"])
-    d, w = 4, 2048
-    cms = cms_sketch(events, "event_type", d=d, w=w, seed=6969)
-    exact = grouped_agg(events, ["event_type"],
-                        [("n_exact", None, "count")]).to_pandas()
-    exact = exact.sort_values("event_type").reset_index(drop=True)
-    est = cms.query_many(exact["event_type"])
-    n_total = int(exact["n_exact"].sum())
-    slack = int(np.ceil(np.e / w * n_total))
-    never_under = (est >= exact["n_exact"].to_numpy()).astype(np.int64)
-    within = (est <= exact["n_exact"].to_numpy() + slack).astype(np.int64)
-    return pa.table({
-        "event_type": pa.array(exact["event_type"].astype(str)),
-        "n_exact": pa.array(exact["n_exact"].to_numpy(), type=pa.int64()),
-        "never_under": pa.array(never_under, type=pa.int64()),
-        "within_bound": pa.array(within, type=pa.int64()),
-    })
-
-
-EVENTS_TYPE_CMS_BOUND_SQL = """
-SELECT event_type, count(*) AS n_exact,
-       CAST(1 AS BIGINT) AS never_under,
-       CAST(1 AS BIGINT) AS within_bound
-FROM events GROUP BY event_type
-"""
-
-QUERIES["events_type_cms_bound"] = events_type_cms_bound
-ORACLE_SQL["events_type_cms_bound"] = EVENTS_TYPE_CMS_BOUND_SQL
-
-
-def similarity_ivfpq_recall(sf_dir: str):
-    """SQL-gated recall floor for the IVF+PQ stack (the production ANN
-    layout: coarse IVF probes bound the scan, 8-byte PQ codes rank it —
-    no float vectors in the search path).  ADC top-50 over nprobe=12 of
-    16 buckets must contain >= 70% of the brute-force top-10 (PQ
-    quantization error stacks on IVF probe loss, hence the lower floor
-    than either alone; measured 8-10/10 at all 3 SFs)."""
-    from knowledge_graph_ray.functions.joins import hash_join, project
-    from knowledge_graph_ray.stages.similarity import (
-        brute_force_topk,
-        ivf_assign,
-        ivfpq_topk,
-        pq_encode,
-        pq_train,
-        train_centroids,
-    )
-
-    emb = _emb(sf_dir)
-    exact = project(brute_force_topk(emb, _query_vector(sf_dir), k=10),
-                    ["vec_id"])
-    cents = train_centroids(emb, num_centroids=16, sample=1024, seed=6969)
-    books = pq_train(emb, m=8, nbits=8, sample=4096, seed=6969)
-    codes = pq_encode(ivf_assign(emb, cents), books,
-                      keep_cols=["ivf_bucket"]).materialize()
-    shortlist = project(
-        ivfpq_topk(codes, books, cents, _query_vector(sf_dir),
-                   k=50, nprobe=12),
-        ["vec_id"],
-    )
-    overlap = hash_join(exact, shortlist, on=["vec_id"], how="left_semi")
-    ok = 1 if overlap.count() >= 7 else 0
-    return pa.table({
-        "ok": pa.array([ok], type=pa.int64()),
-        "recall_floor_met": pa.array([ok], type=pa.int64()),
-    })
-
-
-SIMILARITY_IVFPQ_RECALL_SQL = """
-SELECT CAST(1 AS BIGINT) AS ok, CAST(1 AS BIGINT) AS recall_floor_met
-"""
-
-QUERIES["similarity_ivfpq_recall"] = similarity_ivfpq_recall
-ORACLE_SQL["similarity_ivfpq_recall"] = SIMILARITY_IVFPQ_RECALL_SQL
-
-
-# ------------------------------------------------- keyword retrieval family
-
-BM25_TERMS = ["filter", "merge", "stream"]  # sorted; fixed probe query
-
-
-def text_bm25_topk(sf_dir: str):
-    """Okapi BM25 top-10 for a fixed 3-term query — two streaming
-    passes, zero all-to-all shuffle (stages/retrieval.bm25_topk): pass 1
-    emits ONE exact-int stats row per batch (N, sum dl, per-term df);
-    pass 2 broadcasts idf/avgdl via ray.put, scores vectorized, and
-    keeps a per-batch local top-k so the final sort sees <= k x batches
-    rows.  Float parity with the oracle is by identical operand order
-    (see module docstring)."""
-    from knowledge_graph_ray.stages.retrieval import bm25_topk
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    top = bm25_topk(docs, BM25_TERMS, k=10).to_pandas()  # bounded: k rows
-    return pa.table({
-        "doc_id": pa.array(top["doc_id"].to_numpy(dtype="int64")),
-        "score_e6": pa.array(top["score_e6"].to_numpy(dtype="int64")),
-        "rk": pa.array(np.arange(1, len(top) + 1, dtype=np.int64)),
-    })
-
-
-TEXT_BM25_TOPK_SQL = """
-WITH tok AS (
-  SELECT doc_id, t.term
-  FROM documents, unnest(string_split(lower(text), ' ')) AS t(term)
-  WHERE t.term <> ''
-),
-tf AS (
-  SELECT doc_id,
-         count(*) AS dl,
-         count(*) FILTER (WHERE term = 'filter') AS tf_filter,
-         count(*) FILTER (WHERE term = 'merge')  AS tf_merge,
-         count(*) FILTER (WHERE term = 'stream') AS tf_stream
-  FROM tok GROUP BY doc_id
-),
-base AS (
-  SELECT d.doc_id,
-         coalesce(tf.dl, 0) AS dl,
-         coalesce(tf.tf_filter, 0) AS tf_filter,
-         coalesce(tf.tf_merge, 0)  AS tf_merge,
-         coalesce(tf.tf_stream, 0) AS tf_stream
-  FROM documents d LEFT JOIN tf USING (doc_id)
-),
-stats AS (
-  SELECT count(*) AS n,
-         sum(dl) AS sum_dl,
-         count(*) FILTER (WHERE tf_filter > 0) AS df_f,
-         count(*) FILTER (WHERE tf_merge > 0)  AS df_m,
-         count(*) FILTER (WHERE tf_stream > 0) AS df_s
-  FROM base
-),
-scored AS (
-  SELECT doc_id,
-      ln((n - df_f + 0.5) / (df_f + 0.5) + 1.0) * (tf_filter * (1.2 + 1.0))
-        / (tf_filter + 1.2 * (1.0 - 0.75 + 0.75 * dl / (sum_dl / n)))
-    + ln((n - df_m + 0.5) / (df_m + 0.5) + 1.0) * (tf_merge * (1.2 + 1.0))
-        / (tf_merge + 1.2 * (1.0 - 0.75 + 0.75 * dl / (sum_dl / n)))
-    + ln((n - df_s + 0.5) / (df_s + 0.5) + 1.0) * (tf_stream * (1.2 + 1.0))
-        / (tf_stream + 1.2 * (1.0 - 0.75 + 0.75 * dl / (sum_dl / n)))
-      AS score
-  FROM base, stats
-)
-SELECT doc_id,
-       CAST(round(score * 1000000.0) AS BIGINT) AS score_e6,
-       row_number() OVER (
-         ORDER BY CAST(round(score * 1000000.0) AS BIGINT) DESC, doc_id
-       ) AS rk
-FROM scored
-ORDER BY score_e6 DESC, doc_id
-LIMIT 10
-"""
-
-QUERIES["text_bm25_topk"] = text_bm25_topk
-ORACLE_SQL["text_bm25_topk"] = TEXT_BM25_TOPK_SQL
-
-
-def hybrid_rrf_topk(sf_dir: str):
-    """Hybrid retrieval: reciprocal-rank fusion (1/(60+rank), Cormack
-    et al. 2009) of the BM25 top-20 and the cosine top-20 over the
-    aligned embeddings table — the standard lexical+vector serving
-    combiner.  Both inputs are global top-m Datasets (bounded); the
-    fusion itself is O(m) driver math (stages/retrieval.rrf_fuse)."""
-    from knowledge_graph_ray.stages.retrieval import bm25_topk, rrf_fuse
-    from knowledge_graph_ray.stages.similarity import brute_force_topk
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    bm = bm25_topk(docs, BM25_TERMS, k=20).to_pandas()
-    bm["rk"] = np.arange(1, len(bm) + 1, dtype=np.int64)
-    cos = brute_force_topk(_emb(sf_dir), _query_vector(sf_dir),
-                           k=20).to_pandas()
-    cos = pd.DataFrame({"doc_id": cos["vec_id"].astype(int),
-                        "rk": cos["rk"].astype(int)})
-    return rrf_fuse([bm[["doc_id", "rk"]], cos], k=10)
-
-
-HYBRID_RRF_TOPK_SQL = """
-WITH tok AS (
-  SELECT doc_id, t.term
-  FROM documents, unnest(string_split(lower(text), ' ')) AS t(term)
-  WHERE t.term <> ''
-),
-tf AS (
-  SELECT doc_id,
-         count(*) AS dl,
-         count(*) FILTER (WHERE term = 'filter') AS tf_filter,
-         count(*) FILTER (WHERE term = 'merge')  AS tf_merge,
-         count(*) FILTER (WHERE term = 'stream') AS tf_stream
-  FROM tok GROUP BY doc_id
-),
-base AS (
-  SELECT d.doc_id,
-         coalesce(tf.dl, 0) AS dl,
-         coalesce(tf.tf_filter, 0) AS tf_filter,
-         coalesce(tf.tf_merge, 0)  AS tf_merge,
-         coalesce(tf.tf_stream, 0) AS tf_stream
-  FROM documents d LEFT JOIN tf USING (doc_id)
-),
-stats AS (
-  SELECT count(*) AS n,
-         sum(dl) AS sum_dl,
-         count(*) FILTER (WHERE tf_filter > 0) AS df_f,
-         count(*) FILTER (WHERE tf_merge > 0)  AS df_m,
-         count(*) FILTER (WHERE tf_stream > 0) AS df_s
-  FROM base
-),
-scored AS (
-  SELECT doc_id,
-      ln((n - df_f + 0.5) / (df_f + 0.5) + 1.0) * (tf_filter * (1.2 + 1.0))
-        / (tf_filter + 1.2 * (1.0 - 0.75 + 0.75 * dl / (sum_dl / n)))
-    + ln((n - df_m + 0.5) / (df_m + 0.5) + 1.0) * (tf_merge * (1.2 + 1.0))
-        / (tf_merge + 1.2 * (1.0 - 0.75 + 0.75 * dl / (sum_dl / n)))
-    + ln((n - df_s + 0.5) / (df_s + 0.5) + 1.0) * (tf_stream * (1.2 + 1.0))
-        / (tf_stream + 1.2 * (1.0 - 0.75 + 0.75 * dl / (sum_dl / n)))
-      AS score
-  FROM base, stats
-),
-bm AS (
-  SELECT doc_id,
-         row_number() OVER (
-           ORDER BY CAST(round(score * 1000000.0) AS BIGINT) DESC, doc_id
-         ) AS rk
-  FROM scored
-  QUALIFY rk <= 20
-),
-vv AS (
-  SELECT vec_id AS doc_id,
-         row_number() OVER (
-           ORDER BY list_cosine_similarity(
-             embedding,
-             (SELECT embedding FROM embeddings WHERE vec_id = 0)
-           ) DESC, vec_id
-         ) AS rk
-  FROM embeddings
-  QUALIFY rk <= 20
-),
-fused AS (
-  SELECT coalesce(bm.doc_id, vv.doc_id) AS doc_id,
-         coalesce(1.0 / (60.0 + bm.rk), 0.0)
-       + coalesce(1.0 / (60.0 + vv.rk), 0.0) AS s
-  FROM bm FULL OUTER JOIN vv ON bm.doc_id = vv.doc_id
-)
-SELECT doc_id,
-       CAST(round(s * 1000000000.0) AS BIGINT) AS rrf_e9,
-       row_number() OVER (
-         ORDER BY CAST(round(s * 1000000000.0) AS BIGINT) DESC, doc_id
-       ) AS rk
-FROM fused
-ORDER BY rrf_e9 DESC, doc_id
-LIMIT 10
-"""
-
-QUERIES["hybrid_rrf_topk"] = hybrid_rrf_topk
-ORACLE_SQL["hybrid_rrf_topk"] = HYBRID_RRF_TOPK_SQL
-
-
-def _nation_trade_edges(sf_dir: str):
-    """Dataset[{src, dst, w}] — symmetric nation-nation trade graph:
-    one undirected edge per (unordered) nation pair that trades, weight
-    = 1 + 10^7 // lineitem-count between the pair (heavy trade = cheap
-    edge).  Same snowflake->star attach chain as
-    tpch_nation_trade_pairs; integer weights both sides so the SSSP
-    distances compare exactly."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-
-    line = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                           columns=["l_orderkey", "l_suppkey"])
-    line = project(line, {"l_orderkey": "o_orderkey", "l_suppkey": "l_suppkey"})
-    supplier = project(
-        rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_nationkey"]),
-        {"s_suppkey": "l_suppkey", "s_nationkey": "s_nationkey"},
-    )
-    orders = project(
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderkey", "o_custkey"]),
-        ["o_orderkey", "o_custkey"],
-    )
-    customer = project(
-        rd.read_parquet(f"{sf_dir}/customer.parquet",
-                        columns=["c_custkey", "c_nationkey"]),
-        {"c_custkey": "o_custkey", "c_nationkey": "c_nationkey"},
-    )
-    nation = rd.read_parquet(f"{sf_dir}/nation.parquet",
-                             columns=["n_nationkey", "n_name"])
-    n_nation = _pq_rows(f"{sf_dir}/nation.parquet")
-    supp_dim = size_adaptive_join(
-        supplier,
-        project(nation, {"n_nationkey": "s_nationkey", "n_name": "supp_nation"}),
-        on=["s_nationkey"], how="inner",
-        broadcast_max=BROADCAST_KEYS_MAX, right_size_hint=n_nation,
-    ).select_columns(["l_suppkey", "supp_nation"])
-    cust_dim = size_adaptive_join(
-        customer,
-        project(nation, {"n_nationkey": "c_nationkey", "n_name": "cust_nation"}),
-        on=["c_nationkey"], how="inner",
-        broadcast_max=BROADCAST_KEYS_MAX, right_size_hint=n_nation,
-    ).select_columns(["o_custkey", "cust_nation"])
-    step = size_adaptive_join(line, supp_dim, on=["l_suppkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX,
-                              right_size_hint=_pq_rows(
-                                  f"{sf_dir}/supplier.parquet"))
-    step = size_adaptive_join(step, orders, on=["o_orderkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX,
-                              right_size_hint=_pq_rows(
-                                  f"{sf_dir}/orders.parquet"))
-    step = size_adaptive_join(step, cust_dim, on=["o_custkey"], how="inner",
-                              broadcast_max=BROADCAST_KEYS_MAX,
-                              right_size_hint=_pq_rows(
-                                  f"{sf_dir}/customer.parquet"))
-
-    def canon(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        x = t.column("supp_nation")
-        y = t.column("cust_nation")
-        out = pa.table({"a": pc.min_element_wise(x, y),
-                        "b": pc.max_element_wise(x, y)})
-        return out.filter(pc.not_equal(out.column("a"), out.column("b")))
-
-    pair = grouped_agg(step.map_batches(canon, batch_format="pyarrow"),
-                       ["a", "b"], [("cnt", None, "count")])
-
-    def weigh(t: pa.Table) -> pa.Table:
-        w = pc.add(
-            pa.scalar(1, pa.int64()),
-            pc.divide(pa.scalar(10_000_000, pa.int64()),
-                      t.column("cnt").cast(pa.int64())),
-        )
-        return pa.concat_tables([
-            pa.table({"src": t.column("a"), "dst": t.column("b"), "w": w}),
-            pa.table({"src": t.column("b"), "dst": t.column("a"), "w": w}),
-        ])
-
-    return pair.map_batches(weigh, batch_format="pyarrow").materialize()
-
-
-def tpch_nation_sssp(sf_dir: str):
-    """Exact weighted single-source shortest paths over the nation
-    trade graph from the alphabetically-first nation — the north
-    rule's "iterative groupby-min label propagation" as a driver-gated
-    query (stages/graphops.sssp_weighted: distributed Bellman-Ford,
-    frontier-pruned).
-
-    Scale shape: the edge table materializes once (nation-pair-sized
-    here; |E|-sized in general) and per round the engine runs one
-    size-adaptive frontier join + one groupby-min + one (node, dist)
-    anti-join; distance/frontier tables carry two columns.  The oracle
-    unrolls 24 Bellman-Ford rounds in chained CTEs (>= any shortest
-    path's hop count on a <=25-node graph), so both sides are exact."""
-    from knowledge_graph_ray.stages.graphops import sssp_weighted
-
-    edges = _nation_trade_edges(sf_dir)
-    seed = edges.min("src")
-    return sssp_weighted(edges, seed)
-
-
-def _build_nation_sssp_sql(rounds: int = 24) -> str:
-    parts = ["""
-WITH pair AS MATERIALIZED (
-  SELECT least(n1.n_name, n2.n_name) AS a,
-         greatest(n1.n_name, n2.n_name) AS b,
-         count(*) AS cnt
-  FROM lineitem
-  JOIN orders ON l_orderkey = o_orderkey
-  JOIN supplier ON l_suppkey = s_suppkey
-  JOIN customer ON o_custkey = c_custkey
-  JOIN nation n1 ON s_nationkey = n1.n_nationkey
-  JOIN nation n2 ON c_nationkey = n2.n_nationkey
-  WHERE n1.n_name <> n2.n_name
-  GROUP BY 1, 2
-),
-e AS MATERIALIZED (
-  SELECT a AS src, b AS dst, 1 + 10000000 // cnt AS w FROM pair
-  UNION ALL
-  SELECT b AS src, a AS dst, 1 + 10000000 // cnt AS w FROM pair
-),
-d0 AS (SELECT min(src) AS node, CAST(0 AS BIGINT) AS dist FROM e)"""]
-    for i in range(1, rounds + 1):
-        parts.append(f""",
-d{i} AS MATERIALIZED (
-  SELECT node, min(dist) AS dist FROM (
-    SELECT node, dist FROM d{i - 1}
-    UNION ALL
-    SELECT e.dst AS node, d.dist + e.w AS dist
-    FROM d{i - 1} d JOIN e ON e.src = d.node
-  ) GROUP BY node
-)""")
-    parts.append(f"\nSELECT node, dist FROM d{rounds} ORDER BY node")
-    return "".join(parts)
-
-
-TPCH_NATION_SSSP_SQL = _build_nation_sssp_sql()
-
-QUERIES["tpch_nation_sssp"] = tpch_nation_sssp
-ORACLE_SQL["tpch_nation_sssp"] = TPCH_NATION_SSSP_SQL
-
-
-def trade_graph_kcore(sf_dir: str):
-    """k-core decomposition (k=3) of the repeat-trade customer-supplier
-    graph (edge = pair with >= 3 lineitems: the sparsified graph has
-    real degree variance, so the peel genuinely cascades — 3 rounds at
-    sf0.01) — iterative peel via groupby-degree + anti-join
-    (stages/graphops.kcore), the standard dense-subgraph primitive for
-    spam/bot-cluster mining over interaction graphs.
-
-    Scale shape: per peel round one degree aggregate + two
-    size-adaptive anti-joins against the (small) peel set; edges only
-    shrink.  The oracle unrolls 16 peel rounds in chained CTEs — the
-    engine's own fixpoint is asserted under that bound by pytest."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-    from knowledge_graph_ray.stages.graphops import kcore
-
-    orders = project(
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderkey", "o_custkey"]),
-        ["o_orderkey", "o_custkey"],
-    )
-    line = project(
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_orderkey", "l_suppkey"]),
-        {"l_orderkey": "o_orderkey", "l_suppkey": "l_suppkey"},
-    )
-    pairs = size_adaptive_join(line, orders, on=["o_orderkey"], how="inner",
-                               broadcast_max=BROADCAST_KEYS_MAX,
-                               right_size_hint=_pq_rows(
-                                   f"{sf_dir}/orders.parquet"))
-
-    def lab(t: pa.Table) -> pa.Table:
-        c = pc.binary_join_element_wise(
-            pa.scalar("c"), t.column("o_custkey").cast(pa.string()), ":")
-        s = pc.binary_join_element_wise(
-            pa.scalar("s"), t.column("l_suppkey").cast(pa.string()), ":")
-        return pa.table({"src": c, "dst": s})
-
-    counted = grouped_agg(pairs.map_batches(lab, batch_format="pyarrow"),
-                          ["src", "dst"], [("cnt", None, "count")])
-    edges = counted.filter(expr="cnt >= 3").select_columns(["src", "dst"])
-    return kcore(edges, k=3)
-
-
-def _build_kcore_sql(k: int = 3, rounds: int = 16) -> str:
-    parts = ["""
-WITH e0 AS MATERIALIZED (
-  SELECT 'c:' || CAST(o_custkey AS VARCHAR) AS a,
-         's:' || CAST(l_suppkey AS VARCHAR) AS b
-  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-  GROUP BY 1, 2 HAVING count(*) >= 3
-),
-s0 AS MATERIALIZED (SELECT a, b FROM e0 UNION SELECT b AS a, a AS b FROM e0)"""]
-    for i in range(1, rounds + 1):
-        parts.append(f""",
-l{i} AS MATERIALIZED (
-  SELECT a FROM (SELECT a, count(*) AS d FROM s{i - 1} GROUP BY a)
-  WHERE d < {k}
-),
-s{i} AS MATERIALIZED (
-  SELECT s.a, s.b FROM s{i - 1} s
-  WHERE s.a NOT IN (SELECT a FROM l{i})
-    AND s.b NOT IN (SELECT a FROM l{i})
-)""")
-    parts.append(
-        f"\nSELECT a AS node, CAST(count(*) AS BIGINT) AS deg"
-        f"\nFROM s{rounds} GROUP BY a ORDER BY node"
-    )
-    return "".join(parts)
-
-
-TRADE_GRAPH_KCORE_SQL = _build_kcore_sql()
-
-QUERIES["trade_graph_kcore"] = trade_graph_kcore
-ORACLE_SQL["trade_graph_kcore"] = TRADE_GRAPH_KCORE_SQL
-
-
-def events_welch_ttest(sf_dir: str):
-    """Welch's unequal-variance t statistic of every event type's value
-    against the 'click' baseline — the A/B-test primitive
-    (functions/agg.grouped_welch_t): exact int64 cents sufficient
-    statistics through the ordinary combiner, one fixed float64
-    expression at the end (grouped_corr's bit-reproducibility
-    contract), t rounded half-away at 1e-6.
-
-    Scale shape: the shuffle moves three int64 statistics per group;
-    the finish runs once on the group-cardinality-sized table."""
-    from knowledge_graph_ray.functions.agg import grouped_welch_t
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def cents(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": b.column("event_type"),
-            "cents": scaled_int_column(b.column("value"), 100.0),
-        })
-
-    return grouped_welch_t(
-        events.map_batches(cents, batch_format="pyarrow"),
-        "event_type", "cents", baseline="click",
-    )
-
-
-EVENTS_WELCH_TTEST_SQL = """
-WITH e AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS cents
-  FROM events
-),
-s AS (
-  SELECT event_type,
-         count(*) AS n_i,
-         CAST(count(*) AS DOUBLE) AS n,
-         CAST(sum(cents) AS DOUBLE) AS sx,
-         CAST(sum(cents * cents) AS DOUBLE) AS sxx
-  FROM e GROUP BY event_type
-),
-b AS (SELECT * FROM s WHERE event_type = 'click')
-SELECT s.event_type,
-       CAST(s.n_i AS BIGINT) AS n,
-       CAST(round(
-         (s.sx / s.n - b.sx / b.n)
-         / sqrt((s.sxx - s.sx * s.sx / s.n) / (s.n - 1) / s.n
-                + (b.sxx - b.sx * b.sx / b.n) / (b.n - 1) / b.n) * 1e6
-       ) AS BIGINT) AS t_e6
-FROM s, b
-WHERE s.event_type <> 'click'
-"""
-
-QUERIES["events_welch_ttest"] = events_welch_ttest
-ORACLE_SQL["events_welch_ttest"] = EVENTS_WELCH_TTEST_SQL
-
-
-def documents_consistent_sample(sf_dir: str):
-    """Deterministic cross-engine-reproducible bottom-k sample: the 50
-    documents with the smallest md5(doc_id) digest — consistent hashing
-    gives a sample that is stable under re-runs, repartitioning, and
-    engine swaps (the reproducibility property RNG-based samplers
-    lack), and composes into consistent sampling ACROSS tables (hash
-    the shared key everywhere).
-
-    Scale shape: per-batch local bottom-k combiner
-    (functions/grouping.grouped_topk) bounds the shuffle to <= k rows
-    per block; md5 itself is the C hashlib primitive — inherently
-    per-row, 16 bytes out."""
-    from knowledge_graph_ray.functions.grouping import grouped_topk
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id"])
-
-    def digest(b: pa.Table) -> pa.Table:
-        import hashlib
-
-        ids = b.column("doc_id").to_pylist()
-        return pa.table({
-            "g": pa.array([1] * len(b), pa.int64()),
-            "doc_id": b.column("doc_id"),
-            "digest": pa.array(
-                [hashlib.md5(str(i).encode()).hexdigest() for i in ids],
-                pa.string(),
-            ),
-        })
-
-    top = grouped_topk(docs.map_batches(digest, batch_format="pyarrow"),
-                       ["g"], "digest", 50, descending=False,
-                       tie_cols=["doc_id"])
-    return top.map_batches(
-        lambda t: pa.table({
-            "doc_id": t.column("doc_id"),
-            "digest": t.column("digest"),
-            "rk": t.column("rk").cast(pa.int64()),
-        }),
-        batch_format="pyarrow",
-    )
-
-
-DOCUMENTS_CONSISTENT_SAMPLE_SQL = """
-SELECT doc_id,
-       md5(CAST(doc_id AS VARCHAR)) AS digest,
-       CAST(row_number() OVER (
-         ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
-       ) AS BIGINT) AS rk
-FROM documents
-QUALIFY rk <= 50
-ORDER BY rk
-"""
-
-QUERIES["documents_consistent_sample"] = documents_consistent_sample
-ORACLE_SQL["documents_consistent_sample"] = DOCUMENTS_CONSISTENT_SAMPLE_SQL
-
-
-def customer_name_edit1_pairs(sf_dir: str):
-    """Exact global edit-distance-<=1 self-join over customer names
-    (stages/fuzzy.levenshtein1_pairs): the SymSpell deletion-
-    neighborhood equi-join gives a candidate superset from ONE
-    variant-hash shuffle with alphabet-bounded group sizes, then a
-    vectorized <=1 verify filters it — full recall with no all-pairs
-    step (the oracle IS the all-pairs levenshtein join)."""
-    from knowledge_graph_ray.stages.fuzzy import levenshtein1_pairs
-
-    customers = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                                columns=["c_name"])
-    return levenshtein1_pairs(customers, "c_name")
-
-
-CUSTOMER_NAME_EDIT1_PAIRS_SQL = """
-SELECT DISTINCT a.c_name AS a, b.c_name AS b
-FROM customer a JOIN customer b
-  ON a.c_name < b.c_name AND levenshtein(a.c_name, b.c_name) <= 1
-ORDER BY 1, 2
-"""
-
-QUERIES["customer_name_edit1_pairs"] = customer_name_edit1_pairs
-ORACLE_SQL["customer_name_edit1_pairs"] = CUSTOMER_NAME_EDIT1_PAIRS_SQL
-
-
-def events_user_consistent_sample(sf_dir: str):
-    """Leak-free user-level event sampling: keep ALL events of the
-    ~1/4 of users whose md5(user_id) digest sorts below '4' — the
-    split primitive that prevents a user's events straddling
-    train/eval (row-level hash splits leak user behavior across
-    splits; user-consistent hashing is the standard fix).
-
-    Scale shape: ZERO shuffle — a stateless vectorized-batch filter;
-    md5 is the per-row C primitive (inherent to portable hashing), and
-    because the key is the shared user_id the same predicate composes
-    consistently across every table keyed by user."""
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "user_id", "event_type"])
-
-    def keep(b: pa.Table) -> pa.Table:
-        import hashlib
-
-        uid = b.column("user_id").to_pylist()
-        mask = pa.array(
-            [hashlib.md5(str(u).encode()).hexdigest() < "4" for u in uid])
-        return b.filter(mask)
-
-    return events.map_batches(keep, batch_format="pyarrow")
-
-
-EVENTS_USER_CONSISTENT_SAMPLE_SQL = """
-SELECT event_id, user_id, event_type
-FROM events
-WHERE md5(CAST(user_id AS VARCHAR)) < '4'
-"""
-
-QUERIES["events_user_consistent_sample"] = events_user_consistent_sample
-ORACLE_SQL["events_user_consistent_sample"] = EVENTS_USER_CONSISTENT_SAMPLE_SQL
-
-
-# ------------------------------------------------- link prediction (coda-8)
-
-
-def trade_graph_link_prediction(sf_dir: str):
-    """Common-neighbor / Adamic-Adar link prediction
-    (stages/graphops.link_prediction) over the repeat-trade
-    customer-supplier graph (edge = pair with >= 2 lineitems) — the
-    classic "customers who share suppliers" recommendation shape
-    (Liben-Nowell & Kleinberg 2003).
-
-    Every shared neighbor w adds 1 common neighbor and 1/ln(deg(w))
-    Adamic-Adar mass; pairs need >= 2 shared neighbors.  aa reported
-    e9 fixed-point (float64 on both sides; sums of <= a few hundred
-    1/ln terms sit ~1e-12 absolute from the oracle, far inside the
-    0.5e-9 rounding granularity — same contract as grouped_corr).
-
-    Scale shape: one symmetrize exchange, one groupby-w vectorized
-    pair expansion (degree-capped at web scale; exact here), one
-    groupby-pair sum, one size-adaptive anti-join of existing edges."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-    from knowledge_graph_ray.stages.graphops import link_prediction
-
-    orders = project(
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderkey", "o_custkey"]),
-        ["o_orderkey", "o_custkey"],
-    )
-    line = project(
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_orderkey", "l_suppkey"]),
-        {"l_orderkey": "o_orderkey", "l_suppkey": "l_suppkey"},
-    )
-    pairs = size_adaptive_join(line, orders, on=["o_orderkey"], how="inner",
-                               broadcast_max=BROADCAST_KEYS_MAX,
-                               right_size_hint=_pq_rows(
-                                   f"{sf_dir}/orders.parquet"))
-
-    def lab(t: pa.Table) -> pa.Table:
-        c = pc.binary_join_element_wise(
-            pa.scalar("c"), t.column("o_custkey").cast(pa.string()), ":")
-        s = pc.binary_join_element_wise(
-            pa.scalar("s"), t.column("l_suppkey").cast(pa.string()), ":")
-        return pa.table({"src": c, "dst": s})
-
-    counted = grouped_agg(pairs.map_batches(lab, batch_format="pyarrow"),
-                          ["src", "dst"], [("cnt", None, "count")])
-    edges = counted.filter(expr="cnt >= 2").select_columns(["src", "dst"])
-    scored = link_prediction(edges, min_common=2)
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": b.column("a"),
-            "b": b.column("b"),
-            "common": b.column("common").cast(pa.int64()),
-            "aa_e9": scaled_int_column(b.column("aa"), 1e9),
-        })
-
-    return scored.map_batches(finish, batch_format="pyarrow")
-
-
-TRADE_GRAPH_LINK_PREDICTION_SQL = """
-WITH e0 AS MATERIALIZED (
-  SELECT 'c:' || CAST(o_custkey AS VARCHAR) AS a,
-         's:' || CAST(l_suppkey AS VARCHAR) AS b
-  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-  GROUP BY 1, 2 HAVING count(*) >= 2
-),
-s AS MATERIALIZED (SELECT a AS w, b AS n FROM e0
-                   UNION SELECT b AS w, a AS n FROM e0),
-deg AS MATERIALIZED (SELECT w, count(*) AS d FROM s GROUP BY w),
-pairs AS (
-  SELECT s1.n AS a, s2.n AS b, s1.w
-  FROM s s1 JOIN s s2 ON s1.w = s2.w AND s1.n < s2.n
-),
-scored AS (
-  SELECT p.a, p.b, count(*) AS common,
-         CAST(round(sum(1.0 / ln(deg.d)) * 1000000000) AS BIGINT) AS aa_e9
-  FROM pairs p JOIN deg ON deg.w = p.w
-  GROUP BY p.a, p.b
-  HAVING count(*) >= 2
-)
-SELECT sc.a, sc.b, sc.common, sc.aa_e9
-FROM scored sc
-ANTI JOIN e0 ON e0.a = sc.a AND e0.b = sc.b
-"""
-
-QUERIES["trade_graph_link_prediction"] = trade_graph_link_prediction
-ORACLE_SQL["trade_graph_link_prediction"] = TRADE_GRAPH_LINK_PREDICTION_SQL
-
-
-def embeddings_mutual_nn(sf_dir: str):
-    """Mutual nearest neighbors by cosine over the embeddings table
-    (stages/similarity.mutual_nn_pairs): pairs where each vector is the
-    other's top-1 neighbor — the high-precision near-dup seed stage.
-    ids only (float32-vs-float64 cosine VALUES can't cross engines —
-    the dedup_embedding_cosine contract); argmax membership is stable
-    on this corpus's separated vectors."""
-    from knowledge_graph_ray.stages.similarity import mutual_nn_pairs
-
-    pairs = mutual_nn_pairs(_emb(sf_dir))
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({"a": b.column("a").cast(pa.int64()),
-                         "b": b.column("b").cast(pa.int64())})
-
-    return pairs.map_batches(finish, batch_format="pyarrow")
-
-
-EMBEDDINGS_MUTUAL_NN_SQL = """
-WITH sims AS (
-  SELECT a.vec_id AS va, b.vec_id AS vb,
-         list_cosine_similarity(a.embedding, b.embedding) AS c
-  FROM embeddings a JOIN embeddings b ON a.vec_id <> b.vec_id
-),
-nn AS (
-  SELECT va, vb FROM (
-    SELECT va, vb,
-           row_number() OVER (PARTITION BY va ORDER BY c DESC, vb) AS rk
-    FROM sims) WHERE rk = 1
-)
-SELECT n1.va AS a, n1.vb AS b
-FROM nn n1 JOIN nn n2 ON n1.vb = n2.va AND n2.vb = n1.va AND n1.va < n1.vb
-"""
-
-QUERIES["embeddings_mutual_nn"] = embeddings_mutual_nn
-ORACLE_SQL["embeddings_mutual_nn"] = EMBEDDINGS_MUTUAL_NN_SQL
-
-
-def events_exploration_length(sf_dir: str):
-    """Per-user "exploration length": the 1-based position (events
-    ordered by ts, event_id) of the LAST first-occurrence of an event
-    type — how deep into a user's stream every type they will ever use
-    has appeared — plus the distinct-type count.  The running-distinct
-    window shape: COUNT(DISTINCT) OVER isn't SQL-window-expressible, so
-    BOTH sides use the first-occurrence-flag + position trick.
-
-    Scale shape: ONE user shuffle; the bucket body sorts once, builds
-    positions with a vectorized cumcount and first-occurrence flags
-    with duplicated(); output is user-cardinality — each user's rows
-    are bucket-local, so partials are already final."""
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type"])
-
-    def body(bucket: pd.DataFrame) -> pa.Table:
-        df = bucket.sort_values(["user_id", "ts", "event_id"],
-                                kind="mergesort")
-        pos = df.groupby("user_id", sort=False).cumcount().to_numpy() + 1
-        first = ~df.duplicated(["user_id", "event_type"]).to_numpy()
-        sub = pd.DataFrame({"user_id": df["user_id"].to_numpy()[first],
-                            "pos": pos[first]})
-        agg = sub.groupby("user_id", sort=False)["pos"] \
-            .agg(n_types="size", explore_len="max").reset_index()
-        return pa.table({
-            "user_id": pa.array(agg["user_id"].to_numpy(np.int64)),
-            "n_types": pa.array(agg["n_types"].to_numpy(np.int64)),
-            "explore_len": pa.array(agg["explore_len"].to_numpy(np.int64)),
-        })
-
-    return bucketed_bucket_map(
-        events, ["user_id"], body,
-        empty_schema=pa.schema([("user_id", pa.int64()),
-                                ("n_types", pa.int64()),
-                                ("explore_len", pa.int64())]),
-    )
-
-
-EVENTS_EXPLORATION_LENGTH_SQL = """
-WITH ranked AS (
-  SELECT user_id,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS pos,
-         row_number() OVER (PARTITION BY user_id, event_type
-                            ORDER BY ts, event_id) AS tpos
-  FROM events
-)
-SELECT user_id,
-       CAST(count(*) AS BIGINT) AS n_types,
-       CAST(max(pos) AS BIGINT) AS explore_len
-FROM ranked WHERE tpos = 1
-GROUP BY user_id
-"""
-
-QUERIES["events_exploration_length"] = events_exploration_length
-ORACLE_SQL["events_exploration_length"] = EVENTS_EXPLORATION_LENGTH_SQL
-
-
-def embeddings_mutual_nn_ivf(sf_dir: str):
-    """The bucketed (IVF) mutual-NN scale path under the exact gate:
-    with nprobe = num_centroids every pair is scanned, so the result
-    must EQUAL the brute path's — the driver-level proof that the
-    no-broadcast 100-TB shape (stages/similarity.mutual_nn_pairs_ivf:
-    probe-bucket duplication + one bucket shuffle + semi-join
-    mutuality) computes the same answer.  Partial-probe recall/precision
-    is pytest-gated (test_mutual_nn_ivf_partial_probe_recall_floor)."""
-    from knowledge_graph_ray.stages.similarity import mutual_nn_pairs_ivf
-
-    pairs = mutual_nn_pairs_ivf(_emb(sf_dir), num_centroids=16, nprobe=16)
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({"a": b.column("a").cast(pa.int64()),
-                         "b": b.column("b").cast(pa.int64())})
-
-    return pairs.map_batches(finish, batch_format="pyarrow")
-
-
-QUERIES["embeddings_mutual_nn_ivf"] = embeddings_mutual_nn_ivf
-ORACLE_SQL["embeddings_mutual_nn_ivf"] = EMBEDDINGS_MUTUAL_NN_SQL
-
-
-def trade_graph_hits(sf_dir: str):
-    """HITS hubs & authorities (stages/pagerank.hits) over the
-    repeat-trade customer-supplier graph: customers are hubs,
-    suppliers authorities — the mutual-reinforcement ranking that
-    degree alone misses.  4 fixed rounds, L2-normalized half-steps,
-    scores e9 fixed-point (values <= 1; float64 drift across engines
-    ~1e-13, inside the 0.5e-9 granularity — grouped_corr's contract).
-
-    Scale shape: edges never move; per half-step one grouped_agg over
-    the edge set with the node-sized score vector broadcast (size-
-    adaptive — all-shuffle regime above the cap, pytest-equal)."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import project, size_adaptive_join
-    from knowledge_graph_ray.stages.pagerank import hits
-
-    orders = project(
-        rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderkey", "o_custkey"]),
-        ["o_orderkey", "o_custkey"],
-    )
-    line = project(
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_orderkey", "l_suppkey"]),
-        {"l_orderkey": "o_orderkey", "l_suppkey": "l_suppkey"},
-    )
-    pairs = size_adaptive_join(line, orders, on=["o_orderkey"], how="inner",
-                               broadcast_max=BROADCAST_KEYS_MAX,
-                               right_size_hint=_pq_rows(
-                                   f"{sf_dir}/orders.parquet"))
-
-    def lab(t: pa.Table) -> pa.Table:
-        c = pc.binary_join_element_wise(
-            pa.scalar("c"), t.column("o_custkey").cast(pa.string()), ":")
-        s = pc.binary_join_element_wise(
-            pa.scalar("s"), t.column("l_suppkey").cast(pa.string()), ":")
-        return pa.table({"src": c, "dst": s})
-
-    counted = grouped_agg(pairs.map_batches(lab, batch_format="pyarrow"),
-                          ["src", "dst"], [("cnt", None, "count")])
-    edges = counted.filter(expr="cnt >= 2").select_columns(["src", "dst"])
-    scored = hits(edges, iterations=4)
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": b.column("node"),
-            "side": b.column("side"),
-            "score_e9": scaled_int_column(b.column("score"), 1e9),
-        })
-
-    return scored.map_batches(finish, batch_format="pyarrow")
-
-
-def _build_hits_sql(rounds: int = 4) -> str:
-    parts = ["""
-WITH e AS MATERIALIZED (
-  SELECT 'c:' || CAST(o_custkey AS VARCHAR) AS u,
-         's:' || CAST(l_suppkey AS VARCHAR) AS v
-  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-  GROUP BY 1, 2 HAVING count(*) >= 2
-),
-h0 AS (SELECT DISTINCT u, 1.0 AS h FROM e)"""]
-    prev_h = "h0"
-    for i in range(1, rounds + 1):
-        parts.append(f""",
-a{i}r AS MATERIALIZED (
-  SELECT e.v, sum(h.h) AS s FROM e JOIN {prev_h} h ON e.u = h.u
-  GROUP BY e.v
-),
-a{i} AS MATERIALIZED (
-  SELECT v, s / sqrt((SELECT sum(s * s) FROM a{i}r)) AS a FROM a{i}r
-),
-h{i}r AS MATERIALIZED (
-  SELECT e.u, sum(a.a) AS s FROM e JOIN a{i} a ON e.v = a.v
-  GROUP BY e.u
-),
-h{i} AS MATERIALIZED (
-  SELECT u, s / sqrt((SELECT sum(s * s) FROM h{i}r)) AS h FROM h{i}r
-)""")
-        prev_h = f"h{i}"
-    parts.append(f"""
-SELECT u AS node, 'hub' AS side,
-       CAST(round(h * 1000000000) AS BIGINT) AS score_e9 FROM h{rounds}
-UNION ALL
-SELECT v, 'auth', CAST(round(a * 1000000000) AS BIGINT) FROM a{rounds}""")
-    return "".join(parts)
-
-
-TRADE_GRAPH_HITS_SQL = _build_hits_sql()
-
-QUERIES["trade_graph_hits"] = trade_graph_hits
-ORACLE_SQL["trade_graph_hits"] = TRADE_GRAPH_HITS_SQL
-
-
-def customer_name_jw_pairs(sf_dir: str):
-    """Jaro-Winkler record linkage (stages/fuzzy.jaro_winkler_blocked_pairs):
-    same-nation customer-name pairs with JW >= 0.98 — the classic
-    blocked fuzzy-match join, sim bit-identical to DuckDB's
-    jaro_winkler_similarity (the pair-vectorized kernel is
-    differential-tested byte-for-byte; threshold sits in an attained-
-    value gap, so boundary membership is stable).
-
-    Scale shape: ONE shuffle on the blocking key; oversized blocks
-    secondary-block into chunk-pair tiles; the JW kernel is vectorized
-    ACROSS pair tiles (numpy steps over character positions), never a
-    per-pair Python loop."""
-    from knowledge_graph_ray.stages.fuzzy import jaro_winkler_blocked_pairs
-
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_name", "c_nationkey"])
-    pairs = jaro_winkler_blocked_pairs(
-        cust, id_col="c_custkey", text_col="c_name",
-        block_cols=["c_nationkey"], threshold=0.98)
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_nationkey": b.column("c_nationkey").cast(pa.int64()),
-            "id_a": b.column("id_a").cast(pa.int64()),
-            "id_b": b.column("id_b").cast(pa.int64()),
-            "sim_e9": scaled_int_column(b.column("sim"), 1e9),
-        })
-
-    return pairs.map_batches(finish, batch_format="pyarrow")
-
-
-CUSTOMER_NAME_JW_PAIRS_SQL = """
-SELECT CAST(a.c_nationkey AS BIGINT) AS c_nationkey,
-       a.c_custkey AS id_a, b.c_custkey AS id_b,
-       CAST(round(jaro_winkler_similarity(a.c_name, b.c_name)
-                  * 1000000000) AS BIGINT) AS sim_e9
-FROM customer a
-JOIN customer b
-  ON a.c_nationkey = b.c_nationkey AND a.c_custkey < b.c_custkey
-WHERE jaro_winkler_similarity(a.c_name, b.c_name) >= 0.98
-"""
-
-QUERIES["customer_name_jw_pairs"] = customer_name_jw_pairs
-ORACLE_SQL["customer_name_jw_pairs"] = CUSTOMER_NAME_JW_PAIRS_SQL
-
-
-def events_chi2_dow(sf_dir: str):
-    """Chi-square goodness-of-fit of each event type's day-of-week
-    distribution against the corpus-wide mix
-    (functions/agg.grouped_chi2_gof) — the segment-drift screen beside
-    events_welch_ttest's mean test.  Exact int64 cell counts; one fixed
-    float64 closing tree; chi2 rounded half-away at 1e-6.
-
-    Scale shape: the shuffle moves one int64 per occupied (type, dow)
-    cell; the finish runs on the cell-cardinality table."""
-    from knowledge_graph_ray.functions.agg import grouped_chi2_gof
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "ts"])
-
-    def prep(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(b.column("ts").cast(pa.int64()), 1_000_000)
-        day = pc.divide(ts_s, 86_400)
-        dow = pc.subtract(
-            pc.add(day, pa.scalar(4, pa.int64())),
-            pc.multiply(
-                pc.divide(pc.add(day, pa.scalar(4, pa.int64())),
-                          pa.scalar(7, pa.int64())),
-                pa.scalar(7, pa.int64())),
-        )  # epoch day 0 = Thursday = 4
-        return pa.table({"event_type": b.column("event_type"),
-                         "dow": dow.cast(pa.int64())})
-
-    return grouped_chi2_gof(
-        events.map_batches(prep, batch_format="pyarrow"),
-        "event_type", "dow")
-
-
-EVENTS_CHI2_DOW_SQL = """
-WITH o AS (
-  SELECT event_type AS g,
-         (CAST(floor(epoch(ts)) AS BIGINT) // 86400 + 4) % 7 AS c,
-         count(*) AS n
-  FROM events GROUP BY 1, 2
-),
-tg AS (SELECT g, sum(n) AS ng FROM o GROUP BY g),
-tc AS (SELECT c, sum(n) AS tc FROM o GROUP BY c),
-tot AS (SELECT CAST(sum(n) AS DOUBLE) AS nn FROM o),
-grid AS (
-  SELECT tg.g, tc.c, COALESCE(o.n, 0) AS obs,
-         CAST(tg.ng AS DOUBLE) * CAST(tc.tc AS DOUBLE)
-           / (SELECT nn FROM tot) AS exp
-  FROM tg CROSS JOIN tc
-  LEFT JOIN o ON o.g = tg.g AND o.c = tc.c
-)
-SELECT g AS event_type,
-       CAST(any_value(ngv) AS BIGINT) AS n,
-       CAST(count(*) - 1 AS BIGINT) AS dof,
-       CAST(round(sum((obs - exp) * (obs - exp) / exp) * 1000000)
-            AS BIGINT) AS chi2_e6
-FROM (SELECT grid.*, tg.ng AS ngv FROM grid JOIN tg ON grid.g = tg.g)
-GROUP BY g
-"""
-
-QUERIES["events_chi2_dow"] = events_chi2_dow
-ORACLE_SQL["events_chi2_dow"] = EVENTS_CHI2_DOW_SQL
-
-
-def customer_name_lev2_pairs(sf_dir: str):
-    """Bounded-edit record linkage
-    (stages/fuzzy.levenshtein_blocked_pairs): same-nation customer-name
-    pairs at Levenshtein distance <= 2 with the exact per-pair
-    distance — generalizes the global SymSpell edit-1 join
-    (customer_name_edit1_pairs) to k=2 inside blocks.
-
-    Scale shape: ONE shuffle on the blocking key; banded-DP kernel
-    vectorized ACROSS pair tiles (O(L * (2k+1)) numpy steps), length
-    pre-filter before the DP; never a per-pair Python loop."""
-    from knowledge_graph_ray.stages.fuzzy import levenshtein_blocked_pairs
-
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_name", "c_nationkey"])
-    pairs = levenshtein_blocked_pairs(
-        cust, id_col="c_custkey", text_col="c_name",
-        block_cols=["c_nationkey"], k=2)
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_nationkey": b.column("c_nationkey").cast(pa.int64()),
-            "id_a": b.column("id_a").cast(pa.int64()),
-            "id_b": b.column("id_b").cast(pa.int64()),
-            "dist": b.column("dist").cast(pa.int64()),
-        })
-
-    return pairs.map_batches(finish, batch_format="pyarrow")
-
-
-CUSTOMER_NAME_LEV2_PAIRS_SQL = """
-SELECT CAST(a.c_nationkey AS BIGINT) AS c_nationkey,
-       a.c_custkey AS id_a, b.c_custkey AS id_b,
-       CAST(levenshtein(a.c_name, b.c_name) AS BIGINT) AS dist
-FROM customer a
-JOIN customer b
-  ON a.c_nationkey = b.c_nationkey AND a.c_custkey < b.c_custkey
-WHERE levenshtein(a.c_name, b.c_name) <= 2
-"""
-
-QUERIES["customer_name_lev2_pairs"] = customer_name_lev2_pairs
-ORACLE_SQL["customer_name_lev2_pairs"] = CUSTOMER_NAME_LEV2_PAIRS_SQL
-
-
-def events_user_type_entropy(sf_dir: str):
-    """Per-user Shannon entropy of the event-type mix — the behavioral-
-    diversity score (bot/spam screens flag near-zero-entropy users):
-    H = -sum_t (n_t/N) ln(n_t/N), reported e6 fixed-point alongside
-    exact event/type counts (ln on exact integer ratios; cross-engine
-    float drift ~1e-13, inside the 0.5e-6 granularity).
-
-    Scale shape: the (user, type) combiner collapses the fact scan to
-    occupied cells; ONE user shuffle; the bucket body closes the
-    entropy vectorized — output is user-cardinality."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "event_type"])
-    counts = grouped_agg(events, ["user_id", "event_type"],
-                         [("n", None, "count")])
-
-    def body(bucket: pd.DataFrame) -> pa.Table:
-        from knowledge_graph_ray.functions.numeric import round_half_away
-
-        tot = bucket.groupby("user_id", sort=False)["n"].transform("sum")
-        p = bucket["n"].to_numpy(np.float64) / tot.to_numpy(np.float64)
-        term = p * np.log(p)
-        agg = pd.DataFrame({
-            "user_id": bucket["user_id"],
-            "nn": tot,
-            "term": term,
-        }).groupby("user_id", sort=False).agg(
-            n_events=("nn", "first"), n_types=("term", "size"),
-            s=("term", "sum")).reset_index()
-        return pa.table({
-            "user_id": pa.array(agg["user_id"].to_numpy(np.int64)),
-            "n_events": pa.array(agg["n_events"].to_numpy(np.int64)),
-            "n_types": pa.array(agg["n_types"].to_numpy(np.int64)),
-            "entropy_e6": pa.array(
-                [round_half_away(-x * 1e6) for x in agg["s"]],
-                type=pa.int64()),
-        })
-
-    return bucketed_bucket_map(
-        counts, ["user_id"], body,
-        empty_schema=pa.schema([("user_id", pa.int64()),
-                                ("n_events", pa.int64()),
-                                ("n_types", pa.int64()),
-                                ("entropy_e6", pa.int64())]),
-    )
-
-
-EVENTS_USER_TYPE_ENTROPY_SQL = """
-WITH c AS (
-  SELECT user_id, event_type, count(*) AS n FROM events GROUP BY 1, 2
-),
-t AS (SELECT user_id, sum(n) AS nn FROM c GROUP BY 1)
-SELECT c.user_id,
-       CAST(any_value(t.nn) AS BIGINT) AS n_events,
-       CAST(count(*) AS BIGINT) AS n_types,
-       CAST(round(-sum((CAST(c.n AS DOUBLE) / t.nn)
-                       * ln(CAST(c.n AS DOUBLE) / t.nn)) * 1000000)
-            AS BIGINT) AS entropy_e6
-FROM c JOIN t USING (user_id)
-GROUP BY c.user_id
-"""
-
-QUERIES["events_user_type_entropy"] = events_user_type_entropy
-ORACLE_SQL["events_user_type_entropy"] = EVENTS_USER_TYPE_ENTROPY_SQL
-
-
-def kg_clustering_coefficient(sf_dir: str):
-    """Per-node triangle count and local clustering coefficient of the
-    flagship co-occurrence graph (stages/graphops.clustering_coefficient:
-    degree-ordered wedge closure carrying the wedge corner, one
-    flat-map + groupby per corner, one left_outer degree join) —
-    completes the triangle family with the node-level density signal
-    spam/cohesion screens use.  cc at e9 (one float64 expression over
-    exact int64 operands on both sides)."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.graphops import clustering_coefficient
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    out = clustering_coefficient(edges)
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": b.column("node"),
-            "deg": b.column("deg"),
-            "triangles": b.column("triangles"),
-            "cc_e9": scaled_int_column(b.column("cc"), 1e9),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow")
-
-
-KG_CLUSTERING_COEFFICIENT_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-pairs AS (SELECT DISTINCT x.name AS a, y.name AS b
-          FROM present x JOIN present y
-            ON x.doc_id = y.doc_id AND x.name < y.name),
-sym AS (SELECT a AS v, b AS n FROM pairs
-        UNION ALL SELECT b, a FROM pairs),
-deg AS (SELECT v, count(*) AS d FROM sym GROUP BY v),
-tri AS (SELECT e1.a AS x, e1.b AS y, e2.b AS z
-        FROM pairs e1
-        JOIN pairs e2 ON e2.a = e1.a AND e2.b > e1.b
-        JOIN pairs e3 ON e3.a = e1.b AND e3.b = e2.b),
-corners AS (SELECT x AS v FROM tri UNION ALL SELECT y FROM tri
-            UNION ALL SELECT z FROM tri),
-t AS (SELECT v, count(*) AS nt FROM corners GROUP BY v)
-SELECT deg.v AS node, CAST(deg.d AS BIGINT) AS deg,
-       CAST(COALESCE(t.nt, 0) AS BIGINT) AS triangles,
-       CAST(round(CASE WHEN deg.d >= 2
-                       THEN 2.0 * COALESCE(t.nt, 0)
-                            / (deg.d * (deg.d - 1.0))
-                       ELSE 0.0 END * 1000000000) AS BIGINT) AS cc_e9
-FROM deg LEFT JOIN t ON t.v = deg.v
-"""
-
-QUERIES["kg_clustering_coefficient"] = kg_clustering_coefficient
-ORACLE_SQL["kg_clustering_coefficient"] = KG_CLUSTERING_COEFFICIENT_SQL
-
-
-def kg_ktruss(sf_dir: str):
-    """k-truss (k=4) of the flagship co-occurrence graph
-    (stages/graphops.ktruss): the maximal subgraph where every edge
-    closes >= 2 triangles inside it — the edge-level cohesion screen
-    one step above k-core (Cohen 2008), standard for extracting the
-    load-bearing core of a noisy co-occurrence KG.  Returns surviving
-    canonical edges with their in-truss support."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.graphops import ktruss
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    return ktruss(edges, k=4)
-
-
-def _build_ktruss_sql(k: int = 4, rounds: int = 8) -> str:
-    need = k - 2
-    parts = [f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-e0 AS MATERIALIZED (SELECT DISTINCT x.name AS a, y.name AS b
-       FROM present x JOIN present y
-         ON x.doc_id = y.doc_id AND x.name < y.name)"""]
-    prev = "e0"
-    for r in range(1, rounds + 1):
-        parts.append(f""",
-t{r} AS MATERIALIZED (
-  SELECT e1.a AS x, e1.b AS y, e2.b AS z
-  FROM {prev} e1
-  JOIN {prev} e2 ON e2.a = e1.a AND e2.b > e1.b
-  JOIN {prev} e3 ON e3.a = e1.b AND e3.b = e2.b
-),
-s{r} AS MATERIALIZED (
-  SELECT a, b, count(*) AS n FROM (
-    SELECT x AS a, y AS b FROM t{r}
-    UNION ALL SELECT x, z FROM t{r}
-    UNION ALL SELECT y, z FROM t{r}
-  ) GROUP BY a, b
-),
-e{r} AS MATERIALIZED (
-  SELECT a, b FROM s{r} WHERE n >= {need}
-)""")
-        prev = f"e{r}"
-    parts.append(f"""
-SELECT a, b, CAST(n AS BIGINT) AS support
-FROM s{rounds} WHERE n >= {need}""")
-    return "".join(parts)
-
-
-KG_KTRUSS_SQL = _build_ktruss_sql()
-
-QUERIES["kg_ktruss"] = kg_ktruss
-ORACLE_SQL["kg_ktruss"] = KG_KTRUSS_SQL
-
-
-def kg_personalized_pagerank(sf_dir: str):
-    """Random-walk-with-restart relevance to the {SPARK, JOIN} anchor
-    pair over the flagship co-occurrence graph
-    (stages/pagerank.personalized_pagerank): teleport mass restricted
-    to the seed set (Jeh & Widom 2003), 3 power iterations, d=0.85 —
-    the query-side "entities most related to these anchors" primitive
-    the reference serves with per-query subgraph walks
-    (query/structured_search local context).  Same scale shape as
-    kg_pagerank: edges never move, one combiner shuffle per iteration."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.pagerank import personalized_pagerank
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    pr = personalized_pagerank(edges, ["SPARK", "JOIN"], weight="weight",
-                               iterations=3, damping=0.85, undirected=True)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "name": batch.column("name"),
-            "ppr_e9": scaled_int_column(batch.column("ppr"), 1e9),
-        })
-
-    return pr.map_batches(finish, batch_format="pyarrow")
-
-
-def _ppr_iter_sql(prev: str, cur: str) -> str:
-    return f"""
-{cur} AS (
-  SELECT nd.name,
-         (CASE WHEN nd.name IN ('SPARK', 'JOIN')
-               THEN (1.0 - 0.85) * (1.0/(SELECT n FROM sn))
-               ELSE 0.0 END) + 0.85 * coalesce(q.c, 0) AS pr
-  FROM nodes nd LEFT JOIN (
-    SELECT e.dst AS name, sum({prev}.pr * e.w / st.s) AS c
-    FROM edges e
-    JOIN {prev} ON {prev}.name = e.src
-    JOIN strength st ON st.src = e.src
-    GROUP BY e.dst
-  ) q ON q.name = nd.name
-)"""
-
-
-KG_PERSONALIZED_PAGERANK_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-pairs AS (SELECT a.name AS src, b.name AS dst, count(*) AS w
-          FROM present a JOIN present b
-            ON a.doc_id = b.doc_id AND a.name < b.name
-          GROUP BY a.name, b.name),
-edges AS (SELECT src, dst, CAST(w AS DOUBLE) AS w FROM pairs
-          UNION ALL
-          SELECT dst, src, CAST(w AS DOUBLE) AS w FROM pairs),
-nodes AS (SELECT DISTINCT src AS name FROM edges),
-sn AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM nodes
-       WHERE name IN ('SPARK', 'JOIN')),
-strength AS (SELECT src, sum(w) AS s FROM edges GROUP BY src),
-r0 AS (SELECT name,
-              CASE WHEN name IN ('SPARK', 'JOIN')
-                   THEN 1.0/(SELECT n FROM sn) ELSE 0.0 END AS pr
-       FROM nodes),
-{_ppr_iter_sql('r0', 'r1')},
-{_ppr_iter_sql('r1', 'r2')},
-{_ppr_iter_sql('r2', 'r3')}
-SELECT name, CAST(round(pr * 1e9) AS BIGINT) AS ppr_e9 FROM r3
-"""
-
-QUERIES["kg_personalized_pagerank"] = kg_personalized_pagerank
-ORACLE_SQL["kg_personalized_pagerank"] = KG_PERSONALIZED_PAGERANK_SQL
-
-
-def kg_harmonic_centrality(sf_dir: str):
-    """Harmonic centrality contributions from the {SPARK, HASH} anchor
-    pair — stages/graphops.multi_source_bfs (all seeds expand in ONE
-    frontier iteration, state keyed (seed, node)) followed by a
-    grouped_agg sum of per-seed round(1e9/dist) int64 terms, so the
-    score is exact integer arithmetic end to end (no float-order
-    sensitivity).  The bounded-hop seed-set form is the one that scales:
-    full harmonic centrality is all-pairs BFS, O(V*E)."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.graphops import multi_source_bfs
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    dists = multi_source_bfs(edges, ["SPARK", "HASH"], hops=4)
-
-    def inv(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        b = b.filter(pc.greater(b.column("dist"), 0))
-        term = pc.cast(pc.round(pc.divide(1e9, pc.cast(b.column("dist"),
-                                                       pa.float64()))),
-                       pa.int64())
-        return pa.table({"name": b.column("name"), "term": term})
-
-    return grouped_agg(
-        dists.map_batches(inv, batch_format="pyarrow"),
-        ["name"], [("harmonic_e9", "term", "sum")],
-    )
-
-
-def _msbfs_hop_sql(prev_new: str, prev_vis: str, hop: int) -> str:
-    return f"""
-f{hop} AS (SELECT DISTINCT r.seed, e.dst AS name
-           FROM {prev_new} r JOIN edges e ON e.src = r.name),
-n{hop} AS (SELECT f.seed, f.name, {hop} AS dist FROM f{hop} f
-           WHERE NOT EXISTS (SELECT 1 FROM {prev_vis} v
-                             WHERE v.seed = f.seed AND v.name = f.name)),
-v{hop} AS (SELECT seed, name FROM {prev_vis}
-           UNION ALL SELECT seed, name FROM n{hop})"""
-
-
-KG_HARMONIC_CENTRALITY_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-pairs AS (SELECT a.name AS src, b.name AS dst
-          FROM present a JOIN present b
-            ON a.doc_id = b.doc_id AND a.name < b.name
-          GROUP BY a.name, b.name),
-edges AS (SELECT src, dst FROM pairs
-          UNION ALL SELECT dst, src FROM pairs),
-nodes AS (SELECT DISTINCT src AS name FROM edges),
-seeds AS (SELECT * FROM (VALUES ('HASH'), ('SPARK')) s(seed)),
-n0 AS (SELECT s.seed, s.seed AS name, 0 AS dist
-       FROM seeds s JOIN nodes nd ON nd.name = s.seed),
-v0 AS (SELECT seed, name FROM n0),
-{_msbfs_hop_sql('n0', 'v0', 1)},
-{_msbfs_hop_sql('n1', 'v1', 2)},
-{_msbfs_hop_sql('n2', 'v2', 3)},
-{_msbfs_hop_sql('n3', 'v3', 4)}
-SELECT name,
-       CAST(sum(CAST(round(1e9 / CAST(dist AS DOUBLE)) AS BIGINT))
-            AS BIGINT) AS harmonic_e9
-FROM (SELECT * FROM n1 UNION ALL SELECT * FROM n2
-      UNION ALL SELECT * FROM n3 UNION ALL SELECT * FROM n4)
-GROUP BY name
-"""
-
-QUERIES["kg_harmonic_centrality"] = kg_harmonic_centrality
-ORACLE_SQL["kg_harmonic_centrality"] = KG_HARMONIC_CENTRALITY_SQL
-
-
-def kg_label_spread(sf_dir: str):
-    """Semi-supervised node classification of the flagship graph from
-    three labeled anchors (stages/pagerank.label_spread): strength-
-    normalized neighbour-score averaging with seed clamping (Zhu &
-    Ghahramani 2002), 3 rounds, argmax label with lexicographic
-    tie-break — the "propagate a curated taxonomy over the noisy
-    co-occurrence KG" primitive.  Sparse (node,label) state, one
-    edge-state join + one combiner shuffle per round."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.pagerank import label_spread
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    out = label_spread(
-        edges,
-        {"SPARK": "compute", "JOIN": "relational", "STREAM": "streaming"},
-        weight="weight", rounds=3, undirected=True,
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "name": batch.column("name"),
-            "label": batch.column("label"),
-            "score_e9": scaled_int_column(batch.column("score"), 1e9),
-        })
-
-    return out.map_batches(finish, batch_format="pyarrow")
-
-
-def _label_spread_iter_sql(prev: str, cur: str) -> str:
-    return f"""
-q{cur} AS (
-  SELECT e.dst AS name, s.label, sum(s.score * e.w / st.s) AS score
-  FROM edges e
-  JOIN {prev} s ON s.name = e.src
-  JOIN strength st ON st.src = e.src
-  GROUP BY e.dst, s.label
-),
-{cur} AS (
-  SELECT name, label, score FROM q{cur}
-  WHERE name NOT IN (SELECT name FROM clamp)
-  UNION ALL SELECT name, label, score FROM clamp
-)"""
-
-
-KG_LABEL_SPREAD_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-pairs AS (SELECT a.name AS src, b.name AS dst, count(*) AS w
-          FROM present a JOIN present b
-            ON a.doc_id = b.doc_id AND a.name < b.name
-          GROUP BY a.name, b.name),
-edges AS (SELECT src, dst, CAST(w AS DOUBLE) AS w FROM pairs
-          UNION ALL
-          SELECT dst, src, CAST(w AS DOUBLE) AS w FROM pairs),
-nodes AS (SELECT DISTINCT src AS name FROM edges),
-strength AS (SELECT src, sum(w) AS s FROM edges GROUP BY src),
-seed_labels AS (SELECT * FROM (VALUES
-  ('SPARK', 'compute'), ('JOIN', 'relational'), ('STREAM', 'streaming')
-) t(name, label)),
-clamp AS (SELECT sl.name, sl.label, 1.0 AS score
-          FROM seed_labels sl JOIN nodes nd ON nd.name = sl.name),
-{_label_spread_iter_sql('clamp', 's1')},
-{_label_spread_iter_sql('s1', 's2')},
-{_label_spread_iter_sql('s2', 's3')},
-ranked AS (
-  SELECT name, label, score,
-         row_number() OVER (PARTITION BY name
-                            ORDER BY score DESC, label) AS rn
-  FROM s3
-)
-SELECT name, label, CAST(round(score * 1e9) AS BIGINT) AS score_e9
-FROM ranked WHERE rn = 1
-"""
-
-QUERIES["kg_label_spread"] = kg_label_spread
-ORACLE_SQL["kg_label_spread"] = KG_LABEL_SPREAD_SQL
-
-
-def events_markov_stationary(sf_dir: str):
-    """Stationary distribution of the per-user event-type Markov chain:
-    the transition bigram counts (events_type_transitions' LAG +
-    combiner pipeline) ARE a weighted directed edge list, and the
-    power iteration pi' = pi P is PageRank with damping=1.0 (teleport
-    off) — a pure composition of two existing operators
-    (stages/ranking.window_lag + stages/pagerank.pagerank), 4 fixed
-    iterations from uniform, dangling types documented as mass sinks
-    (pagerank's non-redistribution semantics, oracle mirrors)."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.pagerank import pagerank
-    from knowledge_graph_ray.stages.ranking import window_lag
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type"],
-    )
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "event_type": batch.column("event_type"),
-        })
-
-    prepped = events.map_batches(prep, batch_format="pyarrow")
-    lagged = window_lag(prepped, key="user_id",
-                        order_cols=["ts_s", "event_id"],
-                        value_col="event_type", out_col="prev_type",
-                        driver_threshold=500_000,
-                        size_hint=events.count())
-
-    def first_dropped(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.is_valid(batch.column("prev_type")))
-
-    counts = grouped_agg(
-        lagged.map_batches(first_dropped, batch_format="pyarrow"),
-        ["prev_type", "event_type"], [("n", None, "count")],
-    )
-    pi = pagerank(counts, src="prev_type", dst="event_type", weight="n",
-                  iterations=4, damping=1.0, undirected=False,
-                  node_col="event_type", out_col="pi")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "pi_e9": scaled_int_column(batch.column("pi"), 1e9),
-        })
-
-    return pi.map_batches(finish, batch_format="pyarrow")
-
-
-def _markov_iter_sql(prev: str, cur: str) -> str:
-    return f"""
-{cur} AS (
-  SELECT nd.name, (1.0 - 1.0)/(SELECT n FROM nn) + 1.0 * coalesce(q.c, 0) AS pr
-  FROM nodes nd LEFT JOIN (
-    SELECT e.dst AS name, sum({prev}.pr * e.w / st.s) AS c
-    FROM edges e
-    JOIN {prev} ON {prev}.name = e.src
-    JOIN strength st ON st.src = e.src
-    GROUP BY e.dst
-  ) q ON q.name = nd.name
-)"""
-
-
-EVENTS_MARKOV_STATIONARY_SQL = f"""
-WITH e AS (
-  SELECT event_id, user_id, CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         event_type
-  FROM events
-),
-lagged AS (
-  SELECT event_type,
-         lag(event_type) OVER (PARTITION BY user_id
-                               ORDER BY ts_s, event_id) AS prev_type
-  FROM e
-),
-edges AS (
-  SELECT prev_type AS src, event_type AS dst,
-         CAST(count(*) AS DOUBLE) AS w
-  FROM lagged WHERE prev_type IS NOT NULL
-  GROUP BY prev_type, event_type
-),
-nodes AS (SELECT DISTINCT name FROM (
-  SELECT src AS name FROM edges UNION ALL SELECT dst FROM edges)),
-nn AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM nodes),
-strength AS (SELECT src, sum(w) AS s FROM edges GROUP BY src),
-r0 AS (SELECT name, 1.0/(SELECT n FROM nn) AS pr FROM nodes),
-{_markov_iter_sql('r0', 'r1')},
-{_markov_iter_sql('r1', 'r2')},
-{_markov_iter_sql('r2', 'r3')},
-{_markov_iter_sql('r3', 'r4')}
-SELECT name AS event_type, CAST(round(pr * 1e9) AS BIGINT) AS pi_e9 FROM r4
-"""
-
-QUERIES["events_markov_stationary"] = events_markov_stationary
-ORACLE_SQL["events_markov_stationary"] = EVENTS_MARKOV_STATIONARY_SQL
-
-
-def documents_fd_violations(sf_dir: str):
-    """Functional-dependency audit source -> lang: corpus sources
-    emitting more than one language, with the violating language set —
-    the schema-inference / data-contract screen a crawl pipeline runs
-    before trusting per-source metadata.  One distinct_rows combiner
-    pass over (source, lang) then two group aggregates on the tiny
-    distinct set (functions/agg.grouped_string_agg emits every group's
-    joined lang list in one binary_join kernel)."""
-    from knowledge_graph_ray.functions.agg import (
-        distinct_rows,
-        grouped_agg,
-        grouped_string_agg,
-    )
-    from knowledge_graph_ray.functions.joins import hash_join
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["source", "lang"])
-    dl = distinct_rows(
-        docs, ["source", "lang"],
-        empty_schema=pa.schema([("source", pa.string()),
-                                ("lang", pa.string())]),
-    ).materialize()
-    n = grouped_agg(dl, ["source"], [("n_langs", None, "count")])
-    langs = grouped_string_agg(dl, ["source"], "lang",
-                               order_cols=["lang"], sep=",",
-                               out_col="langs")
-    joined = hash_join(n, langs, on=["source"], how="inner")
-
-    def violating(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        b = b.filter(pc.greater(b.column("n_langs"), 1))
-        return b.select(["source", "n_langs", "langs"])
-
-    return joined.map_batches(violating, batch_format="pyarrow")
-
-
-DOCUMENTS_FD_VIOLATIONS_SQL = """
-WITH dl AS (SELECT DISTINCT source, lang FROM documents)
-SELECT source, CAST(count(*) AS BIGINT) AS n_langs,
-       string_agg(lang, ',' ORDER BY lang) AS langs
-FROM dl GROUP BY source HAVING count(*) > 1
-"""
-
-QUERIES["documents_fd_violations"] = documents_fd_violations
-ORACLE_SQL["documents_fd_violations"] = DOCUMENTS_FD_VIOLATIONS_SQL
-
-
-def embeddings_silhouette(sf_dir: str):
-    """Simplified silhouette per label (Rousseeuw 1987, centroid form):
-    a = distance to own label centroid, b = nearest other centroid,
-    s = (b-a)/max(a,b) — the standard cluster-quality score over the
-    embeddings table.  EXACT-integer discipline: points and centroids
-    are quantized to e6 fixed point, squared distances accumulate in
-    int64 via one (batch x centroids) integer matmul, and the only
-    float ops are two IEEE sqrt + one ratio over identical operands on
-    both engines — no summation-order sensitivity anywhere.  Output
-    per label: n points + sum of per-point round(1e6*s) (int64; the
-    consumer divides) — centroids broadcast once via ray.put, points
-    stream, zero shuffle beyond the (labels x batches) partials."""
-    import ray
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.similarity import vector_centroids
-
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["label", "embedding"])
-
-    def q_e6(a: "np.ndarray") -> "np.ndarray":
-        import numpy as np
-
-        return np.where(a >= 0, np.floor(a * 1e6 + 0.5),
-                        np.ceil(a * 1e6 - 0.5)).astype("int64")
-
-    import numpy as np
-
-    cents = vector_centroids(emb, "label", "embedding").to_pandas()
-    cents = cents.sort_values("label").reset_index(drop=True)
-    labels = np.asarray(cents["label"], dtype=np.int32)
-    cmat = q_e6(np.stack([np.asarray(v, dtype=np.float64)
-                          for v in cents["centroid"]]))
-    ref = ray.put((labels, cmat))
-
-    def score(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        lab_ids, cm = ray.get(ref)
-        if len(batch) == 0:
-            return pa.schema([("label", pa.int32()),
-                              ("s_e6", pa.int64())]).empty_table()
-        from knowledge_graph_ray.stages.similarity import _column_matrix
-
-        x = q_e6(_column_matrix(batch.column("embedding")))
-        own = np.asarray(batch.column("label"))
-        # ||x-c||^2 = ||x||^2 + ||c||^2 - 2 x.c, all int64-exact at e6
-        d2 = (np.einsum("bd,bd->b", x, x)[:, None]
-              + np.einsum("ld,ld->l", cm, cm)[None, :]
-              - 2 * (x @ cm.T))
-        pos = np.searchsorted(lab_ids, own)  # labels sorted by groupby
-        a2 = d2[np.arange(len(x)), pos]
-        d2[np.arange(len(x)), pos] = np.iinfo(np.int64).max
-        b2 = d2.min(axis=1)
-        a = np.sqrt(a2.astype(np.float64))
-        b = np.sqrt(b2.astype(np.float64))
-        mx = np.maximum(a, b)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = np.where(mx == 0, 0.0, (b - a) / mx)
-        s_e6 = np.where(s >= 0, np.floor(s * 1e6 + 0.5),
-                        np.ceil(s * 1e6 - 0.5)).astype("int64")
-        return pa.table({"label": pa.array(own, type=pa.int32()),
-                         "s_e6": pa.array(s_e6, type=pa.int64())})
-
-    scored = emb.map_batches(score, batch_format="pyarrow")
-    return grouped_agg(scored, ["label"],
-                       [("n", None, "count"), ("sum_s_e6", "s_e6", "sum")])
-
-
-EMBEDDINGS_SILHOUETTE_SQL = """
-WITH cents AS (
-  SELECT label, gs.i AS i,
-         CAST(round(avg(embedding[gs.i]) * 1e6) AS BIGINT) AS c
-  FROM embeddings, generate_series(1, 64) gs(i)
-  GROUP BY label, gs.i
-),
-pt AS (
-  SELECT vec_id, label, gs.i AS i,
-         CAST(round(embedding[gs.i] * 1e6) AS BIGINT) AS x
-  FROM embeddings, generate_series(1, 64) gs(i)
-),
-d2 AS (
-  SELECT pt.vec_id, pt.label AS plabel, c.label AS clabel,
-         CAST(sum((pt.x - c.c) * (pt.x - c.c)) AS BIGINT) AS d2
-  FROM pt JOIN cents c ON c.i = pt.i
-  GROUP BY pt.vec_id, pt.label, c.label
-),
-ab AS (
-  SELECT vec_id, plabel,
-         max(CASE WHEN clabel = plabel THEN d2 END) AS a2,
-         min(CASE WHEN clabel <> plabel THEN d2 END) AS b2
-  FROM d2 GROUP BY vec_id, plabel
-),
-s AS (
-  SELECT plabel AS label,
-         CASE WHEN greatest(sqrt(CAST(a2 AS DOUBLE)),
-                            sqrt(CAST(b2 AS DOUBLE))) = 0 THEN 0
-              ELSE CAST(round(1e6 * (sqrt(CAST(b2 AS DOUBLE))
-                                     - sqrt(CAST(a2 AS DOUBLE)))
-                        / greatest(sqrt(CAST(a2 AS DOUBLE)),
-                                   sqrt(CAST(b2 AS DOUBLE))))
-                   AS BIGINT)
-         END AS s_e6
-  FROM ab
-)
-SELECT label, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(s_e6) AS BIGINT) AS sum_s_e6
-FROM s GROUP BY label
-"""
-
-QUERIES["embeddings_silhouette"] = embeddings_silhouette
-ORACLE_SQL["embeddings_silhouette"] = EMBEDDINGS_SILHOUETTE_SQL
-
-
-def kg_local_bridges(sf_dir: str):
-    """Local bridges of the flagship graph's STRONG core: keep edges
-    with weight >= 98% of the max co-occurrence weight (integer-exact
-    relative threshold, scale-factor invariant), then flag each kept
-    edge by whether its endpoints share a common neighbour INSIDE the
-    kept subgraph — zero closing triangles = a local bridge, the
-    classic weak-tie screen (Granovetter; Easley & Kleinberg ch. 3).
-    Pure composition: stages/graphops._closed_triangles enumerates the
-    surviving triangles once (degree-ordered wedges), the three edge
-    expansions distinct down to triangle-member edges, one left_outer
-    join emits the flag."""
-    from knowledge_graph_ray.functions.agg import distinct_rows, grouped_agg
-    from knowledge_graph_ray.functions.joins import hash_join
-    from knowledge_graph_ray.stages.graphops import (
-        _canon_distinct,
-        _closed_triangles,
-    )
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    ).materialize()
-    mrow = grouped_agg(
-        edges.map_batches(
-            lambda b: pa.table({
-                "g": pa.array(np.ones(len(b), dtype=np.int64)),
-                "weight": b.column("weight"),
-            }),
-            batch_format="pyarrow",
-        ),
-        ["g"], [("m", "weight", "max")],
-    ).take(1)
-    if not mrow:
-        return pa.table({"a": pa.array([], pa.string()),
-                         "b": pa.array([], pa.string()),
-                         "is_bridge": pa.array([], pa.int64())})
-    m = int(mrow[0]["m"])
-
-    def keep(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return b.filter(pc.greater_equal(
-            pc.multiply(b.column("weight").cast(pa.int64()), 1000),
-            980 * m))
-
-    und = _canon_distinct(
-        edges.map_batches(keep, batch_format="pyarrow"), "src", "dst")
-    tris = _closed_triangles(und)
-
-    def member_edges(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        def canon(p, q) -> pa.Table:
-            return pa.table({"a": pc.min_element_wise(p, q),
-                             "b": pc.max_element_wise(p, q)})
-
-        u, x, y = b.column("u"), b.column("x"), b.column("y")
-        return pa.concat_tables([canon(u, x), canon(u, y), canon(x, y)])
-
-    closed = distinct_rows(
-        tris.map_batches(member_edges, batch_format="pyarrow"),
-        ["a", "b"],
-        empty_schema=pa.schema([("a", pa.string()), ("b", pa.string())]),
-    ).map_batches(
-        lambda b: b.append_column(
-            "__closed", pa.array(np.ones(len(b), dtype=np.int64))),
-        batch_format="pyarrow",
-    )
-    flagged = hash_join(und, closed, on=["a", "b"], how="left_outer")
-
-    def finish(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        is_bridge = pc.cast(pc.is_null(b.column("__closed")), pa.int64())
-        return pa.table({"a": b.column("a"), "b": b.column("b"),
-                         "is_bridge": is_bridge})
-
-    return flagged.map_batches(finish, batch_format="pyarrow")
-
-
-KG_LOCAL_BRIDGES_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-pairs AS (SELECT x.name AS a, y.name AS b, count(*) AS w
-          FROM present x JOIN present y
-            ON x.doc_id = y.doc_id AND x.name < y.name
-          GROUP BY x.name, y.name),
-mw AS (SELECT max(w) AS m FROM pairs),
-e0 AS (SELECT a, b FROM pairs, mw WHERE w * 1000 >= 980 * m),
-und AS (SELECT a AS src, b AS dst FROM e0
-        UNION ALL SELECT b, a FROM e0)
-SELECT a, b,
-       CAST(CASE WHEN NOT EXISTS (
-         SELECT 1 FROM und n1 JOIN und n2 ON n1.dst = n2.dst
-         WHERE n1.src = e0.a AND n2.src = e0.b)
-       THEN 1 ELSE 0 END AS BIGINT) AS is_bridge
-FROM e0
-"""
-
-QUERIES["kg_local_bridges"] = kg_local_bridges
-ORACLE_SQL["kg_local_bridges"] = KG_LOCAL_BRIDGES_SQL
-
-
-def kg_rich_club(sf_dir: str):
-    """Rich-club profile of the flagship graph: for each degree
-    threshold k=1..8, the subgraph induced on nodes with degree > k —
-    node count, edge count, and density phi(k) = 2E/(N(N-1)) (Zhou &
-    Mondragon 2004).  Scale shape: ONE degree aggregate + one
-    edge-level min-degree join feed two tiny histograms; the 8
-    thresholds are suffix sums over those histograms on the driver
-    (bounded by max degree, not data size) — no per-k pass over the
-    edges."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import hash_join, project
-    from knowledge_graph_ray.stages.graphops import _canon_distinct
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    und = _canon_distinct(edges, "src", "dst")
-    ends = und.map_batches(
-        lambda b: pa.concat_tables([pa.table({"v": b.column("a")}),
-                                    pa.table({"v": b.column("b")})]),
-        batch_format="pyarrow",
-    )
-    deg = grouped_agg(ends, ["v"], [("d", None, "count")]).materialize()
-
-    withd = hash_join(
-        hash_join(und, project(deg, {"v": "a", "d": "da"}),
-                  on=["a"], how="inner"),
-        project(deg, {"v": "b", "d": "db"}), on=["b"], how="inner",
-    )
-
-    def min_deg(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"md": pc.min_element_wise(b.column("da"),
-                                                   b.column("db"))})
-
-    # two histograms, each bounded by max degree — tiny driver pulls
-    ehist = grouped_agg(withd.map_batches(min_deg, batch_format="pyarrow"),
-                        ["md"], [("n", None, "count")]).to_pandas()
-    dhist = grouped_agg(deg, ["d"], [("n", None, "count")]).to_pandas()
-
-    import numpy as np
-
-    ks = np.arange(1, 9, dtype=np.int64)
-    n_nodes = np.array([int(dhist.n[dhist.d > k].sum()) for k in ks])
-    n_edges = np.array([int(ehist.n[ehist.md > k].sum()) for k in ks])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phi = 2.0 * n_edges / (n_nodes * (n_nodes - 1.0))
-    phi_e9 = np.where(
-        n_nodes > 1,
-        np.where(phi >= 0, np.floor(phi * 1e9 + 0.5),
-                 np.ceil(phi * 1e9 - 0.5)),
-        0,
-    ).astype("int64")
-    return pa.table({
-        "k": pa.array(ks, type=pa.int64()),
-        "n_nodes": pa.array(n_nodes, type=pa.int64()),
-        "n_edges": pa.array(n_edges, type=pa.int64()),
-        "phi_e9": pa.array(phi_e9, type=pa.int64()),
-    })
-
-
-KG_RICH_CLUB_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-e0 AS (SELECT DISTINCT x.name AS a, y.name AS b
-       FROM present x JOIN present y
-         ON x.doc_id = y.doc_id AND x.name < y.name),
-deg AS (SELECT v, count(*) AS d FROM (
-          SELECT a AS v FROM e0 UNION ALL SELECT b FROM e0)
-        GROUP BY v),
-ks AS (SELECT CAST(gs.k AS BIGINT) AS k FROM generate_series(1, 8) gs(k)),
-nodes_k AS (SELECT ks.k, count(*) AS n_nodes
-            FROM ks JOIN deg ON deg.d > ks.k GROUP BY ks.k),
-edges_k AS (SELECT ks.k, count(*) AS n_edges
-            FROM ks JOIN e0 ON true
-            JOIN deg pa ON pa.v = e0.a
-            JOIN deg pb ON pb.v = e0.b
-            WHERE least(pa.d, pb.d) > ks.k
-            GROUP BY ks.k)
-SELECT ks.k,
-       CAST(coalesce(nk.n_nodes, 0) AS BIGINT) AS n_nodes,
-       CAST(coalesce(ek.n_edges, 0) AS BIGINT) AS n_edges,
-       CASE WHEN coalesce(nk.n_nodes, 0) > 1
-            THEN CAST(round(2.0 * coalesce(ek.n_edges, 0)
-                      / (coalesce(nk.n_nodes, 0)
-                         * (coalesce(nk.n_nodes, 0) - 1.0)) * 1e9)
-                 AS BIGINT)
-            ELSE 0 END AS phi_e9
-FROM ks LEFT JOIN nodes_k nk ON nk.k = ks.k
-        LEFT JOIN edges_k ek ON ek.k = ks.k
-ORDER BY ks.k
-"""
-
-QUERIES["kg_rich_club"] = kg_rich_club
-ORACLE_SQL["kg_rich_club"] = KG_RICH_CLUB_SQL
-
-
-def kg_degree_assortativity(sf_dir: str):
-    """Degree assortativity of the flagship graph (Newman 2002):
-    Pearson correlation of endpoint degrees over the DIRECTED edge
-    list (each undirected edge counted both ways, the standard
-    convention) — a pure composition: degree aggregate, two endpoint
-    joins, then functions/agg.grouped_corr's exact-int64
-    sufficient-statistics combiner on a constant key.  The output is
-    the single global r at e9 fixed point."""
-    from knowledge_graph_ray.functions.agg import grouped_agg, grouped_corr
-    from knowledge_graph_ray.functions.joins import hash_join, project
-    from knowledge_graph_ray.stages.graphops import _canon_distinct
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    und = _canon_distinct(edges, "src", "dst")
-    both = und.map_batches(
-        lambda b: pa.concat_tables([
-            pa.table({"s": b.column("a"), "t": b.column("b")}),
-            pa.table({"s": b.column("b"), "t": b.column("a")}),
-        ]),
-        batch_format="pyarrow",
-    )
-    ends = und.map_batches(
-        lambda b: pa.concat_tables([pa.table({"v": b.column("a")}),
-                                    pa.table({"v": b.column("b")})]),
-        batch_format="pyarrow",
-    )
-    deg = grouped_agg(ends, ["v"], [("d", None, "count")]).materialize()
-    withd = hash_join(
-        hash_join(both, project(deg, {"v": "s", "d": "dx"}),
-                  on=["s"], how="inner"),
-        project(deg, {"v": "t", "d": "dy"}), on=["t"], how="inner",
-    )
-
-    def tag(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "g": pa.array(np.ones(len(b), dtype=np.int64)),
-            "dx": b.column("dx"),
-            "dy": b.column("dy"),
-        })
-
-    import numpy as np
-
-    r = grouped_corr(withd.map_batches(tag, batch_format="pyarrow"),
-                     ["g"], "dx", "dy")
-
-    def finish(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "r_e9": scaled_int_column(b.column("r"), 1e9),
-        })
-
-    return r.map_batches(finish, batch_format="pyarrow")
-
-
-KG_DEGREE_ASSORTATIVITY_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-e0 AS (SELECT DISTINCT x.name AS a, y.name AS b
-       FROM present x JOIN present y
-         ON x.doc_id = y.doc_id AND x.name < y.name),
-deg AS (SELECT v, count(*) AS d FROM (
-          SELECT a AS v FROM e0 UNION ALL SELECT b FROM e0)
-        GROUP BY v),
-both_dir AS (SELECT a AS s, b AS t FROM e0
-             UNION ALL SELECT b, a FROM e0),
-pairs AS (SELECT pa.d AS dx, pb.d AS dy
-          FROM both_dir j
-          JOIN deg pa ON pa.v = j.s
-          JOIN deg pb ON pb.v = j.t),
-s AS (
-  SELECT CAST(count(*) AS DOUBLE) AS n,
-         CAST(sum(dx) AS DOUBLE) AS sx,
-         CAST(sum(dy) AS DOUBLE) AS sy,
-         CAST(sum(dx * dy) AS DOUBLE) AS sxy,
-         CAST(sum(dx * dx) AS DOUBLE) AS sxx,
-         CAST(sum(dy * dy) AS DOUBLE) AS syy
-  FROM pairs
-)
-SELECT CAST(round(
-         (n * sxy - sx * sy)
-         / (sqrt(n * sxx - sx * sx) * sqrt(n * syy - sy * sy)) * 1e9
-       ) AS BIGINT) AS r_e9
-FROM s
-"""
-
-QUERIES["kg_degree_assortativity"] = kg_degree_assortativity
-ORACLE_SQL["kg_degree_assortativity"] = KG_DEGREE_ASSORTATIVITY_SQL
-
-
-RAKE_STOPWORDS = ["a", "the", "of", "and", "in", "to"]
-
-
-def text_rake_keywords(sf_dir: str):
-    """RAKE keyword extraction (Rose et al. 2010) over the corpus:
-    candidate phrases are maximal stopword-free word runs; each word
-    scores deg/freq where freq counts occurrences and deg sums the
-    length of every phrase containing it; a phrase scores the sum of
-    its words' scores; emit the global top-20 phrases.
-
-    Scale shape: phrase segmentation is a stateless vectorized polars
-    pass (split + explode + cumulative stopword boundary per doc, no
-    cross-doc state); the word-stat table is vocabulary-sized and
-    broadcast back (size_adaptive_join); phrase text + score are two
-    combiner aggregates on (doc, segment); the final top-20 is
-    grouped_topk's bounded local-k merge.  EXACT-integer discipline:
-    word scores quantize to e6 once (round(1e6*deg/freq), identical
-    float tree both engines), phrase scores are int64 sums."""
-    from knowledge_graph_ray.functions.agg import (
-        distinct_rows,
-        grouped_agg,
-        grouped_string_agg,
-    )
-    from knowledge_graph_ray.functions.grouping import grouped_topk
-    from knowledge_graph_ray.functions.joins import (
-        hash_join,
-        size_adaptive_join,
-    )
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-
-    def segments(batch: pa.Table) -> pa.Table:
-        import os
-
-        os.environ.setdefault("POLARS_MAX_THREADS", "1")
-        import polars as pl
-
-        out = (
-            pl.from_arrow(batch.select(["doc_id", "text"]))
-            .with_columns(pl.col("text").fill_null("").str.split(" ")
-                          .alias("w"))
-            .drop("text")
-            .explode("w")
-            .with_columns(
-                pl.int_range(1, pl.len() + 1).over("doc_id").alias("pos"),
-                pl.col("w").is_in(RAKE_STOPWORDS).cast(pl.Int64)
-                .alias("st"),
-            )
-            .with_columns(pl.col("st").cum_sum().over("doc_id")
-                          .alias("seg"))
-            .filter((pl.col("st") == 0) & (pl.col("w") != ""))
-            .with_columns(pl.len().over(["doc_id", "seg"]).cast(pl.Int64)
-                          .alias("plen"))
-            .select(["doc_id", "seg", "pos", "w", "plen"])
-        )
-        return out.to_arrow()
-
-    words = docs.map_batches(segments,
-                             batch_format="pyarrow").materialize()
-    wstats = grouped_agg(words, ["w"],
-                         [("freq", None, "count"), ("deg", "plen", "sum")])
-
-    def score_word(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        deg = b.column("deg").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        freq = b.column("freq").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        v = 1e6 * deg / freq
-        ws = np.where(v >= 0, np.floor(v + 0.5),
-                      np.ceil(v - 0.5)).astype("int64")
-        return pa.table({"w": b.column("w"),
-                         "ws": pa.array(ws, type=pa.int64())})
-
-    wscore = wstats.map_batches(score_word, batch_format="pyarrow")
-    scored = size_adaptive_join(words, wscore, on=["w"], how="inner",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-    pscore = grouped_agg(scored, ["doc_id", "seg"],
-                         [("score_e6", "ws", "sum")])
-    ptext = grouped_string_agg(words, ["doc_id", "seg"], "w",
-                               order_cols=["pos"], sep=" ",
-                               out_col="phrase")
-    cand = distinct_rows(
-        hash_join(ptext, pscore, on=["doc_id", "seg"], how="inner")
-        .select_columns(["phrase", "score_e6"]),
-        ["phrase", "score_e6"],
-        empty_schema=pa.schema([("phrase", pa.string()),
-                                ("score_e6", pa.int64())]),
-    )
-    tagged = cand.map_batches(
-        lambda b: b.append_column(
-            "g", pa.array(np.ones(len(b), dtype=np.int64))),
-        batch_format="pyarrow",
-    )
-    top = grouped_topk(tagged, ["g"], "score_e6", 20, descending=True,
-                       tie_cols=["phrase"])
-    return top.map_batches(
-        lambda b: b.select(["rk", "phrase", "score_e6"]),
-        batch_format="pyarrow",
-    )
-
-
-TEXT_RAKE_KEYWORDS_SQL = """
-WITH split AS (
-  SELECT doc_id, string_split(text, ' ') AS l FROM documents
-),
-toks AS (
-  SELECT doc_id, CAST(unnest(range(1, len(l) + 1)) AS BIGINT) AS pos,
-         unnest(l) AS w
-  FROM split
-),
-marked AS (
-  SELECT doc_id, pos, w,
-         CASE WHEN w IN ('a', 'the', 'of', 'and', 'in', 'to')
-              THEN 1 ELSE 0 END AS st
-  FROM toks
-),
-seg AS (
-  SELECT doc_id, pos, w, st,
-         sum(st) OVER (PARTITION BY doc_id ORDER BY pos) AS seg
-  FROM marked
-),
-pw AS (SELECT doc_id, seg, pos, w FROM seg WHERE st = 0 AND w <> ''),
-plen AS (SELECT doc_id, seg, CAST(count(*) AS BIGINT) AS plen
-         FROM pw GROUP BY doc_id, seg),
-pwl AS (SELECT pw.doc_id, pw.seg, pw.pos, pw.w, plen.plen
-        FROM pw JOIN plen USING (doc_id, seg)),
-wstats AS (SELECT w, count(*) AS freq, sum(plen) AS deg
-           FROM pwl GROUP BY w),
-wscore AS (SELECT w, CAST(round(1e6 * deg / freq) AS BIGINT) AS ws
-           FROM wstats),
-pscore AS (SELECT doc_id, seg, CAST(sum(ws) AS BIGINT) AS score_e6
-           FROM pwl JOIN wscore USING (w) GROUP BY doc_id, seg),
-ptext AS (SELECT doc_id, seg, string_agg(w, ' ' ORDER BY pos) AS phrase
-          FROM pw GROUP BY doc_id, seg),
-cand AS (SELECT DISTINCT phrase, score_e6
-         FROM ptext JOIN pscore USING (doc_id, seg))
-SELECT CAST(row_number() OVER (ORDER BY score_e6 DESC, phrase)
-       AS BIGINT) AS rk, phrase, score_e6
-FROM cand ORDER BY score_e6 DESC, phrase LIMIT 20
-"""
-
-QUERIES["text_rake_keywords"] = text_rake_keywords
-ORACLE_SQL["text_rake_keywords"] = TEXT_RAKE_KEYWORDS_SQL
-
-
-def events_association_rules(sf_dir: str):
-    """Association rules over per-user event-type baskets: for every
-    ordered type pair A -> B, support counts users with both, conf =
-    supp(AB)/supp(A), lift = n_users * supp(AB) / (supp(A) * supp(B))
-    (Agrawal & Srikant 1994) — the market-basket primitive behind
-    behavioral cohort mining.  Scale shape: one distinct_rows combiner
-    to (user, type); the per-user type set is vocabulary-bounded so the
-    in-batch pair expansion is |types|^2-bounded per user; pair counts
-    and the three scalar supports merge in grouped_agg combiners; the
-    conf/lift ratios are exact-integer operands in one fixed float
-    tree (e6 rounding absorbs nothing — operands identical on both
-    engines)."""
-    from knowledge_graph_ray.functions.agg import distinct_rows, grouped_agg
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-    from knowledge_graph_ray.functions.joins import hash_join, project
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["user_id", "event_type"])
-    ut = distinct_rows(
-        events, ["user_id", "event_type"],
-        empty_schema=pa.schema([("user_id", pa.int64()),
-                                ("event_type", pa.string())]),
-    ).materialize()
-    n_users = grouped_agg(
-        ut.select_columns(["user_id"]), ["user_id"],
-        [("__n", None, "count")],
-    ).count()
-    supp = grouped_agg(ut, ["event_type"],
-                       [("s", None, "count")]).materialize()
-
-    def pair_body(g: pd.DataFrame) -> pa.Table:
-        # per user: all ordered pairs of its distinct types (A != B);
-        # vocabulary-bounded fanout, vectorized via a merge on user
-        m = g.merge(g, on="user_id")
-        m = m[m.event_type_x != m.event_type_y]
-        return pa.Table.from_pandas(
-            m.rename(columns={"event_type_x": "a", "event_type_y": "b"})
-            [["a", "b"]], preserve_index=False)
-
-    pairs = bucketed_bucket_map(
-        ut, ["user_id"], pair_body, num_buckets=16,
-        empty_schema=pa.schema([("a", pa.string()), ("b", pa.string())]),
-    )
-    ab = grouped_agg(pairs, ["a", "b"], [("s_ab", None, "count")])
-    withs = hash_join(
-        hash_join(ab, project(supp, {"event_type": "a", "s": "s_a"}),
-                  on=["a"], how="inner"),
-        project(supp, {"event_type": "b", "s": "s_b"}),
-        on=["b"], how="inner",
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        s_ab = b.column("s_ab").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        s_a = b.column("s_a").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        s_b = b.column("s_b").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        conf = 1e6 * s_ab / s_a
-        lift = 1e6 * (n_users * s_ab) / (s_a * s_b)
-        r6 = lambda v: np.where(v >= 0, np.floor(v + 0.5),
-                                np.ceil(v - 0.5)).astype("int64")
-        return pa.table({
-            "a": b.column("a"), "b": b.column("b"),
-            "s_ab": b.column("s_ab"),
-            "conf_e6": pa.array(r6(conf), type=pa.int64()),
-            "lift_e6": pa.array(r6(lift), type=pa.int64()),
-        })
-
-    return withs.map_batches(finish, batch_format="pyarrow")
-
-
-EVENTS_ASSOCIATION_RULES_SQL = """
-WITH ut AS (SELECT DISTINCT user_id, event_type FROM events),
-nu AS (SELECT count(DISTINCT user_id) AS n FROM ut),
-supp AS (SELECT event_type, count(*) AS s FROM ut GROUP BY event_type),
-ab AS (
-  SELECT x.event_type AS a, y.event_type AS b, count(*) AS s_ab
-  FROM ut x JOIN ut y
-    ON x.user_id = y.user_id AND x.event_type <> y.event_type
-  GROUP BY x.event_type, y.event_type
-)
-SELECT ab.a, ab.b, CAST(ab.s_ab AS BIGINT) AS s_ab,
-       CAST(round(1e6 * ab.s_ab / sa.s) AS BIGINT) AS conf_e6,
-       CAST(round(1e6 * ((SELECT n FROM nu) * ab.s_ab)
-                  / (sa.s * sb.s)) AS BIGINT) AS lift_e6
-FROM ab JOIN supp sa ON sa.event_type = ab.a
-        JOIN supp sb ON sb.event_type = ab.b
-"""
-
-QUERIES["events_association_rules"] = events_association_rules
-ORACLE_SQL["events_association_rules"] = EVENTS_ASSOCIATION_RULES_SQL
-
-
-def embeddings_centroid_distances(sf_dir: str):
-    """Cluster-separation map: pairwise squared distances between the
-    label centroids (upper triangle, label_a < label_b), in EXACT e6
-    fixed-point integers — with embeddings_silhouette this gives the
-    full cluster-quality report.  The heavy lifting is the one
-    vector_centroids combiner pass; the (labels x labels) matrix is
-    codebook-sized driver math."""
-    from knowledge_graph_ray.stages.similarity import vector_centroids
-
-    import numpy as np
-
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["label", "embedding"])
-    cents = vector_centroids(emb, "label", "embedding").to_pandas()
-    cents = cents.sort_values("label").reset_index(drop=True)
-    labels = np.asarray(cents["label"], dtype=np.int64)
-    cm = np.stack([np.asarray(v, dtype=np.float64)
-                   for v in cents["centroid"]])
-    q = np.where(cm >= 0, np.floor(cm * 1e6 + 0.5),
-                 np.ceil(cm * 1e6 - 0.5)).astype("int64")
-    n = len(labels)
-    ia, ib = np.triu_indices(n, k=1)
-    diff = q[ia] - q[ib]
-    d2 = np.einsum("pd,pd->p", diff, diff)
-    return pa.table({
-        "label_a": pa.array(labels[ia], type=pa.int64()),
-        "label_b": pa.array(labels[ib], type=pa.int64()),
-        "d2_e12": pa.array(d2, type=pa.int64()),
-    })
-
-
-EMBEDDINGS_CENTROID_DISTANCES_SQL = """
-WITH cents AS (
-  SELECT label, gs.i AS i,
-         CAST(round(avg(embedding[gs.i]) * 1e6) AS BIGINT) AS c
-  FROM embeddings, generate_series(1, 64) gs(i)
-  GROUP BY label, gs.i
-)
-SELECT CAST(a.label AS BIGINT) AS label_a,
-       CAST(b.label AS BIGINT) AS label_b,
-       CAST(sum((a.c - b.c) * (a.c - b.c)) AS BIGINT) AS d2_e12
-FROM cents a JOIN cents b ON a.i = b.i AND a.label < b.label
-GROUP BY a.label, b.label
-"""
-
-QUERIES["embeddings_centroid_distances"] = embeddings_centroid_distances
-ORACLE_SQL["embeddings_centroid_distances"] = EMBEDDINGS_CENTROID_DISTANCES_SQL
-
-
-def documents_vocab_growth(sf_dir: str):
-    """Heaps'-law vocabulary growth curve: cumulative distinct word
-    count after each decile of the corpus in doc_id order — the
-    "how fast does new vocabulary appear" diagnostic for corpus
-    mixing.  Scale shape: a word's first-appearance doc is ONE
-    grouped_agg min (no ordered scan); deciles are integer doc_id
-    thresholds against the max; the cumulative curve is a 10-row
-    driver suffix sum over the decile histogram."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    import numpy as np
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-
-    def explode(batch: pa.Table) -> pa.Table:
-        import os
-
-        os.environ.setdefault("POLARS_MAX_THREADS", "1")
-        import polars as pl
-
-        out = (
-            pl.from_arrow(batch.select(["doc_id", "text"]))
-            .with_columns(pl.col("text").fill_null("").str.split(" ")
-                          .alias("w"))
-            .drop("text")
-            .explode("w")
-            .filter(pl.col("w") != "")
-            .unique()
-        )
-        return out.to_arrow()
-
-    words = docs.map_batches(explode, batch_format="pyarrow")
-    first = grouped_agg(words, ["w"], [("first_doc", "doc_id", "min")])
-    mx = grouped_agg(
-        docs.map_batches(
-            lambda b: pa.table({
-                "g": pa.array(np.ones(len(b), dtype=np.int64)),
-                "doc_id": b.column("doc_id"),
-            }),
-            batch_format="pyarrow",
-        ),
-        ["g"], [("m", "doc_id", "max")],
-    ).take(1)[0]["m"]
-
-    def bucket(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        fd = b.column("first_doc").to_numpy(zero_copy_only=False)
-        dec = (10 * fd) // (int(mx) + 1)
-        return pa.table({"decile": pa.array(dec.astype("int64"))})
-
-    hist = grouped_agg(
-        first.map_batches(bucket, batch_format="pyarrow"),
-        ["decile"], [("n_new", None, "count")],
-    ).to_pandas().set_index("decile")["n_new"]
-    deciles = np.arange(10, dtype=np.int64)
-    n_new = np.array([int(hist.get(d, 0)) for d in deciles])
-    return pa.table({
-        "decile": pa.array(deciles, type=pa.int64()),
-        "n_new": pa.array(n_new, type=pa.int64()),
-        "vocab_cum": pa.array(np.cumsum(n_new), type=pa.int64()),
-    })
-
-
-DOCUMENTS_VOCAB_GROWTH_SQL = """
-WITH w AS (
-  SELECT unnest(string_split(text, ' ')) AS w, doc_id FROM documents
-),
-first AS (
-  SELECT w, min(doc_id) AS first_doc FROM w WHERE w <> '' GROUP BY w
-),
-mx AS (SELECT max(doc_id) AS m FROM documents),
-hist AS (
-  SELECT (10 * first_doc) // ((SELECT m FROM mx) + 1) AS decile,
-         count(*) AS n_new
-  FROM first GROUP BY 1
-),
-ks AS (SELECT CAST(gs.d AS BIGINT) AS decile
-       FROM generate_series(0, 9) gs(d))
-SELECT ks.decile, CAST(coalesce(h.n_new, 0) AS BIGINT) AS n_new,
-       CAST(sum(coalesce(h.n_new, 0))
-            OVER (ORDER BY ks.decile) AS BIGINT) AS vocab_cum
-FROM ks LEFT JOIN hist h ON h.decile = ks.decile
-ORDER BY ks.decile
-"""
-
-QUERIES["documents_vocab_growth"] = documents_vocab_growth
-ORACLE_SQL["documents_vocab_growth"] = DOCUMENTS_VOCAB_GROWTH_SQL
-
-
-def events_ks_statistic(sf_dir: str):
-    """Two-sample Kolmogorov-Smirnov distance between the click and
-    purchase value distributions, EXACT: per-cents histograms merge in
-    one grouped_agg combiner (the value domain, not the row count,
-    bounds the state); the sup over |ECDF_a - ECDF_b| runs on the
-    cross-multiplied INTEGER form |cum_a*N_b - cum_b*N_a| so there is
-    no float accumulation anywhere — the only float op is the final
-    e9-scaled ratio over identical exact operands.  The domain-bounded
-    cumulative pass is a driver suffix scan over <= ~50k distinct
-    cents (documented bound, same contract as the histogram family)."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    import numpy as np
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        b = batch.filter(pc.is_in(
-            batch.column("event_type"),
-            value_set=pa.array(["click", "purchase"])))
-        cents = pc.cast(pc.round(pc.multiply(
-            b.column("value").cast(pa.float64()), 100.0)), pa.int64())
-        is_a = pc.cast(pc.equal(b.column("event_type"), "click"),
-                       pa.int64())
-        is_b = pc.cast(pc.equal(b.column("event_type"), "purchase"),
-                       pa.int64())
-        return pa.table({"cents": cents, "ia": is_a, "ib": is_b})
-
-    hist = grouped_agg(
-        events.map_batches(prep, batch_format="pyarrow"),
-        ["cents"], [("na", "ia", "sum"), ("nb", "ib", "sum")],
-    ).to_pandas().sort_values("cents")  # value-domain-bounded
-    na = hist["na"].to_numpy()
-    nb = hist["nb"].to_numpy()
-    ta, tb = int(na.sum()), int(nb.sum())
-    ca, cb = np.cumsum(na), np.cumsum(nb)
-    d = np.abs(ca * tb - cb * ta)
-    m = int(d.max()) if len(d) else 0
-    v = 1e9 * m / (ta * tb) if ta and tb else 0.0
-    ks_e9 = int(np.floor(v + 0.5))
-    return pa.table({
-        "n_a": pa.array([ta], type=pa.int64()),
-        "n_b": pa.array([tb], type=pa.int64()),
-        "d_num": pa.array([m], type=pa.int64()),
-        "ks_e9": pa.array([ks_e9], type=pa.int64()),
-    })
-
-
-EVENTS_KS_STATISTIC_SQL = """
-WITH v AS (
-  SELECT CAST(round(value * 100) AS BIGINT) AS cents, event_type
-  FROM events WHERE event_type IN ('click', 'purchase')
-),
-h AS (
-  SELECT cents,
-         sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END) AS na,
-         sum(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) AS nb
-  FROM v GROUP BY cents
-),
-tot AS (SELECT CAST(sum(na) AS BIGINT) AS ta,
-               CAST(sum(nb) AS BIGINT) AS tb FROM h),
-c AS (
-  SELECT CAST(sum(na) OVER (ORDER BY cents) AS BIGINT) AS ca,
-         CAST(sum(nb) OVER (ORDER BY cents) AS BIGINT) AS cb
-  FROM h
-)
-SELECT ta AS n_a, tb AS n_b,
-       CAST(max(abs(ca * tb - cb * ta)) AS BIGINT) AS d_num,
-       CAST(round(1e9 * max(abs(ca * tb - cb * ta)) / (ta * tb))
-            AS BIGINT) AS ks_e9
-FROM c, tot GROUP BY ta, tb
-"""
-
-QUERIES["events_ks_statistic"] = events_ks_statistic
-ORACLE_SQL["events_ks_statistic"] = EVENTS_KS_STATISTIC_SQL
-
-
-def kg_triangles_doulion(sf_dir: str):
-    """DOULION (Tsourakakis et al. 2009): triangle counting on a
-    consistently p=1/4 edge-sampled subgraph, estimate = count/p^3 —
-    the sparsifier that makes trillion-edge triangle counts tractable.
-    Cross-engine determinism: the sample keeps edges whose
-    md5(a|b) hex digest starts with 0-3 (the consistent-hash sampling
-    discipline of documents_consistent_sample), so BOTH engines see
-    the identical subgraph and the estimate is exactly reproducible —
-    the oracle verifies the sampled count, not a probability bound.
-    Triangle core: stages/graphops._closed_triangles (degree-ordered
-    wedges), proven at 2M edges."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.graphops import (
-        _canon_distinct,
-        _closed_triangles,
-    )
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    und = _canon_distinct(edges, "src", "dst")
-
-    def sample(b: pa.Table) -> pa.Table:
-        import hashlib
-
-        a = b.column("a").to_pylist()
-        c = b.column("b").to_pylist()
-        keep = [hashlib.md5(f"{x}|{y}".encode()).hexdigest()[0]
-                in "0123" for x, y in zip(a, c)]
-        return b.filter(pa.array(keep))
-
-    sampled = und.map_batches(sample, batch_format="pyarrow").materialize()
-    tri = _closed_triangles(sampled).count()
-    return pa.table({
-        "n_edges": pa.array([und.count()], type=pa.int64()),
-        "n_sampled": pa.array([sampled.count()], type=pa.int64()),
-        "tri_sampled": pa.array([tri], type=pa.int64()),
-        "tri_est": pa.array([tri * 64], type=pa.int64()),
-    })
-
-
-KG_TRIANGLES_DOULION_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-e0 AS (SELECT DISTINCT x.name AS a, y.name AS b
-       FROM present x JOIN present y
-         ON x.doc_id = y.doc_id AND x.name < y.name),
-s AS (SELECT a, b FROM e0
-      WHERE substr(md5(a || '|' || b), 1, 1) IN ('0', '1', '2', '3')),
-tri AS (
-  SELECT count(*) AS t
-  FROM s e1 JOIN s e2 ON e2.a = e1.b
-  JOIN s e3 ON e3.a = e1.a AND e3.b = e2.b
-)
-SELECT CAST((SELECT count(*) FROM e0) AS BIGINT) AS n_edges,
-       CAST((SELECT count(*) FROM s) AS BIGINT) AS n_sampled,
-       CAST(t AS BIGINT) AS tri_sampled,
-       CAST(t * 64 AS BIGINT) AS tri_est
-FROM tri
-"""
-
-QUERIES["kg_triangles_doulion"] = kg_triangles_doulion
-ORACLE_SQL["kg_triangles_doulion"] = KG_TRIANGLES_DOULION_SQL
-
-
-def events_anova_f(sf_dir: str):
-    """One-way ANOVA F statistic of event value (cents) across the
-    five event types — the k-group generalization of the Welch A/B
-    gate.  Sufficient statistics (n, Σx, Σx² per type) accumulate as
-    exact int64 in the grouped_agg combiner; the between/within sum-of-
-    squares terms quantize to e2 fixed point PER GROUP (identical
-    float tree both engines, then integer sums — no float summation
-    order anywhere); F itself is one final float expression over the
-    two integer SS totals.  Output: one row (n, k, ssb_e2, ssw_e2,
-    f_e6)."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    import numpy as np
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cents = pc.cast(pc.round(pc.multiply(
-            batch.column("value").cast(pa.float64()), 100.0)), pa.int64())
-        return pa.table({
-            "event_type": batch.column("event_type"),
-            "x": cents,
-            "xx": pc.multiply(cents, cents),
-        })
-
-    stats = grouped_agg(
-        events.map_batches(prep, batch_format="pyarrow"),
-        ["event_type"],
-        [("n", None, "count"), ("s", "x", "sum"), ("q", "xx", "sum")],
-    ).to_pandas()  # k rows, one per type
-
-    n = stats["n"].to_numpy().astype(np.float64)
-    s = stats["s"].to_numpy().astype(np.float64)
-    q = stats["q"].to_numpy().astype(np.float64)
-    r2 = lambda v: np.where(v >= 0, np.floor(v + 0.5),
-                            np.ceil(v - 0.5)).astype("int64")
-    # per-group e2 quantization BEFORE the cross-group sum keeps the
-    # totals integer (DuckDB's group-sum order can then never matter)
-    t_g = r2(1e2 * (s * s / n))
-    w_g = r2(1e2 * (q - s * s / n))
-    N = int(n.sum())
-    k = len(stats)
-    S = float(s.sum())
-    ssb_e2 = int(t_g.sum()) - int(np.floor(1e2 * (S * S / N) + 0.5))
-    ssw_e2 = int(w_g.sum())
-    f_e6 = int(np.floor(
-        1e6 * (ssb_e2 * (N - k)) / (ssw_e2 * (k - 1)) + 0.5)) \
-        if ssw_e2 > 0 and k > 1 else 0
-    return pa.table({
-        "n": pa.array([N], type=pa.int64()),
-        "k": pa.array([k], type=pa.int64()),
-        "ssb_e2": pa.array([ssb_e2], type=pa.int64()),
-        "ssw_e2": pa.array([ssw_e2], type=pa.int64()),
-        "f_e6": pa.array([f_e6], type=pa.int64()),
-    })
-
-
-EVENTS_ANOVA_F_SQL = """
-WITH v AS (
-  SELECT event_type, CAST(round(value * 100) AS BIGINT) AS x
-  FROM events
-),
-g AS (
-  SELECT event_type,
-         CAST(count(*) AS DOUBLE) AS n,
-         CAST(sum(x) AS DOUBLE) AS s,
-         CAST(sum(x * x) AS DOUBLE) AS q
-  FROM v GROUP BY event_type
-),
-terms AS (
-  SELECT n, s,
-         CAST(round(1e2 * (s * s / n)) AS BIGINT) AS t_g,
-         CAST(round(1e2 * (q - s * s / n)) AS BIGINT) AS w_g
-  FROM g
-),
-tot AS (
-  SELECT CAST(sum(n) AS BIGINT) AS nn,
-         CAST(count(*) AS BIGINT) AS k,
-         sum(s) AS ss,
-         CAST(sum(t_g) AS BIGINT) AS sum_t,
-         CAST(sum(w_g) AS BIGINT) AS ssw_e2
-  FROM terms
-)
-SELECT nn AS n, k,
-       CAST(sum_t - round(1e2 * (ss * ss / nn)) AS BIGINT) AS ssb_e2,
-       ssw_e2,
-       CAST(CASE WHEN ssw_e2 > 0 AND k > 1
-            THEN round(1e6 * ((sum_t - round(1e2 * (ss * ss / nn)))
-                              * (nn - k)) / (ssw_e2 * (k - 1)))
-            ELSE 0 END AS BIGINT) AS f_e6
-FROM tot
-"""
-
-QUERIES["events_anova_f"] = events_anova_f
-ORACLE_SQL["events_anova_f"] = EVENTS_ANOVA_F_SQL
-
-
-def events_runs_test(sf_dir: str):
-    """Wald-Wolfowitz runs screen per event type: mark each event
-    above/below its type's exact median value, order each (user, type)
-    stream by time, and count sign CHANGES — the sequence-randomness
-    diagnostic (alternating = negative autocorrelation, long runs =
-    drift).  Composition of three existing operators: exact
-    grouped_quantiles median (distinct-value shuffle), a broadcast
-    median join, and window_lag on the composite (user|type) partition
-    — all counts exact int64."""
-    import ray
-
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.ranking import window_lag
-    from knowledge_graph_ray.stages.sketches import grouped_quantiles
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type", "value"],
-    )
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cents = pc.cast(pc.round(pc.multiply(
-            batch.column("value").cast(pa.float64()), 100.0)), pa.int64())
-        ts_s = pc.divide(batch.column("ts").cast(pa.int64()), 1_000_000)
-        return pa.table({
-            "event_id": batch.column("event_id"),
-            "user_id": batch.column("user_id"),
-            "ts_s": ts_s.cast(pa.int64()),
-            "event_type": batch.column("event_type"),
-            "x": cents,
-        })
-
-    prepped = events.map_batches(prep,
-                                 batch_format="pyarrow").materialize()
-    med = grouped_quantiles(prepped.select_columns(["event_type", "x"]),
-                            "event_type", "x", [0.5]).to_pandas()
-    med_ref = ray.put(dict(zip(med["event_type"], med["x"])))
-
-    def mark(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        m = ray.get(med_ref)
-        types = b.column("event_type").to_pandas()
-        thresh = types.map(m).to_numpy().astype(np.int64)
-        x = b.column("x").to_numpy(zero_copy_only=False)
-        ab = (x > thresh).astype("int64")
-        key = (types + "|" + b.column("user_id").to_pandas().astype(str))
-        return pa.table({
-            "key": pa.array(key, type=pa.string()),
-            "event_type": b.column("event_type"),
-            "ts_s": b.column("ts_s"),
-            "event_id": b.column("event_id"),
-            "ab": pa.array(ab, type=pa.int64()),
-        })
-
-    marked = prepped.map_batches(mark, batch_format="pyarrow")
-    lagged = window_lag(marked, key="key",
-                        order_cols=["ts_s", "event_id"],
-                        value_col="ab", out_col="prev",
-                        driver_threshold=500_000,
-                        size_hint=prepped.count())
-
-    def change(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        prev = b.column("prev")
-        chg = pc.cast(pc.and_kleene(
-            pc.is_valid(prev),
-            pc.not_equal(prev, b.column("ab"))), pa.int64())
-        # window_lag carries only key/order/value columns — the type
-        # is the composite key's prefix
-        etype = pc.list_element(
-            pc.split_pattern(b.column("key"), "|", max_splits=1), 0)
-        return pa.table({
-            "event_type": etype,
-            "ab": b.column("ab"),
-            "chg": pc.fill_null(chg, 0),
-        })
-
-    return grouped_agg(
-        lagged.map_batches(change, batch_format="pyarrow"),
-        ["event_type"],
-        [("n", None, "count"), ("n_above", "ab", "sum"),
-         ("n_changes", "chg", "sum")],
-    )
-
-
-EVENTS_RUNS_TEST_SQL = """
-WITH e AS (
-  SELECT event_id, user_id, event_type,
-         CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-         CAST(round(value * 100) AS BIGINT) AS x
-  FROM events
-),
-med AS (SELECT event_type, quantile_disc(x, 0.5) AS m
-        FROM e GROUP BY event_type),
-ind AS (
-  SELECT e.event_type, e.user_id, e.ts_s, e.event_id,
-         CASE WHEN e.x > med.m THEN 1 ELSE 0 END AS ab
-  FROM e JOIN med USING (event_type)
-),
-lg AS (
-  SELECT event_type, ab,
-         lag(ab) OVER (PARTITION BY user_id, event_type
-                       ORDER BY ts_s, event_id) AS prev
-  FROM ind
-)
-SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(ab) AS BIGINT) AS n_above,
-       CAST(sum(CASE WHEN prev IS NOT NULL AND prev <> ab
-                THEN 1 ELSE 0 END) AS BIGINT) AS n_changes
-FROM lg GROUP BY event_type
-"""
-
-QUERIES["events_runs_test"] = events_runs_test
-ORACLE_SQL["events_runs_test"] = EVENTS_RUNS_TEST_SQL
-
-
-def events_cusum_drift(sf_dir: str):
-    """CUSUM change-point statistic per event type (Page 1954): daily
-    mean deviations from the type's overall mean, quantized to e4
-    integers (identical float tree both engines), then the one-sided
-    CUSUM recursion C_k = max(0, C_{k-1} + d_k) — evaluated in closed
-    form as C_k = P_k - min_{j<=k} P_j over the prefix sums, so the
-    scan is a vectorized cumsum + running-min over the day-bounded
-    series, not a Python loop.  The oracle runs the literal recursion
-    in a recursive CTE.  Scale shape: the heavy pass is the (type,
-    day) combiner aggregate; the scan state is bounded by types x
-    days, never by row count."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    import numpy as np
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cents = pc.cast(pc.round(pc.multiply(
-            batch.column("value").cast(pa.float64()), 100.0)), pa.int64())
-        day = pc.cast(
-            pc.divide(pc.divide(batch.column("ts").cast(pa.int64()),
-                                1_000_000), 86_400), pa.int64())
-        return pa.table({"event_type": batch.column("event_type"),
-                         "day": day, "x": cents})
-
-    daily = grouped_agg(
-        events.map_batches(prep, batch_format="pyarrow"),
-        ["event_type", "day"],
-        [("n", None, "count"), ("s", "x", "sum")],
-    ).to_pandas()  # types x days, bounded
-
-    rows = []
-    for etype, g in daily.groupby("event_type", sort=True):
-        g = g.sort_values("day")
-        s = g["s"].to_numpy().astype(np.float64)
-        n = g["n"].to_numpy().astype(np.float64)
-        S, N = float(s.sum()), float(n.sum())
-        v = 1e4 * (s / n - S / N)
-        dev = np.where(v >= 0, np.floor(v + 0.5),
-                       np.ceil(v - 0.5)).astype("int64")
-        p = np.cumsum(dev)
-        # min over j<=k INCLUDES P_k itself (with P_0 = 0 via the outer
-        # min) — exactly C_k = max(0, C_{k-1}+d_k) unrolled
-        c = p - np.minimum(np.minimum.accumulate(p), 0)
-        rows.append({"event_type": etype,
-                     "cusum_max_e4": int(c.max()) if len(c) else 0,
-                     "n_days": len(g)})
-    out = pd.DataFrame(rows)
-    return pa.table({
-        "event_type": pa.array(out["event_type"], type=pa.string()),
-        "cusum_max_e4": pa.array(out["cusum_max_e4"], type=pa.int64()),
-        "n_days": pa.array(out["n_days"], type=pa.int64()),
-    })
-
-
-EVENTS_CUSUM_DRIFT_SQL = """
-WITH RECURSIVE e AS (
-  SELECT event_type,
-         CAST(floor(epoch(ts)) AS BIGINT) // 86400 AS day,
-         CAST(round(value * 100) AS BIGINT) AS x
-  FROM events
-),
-daily AS (
-  SELECT event_type, day, count(*) AS n, sum(x) AS s
-  FROM e GROUP BY event_type, day
-),
-tot AS (SELECT event_type, sum(s) AS ss, sum(n) AS nn
-        FROM daily GROUP BY event_type),
-dev AS (
-  SELECT d.event_type,
-         CAST(row_number() OVER (PARTITION BY d.event_type
-                                 ORDER BY d.day) AS BIGINT) AS rn,
-         CAST(round(1e4 * (CAST(d.s AS DOUBLE) / d.n
-                           - CAST(t.ss AS DOUBLE) / t.nn))
-              AS BIGINT) AS dv
-  FROM daily d JOIN tot t USING (event_type)
-),
-rec AS (
-  SELECT event_type, rn, greatest(0, dv) AS c FROM dev WHERE rn = 1
-  UNION ALL
-  SELECT d.event_type, d.rn, greatest(0, r.c + d.dv)
-  FROM rec r JOIN dev d
-    ON d.event_type = r.event_type AND d.rn = r.rn + 1
-)
-SELECT event_type, CAST(max(c) AS BIGINT) AS cusum_max_e4,
-       CAST(max(rn) AS BIGINT) AS n_days
-FROM rec GROUP BY event_type
-"""
-
-QUERIES["events_cusum_drift"] = events_cusum_drift
-ORACLE_SQL["events_cusum_drift"] = EVENTS_CUSUM_DRIFT_SQL
-
-
-def tpch_cohort_ltv(sf_dir: str):
-    """Cohort lifetime-value triangle: customers cohorted by first-
-    order year, revenue accumulated by years-since-first-order — the
-    (cohort, age) LTV matrix every growth team maintains.  Scale
-    shape: first-order year is one grouped_agg min on the customer
-    key; the cohort tag is a size-adaptive join (broadcast while the
-    customer dimension fits); revenue cells merge in the combiner;
-    the cumulative pass runs on the years x years cell table, bounded
-    by the calendar, not the data."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.joins import size_adaptive_join
-
-    import numpy as np
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderdate", "o_totalprice"],
-    )
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        yr = pc.year(batch.column("o_orderdate")).cast(pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            batch.column("o_totalprice").cast(pa.float64()), 100.0)),
-            pa.int64())
-        return pa.table({"o_custkey": batch.column("o_custkey"),
-                         "yr": yr, "cents": cents})
-
-    prepped = orders.map_batches(prep,
-                                 batch_format="pyarrow").materialize()
-    first = grouped_agg(prepped.select_columns(["o_custkey", "yr"]),
-                        ["o_custkey"], [("cohort", "yr", "min")])
-    tagged = size_adaptive_join(prepped, first.materialize(),
-                                on=["o_custkey"], how="inner",
-                                broadcast_max=BROADCAST_KEYS_MAX)
-
-    def age(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "cohort": b.column("cohort"),
-            "age": pc.subtract(b.column("yr"), b.column("cohort")),
-            "cents": b.column("cents"),
-        })
-
-    cells = grouped_agg(
-        tagged.map_batches(age, batch_format="pyarrow"),
-        ["cohort", "age"], [("revenue_cents", "cents", "sum")],
-    ).to_pandas()  # calendar-bounded
-    cells = cells.sort_values(["cohort", "age"]).reset_index(drop=True)
-    cells["cum_revenue_cents"] = cells.groupby("cohort")[
-        "revenue_cents"].cumsum()
-    return pa.table({
-        "cohort": pa.array(cells["cohort"], type=pa.int64()),
-        "age": pa.array(cells["age"], type=pa.int64()),
-        "revenue_cents": pa.array(cells["revenue_cents"],
-                                  type=pa.int64()),
-        "cum_revenue_cents": pa.array(cells["cum_revenue_cents"],
-                                      type=pa.int64()),
-    })
-
-
-TPCH_COHORT_LTV_SQL = """
-WITH o AS (
-  SELECT o_custkey, CAST(year(o_orderdate) AS BIGINT) AS yr,
-         CAST(round(o_totalprice * 100) AS BIGINT) AS cents
-  FROM orders
-),
-first AS (SELECT o_custkey, min(yr) AS cohort FROM o GROUP BY o_custkey),
-cells AS (
-  SELECT f.cohort, o.yr - f.cohort AS age, sum(o.cents) AS revenue_cents
-  FROM o JOIN first f USING (o_custkey)
-  GROUP BY f.cohort, o.yr - f.cohort
-)
-SELECT cohort, age, CAST(revenue_cents AS BIGINT) AS revenue_cents,
-       CAST(sum(revenue_cents) OVER (PARTITION BY cohort ORDER BY age)
-            AS BIGINT) AS cum_revenue_cents
-FROM cells
-"""
-
-QUERIES["tpch_cohort_ltv"] = tpch_cohort_ltv
-ORACLE_SQL["tpch_cohort_ltv"] = TPCH_COHORT_LTV_SQL
-
-
-def kg_hash_walks(sf_dir: str):
-    """Deterministic graph walks (node2vec's sampling shape made
-    cross-engine-reproducible): from every flagship node, 6 steps,
-    each step moving to the neighbour minimizing
-    md5(cur|step|neighbour) — consistent hashing replaces RNG so BOTH
-    engines trace the identical walk (the documents_consistent_sample
-    discipline applied to walk sampling).  Scale shape: the walk state
-    is (start, cur) pairs, one row per walk; each step is one
-    size-adaptive join against the edge set plus a grouped_topk
-    (k=1) min-hash selection — walks x steps, edges never move."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.functions.grouping import grouped_topk
-    from knowledge_graph_ray.stages.graphops import _canon_distinct
-
-    edges = grouped_agg(
-        _presence_pairs(sf_dir, vocab=FLAGSHIP_GAZETTEER),
-        ["src", "dst"], [("weight", None, "count")],
-    )
-    und_c = _canon_distinct(edges, "src", "dst")
-    und = und_c.map_batches(
-        lambda b: pa.concat_tables([
-            pa.table({"src": b.column("a"), "dst": b.column("b")}),
-            pa.table({"src": b.column("b"), "dst": b.column("a")}),
-        ]),
-        batch_format="pyarrow",
-    ).materialize()
-
-    from knowledge_graph_ray.functions.joins import size_adaptive_join
-
-    state = grouped_agg(
-        und.select_columns(["src"]), ["src"], [("__n", None, "count")],
-    ).map_batches(
-        lambda b: pa.table({"start": b.column("src"),
-                            "cur": b.column("src")}),
-        batch_format="pyarrow",
-    ).materialize()
-    out_parts = [state.map_batches(
-        lambda b: pa.table({"start": b.column("start"),
-                            "step": pa.array(
-                                np.zeros(len(b), dtype=np.int64)),
-                            "node": b.column("cur")}),
-        batch_format="pyarrow",
-    )]
-    from knowledge_graph_ray.functions.joins import project
-
-    for step in range(1, 7):
-        hop = size_adaptive_join(
-            und, project(state, {"start": "start", "cur": "src"})
-            .materialize(),
-            on=["src"], how="inner",
-            broadcast_max=BROADCAST_KEYS_MAX)
-
-        def digest(b: pa.Table, st=step) -> pa.Table:
-            import hashlib
-
-            cur = b.column("src").to_pylist()
-            nb = b.column("dst").to_pylist()
-            h = [hashlib.md5(f"{c}|{st}|{n}".encode()).hexdigest()
-                 for c, n in zip(cur, nb)]
-            return pa.table({"start": b.column("start"),
-                             "nb": b.column("dst"),
-                             "h": pa.array(h, type=pa.string())})
-
-        picks = grouped_topk(
-            hop.map_batches(digest, batch_format="pyarrow"),
-            ["start"], "h", 1, descending=False, tie_cols=["nb"],
-        )
-        state = picks.map_batches(
-            lambda b: pa.table({"start": b.column("start"),
-                                "cur": b.column("nb")}),
-            batch_format="pyarrow",
-        ).materialize()
-        out_parts.append(state.map_batches(
-            lambda b, st=step: pa.table({
-                "start": b.column("start"),
-                "step": pa.array(np.full(len(b), st, dtype=np.int64)),
-                "node": b.column("cur")}),
-            batch_format="pyarrow",
-        ))
-    out = out_parts[0]
-    for p in out_parts[1:]:
-        out = out.union(p)
-    return out
-
-
-def _hash_walk_step_sql(prev: str, cur: str, step: int) -> str:
-    return f"""
-{cur} AS (
-  SELECT start, e.dst AS cur
-  FROM {prev} w JOIN edges e ON e.src = w.cur
-  QUALIFY row_number() OVER (
-    PARTITION BY start
-    ORDER BY md5(w.cur || '|' || {step} || '|' || e.dst), e.dst) = 1
-)"""
-
-
-KG_HASH_WALKS_SQL = f"""
-WITH toks AS (SELECT doc_id, unnest(string_split(text, ' ')) AS w
-              FROM documents),
-present AS (SELECT DISTINCT doc_id, upper(w) AS name FROM toks
-            WHERE w IN {_FLAGSHIP_GAZETTEER_SQL}),
-e0 AS (SELECT DISTINCT x.name AS a, y.name AS b
-       FROM present x JOIN present y
-         ON x.doc_id = y.doc_id AND x.name < y.name),
-edges AS (SELECT a AS src, b AS dst FROM e0
-          UNION ALL SELECT b, a FROM e0),
-w0 AS (SELECT DISTINCT src AS start, src AS cur FROM edges),
-{_hash_walk_step_sql('w0', 'w1', 1)},
-{_hash_walk_step_sql('w1', 'w2', 2)},
-{_hash_walk_step_sql('w2', 'w3', 3)},
-{_hash_walk_step_sql('w3', 'w4', 4)},
-{_hash_walk_step_sql('w4', 'w5', 5)},
-{_hash_walk_step_sql('w5', 'w6', 6)}
-SELECT start, CAST(step AS BIGINT) AS step, node FROM (
-  SELECT start, 0 AS step, cur AS node FROM w0
-  UNION ALL SELECT start, 1, cur FROM w1
-  UNION ALL SELECT start, 2, cur FROM w2
-  UNION ALL SELECT start, 3, cur FROM w3
-  UNION ALL SELECT start, 4, cur FROM w4
-  UNION ALL SELECT start, 5, cur FROM w5
-  UNION ALL SELECT start, 6, cur FROM w6
-)
-"""
-
-QUERIES["kg_hash_walks"] = kg_hash_walks
-ORACLE_SQL["kg_hash_walks"] = KG_HASH_WALKS_SQL
-
-
-def similarity_range_search(sf_dir: str):
-    """Range search over the embedding table: every vector within a
-    fixed squared distance of the label-0 centroid — the epsilon-ball
-    companion to similarity_topk (radius queries power density
-    estimation and dedup-by-distance).  EXACT-integer discipline:
-    centroid and points quantize to e6 once, squared distances
-    accumulate in int64 via one matvec per batch, the radius compare
-    is integer — a stateless broadcast scan, zero shuffle."""
-    import ray
-
-    from knowledge_graph_ray.stages.similarity import vector_centroids
-
-    import numpy as np
-
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["vec_id", "label", "embedding"])
-    cents = vector_centroids(emb.select_columns(["label", "embedding"]),
-                             "label", "embedding").to_pandas()
-    row = cents[cents["label"] == 0].iloc[0]
-    c = np.asarray(row["centroid"], dtype=np.float64)
-    cq = np.where(c >= 0, np.floor(c * 1e6 + 0.5),
-                  np.ceil(c * 1e6 - 0.5)).astype("int64")
-    ref = ray.put(cq)
-    radius2 = 950_000_000_000  # ~5th percentile of d2 at sf0.01 (probed)
-
-    def scan(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        from knowledge_graph_ray.stages.similarity import _column_matrix
-
-        q = ray.get(ref)
-        if len(batch) == 0:
-            return pa.schema([("vec_id", pa.int64()),
-                              ("d2_e12", pa.int64())]).empty_table()
-        x = _column_matrix(batch.column("embedding"))
-        xq = np.where(x >= 0, np.floor(x * 1e6 + 0.5),
-                      np.ceil(x * 1e6 - 0.5)).astype("int64")
-        diff = xq - q[None, :]
-        d2 = np.einsum("bd,bd->b", diff, diff)
-        keep = d2 <= radius2
-        return pa.table({
-            "vec_id": pa.array(
-                np.asarray(batch.column("vec_id"))[keep],
-                type=pa.int64()),
-            "d2_e12": pa.array(d2[keep], type=pa.int64()),
-        })
-
-    return emb.map_batches(scan, batch_format="pyarrow")
-
-
-SIMILARITY_RANGE_SEARCH_SQL = """
-WITH cent AS (
-  SELECT gs.i AS i, CAST(round(avg(embedding[gs.i]) * 1e6) AS BIGINT) AS c
-  FROM embeddings, generate_series(1, 64) gs(i)
-  WHERE label = 0 GROUP BY gs.i
-),
-pt AS (
-  SELECT vec_id, gs.i AS i,
-         CAST(round(embedding[gs.i] * 1e6) AS BIGINT) AS x
-  FROM embeddings, generate_series(1, 64) gs(i)
-),
-d2 AS (
-  SELECT pt.vec_id,
-         CAST(sum((pt.x - cent.c) * (pt.x - cent.c)) AS BIGINT) AS d2_e12
-  FROM pt JOIN cent USING (i) GROUP BY pt.vec_id
-)
-SELECT vec_id, d2_e12 FROM d2 WHERE d2_e12 <= 950000000000
-"""
-
-QUERIES["similarity_range_search"] = similarity_range_search
-ORACLE_SQL["similarity_range_search"] = SIMILARITY_RANGE_SEARCH_SQL
-
-
-def documents_l_diversity(sf_dir: str):
-    """l-diversity audit (Machanavajjhala et al. 2007), the companion
-    gate to documents_k_anonymity: within each (lang, source)
-    quasi-identifier class, count DISTINCT values of the sensitive
-    attribute (doc length bucketed to 100-char bands) — a class whose
-    members all share one sensitive value leaks it even when
-    k-anonymous.  One distinct_rows combiner + one count groupby;
-    the class-level scan is class-cardinality-bounded."""
-    import pyarrow.compute as pc
-
-    from knowledge_graph_ray.functions.agg import distinct_rows, grouped_agg
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["lang", "source", "n_chars"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        band = pc.multiply(
-            pc.divide(batch.column("n_chars").cast(pa.int64()), 100), 100)
-        return pa.table({"lang": batch.column("lang"),
-                         "source": batch.column("source"),
-                         "band": band})
-
-    dl = distinct_rows(
-        docs.map_batches(bucket, batch_format="pyarrow"),
-        ["lang", "source", "band"],
-        empty_schema=pa.schema([("lang", pa.string()),
-                                ("source", pa.string()),
-                                ("band", pa.int64())]),
-    )
-    classes = grouped_agg(dl, ["lang", "source"], [("l", None, "count")])
-
-    def flags(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "g": pa.array([1] * len(batch), type=pa.int64()),
-            "viol": pc.less(batch.column("l"), 3).cast(pa.int64()),
-            "l": batch.column("l"),
-        })
-
-    row = grouped_agg(
-        classes.map_batches(flags, batch_format="pyarrow"),
-        ["g"],
-        [("n_classes", None, "count"), ("n_below_l", "viol", "sum"),
-         ("min_l", "l", "min")],
-    )
-    return row.map_batches(
-        lambda b: b.select(["n_classes", "n_below_l", "min_l"]),
-        batch_format="pyarrow",
-    )
-
-
-DOCUMENTS_L_DIVERSITY_SQL = """
-WITH dl AS (
-  SELECT DISTINCT lang, source, (n_chars // 100) * 100 AS band
-  FROM documents
-),
-classes AS (
-  SELECT lang, source, count(*) AS l FROM dl GROUP BY lang, source
-)
-SELECT CAST(count(*) AS BIGINT) AS n_classes,
-       CAST(sum(CASE WHEN l < 3 THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_below_l,
-       CAST(min(l) AS BIGINT) AS min_l
-FROM classes
-"""
-
-QUERIES["documents_l_diversity"] = documents_l_diversity
-ORACLE_SQL["documents_l_diversity"] = DOCUMENTS_L_DIVERSITY_SQL
-
-
-def events_holt_forecast(sf_dir: str):
-    """Holt double exponential smoothing per event type over the daily
-    mean value series, 7-day-ahead forecast.  DETERMINISM: the daily
-    means quantize to e2 integers first and BOTH engines then run the
-    IDENTICAL step-by-step float64 expression tree (the recursive CTE
-    is the literal recursion), so every intermediate is the same
-    correctly-rounded IEEE value on both sides — equality comes from
-    identical operand sequences, not exactness (dyadic alpha=beta=1/2
-    keeps early steps exact, but denominators outgrow the 53-bit
-    mantissa after ~20 steps; the bit-identity does NOT rely on it).
-    Init l_1 = m_1, t_1 = 0.  Scale shape: the (type, day) combiner
-    aggregate carries the data; the recursion state is calendar-
-    bounded."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    import numpy as np
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "ts", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cents = pc.cast(pc.round(pc.multiply(
-            batch.column("value").cast(pa.float64()), 100.0)), pa.int64())
-        day = pc.cast(
-            pc.divide(pc.divide(batch.column("ts").cast(pa.int64()),
-                                1_000_000), 86_400), pa.int64())
-        return pa.table({"event_type": batch.column("event_type"),
-                         "day": day, "x": cents})
-
-    daily = grouped_agg(
-        events.map_batches(prep, batch_format="pyarrow"),
-        ["event_type", "day"],
-        [("n", None, "count"), ("s", "x", "sum")],
-    ).to_pandas()  # types x days, bounded
-
-    rows = []
-    for etype, g in daily.groupby("event_type", sort=True):
-        g = g.sort_values("day")
-        s = g["s"].to_numpy().astype(np.float64)
-        n = g["n"].to_numpy().astype(np.float64)
-        v = 1e2 * (s / n)
-        m = np.where(v >= 0, np.floor(v + 0.5),
-                     np.ceil(v - 0.5)).astype("float64")
-        l, t = m[0], 0.0
-        for k in range(1, len(m)):
-            l2 = 0.5 * m[k] + 0.5 * (l + t)
-            t = 0.5 * (l2 - l) + 0.5 * t
-            l = l2
-        f7 = l + 7.0 * t
-        r8 = lambda x: int(np.floor(x * 1e6 + 0.5)) if x >= 0 \
-            else int(np.ceil(x * 1e6 - 0.5))
-        rows.append({"event_type": etype, "n_days": len(m),
-                     "level_e8": r8(l), "trend_e8": r8(t),
-                     "forecast7_e8": r8(f7)})
-    out = pd.DataFrame(rows)
-    return pa.table({
-        "event_type": pa.array(out["event_type"], type=pa.string()),
-        "n_days": pa.array(out["n_days"], type=pa.int64()),
-        "level_e8": pa.array(out["level_e8"], type=pa.int64()),
-        "trend_e8": pa.array(out["trend_e8"], type=pa.int64()),
-        "forecast7_e8": pa.array(out["forecast7_e8"], type=pa.int64()),
-    })
-
-
-EVENTS_HOLT_FORECAST_SQL = """
-WITH RECURSIVE e AS (
-  SELECT event_type,
-         CAST(floor(epoch(ts)) AS BIGINT) // 86400 AS day,
-         CAST(round(value * 100) AS BIGINT) AS x
-  FROM events
-),
-daily AS (
-  SELECT event_type, day, count(*) AS n, sum(x) AS s
-  FROM e GROUP BY event_type, day
-),
-dev AS (
-  SELECT event_type,
-         CAST(row_number() OVER (PARTITION BY event_type
-                                 ORDER BY day) AS BIGINT) AS rn,
-         round(1e2 * (CAST(s AS DOUBLE) / n)) AS m
-  FROM daily
-),
-nd AS (SELECT event_type, max(rn) AS k FROM dev GROUP BY event_type),
-rec AS (
-  SELECT event_type, rn, m AS l, CAST(0 AS DOUBLE) AS t
-  FROM dev WHERE rn = 1
-  UNION ALL
-  SELECT d.event_type, d.rn,
-         0.5 * d.m + 0.5 * (r.l + r.t) AS l,
-         0.5 * ((0.5 * d.m + 0.5 * (r.l + r.t)) - r.l) + 0.5 * r.t AS t
-  FROM rec r JOIN dev d
-    ON d.event_type = r.event_type AND d.rn = r.rn + 1
-)
-SELECT r.event_type, nd.k AS n_days,
-       CAST(round(r.l * 1e6) AS BIGINT) AS level_e8,
-       CAST(round(r.t * 1e6) AS BIGINT) AS trend_e8,
-       CAST(round((r.l + 7.0 * r.t) * 1e6) AS BIGINT) AS forecast7_e8
-FROM rec r JOIN nd ON nd.event_type = r.event_type AND r.rn = nd.k
-"""
-
-QUERIES["events_holt_forecast"] = events_holt_forecast
-ORACLE_SQL["events_holt_forecast"] = EVENTS_HOLT_FORECAST_SQL
-
-
-def events_jackknife_mean_se(sf_dir: str):
-    """Delete-a-group jackknife standard error of the mean event value
-    (Kott 2001's survey-estimation workhorse): 10 systematic folds by
-    event_id mod 10, leave-one-fold-out means, SE from the fold-mean
-    spread — the resampling-based uncertainty primitive that needs no
-    RNG.  EXACT discipline: fold sums are int64 combiner partials; the
-    leave-out means quantize to e4 once (identical tree); the spread
-    statistic J = sum((k*m_i - sum_m)^2) is pure int64; sqrt runs on
-    identical operands.  Scale: one groupby on a 10-value key."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-
-    import numpy as np
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        cents = pc.cast(pc.round(pc.multiply(
-            batch.column("value").cast(pa.float64()), 100.0)), pa.int64())
-        fold = pc.cast(
-            pc.subtract(batch.column("event_id").cast(pa.int64()),
-                        pc.multiply(pc.divide(
-                            batch.column("event_id").cast(pa.int64()),
-                            10), 10)), pa.int64())
-        return pa.table({"fold": fold, "x": cents})
-
-    folds = grouped_agg(
-        events.map_batches(prep, batch_format="pyarrow"),
-        ["fold"], [("n", None, "count"), ("s", "x", "sum")],
-    ).to_pandas().sort_values("fold")
-    n = folds["n"].to_numpy().astype(np.int64)
-    s = folds["s"].to_numpy().astype(np.int64)
-    k = len(folds)
-    N, S = int(n.sum()), int(s.sum())
-    # leave-one-out means, e4-quantized (identical float tree)
-    v = 1e4 * ((S - s).astype(np.float64) / (N - n).astype(np.float64))
-    m = np.where(v >= 0, np.floor(v + 0.5),
-                 np.ceil(v - 0.5)).astype("int64")
-    T = int(m.sum())
-    j = int(((k * m - T) ** 2).sum())
-    mean_e4 = int(np.floor(1e4 * (S / N) + 0.5))
-    se_e6 = int(np.floor(
-        1e6 * np.sqrt((k - 1.0) / k * j / (k * k) / 1e8) + 0.5))
-    return pa.table({
-        "k": pa.array([k], type=pa.int64()),
-        "n": pa.array([N], type=pa.int64()),
-        "mean_e4": pa.array([mean_e4], type=pa.int64()),
-        "j_num": pa.array([j], type=pa.int64()),
-        "se_e6": pa.array([se_e6], type=pa.int64()),
-    })
-
-
-EVENTS_JACKKNIFE_MEAN_SE_SQL = """
-WITH e AS (
-  SELECT event_id % 10 AS fold,
-         CAST(round(value * 100) AS BIGINT) AS x
-  FROM events
-),
-f AS (SELECT fold, CAST(count(*) AS BIGINT) AS n,
-             CAST(sum(x) AS BIGINT) AS s
-      FROM e GROUP BY fold),
-tot AS (SELECT CAST(sum(n) AS BIGINT) AS nn,
-               CAST(sum(s) AS BIGINT) AS ss,
-               CAST(count(*) AS BIGINT) AS k FROM f),
-m AS (
-  SELECT CAST(round(1e4 * (CAST(t.ss - f.s AS DOUBLE)
-                           / (t.nn - f.n))) AS BIGINT) AS m_e4
-  FROM f, tot t
-),
-agg AS (SELECT CAST(sum(m_e4) AS BIGINT) AS tt FROM m),
-j AS (
-  SELECT CAST(sum((t.k * m.m_e4 - a.tt) * (t.k * m.m_e4 - a.tt))
-         AS BIGINT) AS j_num
-  FROM m, tot t, agg a
-)
-SELECT t.k, t.nn AS n,
-       CAST(round(1e4 * (CAST(t.ss AS DOUBLE) / t.nn)) AS BIGINT)
-         AS mean_e4,
-       j.j_num,
-       CAST(round(1e6 * sqrt((t.k - 1.0) / t.k * j.j_num
-                             / (t.k * t.k) / 1e8)) AS BIGINT) AS se_e6
-FROM tot t, j
-"""
-
-QUERIES["events_jackknife_mean_se"] = events_jackknife_mean_se
-ORACLE_SQL["events_jackknife_mean_se"] = EVENTS_JACKKNIFE_MEAN_SE_SQL
-
-
-def trade_graph_luby_mis(sf_dir: str):
-    """Luby's maximal-independent-set algorithm (Luby 1986) over the
-    customer-supplier trade graph (stages/graphops.luby_mis), made
-    cross-engine-deterministic by replacing the random priorities with
-    md5(node|round) consistent hashes: each round every undecided node
-    with a hash strictly below ALL UNDECIDED neighbours' hashes joins
-    the MIS, its undecided neighbours are excluded, and the frontier
-    shrinks — the canonical symmetry-breaking primitive behind
-    distributed coloring and scheduling.  4 fixed rounds.
-
-    Size-adaptive: below the edge threshold the whole protocol is one
-    local pass (iterative rounds at bench scale are pure fixed cost);
-    above it the static-edge distributed regime runs (pytest-equal;
-    51 s for 4 rounds on a 1M-node/3M-edge graph)."""
-    from knowledge_graph_ray.functions.agg import distinct_rows
-    from knowledge_graph_ray.functions.joins import (
-        project,
-        size_adaptive_join,
-    )
-    from knowledge_graph_ray.stages.graphops import luby_mis
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey"])
-    line = project(
-        rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_orderkey", "l_suppkey"]),
-        {"l_orderkey": "o_orderkey", "l_suppkey": "s"},
-    )
-    pairs = size_adaptive_join(line, orders, on=["o_orderkey"],
-                               how="inner",
-                               broadcast_max=BROADCAST_KEYS_MAX)
-
-    def name_edges(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        c = pc.binary_join_element_wise(
-            pa.array(["c"] * len(b)),
-            pc.cast(b.column("o_custkey"), pa.string()), "")
-        s = pc.binary_join_element_wise(
-            pa.array(["s"] * len(b)),
-            pc.cast(b.column("s"), pa.string()), "")
-        return pa.table({"a": c, "b": s})
-
-    und = distinct_rows(
-        pairs.map_batches(name_edges, batch_format="pyarrow"),
-        ["a", "b"],
-        empty_schema=pa.schema([("a", pa.string()), ("b", pa.string())]),
-    )
-    edges = und.map_batches(
-        lambda b: pa.concat_tables([
-            pa.table({"u": b.column("a"), "v": b.column("b")}),
-            pa.table({"u": b.column("b"), "v": b.column("a")}),
-        ]),
-        batch_format="pyarrow",
-    )
-    return luby_mis(edges, rounds=4)
-
-
-def _luby_round_sql(u_prev: str, rnd: int) -> str:
-    return f"""
-h{rnd} AS MATERIALIZED (SELECT u, md5(u || '|' || {rnd}) AS h
-                        FROM {u_prev}),
-mn{rnd} AS MATERIALIZED (
-  SELECT e.u, min(nh.h) AS mn
-  FROM e0 e JOIN h{rnd} nh ON nh.u = e.v
-  GROUP BY e.u
-),
-mis{rnd} AS MATERIALIZED (
-  SELECT h.u FROM h{rnd} h LEFT JOIN mn{rnd} m ON m.u = h.u
-  WHERE m.mn IS NULL OR h.h < m.mn
-),
-excl{rnd} AS MATERIALIZED (
-  SELECT DISTINCT e.v AS u FROM e0 e
-  JOIN mis{rnd} m ON m.u = e.u
-  JOIN {u_prev} uu ON uu.u = e.v
-  WHERE e.v NOT IN (SELECT u FROM mis{rnd})
-),
-u{rnd} AS MATERIALIZED (
-  SELECT u FROM {u_prev}
-  WHERE u NOT IN (SELECT u FROM mis{rnd})
-    AND u NOT IN (SELECT u FROM excl{rnd})
-)"""
-
-
-TRADE_GRAPH_LUBY_MIS_SQL = f"""
-WITH pairs AS (
-  SELECT DISTINCT 'c' || CAST(o_custkey AS VARCHAR) AS a,
-                  's' || CAST(l_suppkey AS VARCHAR) AS b
-  FROM orders JOIN lineitem ON o_orderkey = l_orderkey
-),
-e0 AS MATERIALIZED (SELECT a AS u, b AS v FROM pairs
-       UNION ALL SELECT b, a FROM pairs),
-u0 AS MATERIALIZED (SELECT DISTINCT u FROM e0),
-{_luby_round_sql('u0', 1)},
-{_luby_round_sql('u1', 2)},
-{_luby_round_sql('u2', 3)},
-{_luby_round_sql('u3', 4)}
-SELECT name, state, CAST(round AS BIGINT) AS round FROM (
-  SELECT u AS name, 'mis' AS state, 1 AS round FROM mis1
-  UNION ALL SELECT u, 'excluded', 1 FROM excl1
-  UNION ALL SELECT u, 'mis', 2 FROM mis2
-  UNION ALL SELECT u, 'excluded', 2 FROM excl2
-  UNION ALL SELECT u, 'mis', 3 FROM mis3
-  UNION ALL SELECT u, 'excluded', 3 FROM excl3
-  UNION ALL SELECT u, 'mis', 4 FROM mis4
-  UNION ALL SELECT u, 'excluded', 4 FROM excl4
-  UNION ALL SELECT u, 'undecided', 4 FROM u4
-)
-"""
-
-QUERIES["trade_graph_luby_mis"] = trade_graph_luby_mis
-ORACLE_SQL["trade_graph_luby_mis"] = TRADE_GRAPH_LUBY_MIS_SQL
-
-
-def tpch_duplicate_invoices(sf_dir: str):
-    """Billing-anomaly audit: customers placing MORE than one order on
-    the same calendar day — the double-submission screen.  One
-    combiner groupby on the (custkey, day) business key plus a sorted
-    string_agg of the colliding order keys for the case file; the
-    shuffle carries only key+count partials and the duplicate-group
-    key lists."""
-    from knowledge_graph_ray.functions.agg import (
-        grouped_agg,
-        grouped_string_agg,
-    )
-    from knowledge_graph_ray.functions.joins import hash_join
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    )
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        day = pc.cast(
-            pc.divide(pc.divide(
-                batch.column("o_orderdate").cast(pa.int64()),
-                1_000_000), 86_400), pa.int64())
-        return pa.table({"o_custkey": batch.column("o_custkey"),
-                         "day": day,
-                         "o_orderkey": batch.column("o_orderkey")})
-
-    prepped = orders.map_batches(prep,
-                                 batch_format="pyarrow").materialize()
-    counts = grouped_agg(prepped, ["o_custkey", "day"],
-                         [("n_orders", None, "count")])
-
-    def dup_only(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return b.filter(pc.greater(b.column("n_orders"), 1))
-
-    dups = counts.map_batches(dup_only, batch_format="pyarrow")
-    keys = grouped_string_agg(prepped, ["o_custkey", "day"],
-                              "o_orderkey", order_cols=["o_orderkey"],
-                              sep=",", out_col="orderkeys")
-    return hash_join(dups, keys, on=["o_custkey", "day"], how="inner")
-
-
-TPCH_DUPLICATE_INVOICES_SQL = """
-WITH o AS (
-  SELECT o_orderkey, o_custkey,
-         CAST(floor(epoch(o_orderdate)) AS BIGINT) // 86400 AS day
-  FROM orders
-)
-SELECT o_custkey, day, CAST(count(*) AS BIGINT) AS n_orders,
-       string_agg(CAST(o_orderkey AS VARCHAR), ','
-                  ORDER BY o_orderkey) AS orderkeys
-FROM o GROUP BY o_custkey, day HAVING count(*) > 1
-"""
-
-QUERIES["tpch_duplicate_invoices"] = tpch_duplicate_invoices
-ORACLE_SQL["tpch_duplicate_invoices"] = TPCH_DUPLICATE_INVOICES_SQL
-
-
-def tpch_customer_migration(sf_dir: str):
-    """Segment-migration matrix: customers quartiled by yearly spend
-    (NTILE(4), spend-descending with custkey tie-break), transitions
-    counted between CONSECUTIVE years — the churn/upsell flow picture
-    behind every retention deck.  Composition: one (cust, year)
-    combiner aggregate, one per-year window_ntile, one per-customer
-    window_lag over a packed (quartile, year) int code (the lag
-    carries exactly key/order/value, so the code packs both fields),
-    one pair-count combiner."""
-    from knowledge_graph_ray.functions.agg import grouped_agg
-    from knowledge_graph_ray.stages.ranking import window_lag, window_ntile
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderdate", "o_totalprice"],
-    )
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        yr = pc.year(batch.column("o_orderdate")).cast(pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(
-            batch.column("o_totalprice").cast(pa.float64()), 100.0)),
-            pa.int64())
-        return pa.table({"o_custkey": batch.column("o_custkey"),
-                         "yr": yr, "cents": cents})
-
-    yearly = grouped_agg(
-        orders.map_batches(prep, batch_format="pyarrow"),
-        ["o_custkey", "yr"], [("spend", "cents", "sum")],
-    ).materialize()
-
-    def neg(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return b.append_column(
-            "neg_spend", pc.negate(b.column("spend")))
-
-    tiled = window_ntile(
-        yearly.map_batches(neg, batch_format="pyarrow"),
-        key="yr", order_cols=["neg_spend", "o_custkey"], n_tiles=4,
-        out_col="q", driver_threshold=500_000,
-        size_hint=yearly.count())
-
-    def pack(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        code = pc.add(pc.multiply(b.column("q").cast(pa.int64()),
-                                  100_000), b.column("yr"))
-        return pa.table({"o_custkey": b.column("o_custkey"),
-                         "yr": b.column("yr"), "code": code})
-
-    lagged = window_lag(
-        tiled.map_batches(pack, batch_format="pyarrow"),
-        key="o_custkey", order_cols=["yr"], value_col="code",
-        out_col="prev", driver_threshold=500_000)
-
-    def transitions(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # the lag column arrives as float64 (pandas shift NaN-null) —
-        # restore int64 BEFORE the integer decode arithmetic
-        b = b.filter(pc.is_valid(b.column("prev")))
-        prev = pc.cast(b.column("prev"), pa.int64())
-        ok = pc.equal(
-            pc.subtract(prev, pc.multiply(pc.divide(prev, 100_000),
-                                          100_000)),
-            pc.subtract(b.column("yr"), 1))
-        b = b.append_column("prev_i", prev).filter(ok)
-        return pa.table({
-            "q_from": pc.divide(b.column("prev_i"), 100_000),
-            "q_to": pc.divide(b.column("code"), 100_000),
-        })
-
-    return grouped_agg(
-        lagged.map_batches(transitions, batch_format="pyarrow"),
-        ["q_from", "q_to"], [("n", None, "count")],
-    )
-
-
-TPCH_CUSTOMER_MIGRATION_SQL = """
-WITH o AS (
-  SELECT o_custkey, CAST(year(o_orderdate) AS BIGINT) AS yr,
-         CAST(round(o_totalprice * 100) AS BIGINT) AS cents
-  FROM orders
-),
-yearly AS (
-  SELECT o_custkey, yr, sum(cents) AS spend FROM o GROUP BY o_custkey, yr
-),
-tiled AS (
-  SELECT o_custkey, yr,
-         CAST(ntile(4) OVER (PARTITION BY yr
-                             ORDER BY -spend, o_custkey) AS BIGINT) AS q
-  FROM yearly
-),
-lagged AS (
-  SELECT o_custkey, yr, q,
-         lag(q * 100000 + yr) OVER (PARTITION BY o_custkey
-                                    ORDER BY yr) AS prev
-  FROM tiled
-)
-SELECT prev // 100000 AS q_from, q AS q_to,
-       CAST(count(*) AS BIGINT) AS n
-FROM lagged
-WHERE prev IS NOT NULL AND prev % 100000 = yr - 1
-GROUP BY q_from, q_to
-"""
-
-QUERIES["tpch_customer_migration"] = tpch_customer_migration
-ORACLE_SQL["tpch_customer_migration"] = TPCH_CUSTOMER_MIGRATION_SQL
+# oracled gates first: the correctness snapshot reads only the head of
+# this registry, so every ORACLE_SQL key must sit there
+QUERIES = {
+    "kg_entity_merge": kg_entity_merge,
+    "kg_edge_merge": kg_edge_merge,
+    "kg_degree": kg_degree,
+    "kg_text_units": kg_text_units,
+    "kg_incremental_entities": kg_incremental_entities,
+    "kg_community_partition": kg_community_partition,
+    "kg_hierarchy_invariants": kg_hierarchy_invariants,
+    "kg_graph_embedding_norms": kg_graph_embedding_norms,
+    "kg_claims_merge": kg_claims_merge,
+    "kg_claims_resolved": kg_claims_resolved,
+    "kg_media_integrity": kg_media_integrity,
+    "similarity_topk": similarity_topk,
+    "kg_pipeline_entities": kg_pipeline_entities,
+    "kg_communities": kg_communities,
+    "kg_hierarchy": kg_hierarchy,
+    "kg_graph_embedding": kg_graph_embedding,
+    "kg_prompt_tune": kg_prompt_tune,
+    "kg_media_features": kg_media_features,
+    "kg_local_search_context": kg_local_search_context,
+    "kg_global_search_context": kg_global_search_context,
+}
+
+ORACLE_SQL = {
+    "kg_entity_merge": KG_ENTITY_MERGE_SQL,
+    "kg_edge_merge": KG_EDGE_MERGE_SQL,
+    "kg_degree": KG_DEGREE_SQL,
+    "kg_text_units": KG_TEXT_UNITS_SQL,
+    "kg_incremental_entities": KG_INCREMENTAL_ENTITIES_SQL,
+    "kg_community_partition": KG_COMMUNITY_PARTITION_SQL,
+    "kg_hierarchy_invariants": KG_HIERARCHY_INVARIANTS_SQL,
+    "kg_graph_embedding_norms": KG_GRAPH_EMBEDDING_NORMS_SQL,
+    "kg_claims_merge": KG_CLAIMS_MERGE_SQL,
+    "kg_claims_resolved": KG_CLAIMS_RESOLVED_SQL,
+    "kg_media_integrity": KG_MEDIA_INTEGRITY_SQL,
+    "similarity_topk": SIMILARITY_TOPK_SQL,
+}

@@ -582,118 +582,3 @@ def incremental_canonicalize_relationships(prev_relationships, new_mentions,
         ),
         num_buckets=num_buckets,
     )
-
-
-# --------------------------------------------------- fused single-pass path
-
-COMBINED_PARTIAL_SCHEMA = pa.schema(
-    [("side", pa.int8())]          # 0 = entity partial, 1 = edge partial
-    + [(f.name, f.type) for f in ENTITY_PARTIAL_SCHEMA]  # name..n_mentions
-    + [(f.name, f.type) for f in EDGE_PARTIAL_SCHEMA
-       if f.name not in ("descs", "n_mentions")]          # src dst weight chunks
-)
-
-
-def combined_partials_batch(batch: pa.Table,
-                            max_descriptions: int | None = None,
-                            max_sources: int | None = None) -> pa.Table:
-    """ONE pass over a mention batch emitting BOTH entity and edge
-    partial rows as a tagged union — the barrier-free canonicalize
-    shape: the raw mention stream (GBs per million docs) is never
-    materialized; only partial rows (keys x batches) cross the
-    pipeline's one barrier.  ``descs``/``n_mentions`` columns are shared
-    between the two partial schemas; the rest null-fill the other side.
-    """
-    ep = entity_partials_batch(batch, max_descriptions=max_descriptions,
-                               max_sources=max_sources)
-    rp = edge_partials_batch(batch, max_descriptions=max_descriptions,
-                             max_sources=max_sources)
-    cols: dict[str, pa.Array] = {}
-    ne, nr = len(ep), len(rp)
-    for f in COMBINED_PARTIAL_SCHEMA:
-        if f.name == "side":
-            cols["side"] = pa.concat_arrays(
-                [pa.array([0] * ne, pa.int8()), pa.array([1] * nr, pa.int8())]
-            )
-            continue
-        e_col = (ep.column(f.name).combine_chunks()
-                 if f.name in ENTITY_PARTIAL_SCHEMA.names else pa.nulls(ne, f.type))
-        r_col = (rp.column(f.name).combine_chunks()
-                 if f.name in EDGE_PARTIAL_SCHEMA.names else pa.nulls(nr, f.type))
-        cols[f.name] = pa.concat_arrays([e_col.cast(f.type), r_col.cast(f.type)])
-    return pa.Table.from_pydict(cols, schema=COMBINED_PARTIAL_SCHEMA)
-
-
-def canonicalize_fused(mentions, batch_size: int | None = None,
-                       num_buckets: int = 64,
-                       max_descriptions: int | None = None,
-                       max_sources: int | None = None,
-                       driver_threshold: int = DRIVER_THRESHOLD):
-    """-> (entities, relationships) via ONE streaming pass over the
-    mention stream (G1+G2 fused).
-
-    The unfused path materializes the full mention dataset so two
-    downstream canonicalize scans don't re-run extraction — a
-    GB-scale object-store barrier plus two full re-reads per million
-    docs.  Here both per-batch combiners run inside one ``map_batches``
-    while extraction streams, and only the combiner OUTPUT (one row per
-    key per batch, ~1000x smaller) is materialized; the two final
-    merges then read the tiny tagged table.  Use when the raw mention
-    table is not itself a needed artifact (scaling/throughput runs;
-    ``PipelineConfig.fused_canonicalize``).
-    """
-    import functools
-
-    from knowledge_graph_ray.functions.grouping import bucketed_bucket_map
-
-    # batch_size=None = whole upstream blocks: an explicit batch size
-    # here COALESCES extract-shard outputs into fewer fused tasks
-    # (measured 128 -> ~10 tasks at 20k docs, a 4x wall regression);
-    # block-sized batches keep one fused chunk->extract->combine task
-    # per shard and produce FEWER partials (keys x blocks, not
-    # keys x 32k-batches)
-    combined = mentions.map_batches(
-        functools.partial(combined_partials_batch,
-                          max_descriptions=max_descriptions,
-                          max_sources=max_sources),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    ).materialize()
-    n = combined.count()  # metadata-only on a materialized dataset
-
-    def take_side(side: int, schema: pa.Schema):
-        def body(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            keep = pc.equal(b.column("side"), pa.scalar(side, pa.int8()))
-            sub = b.filter(keep)
-            return pa.Table.from_pydict(
-                {f.name: sub.column(f.name).cast(f.type) for f in schema},
-                schema=schema,
-            )
-
-        return body
-
-    ent_partials = combined.map_batches(
-        take_side(0, ENTITY_PARTIAL_SCHEMA), batch_format="pyarrow"
-    )
-    rel_partials = combined.map_batches(
-        take_side(1, EDGE_PARTIAL_SCHEMA), batch_format="pyarrow"
-    )
-    entities = bucketed_bucket_map(
-        ent_partials, ["name"],
-        functools.partial(merge_entity_partials,
-                          max_descriptions=max_descriptions,
-                          max_sources=max_sources),
-        num_buckets=num_buckets, driver_threshold=driver_threshold,
-        size_hint=n, empty_schema=ENTITY_SCHEMA,
-    )
-    relationships = bucketed_bucket_map(
-        rel_partials, ["src", "dst"],
-        functools.partial(merge_edge_partials,
-                          max_descriptions=max_descriptions,
-                          max_sources=max_sources),
-        num_buckets=num_buckets, driver_threshold=driver_threshold,
-        size_hint=n, empty_schema=RELATIONSHIP_SCHEMA,
-    )
-    return entities, relationships

@@ -1,18 +1,17 @@
 """Ranking / ordered-scan window functions over partitioned tables.
 
 SQL's ranking windows (RANK / PERCENT_RANK / running SUM / LAG deltas)
-have no Ray Data native form; like stages/windows.py they are computed
-by treating the input as a partitioned log — ONE shuffle on the
-partition key (functions/grouping.bucketed_bucket_map), then a single
-vectorized sort + pandas groupby pass per bucket, never a per-key
-Python loop and never a global sort.
+have no Ray Data native form; they are computed by treating the input
+as a partitioned log — ONE shuffle on the partition key
+(functions/grouping.bucketed_bucket_map), then a single vectorized
+sort + pandas groupby pass per bucket, never a per-key Python loop and
+never a global sort.
 
 Partitioning assumption (documented per the custom-operator rule): all
 rows of one partition key fit one bucket task.  ``num_buckets`` bounds
 per-task memory to ~|input|/num_buckets; hot keys still colocate — for
 a key too hot for one task, pre-aggregate upstream or salt on a coarser
-(key, order-prefix) and merge, as stages/windows.py documents for the
-same shape.
+(key, order-prefix) and merge.
 
 Scale shape vs a global sort: ORDER BY inside a partition only needs
 per-bucket sorts after one hash shuffle — no range-partition planning

@@ -224,25 +224,6 @@ def test_grouped_chi2_gof_uniform_group_scores_zero():
     assert sorted(got.dof) == [2, 2]
 
 
-def test_events_user_type_entropy_hand_math(tmp_path):
-    import pyarrow.parquet as pq
-
-    from knowledge_graph_ray.pipelines.queries import events_user_type_entropy
-
-    # user 1: uniform over 2 types -> ln 2; user 2: single type -> 0
-    t = pa.table({
-        "user_id": pa.array([1, 1, 1, 1, 2, 2], pa.int64()),
-        "event_type": pa.array(["a", "a", "b", "b", "a", "a"]),
-    })
-    pq.write_table(t, tmp_path / "events.parquet")
-    got = events_user_type_entropy(str(tmp_path)).to_pandas() \
-        .sort_values("user_id").reset_index(drop=True)
-    assert got.user_id.tolist() == [1, 2]
-    assert got.n_events.tolist() == [4, 2]
-    assert got.n_types.tolist() == [2, 1]
-    assert got.entropy_e6.tolist() == [round(np.log(2) * 1e6), 0]
-
-
 def test_clustering_coefficient_matches_networkx():
     from knowledge_graph_ray.stages.graphops import clustering_coefficient
 

@@ -7,7 +7,6 @@ Pure-python (no Ray): drives entity_partials_batch/_merge_entity_group
 and the edge twins directly over generated mention tables.
 """
 
-import pandas as pd
 import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,62 +147,3 @@ def test_partial_merge_matches_oracle_under_any_batching(mentions, splits):
         assert abs(g["weight"] - o["weight"]) < 1e-9, key
         assert g["description"] == "\n".join(sorted(o["descriptions"])), key
         assert g["source_id"] == ", ".join(sorted(o["sources"])), key
-
-
-def test_fused_canonicalize_equals_unfused():
-    """G1+G2 fused single-pass path produces byte-identical entity and
-    relationship tables to the two-scan materialized-mentions path."""
-    import ray.data as rd
-
-    from knowledge_graph_ray.config import PipelineConfig
-    from knowledge_graph_ray.corpus import read_corpus
-    from knowledge_graph_ray.pipelines.build import build_graph
-
-    docs = read_corpus(400, seed=6969, shard_size=50)
-    base = PipelineConfig(chunk_size=64, chunk_overlap=16,
-                          extract_use_actor_pool=False,
-                          max_descriptions_per_key=8, max_sources_per_key=16)
-    fused_cfg = PipelineConfig(chunk_size=64, chunk_overlap=16,
-                               extract_use_actor_pool=False,
-                               max_descriptions_per_key=8,
-                               max_sources_per_key=16,
-                               fused_canonicalize=True)
-    a = build_graph(read_corpus(400, seed=6969, shard_size=50), base)
-    b = build_graph(docs, fused_cfg)
-
-    def norm(ds, keys):
-        return ds.to_pandas().sort_values(keys).reset_index(drop=True)
-
-    pd.testing.assert_frame_equal(norm(a.entities, ["name"]),
-                                  norm(b.entities, ["name"]))
-    pd.testing.assert_frame_equal(norm(a.relationships, ["src", "dst"]),
-                                  norm(b.relationships, ["src", "dst"]))
-
-
-def test_fused_canonicalize_distributed_regime():
-    """Same equality with the driver fast path disabled (bucket shuffle)."""
-    from knowledge_graph_ray.config import PipelineConfig
-    from knowledge_graph_ray.corpus import read_corpus
-    from knowledge_graph_ray.pipelines.build import build_graph
-    from knowledge_graph_ray.stages.canonicalize import canonicalize_fused
-    from knowledge_graph_ray.stages.chunk import chunk_documents
-    from knowledge_graph_ray.stages.extract import extract_mentions
-
-    docs = read_corpus(400, seed=6969, shard_size=50)
-    tu = chunk_documents(docs, 64, 16)
-    mentions = extract_mentions(tu, use_actor_pool=False)
-    ents_d, rels_d = canonicalize_fused(mentions, max_descriptions=8,
-                                        max_sources=16, driver_threshold=0)
-    cfg = PipelineConfig(chunk_size=64, chunk_overlap=16,
-                         extract_use_actor_pool=False,
-                         max_descriptions_per_key=8, max_sources_per_key=16,
-                         fused_canonicalize=True)
-    ref = build_graph(read_corpus(400, seed=6969, shard_size=50), cfg)
-
-    def norm(ds, keys):
-        return ds.to_pandas().sort_values(keys).reset_index(drop=True)
-
-    pd.testing.assert_frame_equal(norm(ents_d, ["name"]),
-                                  norm(ref.entities, ["name"]))
-    pd.testing.assert_frame_equal(norm(rels_d, ["src", "dst"]),
-                                  norm(ref.relationships, ["src", "dst"]))

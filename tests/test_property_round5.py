@@ -147,33 +147,6 @@ def test_column_matrix_matches_per_row(vecs):
         assert np.allclose(got, want, rtol=0, atol=0)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
-                min_size=1, max_size=60))
-def test_skyline_kernel_matches_bruteforce(points):
-    """_skyline2d_pandas == O(n^2) dominance scan, including equal
-    (price, size) duplicates co-surviving and dense tie planes."""
-    import pandas as pd
-
-    from knowledge_graph_ray.pipelines.queries import _skyline2d_pandas
-
-    df = pd.DataFrame({
-        "p_partkey": range(len(points)),
-        "p_retailprice": [float(p) for p, _ in points],
-        "p_size": [s for _, s in points],
-    })
-    got = set(_skyline2d_pandas(df)["p_partkey"])
-    want = set()
-    for i, (pi, si) in enumerate(points):
-        dominated = any(
-            (pj <= pi and sj >= si and (pj < pi or sj > si))
-            for j, (pj, sj) in enumerate(points) if j != i
-        )
-        if not dominated:
-            want.add(i)
-    assert got == want
-
-
 def test_bag_set_ops_match_counter_semantics():
     """intersect_all/except_all vs collections.Counter bag semantics on
     randomized multisets (property-style, fixed seeds, through Ray)."""

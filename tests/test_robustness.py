@@ -100,7 +100,6 @@ def test_coda2_operators_handle_empty_inputs():
     )
     from knowledge_graph_ray.sources.io import union_by_name
     from knowledge_graph_ray.stages.fuzzy import hamming1_pairs
-    from knowledge_graph_ray.stages.windows import global_trailing_distinct
 
     empty_k = rd.from_arrow(pa.table({"k": pa.array([], type=pa.int64())}))
     one_k = rd.from_items([{"k": 1}])
@@ -123,14 +122,6 @@ def test_coda2_operators_handle_empty_inputs():
         rd.from_items([{"b": "x"}]),
     ).to_pandas()
     assert sorted(ub.columns) == ["a", "b"] and len(ub) == 1
-
-    empty_ev = rd.from_arrow(pa.table({
-        "event_id": pa.array([], type=pa.int64()),
-        "user_id": pa.array([], type=pa.int64()),
-        "ts_s": pa.array([], type=pa.int64()),
-    }))
-    assert global_trailing_distinct(empty_ev, "ts_s", "user_id",
-                                    ["event_id"], window=10).count() == 0
 
     empty_names = rd.from_arrow(
         pa.table({"c_name": pa.array([], type=pa.string())}))
@@ -183,17 +174,10 @@ def test_coda8_operators_handle_empty_inputs():
         jaro_winkler_blocked_pairs,
         levenshtein_blocked_pairs,
     )
-    from knowledge_graph_ray.stages.pagerank import hits
     from knowledge_graph_ray.stages.similarity import (
         mutual_nn_pairs,
         mutual_nn_pairs_ivf,
     )
-
-    empty_edges = rd.from_arrow(pa.table({
-        "src": pa.array([], pa.string()),
-        "dst": pa.array([], pa.string()),
-    }))
-    assert hits(empty_edges).count() == 0
 
     empty_vecs = rd.from_arrow(pa.table({
         "vec_id": pa.array([], pa.int64()),
@@ -234,31 +218,16 @@ def test_coda9_operators_handle_empty_inputs():
     import pyarrow as pa
 
     from knowledge_graph_ray.stages.graphops import multi_source_bfs
-    from knowledge_graph_ray.stages.pagerank import (
-        label_spread,
-        personalized_pagerank,
-    )
 
     empty_edges = rd.from_arrow(pa.table({
         "src": pa.array([], pa.string()),
         "dst": pa.array([], pa.string()),
     }))
-    # empty graph: PPR yields the empty node set (no seed to raise on)
-    assert personalized_pagerank(empty_edges, ["x"]).count() == 0
     # BFS from seeds absent in an empty graph: nothing reached
     assert multi_source_bfs(empty_edges, ["x"], hops=2).count() == 0
-    # label_spread on an empty graph has no present seed: must raise,
-    # not silently return garbage
-    import pytest
-
-    with pytest.raises(ValueError):
-        label_spread(empty_edges, {"x": "l"})
-
-    # single-node self-loop-free degenerate: one edge, both regimes
+    # single-node self-loop-free degenerate: one edge
     one = rd.from_arrow(pa.table({
         "src": pa.array(["a"]), "dst": pa.array(["b"]),
     }))
-    pr = personalized_pagerank(one, ["a"], iterations=2).to_pandas()
-    assert set(pr.name) == {"a", "b"} and abs(pr.ppr.sum()) <= 1.0 + 1e-9
     d = multi_source_bfs(one, ["a", "b"], hops=1).to_pandas()
     assert len(d) == 4  # both seeds reach both nodes at dist <= 1

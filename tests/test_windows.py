@@ -1,117 +1,6 @@
-"""Window stage tests vs pandas brute force."""
+"""Per-group top-k (the ROW_NUMBER() <= k window) vs pandas brute force."""
 
-import numpy as np
-import pandas as pd
 import ray.data as rd
-
-from knowledge_graph_ray.stages.windows import sessionize, sliding_window_agg
-
-SF = "/root/testdata/sf0.001"
-
-
-def test_sessionize_matches_pandas():
-    events = rd.read_parquet(f"{SF}/events.parquet")
-    got = sessionize(events, gap_seconds=1800).to_pandas()
-    pdf = pd.read_parquet(f"{SF}/events.parquet")
-    pdf["ts_s"] = (pdf.ts.astype("int64") // 10**6).astype("int64")
-    expected_rows = []
-    for uid, grp in pdf.groupby("user_id"):
-        g = grp.sort_values("ts_s")
-        ts = g.ts_s.to_numpy()
-        vals = g.value.to_numpy()
-        start = 0
-        for i in range(1, len(ts) + 1):
-            if i == len(ts) or ts[i] - ts[i - 1] > 1800:
-                expected_rows.append(
-                    (uid, int(ts[start]), int(ts[i - 1]), i - start,
-                     int(round(vals[start:i].sum() * 100)))
-                )
-                start = i
-    expected = pd.DataFrame(
-        expected_rows,
-        columns=["user_id", "session_start", "session_end", "n_events", "sum_value_cents"],
-    )
-    key = ["user_id", "session_start"]
-    g = got.sort_values(key).reset_index(drop=True)
-    e = expected.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(g, e, check_dtype=False)
-
-
-def test_sliding_windows():
-    events = rd.read_parquet(f"{SF}/events.parquet")
-    got = sliding_window_agg(events, window_seconds=7200, slide_seconds=3600).to_pandas()
-    # every event lands in exactly window_seconds/slide_seconds windows
-    pdf = pd.read_parquet(f"{SF}/events.parquet")
-    assert got.n_events.sum() == 2 * len(pdf)
-    # window starts aligned to the slide
-    assert (got.window_start % 3600 == 0).all()
-    # each (key, window) total matches a brute-force filter for a sample
-    sample = got.head(5)
-    ts_s = pdf.ts.astype("int64") // 10**6
-    for _, row in sample.iterrows():
-        mask = (
-            (pdf.event_type == row.event_type)
-            & (ts_s >= row.window_start)
-            & (ts_s < row.window_start + 7200)
-        )
-        assert mask.sum() == row.n_events
-        assert np.isclose(pdf.loc[mask, "value"].sum(), row.sum_value)
-
-
-def test_asof_join_backward_matches_pandas_merge_asof():
-    import numpy as np
-    import pandas as pd
-
-    from knowledge_graph_ray.stages.windows import asof_join_backward
-
-    rng = np.random.RandomState(7)
-    left = pd.DataFrame(
-        {
-            "k": rng.randint(0, 10, 200),
-            "t": rng.randint(0, 1000, 200).astype("int64"),
-            "payload": rng.randint(0, 99, 200).astype("int64"),
-        }
-    )
-    right = pd.DataFrame(
-        {
-            "k": rng.randint(0, 12, 150),
-            "t": rng.randint(0, 1000, 150).astype("int64"),
-            "val": rng.randn(150),
-        }
-    )
-    got = asof_join_backward(
-        rd.from_pandas(left.rename(columns={"t": "ts"})),
-        rd.from_pandas(right.rename(columns={"t": "ts"})),
-        by="k", on="ts", right_value_columns=["val"], num_buckets=8,
-    ).to_pandas().sort_values(["k", "ts", "payload"]).reset_index(drop=True)
-
-    exp = pd.merge_asof(
-        left.sort_values("t"), right.sort_values("t"),
-        on="t", by="k", direction="backward",
-    )
-    exp = exp.rename(columns={"t": "ts"})
-    exp["asof_ts"] = exp["ts"].where(exp["val"].notna(), -1)
-    # merge_asof returns the matched right's value; our asof_ts is the
-    # matched right's ts — recompute expected asof_ts via another asof
-    r2 = right.rename(columns={"t": "rt"}).assign(t=lambda d: d["rt"])
-    exp2 = pd.merge_asof(
-        left.sort_values("t"), r2.sort_values("t")[["k", "t", "rt"]],
-        on="t", by="k", direction="backward",
-    ).rename(columns={"t": "ts"})
-    exp2["rt"] = exp2["rt"].fillna(-1).astype("int64")
-    exp2 = exp2.sort_values(["k", "ts", "payload"]).reset_index(drop=True)
-
-    assert len(got) == len(left)
-    pd.testing.assert_series_equal(
-        got["asof_ts"].astype("int64"), exp2["rt"], check_names=False
-    )
-    # matched values agree wherever the matched ts is unique
-    merged = got.merge(
-        right.rename(columns={"t": "asof_ts"}), on=["k", "asof_ts"], how="left"
-    )
-    dup_free = ~merged.duplicated(["k", "ts", "payload"], keep=False)
-    m = merged[dup_free & (merged["asof_ts"] >= 0)]
-    assert np.allclose(m["asof_val"], m["val"])
 
 
 def test_grouped_topk_matches_pandas():
@@ -144,128 +33,3 @@ def test_grouped_topk_matches_pandas():
         got[["g", "v", "id"]], exp[["g", "v", "id"]], check_dtype=False
     )
     assert (got.groupby("g")["rk"].apply(lambda s: list(s) == list(range(1, len(s) + 1)))).all()
-
-
-def test_interval_join_count_matches_bruteforce():
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from knowledge_graph_ray.stages.windows import interval_join_count
-
-    rng = np.random.RandomState(3)
-    iv = pd.DataFrame({
-        "iid": np.arange(200, dtype=np.int64),
-        "k": rng.randint(0, 8, 200).astype(np.int64),
-        "t0": rng.randint(0, 1000, 200).astype(np.int64),
-    })
-    iv["t1"] = iv.t0 + rng.randint(1, 120, 200)
-    pts = pd.DataFrame({
-        "k": rng.randint(0, 10, 1500).astype(np.int64),  # some keys no-interval
-        "ts": rng.randint(0, 1100, 1500).astype(np.int64),
-    })
-    got = interval_join_count(
-        rd.from_pandas(iv).repartition(4), rd.from_pandas(pts).repartition(3),
-        by="k", start_col="t0", end_col="t1", on="ts",
-    ).to_pandas().sort_values("iid").reset_index(drop=True)
-    exp = [
-        ((pts.k.values == r.k) & (pts.ts.values >= r.t0)
-         & (pts.ts.values < r.t1)).sum()
-        for r in iv.itertuples()
-    ]
-    assert len(got) == len(iv)
-    assert got.n_points.tolist() == exp
-    assert (got.t0.values == iv.t0.values).all()
-
-
-def test_interval_join_count_empty_points_keeps_zero_counts():
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from knowledge_graph_ray.stages.windows import interval_join_count
-
-    iv = pd.DataFrame({"iid": [1, 2], "k": [0, 1],
-                       "t0": [0, 10], "t1": [5, 20]})
-    pts = pd.DataFrame({"k": pd.array([], dtype="int64"),
-                        "ts": pd.array([], dtype="int64")})
-    got = interval_join_count(
-        rd.from_pandas(iv), rd.from_pandas(pts),
-        by="k", start_col="t0", end_col="t1", on="ts",
-    ).to_pandas()
-    assert sorted(got.n_points.tolist()) == [0, 0]
-
-
-def test_interval_join_null_keys_never_match():
-    import pyarrow as pa
-
-    from knowledge_graph_ray.stages.windows import interval_join_count
-
-    intervals = rd.from_arrow(pa.table({
-        "k": pa.array([None, 1], type=pa.int64()),
-        "t0": pa.array([0, 0], type=pa.int64()),
-        "t1": pa.array([100, 100], type=pa.int64()),
-        "iid": pa.array([10, 11], type=pa.int64()),
-    }))
-    points = rd.from_arrow(pa.table({
-        "k": pa.array([None, 1], type=pa.int64()),
-        "ts": pa.array([50, 50], type=pa.int64()),
-    }))
-    got = (
-        interval_join_count(intervals, points, by="k", start_col="t0",
-                            end_col="t1", on="ts", count_col="n")
-        .to_pandas().sort_values("iid").reset_index(drop=True)
-    )
-    # SQL equality join: NULL = NULL never matches -> count 0, row kept
-    assert got.n.tolist() == [0, 1]
-
-
-def test_global_trailing_distinct_matches_bruteforce():
-    """Interval-stabbing sliding distinct: exact vs brute force across
-    halo-block boundaries, input order shuffled."""
-    import numpy as np
-
-    from knowledge_graph_ray.stages.windows import global_trailing_distinct
-
-    rng = np.random.RandomState(3)
-    n, W = 2000, 100
-    df = pd.DataFrame({
-        "event_id": np.arange(n, dtype=np.int64),
-        "user_id": rng.randint(0, 25, n).astype(np.int64),
-        "ts_s": np.sort(rng.randint(0, 1200, n)).astype(np.int64),
-    })
-    shuffled = df.sample(frac=1.0, random_state=5).reset_index(drop=True)
-    got = (
-        global_trailing_distinct(
-            rd.from_pandas(shuffled).repartition(6), "ts_s", "user_id",
-            ["event_id"], window=W, block=3 * W,
-        )
-        .to_pandas().sort_values("event_id").reset_index(drop=True)
-    )
-    ts, u = df["ts_s"].to_numpy(), df["user_id"].to_numpy()
-    want = np.array([
-        len(np.unique(u[(ts >= ts[i] - W + 1) & (ts <= ts[i])]))
-        for i in range(n)
-    ])
-    assert len(got) == n
-    assert (got["trailing_users"].to_numpy() == want).all()
-
-
-def test_exploration_length_matches_pandas():
-    from knowledge_graph_ray.pipelines.queries import events_exploration_length
-
-    got = events_exploration_length(SF).to_pandas() \
-        .sort_values("user_id").reset_index(drop=True)
-    pdf = pd.read_parquet(f"{SF}/events.parquet") \
-        .sort_values(["user_id", "ts", "event_id"])
-    rows = []
-    for uid, g in pdf.groupby("user_id"):
-        seen, last_first = set(), 0
-        for pos, t in enumerate(g.event_type, start=1):
-            if t not in seen:
-                seen.add(t)
-                last_first = pos
-        rows.append((uid, len(seen), last_first))
-    expected = pd.DataFrame(rows, columns=["user_id", "n_types",
-                                           "explore_len"])
-    pd.testing.assert_frame_equal(got, expected, check_dtype=False)
