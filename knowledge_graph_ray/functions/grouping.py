@@ -102,11 +102,28 @@ def driver_tables(datasets, bound: int | None) -> "list[pa.Table] | None":
 
 
 def driver_dataset(table: pa.Table):
-    """A driver kernel's output as a materialized in-memory dataset
-    (``materialize()`` runs no task on it)."""
-    import ray.data as rd
+    """A driver kernel's output as a materialized in-memory dataset.
 
-    return rd.from_arrow(table).materialize()
+    This is ``ray.data.from_arrow`` with the block metadata computed on
+    the driver, which holds the table: ``from_arrow`` submits one Ray
+    task per table for it, and stages that run concurrently then start
+    one more worker process each.  ``materialize()`` runs no task on the
+    result."""
+    import ray
+    from ray.data import DataContext
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data._internal.util import get_table_block_metadata_schema
+    from ray.data.dataset import MaterializedDataset
+
+    meta = [get_table_block_metadata_schema(table)]
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": meta}, parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(
+        plan, LogicalPlan(FromArrow([ray.put(table)], meta), plan._context)
+    ).materialize()
 
 
 def bucketed_bucket_map(ds, keys: list[str], bucket_fn, num_buckets: int = 64,

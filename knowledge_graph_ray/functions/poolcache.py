@@ -45,27 +45,17 @@ def cached_class_map(ds, cls, batch_size: int = 1024, **ctor_kwargs):
     return ds.map_batches(body, batch_format="pyarrow", batch_size=batch_size)
 
 
-def materialize_concurrently(datasets: list):
-    """Materialize independent Datasets in parallel driver threads.
-
-    Ray Data executes one streaming DAG per materialize() call; driving
-    two independent DAGs (e.g. entity and relationship canonicalization,
-    which both scan the pinned mentions) from separate threads overlaps
-    their shuffles instead of idling the cluster between barriers.
-    """
-    import concurrent.futures
-
-    with concurrent.futures.ThreadPoolExecutor(len(datasets)) as ex:
-        return list(ex.map(lambda d: d.materialize(), datasets))
-
-
 def run_concurrently(thunks: list):
     """Run independent dataset-producing thunks in parallel driver
     threads (each thunk typically builds a pipeline and materializes
-    it).  Unlike ``materialize_concurrently`` this also overlaps
-    driver-side probes inside the thunk (size gates, to_pandas pulls),
-    not just the final materialize."""
+    it).  Ray Data executes one streaming DAG per materialize() call, so
+    driving independent DAGs from separate threads overlaps their
+    shuffles and driver-side probes (size gates, to_pandas pulls)
+    instead of idling the cluster between barriers.  A single thunk
+    runs on the calling thread."""
     import concurrent.futures
 
+    if len(thunks) < 2:
+        return [f() for f in thunks]
     with concurrent.futures.ThreadPoolExecutor(len(thunks)) as ex:
         return list(ex.map(lambda f: f(), thunks))

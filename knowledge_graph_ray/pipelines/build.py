@@ -1,15 +1,21 @@
 """End-to-end KG construction pipeline (the reference's
 workflow/build_workflow.py:20-83 re-expressed as streaming Ray Data stages).
 
-Stage graph::
+``build_knowledge_graph`` declares its stage graph once and runs only
+the stages its outputs need (``_run_stages``).  Checkpointed stages (*)
+persist under ``checkpoint_dir``, else in the object store::
 
-    docs (interleaved spans)
-      └─ chunk_documents            (stateless map_batches)        M1
-         └─ extract_mentions        (actor pool)                   A1/A2
-            ├─ canonicalize_entities      (partial + groupby)      G1
-            └─ canonicalize_relationships (partial + groupby)      G2
-               └─ degrees / rank          (G4/J1)
-                  └─ components → communities → reports  (§7.3 steps 7-8)
+    core: chunk (M1) -> extract (A1/A2) -> canonicalize (G1/G2)   <- docs
+    entities_summarized*, relationships_summarized*               <- core
+    degrees                  <- relationships_summarized
+    components               <- both *_summarized
+    entities_degreed*        <- entities_summarized, degrees
+    relationships_degreed*   <- relationships_summarized, degrees
+    communities*             <- components, relationships_summarized
+    entities_clustered*      <- entities_degreed, communities
+    reports*                 <- communities, both *_degreed
+    community_hierarchy*     <- communities
+    claims*, media_features* <- text units, docs
 
 Nothing here calls ray.init(); callers own the session.
 """
@@ -127,6 +133,77 @@ def build_graph(
                           fingerprint)
 
 
+def _stage_store(checkpoint_dir: str | None, fingerprint: str):
+    """(complete, store) of the stage outputs.
+
+    ``complete(stage)`` is true when the stage's output can be read back
+    instead of computed: a complete checkpoint with this ``fingerprint``
+    (manifests only; nothing is read).  ``store(make, stage)`` is the
+    stage's output, materialized in the object store without a
+    directory, else through a resumable checkpoint."""
+    import os
+
+    from knowledge_graph_ray.state.checkpoint import (
+        checkpoint_complete,
+        checkpoint_or_compute,
+    )
+
+    if checkpoint_dir is None:
+        return (lambda stage: False), (lambda make, stage: make().materialize())
+
+    def path(stage):
+        return os.path.join(checkpoint_dir, stage)
+
+    return (lambda stage: checkpoint_complete(path(stage), fingerprint),
+            lambda make, stage: checkpoint_or_compute(make, path(stage),
+                                                      fingerprint, stage))
+
+
+def _run_stages(stages: list, outputs: list, complete, store) -> dict:
+    """Run the ``stages`` the ``outputs`` need; -> {name: output}.
+
+    ``stages`` are ``(name, inputs, make, checkpointed)`` entries, each
+    listed after its inputs.  Demand starts at ``outputs``: a
+    checkpointed stage that is ``complete`` is read back through
+    ``store`` and demands nothing; any other demanded stage demands its
+    inputs and computes ``make(*inputs)``, through ``store`` when it is
+    checkpointed.  Demanded stages run in list order, and a run of
+    consecutive ones that read none of each other goes through
+    ``run_concurrently`` together."""
+    from knowledge_graph_ray.functions.poolcache import run_concurrently
+
+    entries = {s[0]: s for s in stages}
+    computes: dict = {}  # demanded stage -> computed (else read back)
+
+    def demand(name):
+        if name not in computes:
+            _, inputs, _, checkpointed = entries[name]
+            computes[name] = not (checkpointed and complete(name))
+            for i in inputs if computes[name] else ():
+                demand(i)
+
+    for name in outputs:
+        demand(name)
+    waves: list = [[]]
+    for stage in stages:
+        if stage[0] in computes:
+            if computes[stage[0]] and {s[0] for s in waves[-1]} & set(stage[1]):
+                waves.append([])
+            waves[-1].append(stage)
+    done: dict = {}
+
+    def thunk(name, inputs, make, checkpointed):
+        def compute():
+            return make(*(done[i] for i in inputs))
+
+        return (lambda: store(compute, name)) if checkpointed else compute
+
+    for wave in waves:
+        done.update(zip([s[0] for s in wave],
+                        run_concurrently([thunk(*s) for s in wave])))
+    return done
+
+
 def build_knowledge_graph(
     docs,
     config: PipelineConfig | None = None,
@@ -140,32 +217,25 @@ def build_knowledge_graph(
     streaming stages — chunk, extract, canonicalize, summarize, degree,
     components, communities, reports (+ optional claims).
 
-    ``checkpoint_dir``: when set, the expensive stage boundaries
-    (canonical entities/relationships-with-degrees, communities, the
-    community hierarchy) persist to Parquet checkpoints with lineage
-    manifests; a rerun with the same ``fingerprint`` resumes from the
-    last complete stage instead of recomputing (north rule: resumable
-    from checkpoint).  A changed fingerprint (new input) invalidates
-    downstream checkpoints.
+    ``checkpoint_dir``: when set, each checkpointed stage (the module
+    docstring's table) persists to Parquet with a lineage manifest, and
+    a rerun with the same ``fingerprint`` resumes from complete stages
+    (north rule: resumable from checkpoint).  A changed fingerprint (new
+    input) invalidates every checkpoint.
 
-    Resume contract — with the same fingerprint, complete checkpoints
-    skip this work:
+    Resume contract — the run is demand-driven, from the outputs
+    (``entities_clustered``, ``relationships_degreed``, ``communities``,
+    ``reports``, ``community_hierarchy``, and ``claims`` /
+    ``media_features`` when on).  A stage with a complete checkpoint of
+    this fingerprint is read and demands nothing; any other stage
+    demands its inputs and is computed and written.  Manifests alone
+    decide this.  So a full resume reads the output checkpoints only,
+    with no LLM call and no graph work, and a missing checkpoint
+    recomputes only what it needs: the chunk -> extract -> canonicalize
+    core runs at most once, and only when a missing stage needs a
+    ``*_summarized`` checkpoint that is missing too.
 
-    * ``entities_summarized`` + ``relationships_summarized``: chunking,
-      extraction (no LLM calls) and the G1/G2 canonicalize merges.  If
-      either is missing, the core runs once for both: a partial resume
-      extracts at most once.
-    * ``entities_degreed`` + ``relationships_degreed``: the degree
-      shuffle.
-    * ``communities``: the connected-components chain and community
-      detection.
-    * ``community_hierarchy``: the hierarchy's join and bucket map.  A
-      checkpoint directory without this stage computes it once from the
-      ``communities`` checkpoint and writes it.
-    * ``entities_clustered``, ``reports``, ``claims``,
-      ``media_features``: their own stage.
-
-    ``text_units`` (and ``mentions``, when extraction did not run) come
+    ``text_units`` (and ``mentions``, when the core did not run) come
     back as lazy Datasets; consuming them executes chunking (and
     extraction).
     """
@@ -188,199 +258,13 @@ def build_knowledge_graph(
         resolve_claims,
     )
 
-    import os
-
-    from knowledge_graph_ray.state.checkpoint import checkpoint_or_compute
-
     cfg = config or PipelineConfig()
+    parts = num_partitions
+    text_units, mentions = _chunk_and_extract(
+        docs, cfg, extractor_cls, **extractor_kwargs
+    )
 
-    def staged(make, stage: str):
-        """Materialize a stage output — via a resumable checkpoint when
-        checkpoint_dir is set, else in the object store."""
-        if checkpoint_dir is None:
-            return make().materialize()
-        return checkpoint_or_compute(
-            make, os.path.join(checkpoint_dir, stage), fingerprint, stage
-        )
-
-    if checkpoint_dir is None:
-        core = build_graph(docs, cfg, extractor_cls=extractor_cls,
-                           **extractor_kwargs)
-        text_units, mentions = core.text_units, core.mentions
-        # independent DAGs over the pinned mentions — overlap their
-        # shuffles in driver threads instead of idling between barriers
-        from knowledge_graph_ray.functions.poolcache import (
-            materialize_concurrently,
-        )
-
-        entities, relationships = materialize_concurrently(
-            [
-                summarize_descriptions(
-                    core.entities,
-                    max_input_tokens=cfg.max_summary_input_tokens,
-                    max_summary_length=cfg.max_summary_length,
-                ),
-                summarize_descriptions(core.relationships),
-            ]
-        )
-    else:
-        # the extract -> canonicalize core is built lazily and at most
-        # once, INSIDE the staged lambdas: when both *_summarized
-        # checkpoints are complete neither lambda runs, so a full resume
-        # executes no extraction and no G1/G2 merge (resume contract —
-        # same class as the degree and CC chains below).  text_units and
-        # the lazy mentions cost nothing until executed
-        text_units, lazy_mentions = _chunk_and_extract(
-            docs, cfg, extractor_cls, **extractor_kwargs
-        )
-        _core_box: dict = {}
-
-        def _core() -> GraphTables:
-            if "c" not in _core_box:
-                _core_box["c"] = _canonical_core(text_units, lazy_mentions,
-                                                 cfg)
-            return _core_box["c"]
-
-        entities = staged(
-            lambda: summarize_descriptions(
-                _core().entities,
-                max_input_tokens=cfg.max_summary_input_tokens,
-                max_summary_length=cfg.max_summary_length,
-            ),
-            "entities_summarized",
-        )
-        relationships = staged(
-            lambda: summarize_descriptions(_core().relationships),
-            "relationships_summarized",
-        )
-        # the pinned mentions when the core ran, else the lazy handle
-        mentions = _core_box["c"].mentions if _core_box else lazy_mentions
-
-    if checkpoint_dir is None:
-        from knowledge_graph_ray.functions.poolcache import run_concurrently
-
-        # components depend only on names/edges, not on degree columns —
-        # overlap the CC chain (several shuffle rounds + driver probes)
-        # with the degree DAGs instead of running the waves back-to-back
-        degrees, components = run_concurrently(
-            [
-                lambda: compute_degrees(relationships).materialize(),
-                lambda: connected_components(
-                    entities, relationships, num_partitions=num_partitions
-                ).materialize(),
-            ]
-        )
-        entities, relationships, communities = run_concurrently(
-            [
-                lambda: attach_entity_degrees(
-                    entities, degrees, num_partitions
-                ).materialize(),
-                lambda: attach_edge_degrees(
-                    relationships, degrees, num_partitions
-                ).materialize(),
-                lambda: detect_communities(
-                    components,
-                    relationships,
-                    max_cluster_size=cfg.max_cluster_size,
-                    seed=cfg.seed,
-                    use_lcc=cfg.use_lcc,
-                    num_partitions=num_partitions,
-                    algorithm=cfg.clustering_algorithm,
-                ).materialize(),
-            ]
-        )
-    else:
-        # degrees computed lazily and at most once, INSIDE the staged
-        # lambdas: when both *_degreed checkpoints are complete neither
-        # lambda runs and the degree shuffle is skipped entirely
-        # (resume contract — same class as the CC chain below)
-        _degrees_box: dict = {}
-
-        def _degrees():
-            if "d" not in _degrees_box:
-                _degrees_box["d"] = compute_degrees(relationships).materialize()
-            return _degrees_box["d"]
-
-        pre_degree_relationships = relationships
-        entities = staged(
-            lambda: attach_entity_degrees(entities, _degrees(),
-                                          num_partitions),
-            "entities_degreed",
-        )
-        relationships = staged(
-            lambda: attach_edge_degrees(pre_degree_relationships,
-                                        _degrees(), num_partitions),
-            "relationships_degreed",
-        )
-        # the whole CC chain lives INSIDE the staged lambda: a complete
-        # 'communities' checkpoint must skip it entirely (resume
-        # contract), not compute-and-discard it.  The inner materialize
-        # stays because detect_communities probes the component table
-        # several times (LCC pick, size gate, driver pull) and each
-        # probe would otherwise re-run the final label aggregate
-        communities = staged(
-            lambda: detect_communities(
-                connected_components(
-                    entities, relationships, num_partitions=num_partitions
-                ).materialize(),
-                relationships,
-                max_cluster_size=cfg.max_cluster_size,
-                seed=cfg.seed,
-                use_lcc=cfg.use_lcc,
-                num_partitions=num_partitions,
-                algorithm=cfg.clustering_algorithm,
-            ),
-            "communities",
-        )
-    if checkpoint_dir is None:
-        # cluster assignment and report generation are independent
-        # consumers of (communities, entities, relationships) — overlap
-        # their waves like the degree/CC pair above
-        pre_cluster_entities = entities
-        entities, reports = run_concurrently(
-            [
-                lambda: assign_clusters(
-                    pre_cluster_entities, communities,
-                    num_partitions=num_partitions,
-                ).materialize(),
-                lambda: generate_reports(
-                    communities, pre_cluster_entities, relationships,
-                    num_partitions,
-                ).materialize(),
-            ]
-        )
-    else:
-        entities = staged(
-            lambda: assign_clusters(entities, communities, num_partitions=num_partitions),
-            "entities_clustered",
-        )
-        reports = staged(
-            lambda: generate_reports(communities, entities, relationships, num_partitions),
-            "reports",
-        )
-    if checkpoint_dir is None:
-        hierarchy = community_hierarchy(communities, num_partitions)
-    else:
-        hierarchy = staged(
-            lambda: community_hierarchy(communities, num_partitions),
-            "community_hierarchy",
-        )
-
-    claims = None
-    if cfg.extract_claims:
-        # resolve_claims (M7): subject/object mapped onto the canonical
-        # entity key before merge so claims join the entity table
-        claims = staged(
-            lambda: merge_claims(
-                resolve_claims(
-                    extract_claims(text_units, batch_size=cfg.extract_batch_size)
-                )
-            ),
-            "claims",
-        )
-
-    media_features = None
-    if cfg.media_features:
+    def media_features():
         # real-format path: BMP/WAV/KGV1 payloads decoded by the stdlib
         # codec (no external libs); RealCodec remains the seam for
         # compressed formats
@@ -391,24 +275,79 @@ def build_knowledge_graph(
             media_refs_from_docs,
         )
 
-        media_features = staged(
-            lambda: decode_media(
-                fetch_media_real(media_refs_from_docs(docs)),
-                codec_cls=StdlibCodec,
-            ),
-            "media_features",
-        )
+        return decode_media(fetch_media_real(media_refs_from_docs(docs)),
+                            codec_cls=StdlibCodec)
 
+    stages = [
+        # executes extraction once: the mentions are pinned before the
+        # G1/G2 merges read them
+        ("core", (), lambda: _canonical_core(text_units, mentions, cfg),
+         False),
+        ("entities_summarized", ("core",),
+         lambda core: summarize_descriptions(
+             core.entities,
+             max_input_tokens=cfg.max_summary_input_tokens,
+             max_summary_length=cfg.max_summary_length,
+         ), True),
+        ("relationships_summarized", ("core",),
+         lambda core: summarize_descriptions(core.relationships), True),
+        ("degrees", ("relationships_summarized",),
+         lambda rels: compute_degrees(rels).materialize(), False),
+        # materialized: detect_communities probes the component table
+        # several times (LCC pick, size gate, driver pull), and each
+        # probe would otherwise re-run the final label aggregate
+        ("components", ("entities_summarized", "relationships_summarized"),
+         lambda ents, rels: connected_components(
+             ents, rels, num_partitions=parts).materialize(), False),
+        ("entities_degreed", ("entities_summarized", "degrees"),
+         lambda ents, deg: attach_entity_degrees(ents, deg, parts), True),
+        ("relationships_degreed", ("relationships_summarized", "degrees"),
+         lambda rels, deg: attach_edge_degrees(rels, deg, parts), True),
+        ("communities", ("components", "relationships_summarized"),
+         lambda comps, rels: detect_communities(
+             comps, rels,
+             max_cluster_size=cfg.max_cluster_size,
+             seed=cfg.seed,
+             use_lcc=cfg.use_lcc,
+             num_partitions=parts,
+             algorithm=cfg.clustering_algorithm,
+         ), True),
+        ("entities_clustered", ("entities_degreed", "communities"),
+         lambda ents, comms: assign_clusters(ents, comms,
+                                             num_partitions=parts), True),
+        ("reports", ("communities", "entities_degreed",
+                     "relationships_degreed"),
+         lambda comms, ents, rels: generate_reports(comms, ents, rels, parts),
+         True),
+        ("community_hierarchy", ("communities",),
+         lambda comms: community_hierarchy(comms, parts), True),
+        # resolve_claims (M7): subject/object mapped onto the canonical
+        # entity key before merge so claims join the entity table
+        ("claims", (),
+         lambda: merge_claims(resolve_claims(
+             extract_claims(text_units, batch_size=cfg.extract_batch_size))),
+         True),
+        ("media_features", (), media_features, True),
+    ]
+    outputs = ["entities_clustered", "relationships_degreed", "communities",
+               "reports", "community_hierarchy"]
+    if cfg.extract_claims:
+        outputs.append("claims")
+    if cfg.media_features:
+        outputs.append("media_features")
+    out = _run_stages(stages, outputs,
+                      *_stage_store(checkpoint_dir, fingerprint))
     return GraphTables(
         text_units=text_units,
-        mentions=mentions,
-        entities=entities,
-        relationships=relationships,
-        communities=communities,
-        reports=reports,
-        claims=claims,
-        media_features=media_features,
-        hierarchy=hierarchy,
+        # the pinned mentions when the core ran, else the lazy handle
+        mentions=out["core"].mentions if "core" in out else mentions,
+        entities=out["entities_clustered"],
+        relationships=out["relationships_degreed"],
+        communities=out["communities"],
+        reports=out["reports"],
+        claims=out.get("claims"),
+        media_features=out.get("media_features"),
+        hierarchy=out["community_hierarchy"],
     )
 
 

@@ -4,16 +4,15 @@ The reference exposes per-verb strategy enums + ``load_strategy`` match
 statements (entity extraction ``graph_intelligence | graph_intelligence_json
 | nltk``, verbs/entities/extraction/entity_extract.py:15-54; summarization
 description_summarize.py:15-72; claims extract_covariates.py:139-145;
-clustering cluster_graph.py:90-97).  Here the same three hooks are
-name-registered classes: extractor strategies (callable classes for the
-actor pool), summarizer strategies, claim strategies.
+clustering cluster_graph.py:90-97).  Here the extraction hook is a
+table of name-registered extractor strategies (callable classes for the
+actor pool); summarizers, report composers and claim extractors are
+passed as classes.
 """
 
 from __future__ import annotations
 
-from knowledge_graph_ray.stages.claims import PatternClaimExtractor
 from knowledge_graph_ray.stages.extract import CooccurrenceExtractor, PatternExtractor
-from knowledge_graph_ray.stages.summarize import DescriptionSummarizer
 
 
 class LLMGraphExtractor:
@@ -30,46 +29,13 @@ class LLMGraphExtractor:
         )
 
 
-from knowledge_graph_ray.stages.llm import (  # noqa: E402
-    OpenAICompatGraphExtractor,
-    OpenAICompatReportComposer,
-)
+from knowledge_graph_ray.stages.llm import OpenAICompatGraphExtractor  # noqa: E402
 
 EXTRACTORS = {
     "pattern": PatternExtractor,  # gazetteer + relation verbs (nltk-strategy shape)
     "cooccurrence": CooccurrenceExtractor,  # verb-free co-occurrence cliques
     "graph_intelligence": LLMGraphExtractor,  # LLM seam (needs an endpoint)
     "openai_compat": OpenAICompatGraphExtractor,  # live seam (stages/llm.py)
-}
-
-SUMMARIZERS = {
-    "deterministic": DescriptionSummarizer,
-}
-
-
-def _report_composers():
-    from knowledge_graph_ray.stages.report import (
-        RawJsonReportComposer,
-        ReportComposer,
-    )
-
-    return {
-        "deterministic": ReportComposer,
-        # LLM strategies subclass RawJsonReportComposer (tolerant JSON
-        # recovery via functions/jsonx.try_parse_json_object, M9)
-        "raw_json": RawJsonReportComposer,
-        "openai_compat": OpenAICompatReportComposer,  # live seam (stages/llm.py)
-    }
-
-
-REPORT_COMPOSERS = _report_composers()
-
-
-def get_report_composer(name: str):
-    return REPORT_COMPOSERS[name]
-
-CLAIM_EXTRACTORS = {
-    "pattern": PatternClaimExtractor,
 }
 
 
@@ -84,11 +50,3 @@ def get_extractor(name: str):
         raise ValueError(
             f"unknown extractor strategy {name!r}; known: {sorted(EXTRACTORS)}"
         ) from err
-
-
-def get_summarizer(name: str):
-    return SUMMARIZERS[name]
-
-
-def get_claim_extractor(name: str):
-    return CLAIM_EXTRACTORS[name]

@@ -203,10 +203,3 @@ def chunk_sentences_batch(batch: pa.Table) -> pa.Table:
                 }
             )
     return pa.Table.from_pylist(out, schema=TEXT_UNIT_SCHEMA)
-
-
-def chunk_documents_by_sentence(ds, batch_size: int = 256):
-    """Dataset[interleaved docs] -> one text unit per sentence (M3)."""
-    return ds.map_batches(
-        chunk_sentences_batch, batch_format="pyarrow", batch_size=batch_size
-    )

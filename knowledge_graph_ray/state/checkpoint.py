@@ -157,12 +157,13 @@ def read_checkpoint(path: str, driver_threshold: int = DRIVER_THRESHOLD):
         import pyarrow as pa
         import pyarrow.parquet as pq
 
+        from knowledge_graph_ray.functions.grouping import driver_dataset
+
         table = pa.concat_tables([pq.read_table(p) for p in parts],
                                  promote_options="permissive")
-        # materialize() runs no task on an in-memory table; every
-        # consumer then shares its cached blocks and schema (a zero-row
-        # handle reports no schema before)
-        return ray.data.from_arrow(table).materialize()
+        # every consumer shares the in-memory handle's cached blocks and
+        # schema (a zero-row handle reports no schema before materialize)
+        return driver_dataset(table)
     return ray.data.read_parquet(parts)
 
 

@@ -24,7 +24,7 @@ def main():
 
     import ray
 
-    ray.init(address="local", num_cpus=16, include_dashboard=False,
+    ray.init(address="local", num_cpus=os.cpu_count() or 1, include_dashboard=False,
              logging_level="ERROR")
     import ray.data as rd
 

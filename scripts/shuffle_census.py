@@ -23,7 +23,7 @@ def main():
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
+        ray.init(address="local", num_cpus=os.cpu_count() or 1, include_dashboard=False,
                  logging_level="ERROR")
     import ray.data
 

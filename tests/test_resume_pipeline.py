@@ -135,9 +135,11 @@ def test_full_resume_runs_no_extraction_or_canonicalize(tmp_path, monkeypatch):
 
 
 def test_resume_llm_calls(tmp_path):
-    """Endpoint calls on resume: a full resume makes none; a partial one
-    (relationships_summarized missing) extracts once — as many calls as
-    the first build, not one extraction per canonicalize side."""
+    """Endpoint calls on resume: a full resume makes none; so does a
+    partial one missing only relationships_summarized, which no output
+    needs.  With relationships_degreed missing as well, it extracts
+    once — as many calls as the first build, not one extraction per
+    canonicalize side."""
     import re
     import shutil
 
@@ -192,8 +194,15 @@ def test_resume_llm_calls(tmp_path):
 
         shutil.rmtree(os.path.join(ckpt, "relationships_summarized"))
         t3, partial_resume_calls = build()
-        assert partial_resume_calls == first_calls
+        assert partial_resume_calls == 0
         assert t3.relationships.count() == n_rels
+
+        # nothing rewrote relationships_summarized: it is still missing
+        assert not os.path.exists(os.path.join(ckpt, "relationships_summarized"))
+        shutil.rmtree(os.path.join(ckpt, "relationships_degreed"))
+        t4, partial_resume_calls = build()
+        assert partial_resume_calls == first_calls
+        assert t4.relationships.count() == n_rels
 
 
 def _export_rows(out_dir, table):
