@@ -15,13 +15,3 @@ import math
 def round_half_away(x: float) -> int:
     """round-half-away-from-zero to int (DuckDB round() semantics)."""
     return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
-
-
-def scaled_int_column(column, scale: float):
-    """pyarrow column * scale -> int64 with DuckDB rounding."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    scaled = pc.multiply(column.cast(pa.float64()), scale)
-    rounded = pc.round(scaled, ndigits=0, round_mode="half_towards_infinity")
-    return rounded.cast(pa.int64())

@@ -3,10 +3,9 @@
 Baseline: brute-force cosine top-k — the query matrix is broadcast once
 with ``ray.put`` and read in every map_batches task (never re-shipped per
 batch); each batch computes a numpy matmul against the broadcast matrix
-and emits its LOCAL top-k per query, then a small
-``groupby(query_id).map_groups`` merges local top-ks into the global
-top-k.  Shuffle volume is O(num_queries * k * num_blocks), independent
-of corpus size.
+and emits its LOCAL top-k per query, then the driver merges the local
+top-ks (at most num_queries * k rows per block, independent of corpus
+size) into the global top-k, with no exchange.
 
 Scale paths: IVF — a coarse centroid codebook (seeded kmeans-lite
 trained on a sample) assigns every vector to its nearest centroid in one
@@ -80,6 +79,12 @@ def _unit(mat: np.ndarray) -> np.ndarray:
     return mat / norms
 
 
+_LOCAL_TOPK_SCHEMA = pa.schema([("query_id", pa.int64()),
+                                ("vec_id", pa.string()),
+                                ("cosine", pa.float64())])
+_TOPK_SCHEMA = _LOCAL_TOPK_SCHEMA.append(pa.field("rk", pa.int64()))
+
+
 def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
                      vec_column: str = "embedding", id_column: str = "vec_id"):
     """-> Dataset[(query_id, vec_id, cosine, rk)] — global top-k per query.
@@ -113,28 +118,31 @@ def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
                             "cosine": float(sims[qi, j]),
                         }
                     )
-            return pa.Table.from_pylist(
-                rows,
-                schema=pa.schema(
-                    [("query_id", pa.int64()), ("vec_id", pa.string()),
-                     ("cosine", pa.float64())]
-                ),
-            )
+            return pa.Table.from_pylist(rows, schema=_LOCAL_TOPK_SCHEMA)
+
+    from knowledge_graph_ray.functions.grouping import (
+        driver_arrow_table,
+        driver_dataset,
+    )
 
     local = ds.map_batches(local_topk_batch, batch_format="pyarrow",
-                           batch_size=4096)
-
-    def merge_topk(group: pd.DataFrame) -> pa.Table:
-        top = (
-            group.assign(_tb=_tie_break_frame(group))
-            .sort_values(["cosine", "_tb"], ascending=[False, True])
-            .drop(columns=["_tb"])
-            .head(k)
-        )
-        top = top.assign(rk=np.arange(1, len(top) + 1))
-        return pa.Table.from_pandas(top, preserve_index=False)
-
-    return local.groupby("query_id").map_groups(merge_topk, batch_format="pandas")
+                           batch_size=4096).materialize()
+    # at most Q*k rows per block: merge them on the driver, not through
+    # a groupby exchange
+    table = driver_arrow_table(local)
+    if table is None:
+        return driver_dataset(_TOPK_SCHEMA.empty_table())
+    qid = table.column("query_id").to_numpy()
+    order = np.lexsort((_id_sort_key(table.column("vec_id").to_pylist()),
+                        -table.column("cosine").to_numpy(), qid))
+    qid = qid[order]
+    starts = np.flatnonzero(np.r_[True, qid[1:] != qid[:-1]])
+    rk = np.arange(1, len(qid) + 1) - np.repeat(
+        starts, np.diff(np.r_[starts, len(qid)]))
+    keep = rk <= k
+    top = table.take(order[keep]).append_column(
+        "rk", pa.array(rk[keep], type=pa.int64()))
+    return driver_dataset(top.combine_chunks())
 
 
 def train_centroids(ds, num_centroids: int = 16, sample: int = 2048,

@@ -2,8 +2,8 @@
 
 Usage (from the repository root): PYTHONPATH=. python scripts/cc_scale_check.py
 """
-import ray, time
-ray.init(address="local", num_cpus=16, include_dashboard=False, logging_level="ERROR")
+import os, ray, time
+ray.init(address="local", num_cpus=os.cpu_count() or 1, include_dashboard=False, logging_level="ERROR")
 import ray.data as rd
 rd.DataContext.get_current().enable_progress_bars = False
 import numpy as np, networkx as nx, pyarrow as pa

@@ -11,11 +11,12 @@ actually take the mixed-context branch.
 
 Usage (from the repository root): PYTHONPATH=. python scripts/report_distributed_scale_check.py
 """
+import os
 import time
 
 import ray
 
-ray.init(address="local", num_cpus=32, include_dashboard=False,
+ray.init(address="local", num_cpus=os.cpu_count() or 1, include_dashboard=False,
          logging_level="ERROR")
 import numpy as np
 import pyarrow as pa

@@ -8,11 +8,12 @@ contrast, times the raw map_groups shape on the same input.
 
 Usage (from the repository root): PYTHONPATH=. python scripts/report_scale_check.py
 """
+import os
 import time
 
 import ray
 
-ray.init(address="local", num_cpus=16, include_dashboard=False,
+ray.init(address="local", num_cpus=os.cpu_count() or 1, include_dashboard=False,
          logging_level="ERROR")
 import numpy as np
 import pyarrow as pa

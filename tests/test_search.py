@@ -55,3 +55,42 @@ def test_global_context():
     # determinism
     ctx2 = build_global_context(tables.reports, k=3, token_budget=10000)
     assert ctx["community"].tolist() == ctx2["community"].tolist()
+
+
+def test_brute_force_topk_merges_without_an_exchange():
+    """The per-block top-k rows merge on the driver: the executed plan
+    has no Sort/Aggregate operator, and ties still break on the numeric
+    id ('2' before '10') as in the SQL oracle."""
+    import re
+
+    import pyarrow as pa
+
+    from knowledge_graph_ray.stages.similarity import brute_force_topk
+
+    rng = np.random.default_rng(7)
+    vecs = rng.normal(size=(40, 8))
+    vecs[10] = vecs[2]  # a cosine tie across blocks
+    ids = [str(i) for i in range(40)]
+    table = pa.table({"vec_id": ids, "embedding": [list(v) for v in vecs]})
+    emb = rd.from_arrow([table.slice(i, 10) for i in range(0, 40, 10)])
+    queries = vecs[[2, 5, 30]]
+    top = brute_force_topk(emb, queries, k=4).materialize()
+    assert not re.findall(
+        r"Operator \d+ (Sort|Aggregate|RandomShuffle|Repartition)\b",
+        top.stats())
+
+    got = top.to_pandas()
+    assert list(got.columns) == ["query_id", "vec_id", "cosine", "rk"]
+    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    for qi, q in enumerate(unit[[2, 5, 30]]):
+        order = np.lexsort((np.arange(40), -(unit @ q)))[:4]
+        rows = got[got.query_id == qi].sort_values("rk")
+        assert rows.vec_id.tolist() == [ids[i] for i in order]
+        assert rows.rk.tolist() == [1, 2, 3, 4]
+    assert got[got.query_id == 0].vec_id.tolist()[:2] == ["2", "10"]
+
+    empty = rd.from_arrow(pa.table({
+        "vec_id": pa.array([], pa.string()),
+        "embedding": pa.array([], pa.list_(pa.float64())),
+    }))
+    assert brute_force_topk(empty, queries, k=4).count() == 0
