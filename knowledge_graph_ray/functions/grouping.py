@@ -253,3 +253,46 @@ def bucketed_group_map(ds, keys: list[str], fn, num_buckets: int = 64,
         empty_schema=empty_schema, driver_threshold=driver_threshold,
         size_hint=size_hint,
     )
+
+
+def grouped_topk(ds, group_cols: list[str], order_col: str, k: int,
+                 descending: bool = True, tie_cols: list[str] | None = None,
+                 num_buckets: int = 64, driver_threshold: int | None = None,
+                 size_hint: int | None = None):
+    """Top-k rows per group with a dense 1..k ``rk`` column.
+
+    Scale shape: a per-batch local top-k combiner bounds the shuffle to
+    <= k rows per (group, batch) — hub groups ship k rows per upstream
+    block, never their full row count — then the bucketed final pass
+    re-ranks.  Ties broken by ``tie_cols`` ascending (deterministic).
+    """
+    tie = tie_cols or []
+    sort_cols = [order_col] + tie
+    ascending = [not descending] + [True] * len(tie)
+
+    def local_topk(batch: pa.Table) -> pa.Table:
+        df = batch.to_pandas()
+        top = (
+            df.sort_values(sort_cols, ascending=ascending, kind="stable")
+            # dropna=False to match the final bucketed_group_map pass —
+            # pandas' default dropna=True would silently discard
+            # null-key rows in the combiner only
+            .groupby(group_cols, sort=False, dropna=False)
+            .head(k)
+        )
+        return pa.Table.from_pandas(top, preserve_index=False)
+
+    partials = ds.map_batches(local_topk, batch_format="pyarrow")
+
+    def final_topk(group: pd.DataFrame) -> pa.Table:
+        top = group.sort_values(sort_cols, ascending=ascending,
+                                kind="stable").head(k)
+        top = top.assign(rk=range(1, len(top) + 1))
+        return pa.Table.from_pandas(top, preserve_index=False)
+
+    # the combiner bounds partials to <= k per (group, batch), so a
+    # driver_threshold probe over PARTIALS is cheap even for huge inputs
+    return bucketed_group_map(partials, group_cols, final_topk,
+                              num_buckets=num_buckets,
+                              driver_threshold=driver_threshold,
+                              size_hint=size_hint)

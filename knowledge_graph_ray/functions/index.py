@@ -21,6 +21,55 @@ from knowledge_graph_ray.functions.grouping import (
 )
 
 
+def with_weight_offsets(ds, weight_col: str, column: str = "start_offset",
+                        sort_key=None):
+    """Append the EXCLUSIVE running sum of ``weight_col`` in dataset
+    order (row i gets sum of weights of rows 0..i-1).
+
+    Same two-pass shape as ``with_row_index``: per-block weight sums
+    (tiny remote tasks over block refs — block payloads never touch the
+    driver) -> driver cumulative offsets (one number per block) ->
+    per-block local cumsum + offset.  The scale cost is the optional
+    sort; the prefix-sum passes are O(blocks) driver work.
+    """
+    import numpy as np
+    import ray
+    import ray.data
+
+    if sort_key is not None:
+        ds = ds.sort(sort_key)
+    mat = ds.materialize()
+    refs = mat.to_arrow_refs()
+
+    @ray.remote
+    def block_sum(table: pa.Table) -> int:
+        import pyarrow.compute as pc
+
+        # cast BEFORE summing so block bases agree exactly with the
+        # per-row int64 cumsum below (a float weight column would
+        # otherwise truncate sum-of-floats here but sum-of-truncated
+        # there — silently inconsistent offsets)
+        col = table.column(weight_col).cast(pa.int64())
+        return int(pc.sum(col).as_py() or 0)
+
+    sums = ray.get([block_sum.remote(r) for r in refs])
+    offsets = []
+    total = 0
+    for s in sums:
+        offsets.append(total)
+        total += s
+
+    @ray.remote
+    def add_offsets(table: pa.Table, offset: int) -> pa.Table:
+        w = table.column(weight_col).to_numpy(zero_copy_only=False).astype("int64")
+        excl = np.concatenate(([0], np.cumsum(w)[:-1])) + offset
+        return table.append_column(column, pa.array(excl, type=pa.int64()))
+
+    return ray.data.from_arrow_refs(
+        [add_offsets.remote(r, off) for r, off in zip(refs, offsets)]
+    )
+
+
 def sort_and_index(table: pa.Table, sort_key,
                    column: str = "human_readable_id") -> pa.Table:
     """Driver kernel of ``with_row_index(sort_key=...)``: ``table``

@@ -78,8 +78,7 @@ def running_sum(ds, key: str, order_cols: list[str], value_col: str,
     ``order_cols`` must be a total order within each key (include a
     unique id as tiebreak) or the prefix sums are oracle-ambiguous.
     ``value_col`` must already be integer (scale floats to cents
-    upstream via functions/numeric.scaled_int_column) so the cumsum is
-    exact.  One shuffle; per bucket one sort + groupby cumsum.
+    upstream) so the cumsum is exact.  One shuffle; per bucket one sort + groupby cumsum.
     """
     cols = list(dict.fromkeys([key] + order_cols + [value_col]))
 

@@ -447,6 +447,18 @@ def test_grouped_agg_all_null_group_sums_to_null():
     assert got.n.tolist() == [2, 2]
 
 
+def test_weighted_repeat_empty_batch_after_filter():
+    from knowledge_graph_ray.stages.sampling import weighted_repeat
+
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2], type=pa.int64()),
+        "w": [1.0, 1.0],
+        "keep": [False, False],
+    })).filter(expr="keep == False").filter(expr="keep == True")
+    # entire dataset filtered away -> empty batches reach expand
+    assert weighted_repeat(ds, "w", "doc_id").count() == 0
+
+
 def test_minhash_bands_with_remainder_permutations():
     import numpy as np
 

@@ -5,11 +5,6 @@ Edge cases mirror the reference parser quirks
 graph/claims/graph_claims.py:218-259).
 """
 
-import numpy as np
-import pandas as pd
-import pytest
-import ray.data as rd
-
 from knowledge_graph_ray.functions import (
     clean_str,
     normalize_name,
@@ -18,7 +13,6 @@ from knowledge_graph_ray.functions import (
     token_count,
     tokenize,
 )
-from knowledge_graph_ray.functions.agg import grouped_welch_t
 
 
 def test_clean_str_html_and_control():
@@ -239,67 +233,3 @@ def test_extract_json_paths_edge_cases():
     assert got.s.tolist()[0] == "x"
     assert got.s.isna().tolist() == [False, True, True, True, True]
 
-
-def test_grouped_welch_t_matches_plain_python():
-    rng = np.random.default_rng(5)
-    rows = []
-    for grp, mu in (("a", 100), ("b", 130), ("c", 70)):
-        for v in rng.integers(mu - 40, mu + 40, 200):
-            rows.append({"g": grp, "x": int(v)})
-    df = pd.DataFrame(rows)
-    got = grouped_welch_t(rd.from_pandas(df), "g", "x",
-                          baseline="a").to_pandas()
-    assert set(got.g) == {"b", "c"}
-
-    base = df[df.g == "a"].x.to_numpy(dtype=np.float64)
-    nb, mb, vb = len(base), base.mean(), base.var(ddof=1)
-    for grp in ("b", "c"):
-        s = df[df.g == grp].x.to_numpy(dtype=np.float64)
-        t = (s.mean() - mb) / np.sqrt(s.var(ddof=1) / len(s) + vb / nb)
-        row = got[got.g == grp].iloc[0]
-        assert row.n == len(s)
-        assert abs(int(row.t_e6) - round(t * 1e6)) <= 2
-
-
-def test_grouped_welch_t_missing_baseline_raises():
-    df = pd.DataFrame({"g": ["a", "b"], "x": [1, 2]})
-    with pytest.raises(Exception, match="baseline"):
-        grouped_welch_t(rd.from_pandas(df), "g", "x",
-                        baseline="zz").to_pandas()
-
-
-def test_grouped_chi2_gof_matches_plain_python():
-    from knowledge_graph_ray.functions.agg import grouped_chi2_gof
-
-    rng = np.random.default_rng(41)
-    g = rng.choice(["a", "b", "c"], 500)
-    c = rng.choice([0, 1, 2, 3], 500, p=[0.4, 0.3, 0.2, 0.1])
-    df = pd.DataFrame({"g": g, "c": c})
-    got = grouped_chi2_gof(rd.from_pandas(df), "g", "c").to_pandas() \
-        .sort_values("g").reset_index(drop=True)
-
-    cats = sorted(df.c.unique())
-    tot = {cc: (df.c == cc).sum() for cc in cats}
-    nn = len(df)
-    for _, row in got.iterrows():
-        grp = df[df.g == row.g]
-        chi2 = 0.0
-        for cc in cats:
-            obs = float((grp.c == cc).sum())
-            exp = len(grp) * tot[cc] / nn
-            chi2 += (obs - exp) ** 2 / exp
-        assert row.dof == len(cats) - 1
-        assert row.n == len(grp)
-        assert abs(row.chi2_e6 - round(chi2 * 1e6)) <= 1
-    assert len(got) == 3
-
-
-def test_grouped_chi2_gof_uniform_group_scores_zero():
-    from knowledge_graph_ray.functions.agg import grouped_chi2_gof
-
-    # both groups have identical category mixes -> chi2 == 0 exactly
-    df = pd.DataFrame({"g": ["x"] * 6 + ["y"] * 12,
-                       "c": [0, 0, 1, 1, 2, 2] * 3})
-    got = grouped_chi2_gof(rd.from_pandas(df), "g", "c").to_pandas()
-    assert sorted(got.chi2_e6) == [0, 0]
-    assert sorted(got.dof) == [2, 2]

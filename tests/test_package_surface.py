@@ -122,12 +122,18 @@ ENTRY_POINTS = (
     f"{PKG}.corpus",
     f"{PKG}.registry",
 )
-# Outside the KG engine and still tested alongside kept operators; to be
-# cut with their tests.
+# Outside the KG engine and not yet cut: the first three are still
+# tested alongside kept operators, the other five have whole test files
+# of their own.  Each leaves this set when it is cut with its tests.
 UNREACHABLE_ALLOWED = {
     f"{PKG}.stages.dedup",
     f"{PKG}.stages.sketches",
     f"{PKG}.state.diff",
+    f"{PKG}.stages.ranking",
+    f"{PKG}.stages.graphops",
+    f"{PKG}.stages.sampling",
+    f"{PKG}.stages.packing",
+    f"{PKG}.stages.decontaminate",
 }
 
 

@@ -88,6 +88,23 @@ def test_leaf_assignments_match_recursion_gates(n, ml, mc):
     assert got == _reference_leaves(names, ml, mc)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.text(alphabet=st.characters(max_codepoint=0x2FF),
+                        max_size=60),
+                max_size=25),
+       st.integers(min_value=1, max_value=4))
+def test_gram_frame_matches_grams_reference(texts, n):
+    """Vectorized (doc, gram) explode == the per-row _grams sets, for
+    arbitrary unicode-ish text and any n."""
+    from knowledge_graph_ray.stages.decontaminate import _gram_frame, _grams
+
+    arr = pa.array(texts, type=pa.string())
+    gf = _gram_frame(arr, n).drop_duplicates(["doc", "gram"])
+    got = {(int(d), g) for d, g in gf.itertuples(index=False)}
+    want = {(i, g) for i, t in enumerate(texts) for g in _grams(t, n)}
+    assert got == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.text(alphabet=st.characters(max_codepoint=0x2FF),
                         max_size=50),

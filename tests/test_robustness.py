@@ -190,3 +190,25 @@ def test_coda8_operators_handle_empty_inputs():
     }))
     out = grouped_chi2_gof(one_cat, "g", "c").to_pandas()
     assert sorted(out.dof) == [0, 0] and sorted(out.chi2_e6) == [0, 0]
+
+
+def test_coda9_operators_handle_empty_inputs():
+    """Empty/degenerate inputs through every coda-9 stage operator
+    (100-TB runs hit empty partitions and empty filter results
+    constantly)."""
+    import pyarrow as pa
+
+    from knowledge_graph_ray.stages.graphops import multi_source_bfs
+
+    empty_edges = rd.from_arrow(pa.table({
+        "src": pa.array([], pa.string()),
+        "dst": pa.array([], pa.string()),
+    }))
+    # BFS from seeds absent in an empty graph: nothing reached
+    assert multi_source_bfs(empty_edges, ["x"], hops=2).count() == 0
+    # single-node self-loop-free degenerate: one edge
+    one = rd.from_arrow(pa.table({
+        "src": pa.array(["a"]), "dst": pa.array(["b"]),
+    }))
+    d = multi_source_bfs(one, ["a", "b"], hops=1).to_pandas()
+    assert len(d) == 4  # both seeds reach both nodes at dist <= 1
