@@ -37,20 +37,6 @@ from knowledge_graph_ray.functions.grouping import (
 _KINDS = ("sum", "count", "min", "max", "mean")
 
 
-def _arrow_type(t) -> pa.DataType:
-    """Normalize numpy/pandas-block dtypes to arrow."""
-    if isinstance(t, pa.DataType):
-        return t
-    try:
-        import numpy as np
-
-        if t is object or t is str or np.dtype(t) == np.dtype("O"):
-            return pa.string()
-        return pa.from_numpy_dtype(np.dtype(t))
-    except Exception:
-        return pa.string()
-
-
 def grouped_agg(ds, keys: list[str],
                 specs: list[tuple[str, "str | None", str]],
                 num_buckets: int = 16,

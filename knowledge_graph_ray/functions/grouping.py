@@ -18,17 +18,20 @@ aggregation bounds per-key rows).
 Regime rule: an exchange whose input is provably at most
 ``DRIVER_THRESHOLD`` rows runs its body once over the whole input on the
 driver and returns one contiguous block; larger inputs take the
-distributed bucket shuffle.  The graph tail applies the rule twice.  A
-stage whose inputs are all materialized and sum to at most its bound
-(``driver_tables``) pulls them and runs its whole ``pa.Table ->
-pa.Table`` kernel on the driver, so it starts no Ray execution at all
-and returns one in-memory dataset (``driver_dataset``).  Otherwise the
-stage keeps its Dataset path, whose exchanges (joins, aggregates, the
-row index sort) still pick the driver regime when their own input is
-small.  The checkpoint layer (``state/checkpoint.py``) applies the rule
-to reads and writes: a materialized table or a checkpoint of at most
-``DRIVER_THRESHOLD`` rows is written and read with pyarrow on the
-driver.
+distributed bucket shuffle.  The graph tail applies the rule twice.
+``build_knowledge_graph`` (``pipelines/build._tail``) picks each stage's
+regime in one place: when its inputs are Arrow tables summing to at
+most its bound, it runs the stage's whole ``pa.Table -> pa.Table``
+kernel on the driver, with no Ray execution, and hands the table to the
+next stage.  The core's canonical tables are pulled once
+(``driver_tables``) to start that chain, and tables become in-memory
+datasets (``driver_dataset``) only where a dataset is needed.
+Otherwise the stage takes its Dataset path, whose exchanges (joins,
+aggregates, the row index sort) still pick the driver regime when
+their own input is small.  The checkpoint layer
+(``state/checkpoint.py``) applies the rule to reads and writes: a
+materialized table or a checkpoint of at most ``DRIVER_THRESHOLD`` rows
+is written and read with pyarrow on the driver.
 """
 
 from __future__ import annotations
@@ -60,8 +63,10 @@ def _whole_table(ds) -> "pa.Table | None":
 
     # an in-memory handle (from_arrow) starts an executor on its first
     # pull; materialize() runs no task on it, and the pull after it is
-    # metadata-only
-    ds = ds.materialize()
+    # metadata-only.  An executed handle skips it: materialize() deep-
+    # copies the plan, ~5 ms a call
+    if not ds._plan.has_computed_output():
+        ds = ds.materialize()
     tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
     if tables:
         return pa.concat_tables(tables, promote_options="permissive")
@@ -99,6 +104,15 @@ def driver_tables(datasets, bound: int | None) -> "list[pa.Table] | None":
         return None
     tables = [_whole_table(ds) for ds in datasets]
     return None if any(t is None for t in tables) else tables
+
+
+def empty_tables(datasets) -> "list[pa.Table] | None":
+    """Zero-row tables with the schemas of ``datasets`` when every one
+    is materialized and has no rows; else None.  A graph-tail stage
+    function returns its kernel's output on them, typed as the kernel
+    types it: its Dataset path would lose the schema (``driver_tables``
+    says why)."""
+    return driver_tables(datasets, -1)
 
 
 def driver_dataset(table: pa.Table):

@@ -5,7 +5,8 @@ workflow/build_workflow.py:20-83 re-expressed as streaming Ray Data stages).
 the stages its outputs need (``_run_stages``).  Checkpointed stages (*)
 persist under ``checkpoint_dir``, else in the object store::
 
-    core: chunk (M1) -> extract (A1/A2) -> canonicalize (G1/G2)   <- docs
+    text_units: chunk (M1)                                        <- docs
+    core: extract (A1/A2) -> canonicalize (G1/G2)                 <- text_units
     entities_summarized*, relationships_summarized*               <- core
     degrees                  <- relationships_summarized
     components               <- both *_summarized
@@ -15,17 +16,26 @@ persist under ``checkpoint_dir``, else in the object store::
     entities_clustered*      <- entities_degreed, communities
     reports*                 <- communities, both *_degreed
     community_hierarchy*     <- communities
-    claims*, media_features* <- text units, docs
+    claims*                  <- text_units
+    media_features*          <- docs
+
+The graph-tail stages (summarize to hierarchy) each have a driver
+kernel on Arrow tables and a Dataset path; ``_tail`` picks one per
+stage, in one place.  Small stage outputs pass between stages as
+``pa.Table`` values, and become datasets only on ``GraphTables``.
 
 Nothing here calls ray.init(); callers own the session.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
+import pyarrow as pa
+
 from knowledge_graph_ray.config import PipelineConfig
+from knowledge_graph_ray.functions import grouping
 from knowledge_graph_ray.stages.chunk import chunk_documents
 from knowledge_graph_ray.stages.extract import PatternExtractor, extract_mentions
 from knowledge_graph_ray.stages.canonicalize import (
@@ -49,14 +59,18 @@ class GraphTables:
     hierarchy: Any = None  # G5: (community, level, sub_community, size)
 
 
-def _chunk_and_extract(docs, cfg: PipelineConfig,
-                      extractor_cls=PatternExtractor, **extractor_kwargs):
-    """docs Dataset -> (text_units, mentions), both LAZY: nothing runs
-    until a consumer executes them."""
-    text_units = chunk_documents(
+def _chunk(docs, cfg: PipelineConfig):
+    """docs Dataset -> LAZY text_units: nothing runs until a consumer
+    executes them."""
+    return chunk_documents(
         docs, cfg.chunk_size, cfg.chunk_overlap, batch_size=cfg.chunk_batch_size
     )
-    mentions = extract_mentions(
+
+
+def _extract(text_units, cfg: PipelineConfig,
+             extractor_cls=PatternExtractor, **extractor_kwargs):
+    """text_units Dataset -> LAZY mentions."""
+    return extract_mentions(
         text_units,
         extractor_cls=extractor_cls,
         batch_size=cfg.extract_batch_size,
@@ -64,7 +78,6 @@ def _chunk_and_extract(docs, cfg: PipelineConfig,
         use_actor_pool=cfg.extract_use_actor_pool,
         **extractor_kwargs,
     )
-    return text_units, mentions
 
 
 def _canonical_core(text_units, mentions, cfg: PipelineConfig,
@@ -126,21 +139,58 @@ def build_graph(
     with the same fingerprint resumes past extraction entirely.
     """
     cfg = config or PipelineConfig()
-    text_units, mentions = _chunk_and_extract(
-        docs, cfg, extractor_cls, **extractor_kwargs
-    )
+    text_units = _chunk(docs, cfg)
+    mentions = _extract(text_units, cfg, extractor_cls, **extractor_kwargs)
     return _canonical_core(text_units, mentions, cfg, mentions_checkpoint,
                           fingerprint)
 
 
+def _small_table(ds):
+    """``ds`` as one Arrow table when it is materialized and at most
+    ``DRIVER_THRESHOLD`` rows, or has none (``driver_tables``' rule);
+    else ``ds`` itself."""
+    small = grouping.driver_tables([ds], grouping.DRIVER_THRESHOLD)
+    return ds if small is None else small[0]
+
+
+def _pinned(value):
+    """A stage output held for its consumers: a table is its own pinned
+    value; a dataset is materialized in the object store, and handed on
+    as a table when it is small (``_small_table``)."""
+    if isinstance(value, pa.Table):
+        return value
+    return _small_table(value.materialize())
+
+
+def _tail(kernel, dataset_fn, bound=lambda: grouping.DRIVER_THRESHOLD):
+    """A graph-tail stage's ``make``: the one place a stage's regime is
+    picked.  ``kernel`` runs on the driver when every input is a
+    ``pa.Table`` and they sum to at most ``bound()`` rows (read at call
+    time), or have no rows at all: on zero-row blocks Ray's
+    ``map_batches`` never calls its body, so the Dataset path would lose
+    the schema (``driver_tables``' rule).  Otherwise ``dataset_fn``
+    runs, with any table input wrapped as an in-memory dataset."""
+    def make(*inputs):
+        if all(isinstance(t, pa.Table) for t in inputs):
+            rows = sum(t.num_rows for t in inputs)
+            if not rows or rows <= bound():
+                return kernel(*inputs)
+        return dataset_fn(*map(_dataset, inputs))
+
+    return make
+
+
 def _stage_store(checkpoint_dir: str | None, fingerprint: str):
-    """(complete, store) of the stage outputs.
+    """(complete, store, dataset) of the stage outputs.
 
     ``complete(stage)`` is true when the stage's output can be read back
     instead of computed: a complete checkpoint with this ``fingerprint``
     (manifests only; nothing is read).  ``store(make, stage)`` is the
-    stage's output, materialized in the object store without a
-    directory, else through a resumable checkpoint."""
+    stage's output, pinned (``_pinned``) without a directory, else
+    through a resumable checkpoint: what a resume reads, a small
+    checkpoint as one Arrow table.  ``dataset(value)`` is a stage output
+    as a dataset, for ``GraphTables``: a table read from a checkpoint
+    gets back the dataset that read built."""
     import os
 
     from knowledge_graph_ray.state.checkpoint import (
@@ -149,14 +199,32 @@ def _stage_store(checkpoint_dir: str | None, fingerprint: str):
     )
 
     if checkpoint_dir is None:
-        return (lambda stage: False), (lambda make, stage: make().materialize())
+        return ((lambda stage: False), (lambda make, stage: _pinned(make())),
+                _dataset)
+    read_back: dict = {}  # id(table) -> the checkpoint read it came from
 
     def path(stage):
         return os.path.join(checkpoint_dir, stage)
 
-    return (lambda stage: checkpoint_complete(path(stage), fingerprint),
-            lambda make, stage: checkpoint_or_compute(make, path(stage),
-                                                      fingerprint, stage))
+    def store(make, stage):
+        ds = checkpoint_or_compute(lambda: _dataset(make()), path(stage),
+                                   fingerprint, stage)
+        value = _small_table(ds)
+        read_back[id(value)] = ds
+        return value
+
+    def dataset(value):
+        return read_back[id(value)] if id(value) in read_back else _dataset(value)
+
+    return (lambda stage: checkpoint_complete(path(stage), fingerprint), store,
+            dataset)
+
+
+def _dataset(value):
+    """A stage output as a dataset: a table becomes an in-memory one."""
+    if isinstance(value, pa.Table):
+        return grouping.driver_dataset(value)
+    return value
 
 
 def _run_stages(stages: list, outputs: list, complete, store) -> dict:
@@ -235,23 +303,16 @@ def build_knowledge_graph(
     core runs at most once, and only when a missing stage needs a
     ``*_summarized`` checkpoint that is missing too.
 
-    ``text_units`` (and ``mentions``, when the core did not run) come
-    back as lazy Datasets; consuming them executes chunking (and
+    ``text_units`` and ``mentions`` come back pinned when the core ran.
+    Otherwise they are lazy Datasets (``text_units`` is pinned when the
+    claims stage ran); consuming them executes chunking (and
     extraction).
     """
-    from knowledge_graph_ray.stages.summarize import summarize_descriptions
-    from knowledge_graph_ray.stages.degree import (
-        attach_edge_degrees,
-        attach_entity_degrees,
-        compute_degrees,
+    from knowledge_graph_ray.stages import community, components, degree, report
+    from knowledge_graph_ray.stages.summarize import (
+        DescriptionSummarizer,
+        summarize_descriptions,
     )
-    from knowledge_graph_ray.stages.components import connected_components
-    from knowledge_graph_ray.stages.community import (
-        assign_clusters,
-        community_hierarchy,
-        detect_communities,
-    )
-    from knowledge_graph_ray.stages.report import generate_reports
     from knowledge_graph_ray.stages.claims import (
         extract_claims,
         merge_claims,
@@ -260,9 +321,18 @@ def build_knowledge_graph(
 
     cfg = config or PipelineConfig()
     parts = num_partitions
-    text_units, mentions = _chunk_and_extract(
-        docs, cfg, extractor_cls, **extractor_kwargs
-    )
+    text_units = _chunk(docs, cfg)
+
+    def extract(units):
+        return _extract(units, cfg, extractor_cls, **extractor_kwargs)
+
+    def core(units):
+        # executes extraction once: the mentions are pinned before the
+        # G1/G2 merges read them; the two canonical tables are pulled
+        # once for the whole tail
+        out = _canonical_core(units, extract(units), cfg)
+        return replace(out, entities=_small_table(out.entities),
+                       relationships=_small_table(out.relationships))
 
     def media_features():
         # real-format path: BMP/WAV/KGV1 payloads decoded by the stdlib
@@ -278,54 +348,69 @@ def build_knowledge_graph(
         return decode_media(fetch_media_real(media_refs_from_docs(docs)),
                             codec_cls=StdlibCodec)
 
+    summary = dict(max_input_tokens=cfg.max_summary_input_tokens,
+                   max_summary_length=cfg.max_summary_length)
+    clustering = dict(max_cluster_size=cfg.max_cluster_size, seed=cfg.seed,
+                      use_lcc=cfg.use_lcc, algorithm=cfg.clustering_algorithm)
+    summarize_entities = _tail(
+        DescriptionSummarizer(**summary),
+        lambda ents: summarize_descriptions(ents, **summary))
+    summarize_relationships = _tail(DescriptionSummarizer(),
+                                    summarize_descriptions)
+    degrees = _tail(degree.degrees_table, degree.compute_degrees)
+    # pinned: detect_communities' Dataset path probes the component
+    # table several times (LCC pick, size gate, driver pull), and each
+    # probe would otherwise re-run the final label aggregate
+    labels = _tail(components.component_labels,
+                   lambda ents, rels: components.connected_components(
+                       ents, rels, num_partitions=parts))
     stages = [
-        # executes extraction once: the mentions are pinned before the
-        # G1/G2 merges read them
-        ("core", (), lambda: _canonical_core(text_units, mentions, cfg),
-         False),
+        # pinned: the core extracts from it, and claims and the export
+        # read it without chunking again
+        ("text_units", (), lambda: text_units.materialize(), False),
+        ("core", ("text_units",), core, False),
         ("entities_summarized", ("core",),
-         lambda core: summarize_descriptions(
-             core.entities,
-             max_input_tokens=cfg.max_summary_input_tokens,
-             max_summary_length=cfg.max_summary_length,
-         ), True),
+         lambda core: summarize_entities(core.entities), True),
         ("relationships_summarized", ("core",),
-         lambda core: summarize_descriptions(core.relationships), True),
+         lambda core: summarize_relationships(core.relationships), True),
         ("degrees", ("relationships_summarized",),
-         lambda rels: compute_degrees(rels).materialize(), False),
-        # materialized: detect_communities probes the component table
-        # several times (LCC pick, size gate, driver pull), and each
-        # probe would otherwise re-run the final label aggregate
+         lambda rels: _pinned(degrees(rels)), False),
         ("components", ("entities_summarized", "relationships_summarized"),
-         lambda ents, rels: connected_components(
-             ents, rels, num_partitions=parts).materialize(), False),
+         lambda ents, rels: _pinned(labels(ents, rels)), False),
         ("entities_degreed", ("entities_summarized", "degrees"),
-         lambda ents, deg: attach_entity_degrees(ents, deg, parts), True),
+         _tail(degree.entity_degrees_table,
+               lambda ents, deg: degree.attach_entity_degrees(ents, deg, parts)),
+         True),
         ("relationships_degreed", ("relationships_summarized", "degrees"),
-         lambda rels, deg: attach_edge_degrees(rels, deg, parts), True),
+         _tail(degree.edge_degrees_table,
+               lambda rels, deg: degree.attach_edge_degrees(rels, deg, parts)),
+         True),
         ("communities", ("components", "relationships_summarized"),
-         lambda comps, rels: detect_communities(
-             comps, rels,
-             max_cluster_size=cfg.max_cluster_size,
-             seed=cfg.seed,
-             use_lcc=cfg.use_lcc,
-             num_partitions=parts,
-             algorithm=cfg.clustering_algorithm,
-         ), True),
+         _tail(lambda comps, rels: community.cluster_tables(comps, rels,
+                                                            **clustering),
+               lambda comps, rels: community.detect_communities(
+                   comps, rels, num_partitions=parts, **clustering),
+               lambda: community.CLUSTER_DRIVER_THRESHOLD), True),
         ("entities_clustered", ("entities_degreed", "communities"),
-         lambda ents, comms: assign_clusters(ents, comms,
-                                             num_partitions=parts), True),
+         _tail(community.assign_clusters_table,
+               lambda ents, comms: community.assign_clusters(
+                   ents, comms, num_partitions=parts)), True),
+        # the kernel is the broadcast regime, so broadcast's bound holds too
         ("reports", ("communities", "entities_degreed",
                      "relationships_degreed"),
-         lambda comms, ents, rels: generate_reports(comms, ents, rels, parts),
-         True),
+         _tail(report.report_tables,
+               lambda comms, ents, rels: report.generate_reports(
+                   comms, ents, rels, parts),
+               lambda: min(report.REPORT_DRIVER_THRESHOLD,
+                           report.BROADCAST_COMMUNITIES_MAX)), True),
         ("community_hierarchy", ("communities",),
-         lambda comms: community_hierarchy(comms, parts), True),
+         _tail(community.hierarchy_table,
+               lambda comms: community.community_hierarchy(comms, parts)), True),
         # resolve_claims (M7): subject/object mapped onto the canonical
         # entity key before merge so claims join the entity table
-        ("claims", (),
-         lambda: merge_claims(resolve_claims(
-             extract_claims(text_units, batch_size=cfg.extract_batch_size))),
+        ("claims", ("text_units",),
+         lambda units: merge_claims(resolve_claims(
+             extract_claims(units, batch_size=cfg.extract_batch_size))),
          True),
         ("media_features", (), media_features, True),
     ]
@@ -335,19 +420,22 @@ def build_knowledge_graph(
         outputs.append("claims")
     if cfg.media_features:
         outputs.append("media_features")
-    out = _run_stages(stages, outputs,
-                      *_stage_store(checkpoint_dir, fingerprint))
+    complete, store, dataset = _stage_store(checkpoint_dir, fingerprint)
+    out = _run_stages(stages, outputs, complete, store)
+    # the pinned text units and mentions when they were computed, else
+    # the lazy handles
+    units = out.get("text_units", text_units)
     return GraphTables(
-        text_units=text_units,
-        # the pinned mentions when the core ran, else the lazy handle
-        mentions=out["core"].mentions if "core" in out else mentions,
-        entities=out["entities_clustered"],
-        relationships=out["relationships_degreed"],
-        communities=out["communities"],
-        reports=out["reports"],
-        claims=out.get("claims"),
-        media_features=out.get("media_features"),
-        hierarchy=out["community_hierarchy"],
+        text_units=units,
+        mentions=out["core"].mentions if "core" in out else extract(units),
+        entities=dataset(out["entities_clustered"]),
+        relationships=dataset(out["relationships_degreed"]),
+        communities=dataset(out["communities"]),
+        reports=dataset(out["reports"]),
+        claims=dataset(out["claims"]) if "claims" in out else None,
+        media_features=(dataset(out["media_features"])
+                        if "media_features" in out else None),
+        hierarchy=dataset(out["community_hierarchy"]),
     )
 
 

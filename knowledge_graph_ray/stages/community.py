@@ -386,14 +386,12 @@ def detect_communities(
     ``use_lcc`` mirrors the reference default (cluster only the largest
     connected component, leiden.py:51-52).
 
-    Size-adaptive (same pattern as connected_components): materialized
-    inputs of at most ``driver_threshold`` (and
-    ``CLUSTER_DRIVER_THRESHOLD``, read at call time) rows in all run
-    ``cluster_tables`` on the driver with no Ray execution.  Otherwise
-    graphs whose clustered node count is provably <= ``driver_threshold``
-    still run the hierarchy locally on the driver after pulling their
-    inputs — clustering is per-component sequential work anyway, and the
-    shuffle rounds cost more than the computation for small graphs.
+    ``cluster_tables`` is its driver kernel on Arrow tables.
+    Size-adaptive: graphs whose clustered node count is provably <=
+    ``driver_threshold`` run the hierarchy locally on the driver after
+    pulling their inputs — clustering is per-component sequential work
+    anyway, and the shuffle rounds cost more than the computation for
+    small graphs.
     Larger graphs take the distributed component-parallel path.
 
     Cost note: a component table of at most ``driver_threshold`` rows is
@@ -409,18 +407,6 @@ def detect_communities(
     """
     import pyarrow as pa
 
-    from knowledge_graph_ray.functions import grouping
-
-    small = grouping.driver_tables(
-        [components, relationships],
-        min(driver_threshold, CLUSTER_DRIVER_THRESHOLD),
-    )
-    if small is not None:
-        return grouping.driver_dataset(cluster_tables(
-            *small, max_cluster_size=max_cluster_size, seed=seed,
-            use_lcc=use_lcc, max_louvain_nodes=max_louvain_nodes,
-            algorithm=algorithm,
-        ))
     # read by the LCC pick, the size gate and the driver pull (or the
     # distributed joins): execute the component labels once
     components = components.materialize()
@@ -831,24 +817,14 @@ def community_hierarchy(communities, num_partitions: int = 32,
     then pair-scale aggregates; the subset condition (all of the
     sub-community's members appear under the parent) is enforced by
     comparing the shared-member count with the sub-community size.
-    A materialized communities table of at most ``driver_threshold``
-    (and ``DRIVER_THRESHOLD``, read at call time) rows runs
-    ``hierarchy_table`` on the driver with no Ray execution; otherwise
-    both exchanges (the join and the bucket map) still run on the
-    driver when their inputs are at most ``driver_threshold`` rows.
+    ``hierarchy_table`` is its driver kernel on an Arrow table.  Both
+    exchanges (the join and the bucket map) run on the driver when
+    their inputs are at most ``driver_threshold`` rows.
     """
     import ray.data as rd
 
-    from knowledge_graph_ray.functions import grouping
     from knowledge_graph_ray.functions.joins import project
 
-    small = grouping.driver_tables(
-        [communities],
-        None if driver_threshold is None
-        else min(driver_threshold, grouping.DRIVER_THRESHOLD),
-    )
-    if small is not None:
-        return grouping.driver_dataset(hierarchy_table(small[0]))
     hierarchy_schema = _hierarchy_schema()
     # read three times below (parent, child, member rows): execute once.
     # An empty table ends here — its projections would carry no schema
@@ -889,30 +865,29 @@ def community_hierarchy(communities, num_partitions: int = 32,
     )
 
 
-def _level_clusters(communities: "pa.Table", level: int) -> "pa.Table":
-    """Communities at ``level`` as (name, cluster) rows."""
+def assign_clusters_table(entities: "pa.Table", communities: "pa.Table",
+                          level: int = 0) -> "pa.Table":
+    """Driver kernel of ``assign_clusters`` on Arrow tables."""
     import pyarrow.compute as pc
 
+    from knowledge_graph_ray.functions.joins import join_arrow
+
     at_level = communities.filter(pc.equal(communities.column("level"), level))
-    return at_level.select(["name", "community"]).rename_columns(
+    clusters = at_level.select(["name", "community"]).rename_columns(
         ["name", "cluster"])
+    return join_arrow(entities, clusters, ["name"], "left_outer")
 
 
 def assign_clusters(entities, communities, level: int = 0, num_partitions: int = 32):
     """Stamp each entity with its community at ``level`` (reference
     cluster_graph.py:49-53 applies level==0 only); entities outside the
-    clustered component get null cluster.  Materialized inputs of at
-    most ``DRIVER_THRESHOLD`` rows in all are joined on the driver with
-    no Ray execution."""
+    clustered component get null cluster."""
     from knowledge_graph_ray.functions import grouping
-    from knowledge_graph_ray.functions.joins import join_arrow, project
+    from knowledge_graph_ray.functions.joins import project
 
-    small = grouping.driver_tables([entities, communities],
-                                   grouping.DRIVER_THRESHOLD)
-    if small is not None:
-        ents, comms = small
-        return grouping.driver_dataset(join_arrow(
-            ents, _level_clusters(comms, level), ["name"], "left_outer"))
+    empty = grouping.empty_tables([entities, communities])
+    if empty is not None:
+        return grouping.driver_dataset(assign_clusters_table(*empty, level))
     at_level = project(
         communities.filter(expr=f"level == {level}"),
         {"name": "name", "community": "cluster"},

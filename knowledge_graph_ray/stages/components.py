@@ -291,16 +291,12 @@ def connected_components(
 ):
     """Entity-graph CC: canonical (src, dst) relationship table + entity
     table (for isolated nodes) -> Dataset[(name, component)].
-
-    Materialized inputs of at most ``DRIVER_THRESHOLD`` rows in all run
-    ``component_labels`` on the driver with no Ray execution; others
-    take ``connected_components_from_edges``."""
+    ``component_labels`` is its driver kernel on Arrow tables."""
     from knowledge_graph_ray.functions import grouping
 
-    small = grouping.driver_tables([entities, relationships],
-                                   grouping.DRIVER_THRESHOLD)
-    if small is not None:
-        return grouping.driver_dataset(component_labels(*small))
+    empty = grouping.empty_tables([entities, relationships])
+    if empty is not None:
+        return grouping.driver_dataset(component_labels(*empty))
     return connected_components_from_edges(
         _edge_pairs(relationships),
         nodes=entities,

@@ -11,8 +11,9 @@ the entity/edge tables is a left-outer ``hash_join`` (fillna 0): one Arrow
 join on the driver when both sides together are at most
 ``DRIVER_THRESHOLD`` rows, else a hash-partitioned bucket shuffle, which
 scales to entity tables that don't fit one node.  Each stage also has a
-driver kernel on Arrow tables: inputs that are materialized and at most
-``DRIVER_THRESHOLD`` rows in all run it with no Ray execution.
+driver kernel on Arrow tables (``degrees_table``, ``entity_degrees_table``,
+``edge_degrees_table``), which ``build_knowledge_graph`` runs instead of
+the Dataset path when its inputs are small Arrow tables.
 """
 
 from __future__ import annotations
@@ -65,23 +66,41 @@ def _endpoint_degrees(degrees: pa.Table, end: str, column: str) -> pa.Table:
     return degrees.select(["name", "degree"]).rename_columns([end, column])
 
 
+def degrees_table(relationships: pa.Table) -> pa.Table:
+    """Driver kernel of ``compute_degrees``: the partial count over the
+    whole table is already the final (name, degree) count."""
+    return degree_partials_batch(relationships).rename_columns(["name", "degree"])
+
+
+def entity_degrees_table(entities: pa.Table, degrees: pa.Table) -> pa.Table:
+    """Driver kernel of ``attach_entity_degrees``."""
+    return _fill_degree(join_arrow(entities, degrees, ["name"], "left_outer"))
+
+
+def edge_degrees_table(relationships: pa.Table, degrees: pa.Table) -> pa.Table:
+    """Driver kernel of ``attach_edge_degrees``."""
+    with_src = join_arrow(relationships,
+                          _endpoint_degrees(degrees, "src", "source_degree"),
+                          ["src"], "left_outer")
+    with_both = join_arrow(with_src,
+                           _endpoint_degrees(degrees, "dst", "target_degree"),
+                           ["dst"], "left_outer")
+    return _finish_edge_degrees(with_both)
+
+
 def compute_degrees(relationships):
     """Dataset[relationship] -> Dataset[(name, degree)].
 
     Degree = number of distinct canonical edges incident to the entity
     (matches nx.Graph.degree on the merged graph: one undirected edge per
-    endpoint pair, self-loop-free by construction of the canonical key).
-    A small materialized input is counted on the driver
-    (``degree_partials_batch`` over the whole table is already the
-    final count); otherwise per-batch partials feed ``grouped_agg``.
+    endpoint pair, self-loop-free by construction of the canonical key):
+    per-batch partials feed ``grouped_agg``.
     """
     from knowledge_graph_ray.functions.agg import grouped_agg
 
-    small = grouping.driver_tables([relationships], grouping.DRIVER_THRESHOLD)
-    if small is not None:
-        return grouping.driver_dataset(
-            degree_partials_batch(small[0]).rename_columns(["name", "degree"])
-        )
+    empty = grouping.empty_tables([relationships])
+    if empty is not None:
+        return grouping.driver_dataset(degrees_table(*empty))
     partials = relationships.select_columns(["src", "dst"]).map_batches(
         degree_partials_batch, batch_format="pyarrow"
     )
@@ -89,14 +108,10 @@ def compute_degrees(relationships):
 
 
 def attach_entity_degrees(entities, degrees, num_partitions: int = 32):
-    """entities ⟕ degrees on name; missing -> degree 0.  Runs as one
-    driver kernel when both inputs are materialized and small."""
-    small = grouping.driver_tables([entities, degrees], grouping.DRIVER_THRESHOLD)
-    if small is not None:
-        ents, degs = small
-        return grouping.driver_dataset(
-            _fill_degree(join_arrow(ents, degs, ["name"], "left_outer"))
-        )
+    """entities ⟕ degrees on name; missing -> degree 0."""
+    empty = grouping.empty_tables([entities, degrees])
+    if empty is not None:
+        return grouping.driver_dataset(entity_degrees_table(*empty))
     joined = hash_join(
         entities, degrees, on=["name"], how="left_outer", num_partitions=num_partitions
     )
@@ -105,17 +120,10 @@ def attach_entity_degrees(entities, degrees, num_partitions: int = 32):
 
 def attach_edge_degrees(relationships, degrees, num_partitions: int = 32):
     """edges ⟕ degrees on src, then dst; rank = source_degree + target_degree
-    (compute_edge_degree.py:11-54).  Runs as one driver kernel when
-    both inputs are materialized and small."""
-    small = grouping.driver_tables([relationships, degrees], grouping.DRIVER_THRESHOLD)
-    if small is not None:
-        rels, degs = small
-        with_src = join_arrow(rels, _endpoint_degrees(degs, "src", "source_degree"),
-                              ["src"], "left_outer")
-        with_both = join_arrow(
-            with_src, _endpoint_degrees(degs, "dst", "target_degree"),
-            ["dst"], "left_outer")
-        return grouping.driver_dataset(_finish_edge_degrees(with_both))
+    (compute_edge_degree.py:11-54)."""
+    empty = grouping.empty_tables([relationships, degrees])
+    if empty is not None:
+        return grouping.driver_dataset(edge_degrees_table(*empty))
     # project() not rename_columns: two projected branches of `degrees`
     # land in one DAG — Project ops can be dropped by fusion (joins.project)
     with_src = hash_join(

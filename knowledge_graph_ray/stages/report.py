@@ -529,11 +529,9 @@ def generate_reports(communities, entities, relationships, num_partitions: int =
     below the shared ``DRIVER_THRESHOLD``: the driver regime composes
     every report itself, one after another (an LLM composer's calls
     included), where the distributed regime composes each bucket in its
-    own task.  Materialized inputs of at most that many rows in all
-    (and at most ``REPORT_DRIVER_THRESHOLD`` and ``broadcast_max``, read
-    at call time) run ``report_tables`` on the driver with no Ray
-    execution; otherwise each level's composition takes the driver
-    regime when its context has at most ``driver_threshold`` rows.
+    own task.  ``report_tables`` is its driver kernel on Arrow tables;
+    here each level's composition takes the driver regime when its
+    context has at most ``driver_threshold`` rows.
 
     Levels are processed DESCENDING (reference utils.py:26-29 /
     summarization.py:71-85): deeper-level reports are generated first and
@@ -544,15 +542,10 @@ def generate_reports(communities, entities, relationships, num_partitions: int =
     """
     from knowledge_graph_ray.functions import grouping
 
-    # the kernel is the broadcast regime, so broadcast_max bounds it too
-    small = grouping.driver_tables(
-        [communities, entities, relationships],
-        None if driver_threshold is None
-        else min(driver_threshold, REPORT_DRIVER_THRESHOLD, broadcast_max),
-    )
-    if small is not None:
+    empty = grouping.empty_tables([communities, entities, relationships])
+    if empty is not None:
         return grouping.driver_dataset(
-            report_tables(*small, max_input_tokens, composer))
+            report_tables(*empty, max_input_tokens, composer))
     # size-adaptive driver state (same pattern as _context_rows): a
     # communities table under the broadcast threshold is pulled ONCE and
     # the level list + parent/child pairs + sub summaries come from

@@ -72,10 +72,13 @@ def summarize_descriptions(ds, concurrency=(1, 4), batch_size: int = 1024,
     stage runs as a task pool with a per-worker-process cache (actor-pool
     startup is ~1-2s of pure overhead per stage).  LLM summarizer
     strategies pass ``use_actor_pool=True`` to hold the warm client per
-    actor instead.  Without an actor pool, a materialized input of at
-    most ``DRIVER_THRESHOLD`` rows is summarized in one call on the
-    driver, with no Ray execution.
+    actor instead.
     """
+    from knowledge_graph_ray.functions import grouping
+
+    empty = grouping.empty_tables([ds])
+    if empty is not None:
+        return grouping.driver_dataset(summarizer_cls(**kwargs)(*empty))
     if use_actor_pool:
         return ds.map_batches(
             summarizer_cls,
@@ -85,10 +88,6 @@ def summarize_descriptions(ds, concurrency=(1, 4), batch_size: int = 1024,
             concurrency=concurrency,
         )
 
-    from knowledge_graph_ray.functions import grouping
     from knowledge_graph_ray.functions.poolcache import cached_class_map
 
-    small = grouping.driver_tables([ds], grouping.DRIVER_THRESHOLD)
-    if small is not None:
-        return grouping.driver_dataset(summarizer_cls(**kwargs)(small[0]))
     return cached_class_map(ds, summarizer_cls, batch_size=batch_size, **kwargs)

@@ -7,8 +7,10 @@ one.
 One test counts the sort/groupby exchanges of a small in-memory build
 after canonicalize: there are none.  The last tests compare whole builds
 with each stage's driver kernel against its Dataset path (stage bounds
-monkeypatched to -1), and count the Ray executors a small build starts
-after canonicalize: only the export's ``text_units`` write.
+monkeypatched to -1), count the Ray executors a small build starts
+after canonicalize (none) and the tables it pulls (the core's two), and
+check that each graph-tail stage function's Dataset path types its
+empty output as its kernel does.
 """
 
 import json
@@ -463,9 +465,9 @@ def test_build_regimes_agree(tmp_path, monkeypatch, case):
 @pytest.mark.parametrize("checkpointed", [False, True])
 def test_small_build_tail_starts_no_executor(tmp_path, monkeypatch, checkpointed):
     """After ``_canonical_core`` returns, a small build + export starts
-    one Ray executor: the export's write of the lazy ``text_units``.
-    Every graph-tail stage runs its kernel on the driver, and every
-    other table is written with pyarrow."""
+    no Ray executor: every graph-tail stage runs its kernel on the
+    driver, and every table, the pinned ``text_units`` included, is
+    written with pyarrow."""
     from knowledge_graph_ray.config import PipelineConfig
     from knowledge_graph_ray.corpus import read_corpus
     from knowledge_graph_ray.pipelines import build
@@ -487,6 +489,112 @@ def test_small_build_tail_starts_no_executor(tmp_path, monkeypatch, checkpointed
     phase["p"] = "export"
     manifests = build.export_tables(tables, str(tmp_path / "out"))
     assert manifests["communities"]["rows"] > 0
-    assert [s for s in started if s[0] != "core"] == [("export", "text_units")]
+    assert [s for s in started if s[0] != "core"] == []
     assert {name for name, m in manifests.items()
-            if m["regime"] == "distributed"} == {"text_units"}
+            if m["regime"] == "distributed"} == set()
+
+
+def _empty_tail():
+    """(stage function, its kernel, kernel inputs) of every graph-tail
+    stage, on the zero-row tables the kernels give each other."""
+    from knowledge_graph_ray.stages import community, degree, report
+    from knowledge_graph_ray.stages.canonicalize import (
+        ENTITY_SCHEMA,
+        RELATIONSHIP_SCHEMA,
+    )
+    from knowledge_graph_ray.stages.components import (
+        component_labels,
+        connected_components,
+    )
+    from knowledge_graph_ray.stages.summarize import (
+        DescriptionSummarizer,
+        summarize_descriptions,
+    )
+
+    ents = DescriptionSummarizer()(ENTITY_SCHEMA.empty_table())
+    rels = DescriptionSummarizer()(RELATIONSHIP_SCHEMA.empty_table())
+    degs = degree.degrees_table(rels)
+    comps = component_labels(ents, rels)
+    comms = community.cluster_tables(comps, rels)
+    ents_deg = degree.entity_degrees_table(ents, degs)
+    rels_deg = degree.edge_degrees_table(rels, degs)
+    return {
+        "summarize": (summarize_descriptions, DescriptionSummarizer(),
+                      [ENTITY_SCHEMA.empty_table()]),
+        "degrees": (degree.compute_degrees, degree.degrees_table, [rels]),
+        "entity_degrees": (degree.attach_entity_degrees,
+                           degree.entity_degrees_table, [ents, degs]),
+        "edge_degrees": (degree.attach_edge_degrees,
+                         degree.edge_degrees_table, [rels, degs]),
+        "components": (connected_components, component_labels, [ents, rels]),
+        "communities": (detect_communities, community.cluster_tables,
+                        [comps, rels]),
+        "clusters": (community.assign_clusters,
+                     community.assign_clusters_table, [ents_deg, comms]),
+        "reports": (report.generate_reports, report.report_tables,
+                    [comms, ents_deg, rels_deg]),
+        "hierarchy": (community_hierarchy, community.hierarchy_table, [comms]),
+    }
+
+
+@pytest.mark.parametrize("stage", ["summarize", "degrees", "entity_degrees",
+                                   "edge_degrees", "components", "communities",
+                                   "clusters", "reports", "hierarchy"])
+def test_empty_dataset_path_keeps_kernel_schema(stage):
+    """A stage function's Dataset path on zero-row datasets returns no
+    rows, typed as its driver kernel types them on the same tables."""
+    fn, kernel, tables = _empty_tail()[stage]
+    out = fn(*[rd.from_arrow(t) for t in tables]).materialize()
+    assert out.count() == 0
+    schema = out.schema()
+    assert schema is not None
+    assert schema.base_schema.remove_metadata() == \
+        kernel(*tables).schema.remove_metadata()
+
+
+def test_small_build_tail_pulls_core_tables_once(tmp_path, monkeypatch):
+    """After ``_canonical_core`` returns, a small in-memory build pulls
+    two tables to the driver, the core's canonical entities and
+    relationships, and wraps tables into datasets only for the
+    ``GraphTables`` it returns: the tail's stages pass Arrow tables."""
+    from dataclasses import fields
+
+    from knowledge_graph_ray.config import PipelineConfig
+    from knowledge_graph_ray.corpus import read_corpus
+    from knowledge_graph_ray.functions import grouping
+    from knowledge_graph_ray.pipelines import build
+
+    tail = {"on": False}
+    pulls, wraps = [], []
+    whole_table, driver_dataset = grouping._whole_table, grouping.driver_dataset
+
+    def pull(ds):
+        if tail["on"]:
+            pulls.append(ds)
+        return whole_table(ds)
+
+    def wrap(table):
+        out = driver_dataset(table)
+        if tail["on"]:
+            wraps.append(out)
+        return out
+
+    monkeypatch.setattr(grouping, "_whole_table", pull)
+    monkeypatch.setattr(grouping, "driver_dataset", wrap)
+    core = build._canonical_core
+
+    def core_then_tail(*args, **kwargs):
+        out = core(*args, **kwargs)
+        tail["on"] = True
+        return out
+
+    monkeypatch.setattr(build, "_canonical_core", core_then_tail)
+    tables = build.build_knowledge_graph(
+        read_corpus(200, seed=5, shard_size=100),
+        PipelineConfig(chunk_size=64, chunk_overlap=16))
+    tail["on"] = False
+    assert len(pulls) <= 2
+    returned = [getattr(tables, f.name) for f in fields(tables)]
+    assert wraps and all(any(w is r for r in returned) for w in wraps)
+    manifests = build.export_tables(tables, str(tmp_path))
+    assert manifests["entities"]["rows"] > 0

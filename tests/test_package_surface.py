@@ -123,13 +123,12 @@ ENTRY_POINTS = (
     f"{PKG}.registry",
 )
 # Outside the KG engine and not yet cut: the first three are still
-# tested alongside kept operators, the other five have whole test files
+# tested alongside kept operators, the other four have whole test files
 # of their own.  Each leaves this set when it is cut with its tests.
 UNREACHABLE_ALLOWED = {
     f"{PKG}.stages.dedup",
     f"{PKG}.stages.sketches",
     f"{PKG}.state.diff",
-    f"{PKG}.stages.ranking",
     f"{PKG}.stages.graphops",
     f"{PKG}.stages.sampling",
     f"{PKG}.stages.packing",
@@ -171,3 +170,19 @@ def test_every_package_module_is_reachable_from_an_entry_point():
                                  else parts))
     assert modules - reached == UNREACHABLE_ALLOWED, \
         sorted(modules - reached)
+
+
+def test_no_stage_picks_its_own_regime():
+    """``build_knowledge_graph`` picks each graph-tail stage's driver
+    kernel or Dataset path (``pipelines/build._tail``): no stage module
+    calls ``driver_tables`` to decide for itself."""
+    calls = []
+    for path in sorted((REPO / PKG / "stages").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else \
+                    getattr(fn, "id", None)
+                if name == "driver_tables":
+                    calls.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert calls == []
